@@ -22,8 +22,6 @@ from .hypercube import (
     build_hamiltonian,
     build_jump_operators,
     make_spec,
-    min_sink_distance,
-    reachability_check,
     vertex_index,
 )
 from .lindblad import (
@@ -32,7 +30,6 @@ from .lindblad import (
     basis_density,
     density_from_pattern,
     evolve,
-    lindblad_rhs,
     mixing_time,
     populations,
     purity,
@@ -51,16 +48,13 @@ __all__ = [
     "JumpOperator",
     "make_spec",
     "vertex_index",
-    "min_sink_distance",
     "build_hamiltonian",
     "build_jump_operators",
-    "reachability_check",
     "WalkParams",
     "Trajectory",
     "basis_density",
     "density_from_pattern",
     "evolve",
-    "lindblad_rhs",
     "mixing_time",
     "populations",
     "purity",

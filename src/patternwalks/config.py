@@ -8,6 +8,7 @@ offending field is named in the error message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .constants import (
@@ -96,15 +97,25 @@ def _field_int(data, key, default=None, minimum=None, maximum=None):
     return value
 
 
+def _finite(key, value) -> float:
+    """A JSON number as a float; NaN and the infinities json accepts are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{key}: expected a finite number, got {value!r}")
+    return number
+
+
 def _field_real(data, key, default=None, minimum=None, maximum=None, strict_min=False):
     if key not in data:
         if default is None:
             raise ConfigurationError(f"{key}: required field is missing")
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key}: expected a number, got {value!r}")
-    value = float(value)
+    value = _finite(key, data[key])
     if minimum is not None:
         if strict_min and not value > minimum:
             raise ConfigurationError(f"{key}: must be > {minimum}, got {value}")
@@ -190,10 +201,10 @@ def _parse_common(data, require_walk: bool) -> dict:
                 raise ConfigurationError(
                     f"edge_weights: {u!r} and {v!r} differ by more than one bit"
                 )
-            w = entry[2]
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not w > 0:
+            w = _finite("edge_weights", entry[2])
+            if not w > 0:
                 raise ConfigurationError(f"edge_weights: weight must be > 0, got {w!r}")
-            weights.append((u, v, float(w)))
+            weights.append((u, v, w))
         fields["edge_weights"] = tuple(weights)
 
     fields["stored"] = _field_pattern_list(data, "stored", n, required=False)
@@ -220,12 +231,10 @@ def parse_sweep(data: dict) -> SweepGrid:
         raw = data.get(key)
         if not isinstance(raw, list) or len(raw) == 0:
             raise ConfigurationError(f"{key}: expected a non-empty list of numbers")
-        values = []
-        for v in raw:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-                raise ConfigurationError(f"{key}: entries must be numbers >= 0, got {v!r}")
-            values.append(float(v))
-        return tuple(values)
+        values = tuple(_finite(key, v) for v in raw)
+        if any(v < 0 for v in values):
+            raise ConfigurationError(f"{key}: entries must be numbers >= 0, got {raw!r}")
+        return values
 
     kappas = _values("kappa_values")
     gammas = _values("gamma_values")

@@ -9,7 +9,6 @@ without touching the filesystem output twice.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,21 +112,12 @@ def run_sweep(
     grid: SweepGrid,
     out_dir: str | None = None,
     svg: bool = False,
-    parallel: bool = True,
-    max_workers: int | None = None,
 ) -> SweepResult:
     """Mixing time per (kappa, gamma) grid point, rows sorted by (gamma, kappa).
 
-    Points are independent single-threaded evolutions; they may be
-    evaluated concurrently and the merge order never affects the output.
+    Points are independent evolutions, evaluated one after another.
     """
-    points = [(k, g) for g in grid.gammas for k in grid.kappas]
-    if parallel and len(points) > 1:
-        workers = max_workers or min(len(points), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _sweep_point(grid, *p), points))
-    else:
-        results = [_sweep_point(grid, *p) for p in points]
+    results = [_sweep_point(grid, k, g) for g in grid.gammas for k in grid.kappas]
 
     results.sort(key=lambda r: (r[1], r[0]))
     rows = [(k, g, tm, diag) for k, g, tm, diag, _ in results]

@@ -4,13 +4,15 @@ Vertices are the 2^N firing patterns; edges join patterns at Hamming
 distance one, plus a self-loop on every vertex. Sink vertices (the
 memorized patterns) are cut out of the adjacency Hamiltonian entirely and
 are instead fed by directed jump operators that always point strictly
-closer to the sink set.
+closer to the sink set. The jump set is built once, with bit operations
+over all vertices, and the Hamiltonian, the operator list and the gain
+arrays of both generators are read off it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +28,10 @@ __all__ = [
     "vertex_index",
     "index_pattern",
     "vertex_hamming",
-    "min_sink_distance",
-    "edge_weight",
-    "hypercube_edges",
+    "sink_distances",
     "build_hamiltonian",
     "build_jump_operators",
-    "reachability_check",
-    "jump_matrix",
+    "jump_gain",
 ]
 
 # Jump assignment rule for edges whose endpoints are equidistant from the
@@ -68,14 +67,6 @@ class HypercubeSpec:
     def dim(self) -> int:
         return 1 << self.n
 
-    @cached_property
-    def sink_set(self) -> frozenset[int]:
-        return frozenset(self.sinks)
-
-    @cached_property
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return {(lo, hi): w for lo, hi, w in self.edge_weights}
-
 
 def vertex_index(pattern) -> int:
     """Vertex index of a pattern, first bit most significant ("101" -> 5)."""
@@ -104,24 +95,32 @@ def vertex_hamming(i: int, j: int) -> int:
     return bin(i ^ j).count("1")
 
 
+def _spec_vertex(p, n: int, what: str) -> int:
+    """Vertex index of a vertex given as an index or as a length-n pattern."""
+    if isinstance(p, bool):
+        raise ConfigurationError(f"{what} {p!r} is a bool, not a vertex")
+    if isinstance(p, int):
+        v = p
+    else:
+        v = vertex_index(p)
+        if len(p) != n:
+            raise ConfigurationError(f"{what} pattern {p!r} does not have length {n}")
+    if not 0 <= v < 1 << n:
+        raise ConfigurationError(f"{what} vertex {v} out of range for n = {n}")
+    return v
+
+
 def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpec:
     """Validate and build a HypercubeSpec.
 
     ``sink_patterns`` may mix bit strings and vertex indices; overrides
     are (pattern, pattern, weight) or (index, index, weight) triples.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"neuron count must be a positive integer, got {n!r}")
     dim = 1 << n
 
-    sinks = []
-    for p in sink_patterns:
-        v = p if isinstance(p, int) else vertex_index(p)
-        if isinstance(p, str) and len(p) != n:
-            raise ConfigurationError(f"sink pattern {p!r} does not have length {n}")
-        if not 0 <= v < dim:
-            raise ConfigurationError(f"sink vertex {v} out of range for n = {n}")
-        sinks.append(v)
+    sinks = [_spec_vertex(p, n, "sink") for p in sink_patterns]
     if len(sinks) == 0:
         raise ConfigurationError("at least one sink is required")
     if len(set(sinks)) != len(sinks):
@@ -132,17 +131,15 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
     overrides = []
     for entry in edge_weight_overrides or ():
         u, v, w = entry
-        iu = u if isinstance(u, int) else vertex_index(u)
-        iv = v if isinstance(v, int) else vertex_index(v)
-        if not (0 <= iu < dim and 0 <= iv < dim):
-            raise ConfigurationError(f"edge override {entry!r} out of range")
+        iu = _spec_vertex(u, n, "edge override endpoint")
+        iv = _spec_vertex(v, n, "edge override endpoint")
         if vertex_hamming(iu, iv) > 1:
             raise ConfigurationError(
                 f"edge override {entry!r} joins vertices farther than one bit flip"
             )
         w = float(w)
-        if not w > 0:
-            raise ConfigurationError(f"edge weight must be positive, got {w!r}")
+        if not (w > 0 and math.isfinite(w)):
+            raise ConfigurationError(f"edge weight must be positive and finite, got {w!r}")
         overrides.append((min(iu, iv), max(iu, iv), w))
     seen = set()
     for lo, hi, _ in overrides:
@@ -153,24 +150,35 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
     return HypercubeSpec(n=n, sinks=tuple(sorted(sinks)), edge_weights=tuple(overrides))
 
 
-def min_sink_distance(v: int, spec: HypercubeSpec) -> int:
-    """Minimum Hamming distance from vertex ``v`` to any sink."""
-    if not 0 <= v < spec.dim:
-        raise ConfigurationError(f"vertex {v} out of range")
-    return min(vertex_hamming(v, s) for s in spec.sinks)
+def sink_distances(spec: HypercubeSpec) -> np.ndarray:
+    """Hamming distance from every vertex to its nearest sink, indexed by vertex."""
+    diff = np.arange(spec.dim)[:, None] ^ np.asarray(spec.sinks)[None, :]
+    count = np.zeros_like(diff)
+    for b in range(spec.n):  # popcount; np.bitwise_count needs numpy >= 2
+        count += (diff >> b) & 1
+    return count.min(axis=1)
 
 
-def edge_weight(spec: HypercubeSpec, i: int, j: int) -> float:
-    return spec.weight_map.get((min(i, j), max(i, j)), 1.0)
+def _jump_mask(spec: HypercubeSpec, rule: str) -> np.ndarray:
+    """Boolean (dim, dim) matrix, True at [src, dst] for each directed jump.
 
-
-def hypercube_edges(n: int):
-    """All unordered Hamming-distance-one pairs (i, j) with i < j."""
-    for i in range(1 << n):
-        for bit in range(n):
-            j = i ^ (1 << bit)
-            if i < j:
-                yield i, j
+    Every distance-one edge points from the endpoint farther from the
+    sink set to the nearer one. An equidistant edge gets no jump under
+    the strict rule and a jump each way under "lte"; no jump leaves a
+    sink under either rule.
+    """
+    if rule not in RULES:
+        raise ConfigurationError(f"unknown equidistant rule {rule!r}")
+    d = sink_distances(spec)
+    src = np.arange(spec.dim)[:, None]
+    dst = src ^ (1 << np.arange(spec.n))  # (dim, n) neighbours
+    if rule == STRICT:
+        emits = d[dst] < d[src]
+    else:
+        emits = (d[dst] <= d[src]) & (d[src] > 0)
+    mask = np.zeros((spec.dim, spec.dim), dtype=bool)
+    mask[src, dst] = emits
+    return mask
 
 
 def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
@@ -187,74 +195,42 @@ def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
     feed the wrong memory (measured: the far sink captures 0.46 of the
     walker in the three-neuron two-sink scenario at kappa = gamma = 1).
     The relaxed "lte" rule keeps the full adjacency for comparison runs.
+    Both follow from the jump structure: an edge between non-sinks stays
+    coherent exactly when it carries a jump in some direction.
     """
-    if rule not in RULES:
-        raise ConfigurationError(f"unknown equidistant rule {rule!r}")
-    dim = spec.dim
-    sinks = spec.sink_set
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for v in range(dim):
-        if v not in sinks:
-            h[v, v] = edge_weight(spec, v, v)
-    for i, j in hypercube_edges(spec.n):
-        if i in sinks or j in sinks:
-            continue
-        if rule == STRICT and min_sink_distance(i, spec) == min_sink_distance(j, spec):
-            continue
-        w = edge_weight(spec, i, j)
-        h[i, j] = w
-        h[j, i] = w
-    return h
+    jumps = _jump_mask(spec, rule)
+    live = np.ones(spec.dim, dtype=bool)
+    live[list(spec.sinks)] = False
+    edges = (jumps | jumps.T | np.eye(spec.dim, dtype=bool)) & live[:, None] & live[None, :]
+    weights = np.ones((spec.dim, spec.dim))
+    for lo, hi, w in spec.edge_weights:
+        weights[lo, hi] = weights[hi, lo] = w
+    return np.where(edges, weights, 0.0).astype(np.complex128)
 
 
 def build_jump_operators(spec: HypercubeSpec, rule: str = STRICT) -> list[JumpOperator]:
-    """Directed jump operators over the hypercube edges.
+    """Directed jump operators over the hypercube edges, ordered by (src, dst).
 
     For every distance-one edge {i, j} the operator points from the
     vertex farther from the sink set to the nearer one; under the default
     strict rule an equidistant edge gets no operator at all. Self-loops
     never carry operators, and no operator leaves a sink.
     """
-    if rule not in RULES:
-        raise ConfigurationError(f"unknown equidistant rule {rule!r}")
-    sinks = spec.sink_set
-    ops: list[JumpOperator] = []
-    for i, j in hypercube_edges(spec.n):
-        di = min_sink_distance(i, spec)
-        dj = min_sink_distance(j, spec)
-        if rule == STRICT:
-            if dj < di:
-                ops.append(JumpOperator(src=i, dst=j))
-            elif di < dj:
-                ops.append(JumpOperator(src=j, dst=i))
-        else:
-            # Relaxed comparison rule; sinks still never emit.
-            if dj <= di and i not in sinks:
-                ops.append(JumpOperator(src=i, dst=j))
-            if di <= dj and j not in sinks:
-                ops.append(JumpOperator(src=j, dst=i))
-    return ops
+    src, dst = np.nonzero(_jump_mask(spec, rule))
+    return [JumpOperator(src=int(s), dst=int(t)) for s, t in zip(src, dst)]
 
 
-def reachability_check(spec: HypercubeSpec, rule: str = STRICT) -> bool:
-    """True when every non-sink vertex has a directed jump path to a sink."""
-    ops = build_jump_operators(spec, rule)
-    reverse: dict[int, list[int]] = {}
-    for op in ops:
-        reverse.setdefault(op.dst, []).append(op.src)
-    frontier = list(spec.sinks)
-    seen = set(spec.sinks)
-    while frontier:
-        v = frontier.pop()
-        for u in reverse.get(v, ()):  # walk edges backwards from the sinks
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return len(seen) == spec.dim
+def jump_gain(jumps, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gain matrix ``G[dst, src]`` and out-degree vector of a jump set.
 
-
-def jump_matrix(op: JumpOperator, dim: int) -> np.ndarray:
-    """Dense |dst><src| matrix of a jump operator."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[op.dst, op.src] = 1.0
-    return m
+    These two arrays are all either generator needs: the classical rate
+    matrix is ``G - diag(out)``, and the dissipator feeds ``G`` applied
+    to the populations while damping row and column v by ``out[v] / 2``.
+    """
+    src = np.array([op.src for op in jumps], dtype=np.intp)
+    dst = np.array([op.dst for op in jumps], dtype=np.intp)
+    if np.any((src < 0) | (src >= dim) | (dst < 0) | (dst >= dim)):
+        raise ConfigurationError(f"jump set reaches outside dimension {dim}")
+    gain = np.zeros((dim, dim))
+    np.add.at(gain, (dst, src), 1.0)
+    return gain, np.bincount(src, minlength=dim).astype(float)

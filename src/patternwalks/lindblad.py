@@ -38,7 +38,13 @@ from .errors import (
     ContractViolationError,
     IntegrationDiagnosticsError,
 )
-from .hypercube import HypercubeSpec, STRICT, build_hamiltonian, build_jump_operators
+from .hypercube import (
+    STRICT,
+    HypercubeSpec,
+    build_hamiltonian,
+    build_jump_operators,
+    jump_gain,
+)
 from .numerics import hermiticity_residual, rk4_step
 
 __all__ = [
@@ -49,7 +55,6 @@ __all__ = [
     "validate_density",
     "populations",
     "purity",
-    "lindblad_rhs",
     "evolve",
     "mixing_time",
 ]
@@ -161,20 +166,13 @@ def purity(rho) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
-def _jump_arrays(jumps, dim: int):
-    """Gain matrix and anticommutator weights of a basis-transition jump set."""
-    gain = np.zeros((dim, dim))
-    out_count = np.zeros(dim)
-    for op in jumps:
-        if not (0 <= op.src < dim and 0 <= op.dst < dim):
-            raise ConfigurationError(f"jump {op} outside dimension {dim}")
-        gain[op.dst, op.src] += 1.0
-        out_count[op.src] += 1.0
-    half_decay = 0.5 * (out_count[:, None] + out_count[None, :])
-    return gain, half_decay
-
-
 def _rhs(rho, h, gain, half_decay, kappa, gamma):
+    """Master-equation right-hand side for basis-transition jumps.
+
+    The dissipator acts through the populations alone: ``gain`` feeds
+    the diagonal from ``diag(rho)``, and ``half_decay[i, j]`` is half the
+    summed out-degree of i and j, which damps entry (i, j).
+    """
     if kappa != 0.0:
         out = (-1j * kappa) * (h @ rho - rho @ h)
     else:
@@ -187,25 +185,6 @@ def _rhs(rho, h, gain, half_decay, kappa, gamma):
     return out
 
 
-def lindblad_rhs(rho, h, jumps, kappa: float, gamma: float) -> np.ndarray:
-    """Right-hand side of the master equation, exactly as written above.
-
-    ``jumps`` are basis transitions |dst><src|, which lets the dissipator
-    act through the populations alone: each jump feeds rho_src,src into
-    the dst diagonal and damps the src row and column by gamma/2.
-    """
-    m = np.asarray(rho, dtype=np.complex128)
-    hm = np.asarray(h, dtype=np.complex128)
-    if m.shape != hm.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigurationError(
-            f"dimension mismatch: rho {m.shape} versus H {hm.shape}"
-        )
-    if hermiticity_residual(hm) > HERMITICITY_TOL:
-        raise ContractViolationError("Hamiltonian must be Hermitian")
-    gain, half_decay = _jump_arrays(jumps, m.shape[0])
-    return _rhs(m, hm, gain, half_decay, float(kappa), float(gamma))
-
-
 def evolve(
     rho0,
     spec: HypercubeSpec,
@@ -216,9 +195,9 @@ def evolve(
 
     The sampling stride is rounded to a whole number of integrator steps
     and the run extends to the first sample at or past ``t_max``. Every
-    sampled state is health-checked; a trace drift beyond 1e-6 or an
-    eigenvalue below -1e-6 aborts the run with a diagnostics error
-    prescribing a smaller dt.
+    sampled state is health-checked; a non-finite entry, a trace drift
+    beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
+    diagnostics error prescribing a smaller dt.
     """
     rho = validate_density(rho0).copy()
     dim = spec.dim
@@ -227,8 +206,8 @@ def evolve(
             f"density matrix dimension {rho.shape[0]} does not match 2^{spec.n}"
         )
     h = build_hamiltonian(spec, rule)
-    jumps = build_jump_operators(spec, rule)
-    gain, half_decay = _jump_arrays(jumps, dim)
+    gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
+    half_decay = 0.5 * (out_degree[:, None] + out_degree[None, :])
 
     # Rescale to 1/gamma time units; gamma = 0 runs in plain time.
     if params.gamma > 0:
@@ -260,6 +239,8 @@ def evolve(
                 t += params.dt
         times[k] = k * sample_dt
         drift = abs(float(np.trace(rho).real) - 1.0)
+        if not np.isfinite(rho).all():  # eigvalsh cannot take the overflowed state
+            raise IntegrationDiagnosticsError(times[k], params.dt, drift, float("nan"))
         smallest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
         if drift > TRACE_ABORT or smallest < EIGENVALUE_ABORT:
             raise IntegrationDiagnosticsError(times[k], params.dt, drift, smallest)

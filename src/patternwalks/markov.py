@@ -12,6 +12,7 @@ import numpy as np
 
 from .constants import POWER_ITERATION_CAP, POWER_ITERATION_TOL, ROW_SUM_TOL
 from .errors import ConfigurationError, ContractViolationError, ConvergenceError
+from .hypercube import jump_gain
 from .numerics import expm
 
 __all__ = [
@@ -112,18 +113,14 @@ def rate_matrix_from_stochastic(m) -> np.ndarray:
 def rate_matrix_from_jumps(jumps, dim: int, rate: float = 1.0) -> np.ndarray:
     """Generator of the classical chain induced by directed jump operators.
 
-    Each jump src -> dst contributes ``rate`` to ``Q[dst, src]`` and is
-    balanced on the diagonal so columns sum to zero.
+    ``Q = rate (G - diag(out))``: each jump src -> dst contributes
+    ``rate`` to ``Q[dst, src]`` and is balanced on the diagonal so
+    columns sum to zero.
     """
     if rate <= 0:
         raise ConfigurationError("jump rate must be positive")
-    q = np.zeros((dim, dim), dtype=float)
-    for op in jumps:
-        if not (0 <= op.src < dim and 0 <= op.dst < dim):
-            raise ConfigurationError(f"jump {op} outside dimension {dim}")
-        q[op.dst, op.src] += rate
-        q[op.src, op.src] -= rate
-    return q
+    gain, out_degree = jump_gain(jumps, dim)
+    return rate * (gain - np.diag(out_degree))
 
 
 def ctmc_evolve(q, pi0, t: float) -> np.ndarray:

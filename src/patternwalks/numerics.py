@@ -1,9 +1,9 @@
-"""Dense complex linear algebra, spectral routines and fixed-step RK4.
+"""Dense complex matrix helpers, a matrix exponential and fixed-step RK4.
 
 Operator state throughout the package is a plain ``numpy.ndarray`` of
-complex128; the helpers here add dimension checks, a cyclic Jacobi
-eigensolver for Hermitian matrices and a scaling-and-squaring matrix
-exponential. Everything is a pure function of its inputs.
+complex128; the helpers here add dimension checks, a Hermiticity
+residual, a scaling-and-squaring matrix exponential and the RK4 step.
+Everything is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,48 +12,23 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import HERMITICITY_TOL
-from .errors import ConfigurationError, ContractViolationError, ConvergenceError
+from .errors import ConfigurationError
 
 __all__ = [
-    "as_complex_matrix",
-    "matmul",
-    "adjoint",
     "hermiticity_residual",
-    "jacobi_eigh",
-    "hermitian_eigenvalues",
     "rk4_step",
     "expm",
 ]
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array (no copy when already one)."""
+def _square(a) -> np.ndarray:
+    """Coerce ``a`` to a square complex128 matrix (no copy when already one)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ConfigurationError(f"expected a matrix, got an array of rank {m.ndim}")
-    return m
-
-
-def _square(a) -> np.ndarray:
-    m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Exact matrix product with an explicit dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ConfigurationError(f"matmul dimension mismatch: {a.shape} times {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
 
 
 def hermiticity_residual(a) -> float:
@@ -62,80 +37,6 @@ def hermiticity_residual(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def jacobi_eigh(a, tol: float = 1e-13, max_sweeps: int = 100):
-    """Diagonalise a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each rotation is a unitary 2x2 transform that annihilates one
-    off-diagonal entry: the entry's phase is absorbed first, then the
-    remaining real 2x2 block is rotated through ``theta`` with
-    ``tan(2 theta) = 2 |a_pq| / (a_pp - a_qq)``.
-
-    Returns ``(values, vectors)`` with eigenvalues ascending and the
-    matching eigenvectors as columns. No attempt at large-n efficiency is
-    made; matrices in this package are at most 64 x 64.
-    """
-    h = _square(a).copy()
-    n = h.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n <= 1:
-        return np.real(np.diag(h)), v
-
-    scale = max(1.0, float(np.max(np.abs(h))))
-    threshold = tol * scale
-    for _ in range(max_sweeps):
-        off = h.copy()
-        np.fill_diagonal(off, 0.0)
-        if float(np.max(np.abs(off))) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = h[p, q]
-                r = abs(g)
-                if r <= threshold:
-                    continue
-                phase = g / r
-                theta = 0.5 * np.arctan2(2.0 * r, (h[p, p] - h[q, q]).real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                sp = s * phase
-                spc = s * np.conj(phase)
-
-                cp_col = h[:, p].copy()
-                cq_col = h[:, q].copy()
-                h[:, p] = c * cp_col + spc * cq_col
-                h[:, q] = -sp * cp_col + c * cq_col
-                rp = h[p, :].copy()
-                rq = h[q, :].copy()
-                h[p, :] = c * rp + sp * rq
-                h[q, :] = -spc * rp + c * rq
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + spc * vq
-                v[:, q] = -sp * vp + c * vq
-    else:
-        raise ConvergenceError("jacobi_eigh did not converge within the sweep cap")
-
-    values = np.real(np.diag(h))
-    order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
-
-
-def hermitian_eigenvalues(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in non-decreasing order.
-
-    The input must be Hermitian within ``tol`` in max-entry norm.
-    """
-    m = _square(a)
-    residual = hermiticity_residual(m)
-    if residual > tol:
-        raise ContractViolationError(
-            f"matrix is not Hermitian: residual {residual:.3g} exceeds {tol:g}"
-        )
-    values, _ = jacobi_eigh(0.5 * (m + m.conj().T))
-    return values
 
 
 def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:

@@ -265,7 +265,7 @@ class TestSweepRunner:
 
     def test_rows_sorted_and_zero_gamma_sentinel(self, tmp_path):
         grid = self._grid(tmp_path)
-        result = run_sweep(grid, out_dir=str(tmp_path), parallel=False)
+        result = run_sweep(grid, out_dir=str(tmp_path))
         keys = [(g, k) for k, g, _, _ in result.rows]
         assert keys == sorted(keys)
         for kappa, gamma, t_mix, diag in result.rows:
@@ -275,14 +275,14 @@ class TestSweepRunner:
                 assert t_mix > 0.0
             assert diag == ""
 
-    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
         grid = self._grid(tmp_path)
-        serial = run_sweep(grid, out_dir=str(tmp_path / "s"), parallel=False)
-        threaded = run_sweep(grid, out_dir=str(tmp_path / "p"), parallel=True)
-        assert (tmp_path / "s" / "sweep.csv").read_bytes() == (
-            tmp_path / "p" / "sweep.csv"
+        first = run_sweep(grid, out_dir=str(tmp_path / "a"))
+        second = run_sweep(grid, out_dir=str(tmp_path / "b"))
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv"
         ).read_bytes()
-        assert serial.rows == threaded.rows
+        assert first.rows == second.rows
 
     def test_failed_point_gets_minus_one_with_diagnostics(self, tmp_path):
         data = scenario_mapping(
@@ -294,14 +294,25 @@ class TestSweepRunner:
         data["kappa_values"] = [400.0]
         data["gamma_values"] = [1.0]
         grid = parse_sweep(data)
-        result = run_sweep(grid, out_dir=str(tmp_path), parallel=False)
+        result = run_sweep(grid, out_dir=str(tmp_path))
         kappa, gamma, t_mix, diag = result.rows[0]
         assert t_mix == -1.0
         assert "dt" in diag and "," not in diag
 
+    def test_overflowing_point_gets_minus_one_and_others_survive(self, tmp_path):
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=20.0)
+        data.pop("kappa")
+        data.pop("gamma")
+        data["kappa_values"] = [1.0, 1e200]
+        data["gamma_values"] = [1.0]
+        result = run_sweep(parse_sweep(data), out_dir=str(tmp_path))
+        (_, _, t_ok, diag_ok), (_, _, t_bad, diag_bad) = result.rows
+        assert t_ok > 0.0 and diag_ok == ""
+        assert t_bad == -1.0 and "dt" in diag_bad
+
     def test_heatmap_svg(self, tmp_path):
         grid = self._grid(tmp_path)
-        result = run_sweep(grid, out_dir=str(tmp_path), svg=True, parallel=False)
+        result = run_sweep(grid, out_dir=str(tmp_path), svg=True)
         assert any(p.endswith("sweep.svg") for p in result.paths)
 
 
@@ -327,6 +338,29 @@ class TestCli:
         code = main(["simulate", path, "--out", str(tmp_path)])
         assert code == 3
         assert "smaller" in capsys.readouterr().err
+
+    def test_overflowing_state_exits_3(self, tmp_path, capsys):
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", kappa=1e200, t_max=1.0)
+        path = write_config(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 3
+        assert "smaller" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("simulate", {"t_max": float("inf")}),
+            ("simulate", {"sample_every": float("inf")}),
+            ("simulate", {"kappa": float("nan")}),
+            ("simulate", {"n": 2, "sinks": ["11"], "initial": "00",
+                          "edge_weights": [["00", "01", float("inf")]]}),
+            ("sweep", {"kappa_values": [1.0, float("nan")], "gamma_values": [1.0]}),
+            ("sweep", {"kappa_values": [1.0], "gamma_values": [float("inf")]}),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, scenario_mapping(**overrides))
+        assert main([command, path, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_dt_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_mapping(t_max=2.0))

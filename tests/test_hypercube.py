@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,30 @@ from patternwalks.hypercube import (
     STRICT,
     build_hamiltonian,
     build_jump_operators,
-    hypercube_edges,
     index_pattern,
-    jump_matrix,
+    jump_gain,
     make_spec,
-    min_sink_distance,
-    reachability_check,
+    sink_distances,
     vertex_index,
 )
 
 from oracles import brute_force_adjacency, brute_force_jumps
+
+
+def reachable(spec, rule=STRICT):
+    """True when every non-sink vertex has a directed jump path to a sink."""
+    reverse = {}
+    for op in build_jump_operators(spec, rule):
+        reverse.setdefault(op.dst, []).append(op.src)
+    frontier = list(spec.sinks)
+    seen = set(spec.sinks)
+    while frontier:
+        v = frontier.pop()
+        for u in reverse.get(v, ()):  # walk edges backwards from the sinks
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return len(seen) == spec.dim
 
 
 def random_spec(rng, n=None, max_sinks=3):
@@ -47,15 +63,22 @@ class TestVertexIndex:
 class TestMinSinkDistance:
     def test_sink_is_zero(self):
         spec = make_spec(3, ["101", "111"])
-        assert min_sink_distance(5, spec) == 0
+        assert sink_distances(spec)[5] == 0
 
     def test_adjacent_sink_pair(self):
         spec = make_spec(3, ["101", "111"])
-        assert min_sink_distance(0, spec) == 2
+        assert list(sink_distances(spec)) == [2, 1, 2, 1, 1, 0, 1, 0]
 
     def test_equidistant_sink_pair(self):
         spec = make_spec(3, ["011", "101"])
-        assert min_sink_distance(0, spec) == 2
+        assert list(sink_distances(spec)) == [2, 1, 1, 0, 1, 0, 2, 1]
+
+    def test_matches_pairwise_minimum_for_random_specs(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            spec = random_spec(rng)
+            expected = [min(bin(v ^ s).count("1") for s in spec.sinks) for v in range(spec.dim)]
+            assert list(sink_distances(spec)) == expected
 
 
 class TestSpecValidation:
@@ -78,6 +101,16 @@ class TestSpecValidation:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ConfigurationError):
             make_spec(2, ["11"], [("00", "01", 0.0)])
+
+    def test_rejects_override_pattern_of_wrong_length(self):
+        with pytest.raises(ConfigurationError):
+            make_spec(3, ["111"], [("0000", "0001", 2.0)])
+
+    def test_rejects_bool_vertex(self):
+        with pytest.raises(ConfigurationError):
+            make_spec(3, [True])
+        with pytest.raises(ConfigurationError):
+            make_spec(3, ["111"], [(False, 1, 2.0)])
 
 
 class TestHamiltonian:
@@ -155,22 +188,27 @@ class TestJumpOperators:
             spec = random_spec(rng)
             ops = build_jump_operators(spec)
             assert {(op.src, op.dst) for op in ops} == brute_force_jumps(spec.n, spec.sinks)
+            d = sink_distances(spec)
             for op in ops:
                 assert bin(op.src ^ op.dst).count("1") == 1
-                assert min_sink_distance(op.dst, spec) < min_sink_distance(op.src, spec)
-                assert op.src not in spec.sink_set
+                assert d[op.dst] < d[op.src]
+                assert op.src not in spec.sinks
 
     def test_single_sink_operator_count_is_full_edge_set(self):
         # with one sink no edge is equidistant, so every edge carries a jump
         for n in (2, 3, 4):
             spec = make_spec(n, ["1" * n])
             assert len(build_jump_operators(spec)) == n * 2 ** (n - 1)
-            assert len(list(hypercube_edges(n))) == n * 2 ** (n - 1)
 
     def test_jump_matrix_layout(self):
-        ops = build_jump_operators(make_spec(1, ["1"]))
-        m = jump_matrix(ops[0], 2)
-        assert m[1, 0] == 1.0 and np.count_nonzero(m) == 1
+        # the single jump 0 -> 1 lands at gain[dst, src], like |dst><src|
+        gain, out_degree = jump_gain(build_jump_operators(make_spec(1, ["1"])), 2)
+        assert gain[1, 0] == 1.0 and np.count_nonzero(gain) == 1
+        assert list(out_degree) == [1.0, 0.0]
+
+    def test_gain_rejects_jump_outside_dimension(self):
+        with pytest.raises(ConfigurationError):
+            jump_gain(build_jump_operators(make_spec(2, ["11"])), 2)
 
 
 class TestReachability:
@@ -178,13 +216,27 @@ class TestReachability:
         rng = np.random.default_rng(73)
         for _ in range(10):
             spec = random_spec(rng, max_sinks=1)
-            assert reachability_check(spec)
+            assert reachable(spec)
 
     def test_reference_scenarios_reach(self):
-        assert reachability_check(make_spec(3, ["101", "111"]))
-        assert reachability_check(make_spec(3, ["011", "101"]))
+        assert reachable(make_spec(3, ["101", "111"]))
+        assert reachable(make_spec(3, ["011", "101"]))
 
     def test_random_multi_sink_specs_reach(self):
         rng = np.random.default_rng(79)
         for _ in range(25):
-            assert reachability_check(random_spec(rng))
+            assert reachable(random_spec(rng))
+
+    def test_every_small_sink_set_reaches_under_both_rules(self):
+        # flipping a bit where v differs from its nearest sink lowers the
+        # distance by one, so a sink-ward jump leaves every non-sink vertex
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for size in (1, 2, 3):
+                if size >= 1 << n:
+                    continue
+                for sinks in itertools.combinations(range(1 << n), size):
+                    spec = make_spec(n, list(sinks))
+                    assert reachable(spec, STRICT) and reachable(spec, LTE)
+                    checked += 1
+        assert checked == 804
