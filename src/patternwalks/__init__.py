@@ -4,15 +4,15 @@ The package builds dissipative quantum walks whose vertices are the
 firing patterns of a binary neural network: memory patterns become
 absorbing sinks, a master equation mixes coherent hopping with directed
 incoherent jumps, and the walk retrieves the stored pattern nearest to
-the initial one. The classical pieces (threshold network, Markov chains,
-coined walks on the line) ship alongside as baselines and oracles.
+the initial one. The classical pieces (threshold network, a
+continuous-time Markov chain, coined walks on the line) ship alongside
+as baselines and oracles.
 """
 
 from .constants import DEFAULT_DT, DEFAULT_SAMPLE_EVERY, DEFAULT_T_MAX
 from .errors import (
     ConfigurationError,
     ContractViolationError,
-    ConvergenceError,
     IntegrationDiagnosticsError,
     NonUnitaryCoinError,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "__version__",
     "ConfigurationError",
     "ContractViolationError",
-    "ConvergenceError",
     "IntegrationDiagnosticsError",
     "NonUnitaryCoinError",
     "HypercubeSpec",

@@ -24,13 +24,20 @@ from .experiments import (
 __all__ = ["build_parser", "main", "app"]
 
 
-def _add_common(sub: argparse.ArgumentParser, with_config: bool = True) -> None:
-    if with_config:
-        sub.add_argument("config", help="path to a JSON config file")
+_FLAGS = {
+    "--svg": dict(action="store_true", help="also write an SVG sketch"),
+    "--seed": dict(type=int, help="override the config random seed"),
+    "--dt": dict(type=float, help="override the integrator step"),
+}
+
+
+def _add_config_command(subparsers, name: str, help: str, *flags: str) -> None:
+    """A subcommand reading a config file, with ``--out`` and only ``flags``."""
+    sub = subparsers.add_parser(name, help=help)
+    sub.add_argument("config", help="path to a JSON config file")
     sub.add_argument("--out", help="output directory (default: config 'out' or '.')")
-    sub.add_argument("--svg", action="store_true", help="also write an SVG sketch")
-    sub.add_argument("--seed", type=int, help="override the config random seed")
-    sub.add_argument("--dt", type=float, help="override the integrator step")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,26 +50,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("simulate", help="evolve one walk scenario"))
-    _add_common(sub.add_parser("sweep", help="mixing time over a strength grid"))
+    _add_config_command(sub, "simulate", "evolve one walk scenario", "--svg", "--dt")
+    _add_config_command(sub, "sweep", "mixing time over a strength grid", "--svg", "--dt")
     coin = sub.add_parser("coin-check", help="coin unitarity report")
     coin.add_argument("--grid", help="comma-separated bias values in [0, 1]")
     coin.add_argument("--out", help="output directory (default '.')")
-    _add_common(sub.add_parser("hopfield", help="classical retrieval baseline"))
-    _add_common(sub.add_parser("classical", help="classical chain over the jump graph"))
+    _add_config_command(sub, "hopfield", "classical retrieval baseline", "--seed")
+    _add_config_command(sub, "classical", "classical chain over the jump graph")
     return parser
 
 
-def _apply_overrides(cfg, args):
+def _apply_overrides(cfg, seed=None, dt=None):
     changes = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError(f"--seed: must be >= 0, got {args.seed}")
-        changes["seed"] = args.seed
-    if args.dt is not None:
-        if not 0 < args.dt <= MAX_DT:
-            raise ConfigurationError(f"--dt: must lie in (0, {MAX_DT}], got {args.dt}")
-        changes["dt"] = args.dt
+    if seed is not None:
+        if seed < 0:
+            raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
+        changes["seed"] = seed
+    if dt is not None:
+        if not 0 < dt <= MAX_DT:
+            raise ConfigurationError(f"--dt: must lie in (0, {MAX_DT}], got {dt}")
+        changes["dt"] = dt
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
@@ -88,20 +95,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _apply_overrides(load_scenario(args.config), args)
+            cfg = _apply_overrides(load_scenario(args.config), dt=args.dt)
             paths = run_simulate(cfg, out_dir=args.out, svg=args.svg).paths
         elif args.command == "sweep":
             grid = load_sweep(args.config)
-            grid = dataclasses.replace(grid, base=_apply_overrides(grid.base, args))
+            grid = dataclasses.replace(grid, base=_apply_overrides(grid.base, dt=args.dt))
             paths = run_sweep(grid, out_dir=args.out, svg=args.svg).paths
         elif args.command == "coin-check":
             _, paths = run_coin_check(_parse_grid(args.grid), out_dir=args.out)
         elif args.command == "hopfield":
-            cfg = _apply_overrides(load_hopfield(args.config), args)
+            cfg = _apply_overrides(load_hopfield(args.config), seed=args.seed)
             _, paths = run_hopfield(cfg, out_dir=args.out)
         else:  # classical
-            cfg = _apply_overrides(load_scenario(args.config), args)
-            paths = run_classical(cfg, out_dir=args.out).paths
+            paths = run_classical(load_scenario(args.config), out_dir=args.out).paths
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ TRACE_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 AMPLITUDE_NORM_TOL = 1e-10
 
-# Stochastic objects: row sums and probability-vector sums.
+# Stochastic objects: rate-matrix column sums and probability-vector sums.
 ROW_SUM_TOL = 1e-12
 
 # Fixed-step RK4 defaults. All times are expressed in 1/gamma units.
@@ -30,10 +30,6 @@ EIGENVALUE_ABORT = -1e-6
 # mode; at 1e-3 the strength sweep's flat-row property is lost to tails.
 MIXING_EPS = 1e-2
 SINK_THRESHOLD = 0.99
-
-# Power iteration for stationary distributions.
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_CAP = 10**6
 
 # Dense density matrices only; 2**6 = 64 is the desk-scale cap, enforced
 # when configurations are parsed.

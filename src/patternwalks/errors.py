@@ -9,10 +9,6 @@ class ContractViolationError(ValueError):
     """A caller violated a documented precondition."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration cap."""
-
-
 class NonUnitaryCoinError(ValueError):
     """A coherent walk step was asked to apply a nonunitary coin."""
 

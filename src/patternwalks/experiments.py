@@ -80,7 +80,7 @@ def run_classical(cfg: ScenarioConfig, out_dir: str | None = None) -> SimulateRe
     """Continuous-time classical chain over the same jump structure."""
     spec = build_spec(cfg)
     jumps = build_jump_operators(spec, cfg.equidistant_rule)
-    q = markov.rate_matrix_from_jumps(jumps, spec.dim, rate=1.0)
+    q = markov.rate_matrix_from_jumps(jumps, spec.dim)
     pi0 = np.zeros(spec.dim)
     pi0[vertex_index(cfg.initial)] = 1.0
 

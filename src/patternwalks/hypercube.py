@@ -224,8 +224,9 @@ def jump_gain(jumps, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Gain matrix ``G[dst, src]`` and out-degree vector of a jump set.
 
     These two arrays are all either generator needs: the classical rate
-    matrix is ``G - diag(out)``, and the dissipator feeds ``G`` applied
-    to the populations while damping row and column v by ``out[v] / 2``.
+    matrix is ``G - diag(out)``, and the quantum walk feeds ``G`` applied
+    to the populations while ``-i out / 2`` is the decay diagonal of its
+    effective Hamiltonian.
     """
     src = np.array([op.src for op in jumps], dtype=np.intp)
     dst = np.array([op.dst for op in jumps], dtype=np.intp)

@@ -2,10 +2,16 @@
 
 The generator combines a coherent commutator term (strength kappa) with a
 dissipator built from the hypercube's directed jump operators (strength
-gamma):
+gamma). Every jump operator is a basis transition |dst><src|, so the
+dissipator splits into a no-jump part and a population feed, and the
+whole generator reads
 
-    drho/dt = -i kappa [H, rho]
-              - gamma sum_k (1/2 L_k^dag L_k rho + 1/2 rho L_k^dag L_k - L_k rho L_k^dag)
+    drho/dt = -i (K rho - rho K^dag) + diag(F diag(rho))
+    K = kappa H - (i/2) gamma diag(out),    F = gamma G
+
+with G the jump gain matrix (G[dst, src] = 1 per jump) and out the
+out-degree of each vertex (Dalibard, Castin and Molmer, PRL 68, 580,
+1992; Plenio and Knight, RMP 70, 101, 1998).
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -15,6 +21,7 @@ plain coherent equation is integrated and times are unscaled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +82,9 @@ class WalkParams:
     sample_every: float = DEFAULT_SAMPLE_EVERY
 
     def __post_init__(self):
+        for name in ("kappa", "gamma", "t_max", "dt", "sample_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite number")
         if self.kappa < 0 or self.gamma < 0:
             raise ConfigurationError("kappa and gamma must be >= 0")
         if self.kappa == 0 and self.gamma == 0:
@@ -123,8 +133,25 @@ def density_from_pattern(pattern: str, n: int) -> np.ndarray:
     return basis_density(vertex_index(pattern), 1 << n)
 
 
+def _health(m) -> tuple[np.ndarray, float, float]:
+    """Hermitian part of ``m``, its trace drift and its smallest eigenvalue.
+
+    The eigenvalue is NaN when ``m`` has a non-finite entry, which
+    eigvalsh cannot take; a NaN fails every threshold comparison.
+    """
+    herm = 0.5 * (m + m.conj().T)
+    drift = abs(float(np.trace(m).real) - 1.0)
+    if not np.isfinite(m).all():
+        return herm, drift, float("nan")
+    return herm, drift, float(np.min(np.linalg.eigvalsh(herm)))
+
+
 def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
+    """Check Hermiticity, unit trace and positivity of a density matrix.
+
+    Returns the Hermitian part ``(rho + rho^dag) / 2``, which equals an
+    exactly Hermitian ``rho`` bit for bit.
+    """
     m = np.asarray(rho, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"density matrix must be square, got {m.shape}")
@@ -133,15 +160,14 @@ def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
         raise ContractViolationError(
             f"density matrix not Hermitian: residual {residual:.3g}"
         )
-    drift = abs(float(np.trace(m).real) - 1.0)
-    if drift > trace_tol:
+    herm, drift, smallest = _health(m)
+    if not drift <= trace_tol:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
-    smallest = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-    if smallest < POSITIVITY_FLOOR:
+    if not smallest >= POSITIVITY_FLOOR:
         raise ContractViolationError(
             f"density matrix has eigenvalue {smallest:.3g} below the floor"
         )
-    return m
+    return herm
 
 
 def populations(rho) -> np.ndarray:
@@ -166,22 +192,17 @@ def purity(rho) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
-def _rhs(rho, h, gain, half_decay, kappa, gamma):
-    """Master-equation right-hand side for basis-transition jumps.
+def _rhs(rho, h_eff, feed):
+    """``-i (K rho - rho K^dag) + diag(F diag(rho))`` for a Hermitian ``rho``.
 
-    The dissipator acts through the populations alone: ``gain`` feeds
-    the diagonal from ``diag(rho)``, and ``half_decay[i, j]`` is half the
-    summed out-degree of i and j, which damps entry (i, j).
+    ``h_eff`` is the effective Hamiltonian K and ``feed`` the population
+    feed F. For Hermitian ``rho``, ``rho K^dag = (K rho)^dag``, so one
+    matmul suffices, and the result is exactly Hermitian again.
     """
-    if kappa != 0.0:
-        out = (-1j * kappa) * (h @ rho - rho @ h)
-    else:
-        out = np.zeros_like(rho)
-    if gamma != 0.0:
-        dissipator = -half_decay * rho
-        idx = np.arange(rho.shape[0])
-        dissipator[idx, idx] += gain @ np.diag(rho)
-        out = out + gamma * dissipator
+    a = h_eff @ rho
+    out = -1j * (a - a.conj().T)
+    idx = np.arange(rho.shape[0])
+    out[idx, idx] += feed @ np.diag(rho)
     return out
 
 
@@ -199,7 +220,8 @@ def evolve(
     beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
     diagnostics error prescribing a smaller dt.
     """
-    rho = validate_density(rho0).copy()
+    # validate_density returns the Hermitian part, which _rhs needs and keeps.
+    rho = validate_density(rho0)
     dim = spec.dim
     if rho.shape[0] != dim:
         raise ConfigurationError(
@@ -207,7 +229,6 @@ def evolve(
         )
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-    half_decay = 0.5 * (out_degree[:, None] + out_degree[None, :])
 
     # Rescale to 1/gamma time units; gamma = 0 runs in plain time.
     if params.gamma > 0:
@@ -217,8 +238,11 @@ def evolve(
         kappa_eff = params.kappa
         gamma_eff = 0.0
 
-    def rhs(_t, y):
-        return _rhs(y, h, gain, half_decay, kappa_eff, gamma_eff)
+    h_eff = kappa_eff * h - (0.5j * gamma_eff) * np.diag(out_degree)
+    feed = gamma_eff * gain
+
+    def rhs(y):
+        return _rhs(y, h_eff, feed)
 
     steps_per_sample = max(1, int(round(params.sample_every / params.dt)))
     sample_dt = steps_per_sample * params.dt
@@ -231,18 +255,13 @@ def evolve(
     pur = np.empty(n_samples + 1)
     herm = np.empty(n_samples + 1)
 
-    t = 0.0
     for k in range(n_samples + 1):
         if k > 0:
             for _ in range(steps_per_sample):
-                rho = rk4_step(rhs, rho, t, params.dt)
-                t += params.dt
+                rho = rk4_step(rhs, rho, params.dt)
         times[k] = k * sample_dt
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        if not np.isfinite(rho).all():  # eigvalsh cannot take the overflowed state
-            raise IntegrationDiagnosticsError(times[k], params.dt, drift, float("nan"))
-        smallest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-        if drift > TRACE_ABORT or smallest < EIGENVALUE_ABORT:
+        _, drift, smallest = _health(rho)
+        if not (drift <= TRACE_ABORT and smallest >= EIGENVALUE_ABORT):
             raise IntegrationDiagnosticsError(times[k], params.dt, drift, smallest)
         trace_drift[k] = drift
         min_eig[k] = smallest

@@ -39,14 +39,14 @@ def hermiticity_residual(a) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def rk4_step(f: Callable, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta update of ``y' = f(t, y)``."""
+def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta update of the autonomous ``y' = f(y)``."""
     if dt <= 0:
         raise ConfigurationError("rk4_step requires dt > 0")
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

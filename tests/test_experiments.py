@@ -362,6 +362,20 @@ class TestCli:
         assert main([command, path, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("classical", ["--svg"]), ("simulate", ["--seed", "1"]), ("hopfield", ["--dt", "0.001"])],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, command, flags):
+        if command == "hopfield":
+            data = {"n": 4, "stored": ["1010"], "inputs": ["1011"]}
+        else:
+            data = scenario_mapping(t_max=2.0)
+        path = write_config(tmp_path, data)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--out", str(tmp_path), *flags])
+        assert exc.value.code == 2
+
     def test_dt_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_mapping(t_max=2.0))
         assert main(["simulate", path, "--out", str(tmp_path), "--dt", "0.5"]) == 2

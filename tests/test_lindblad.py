@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patternwalks.constants import HERMITICITY_TOL
 from patternwalks.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -37,10 +38,10 @@ from oracles import (
 
 
 def walk_rhs(rho, h, jumps, kappa, gamma):
-    """The rhs evolve integrates, on the arrays evolve derives from ``jumps``."""
+    """The rhs evolve integrates, on the K and feed evolve derives from ``jumps``."""
     gain, out_degree = jump_gain(jumps, rho.shape[0])
-    half_decay = 0.5 * (out_degree[:, None] + out_degree[None, :])
-    return _rhs(np.asarray(rho, dtype=complex), h, gain, half_decay, kappa, gamma)
+    h_eff = kappa * h - (0.5j * gamma) * np.diag(out_degree)
+    return _rhs(np.asarray(rho, dtype=complex), h_eff, gamma * gain)
 
 
 def random_spec(rng, n):
@@ -63,6 +64,22 @@ class TestWalkParams:
         with pytest.raises(ConfigurationError):
             WalkParams(kappa=-0.1, gamma=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa", float("nan")),
+            ("kappa", float("inf")),
+            ("gamma", float("nan")),
+            ("gamma", float("inf")),
+            ("t_max", float("inf")),
+            ("sample_every", float("inf")),
+        ],
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        values = {"kappa": 1.0, "gamma": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+            WalkParams(**values)
+
 
 class TestStateHelpers:
     def test_basis_density(self):
@@ -79,6 +96,12 @@ class TestStateHelpers:
 
     def test_validate_rejects_negative(self):
         rho = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ContractViolationError):
+            validate_density(rho)
+
+    def test_validate_rejects_non_finite(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = np.nan
         with pytest.raises(ContractViolationError):
             validate_density(rho)
 
@@ -197,11 +220,11 @@ class TestEvolve:
         jumps = build_jump_operators(spec)
         from patternwalks.numerics import rk4_step
 
-        def rhs(t, y):
+        def rhs(y):
             return walk_rhs(y, h, jumps, 0.0, 1.0)
 
-        for k in range(600):
-            rho = rk4_step(rhs, rho, k * 0.005, 0.005)
+        for _ in range(600):
+            rho = rk4_step(rhs, rho, 0.005)
         off = rho - np.diag(np.diag(rho))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -258,6 +281,22 @@ class TestEvolve:
         assert traj.times[0] == 0.0
         assert traj.times[1] == pytest.approx(0.008)
         assert traj.times[-1] >= params.t_max - 1e-12
+
+    def test_integrates_from_the_hermitian_part(self):
+        # an anti-Hermitian perturbation inside HERMITICITY_TOL is dropped
+        # on entry, and the run stays exactly Hermitian from there
+        rng = np.random.default_rng(103)
+        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        anti = 0.5 * (x - x.conj().T)
+        anti *= 1e-11 / np.max(np.abs(anti))
+        rho0 = basis_density(0, 8) + anti
+        assert 0.0 < hermiticity_residual(rho0) < HERMITICITY_TOL
+        spec = make_spec(3, ["101", "111"])
+        params = WalkParams(kappa=1.0, gamma=1.0, t_max=5.0)
+        perturbed = evolve(rho0, spec, params)
+        exact = evolve(basis_density(0, 8), spec, params)
+        assert np.max(np.abs(perturbed.populations - exact.populations)) < 1e-12
+        assert np.all(perturbed.hermiticity == 0.0)
 
     def test_superposed_initial_state_accepted(self):
         rho = np.zeros((4, 4), dtype=complex)

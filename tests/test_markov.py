@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from patternwalks.errors import ConfigurationError, ConvergenceError
+from patternwalks.errors import ConfigurationError
 from patternwalks.hypercube import build_jump_operators, make_spec
 from patternwalks.markov import (
     as_probability_vector,
     as_rate_matrix,
-    as_stochastic_matrix,
     ctmc_evolve,
     rate_matrix_from_jumps,
-    rate_matrix_from_stochastic,
-    stationary,
-    step,
 )
 
 
 def random_stochastic(n, rng):
     m = rng.uniform(0.05, 1.0, size=(n, n))
     return m / m.sum(axis=1, keepdims=True)
+
+
+def rate_matrix(m):
+    """Probability-conserving generator ``Q = M^T - I`` of a row-stochastic matrix."""
+    return m.T - np.eye(m.shape[0])
 
 
 # A small weighted three-state chain: off-diagonal weights 0.1, 0.2, 0.5
@@ -32,14 +33,6 @@ WEIGHTED_CHAIN = np.array(
 
 
 class TestValidation:
-    def test_rejects_bad_row_sum(self):
-        with pytest.raises(ConfigurationError):
-            as_stochastic_matrix([[0.5, 0.4], [0.5, 0.5]])
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ConfigurationError):
-            as_stochastic_matrix([[1.1, -0.1], [0.0, 1.0]])
-
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(ConfigurationError):
             as_probability_vector([0.5, 0.4])
@@ -49,72 +42,9 @@ class TestValidation:
             as_rate_matrix([[-1.0, 0.0], [0.5, 0.0]])
 
 
-class TestStep:
-    def test_identity_chain(self):
-        pi = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(step(np.eye(3), pi), pi)
-
-    def test_swap_chain(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(step(m, [0.25, 0.75]), [0.75, 0.25])
-
-    def test_weighted_chain_one_step_by_hand(self):
-        # mass leaving a delta at state 0 follows row 0 of the matrix
-        out = step(WEIGHTED_CHAIN, [1.0, 0.0, 0.0])
-        assert np.allclose(out, [0.7, 0.1, 0.2])
-        out = step(WEIGHTED_CHAIN, [0.0, 0.0, 1.0])
-        assert np.allclose(out, [0.9, 0.0, 0.1])
-
-    def test_dimension_mismatch_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            step(np.eye(3), [0.5, 0.5])
-
-    def test_preserves_simplex(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            m = random_stochastic(n, rng)
-            pi = rng.dirichlet(np.ones(n))
-            out = step(m, pi)
-            assert np.all(out >= -1e-15)
-            assert abs(out.sum() - 1.0) < 1e-12
-
-
-class TestStationary:
-    def test_identity_returns_uniform_start(self):
-        assert np.allclose(stationary(np.eye(4)), np.full(4, 0.25))
-
-    @pytest.mark.parametrize("p", [0.3, 1.0])
-    def test_symmetric_two_state(self, p):
-        m = np.array([[1.0 - p, p], [p, 1.0 - p]])
-        assert np.allclose(stationary(m), [0.5, 0.5], atol=1e-9)
-
-    def test_random_chain_fixed_point_residual(self):
-        rng = np.random.default_rng(47)
-        m = random_stochastic(8, rng)
-        pi = stationary(m, tol=1e-12)
-        assert np.max(np.abs(step(m, pi) - pi)) < 1e-10
-
-    def test_doubly_stochastic_gives_uniform(self):
-        rng = np.random.default_rng(53)
-        for _ in range(5):
-            n = int(rng.integers(3, 7))
-            m = 0.4 * np.eye(n)
-            for _ in range(6):
-                m += 0.1 * np.eye(n)[rng.permutation(n)]
-            pi = stationary(m)
-            assert np.allclose(pi, np.full(n, 1.0 / n), atol=1e-8)
-
-    def test_periodic_chain_does_not_converge(self):
-        # bipartite: the uniform start oscillates with period two
-        m = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(ConvergenceError):
-            stationary(m, max_iterations=500)
-
-
 class TestCtmcEvolve:
     def test_zero_time_is_identity(self):
-        q = rate_matrix_from_stochastic(WEIGHTED_CHAIN)
+        q = rate_matrix(WEIGHTED_CHAIN)
         pi = np.array([0.2, 0.3, 0.5])
         assert np.allclose(ctmc_evolve(q, pi, 0.0), pi)
 
@@ -130,7 +60,7 @@ class TestCtmcEvolve:
         rng = np.random.default_rng(59)
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            q = rate_matrix_from_stochastic(random_stochastic(n, rng))
+            q = rate_matrix(random_stochastic(n, rng))
             pi = rng.dirichlet(np.ones(n))
             for t in (0.1, 1.0, 10.0, 100.0):
                 out = ctmc_evolve(q, pi, t)

@@ -16,12 +16,12 @@ class TestHermiticityResidual:
 class TestRk4:
     def test_zero_rhs_keeps_state(self):
         y = np.array([[1.0 + 2j, 0.5], [0.0, -1.0]])
-        out = rk4_step(lambda t, m: np.zeros_like(m), y, 0.0, 0.1)
+        out = rk4_step(lambda m: np.zeros_like(m), y, 0.1)
         assert np.array_equal(out, y)
 
     def test_scalar_exponential(self):
         y = np.array([[1.0 + 0j]])
-        out = rk4_step(lambda t, m: m, y, 0.0, 0.1)
+        out = rk4_step(lambda m: m, y, 0.1)
         assert abs(out[0, 0] - np.exp(0.1)) < 1e-7
 
     def test_single_step_matches_propagator_to_fifth_order(self):
@@ -30,7 +30,7 @@ class TestRk4:
         a /= np.linalg.norm(a, 2)
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for dt in (0.01, 0.005):
-            stepped = rk4_step(lambda t, m: a @ m, y, 0.0, dt)
+            stepped = rk4_step(lambda m: a @ m, y, dt)
             exact = expm(a * dt) @ y
             assert np.max(np.abs(stepped - exact)) < 10 * dt**5
 
@@ -43,14 +43,14 @@ class TestRk4:
         y0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         total = 1.0
         y = y0.copy()
-        for k in range(int(round(total / dt))):
-            y = rk4_step(lambda t, m: a @ m, y, k * dt, dt)
+        for _ in range(int(round(total / dt))):
+            y = rk4_step(lambda m: a @ m, y, dt)
         exact = expm(a * total) @ y0
         assert np.max(np.abs(y - exact)) / np.max(np.abs(exact)) < 1e-6
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigurationError):
-            rk4_step(lambda t, m: m, np.eye(2, dtype=complex), 0.0, 0.0)
+            rk4_step(lambda m: m, np.eye(2, dtype=complex), 0.0)
 
 
 class TestExpm:
