@@ -7,11 +7,9 @@ Commands: simulate, sweep, coin-check, hopfield, classical. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .config import load_hopfield, load_scenario, load_sweep
-from .constants import MAX_DT
 from .errors import ConfigurationError, IntegrationDiagnosticsError
 from .experiments import (
     run_classical,
@@ -60,19 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg, seed=None, dt=None):
-    changes = {}
-    if seed is not None:
-        if seed < 0:
-            raise ConfigurationError(f"--seed: must be >= 0, got {seed}")
-        changes["seed"] = seed
-    if dt is not None:
-        if not 0 < dt <= MAX_DT:
-            raise ConfigurationError(f"--dt: must lie in (0, {MAX_DT}], got {dt}")
-        changes["dt"] = dt
-    return dataclasses.replace(cfg, **changes) if changes else cfg
-
-
 def _parse_grid(text: str | None):
     if text is None:
         return None
@@ -93,18 +78,20 @@ def _parse_grid(text: str | None):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --dt and --seed replace the file's value before parsing, so the file's checks cover them.
+    options = vars(args)
+    overrides = {key: options[key] for key in ("dt", "seed") if options.get(key) is not None}
     try:
         if args.command == "simulate":
-            cfg = _apply_overrides(load_scenario(args.config), dt=args.dt)
+            cfg = load_scenario(args.config, overrides)
             paths = run_simulate(cfg, out_dir=args.out, svg=args.svg).paths
         elif args.command == "sweep":
-            grid = load_sweep(args.config)
-            grid = dataclasses.replace(grid, base=_apply_overrides(grid.base, dt=args.dt))
+            grid = load_sweep(args.config, overrides)
             paths = run_sweep(grid, out_dir=args.out, svg=args.svg).paths
         elif args.command == "coin-check":
             _, paths = run_coin_check(_parse_grid(args.grid), out_dir=args.out)
         elif args.command == "hopfield":
-            cfg = _apply_overrides(load_hopfield(args.config), seed=args.seed)
+            cfg = load_hopfield(args.config, overrides)
             _, paths = run_hopfield(cfg, out_dir=args.out)
         else:  # classical
             paths = run_classical(load_scenario(args.config), out_dir=args.out).paths

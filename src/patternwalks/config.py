@@ -1,12 +1,14 @@
-"""Scenario and sweep configuration files.
+"""Walk, sweep and Hopfield configuration files.
 
-Configs are flat JSON objects with explicit keys; every field is checked
-at parse time against the preconditions of the module it feeds, and the
-offending field is named in the error message.
+Configs are flat JSON objects with explicit keys. Each kind accepts
+exactly the keys its command reads: every field is checked at parse time
+against the preconditions of the module it feeds, any other key is an
+error, and the offending key is named in the error message.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -24,8 +26,9 @@ from .hypercube import RULES, STRICT, HypercubeSpec, make_spec, vertex_hamming, 
 from .lindblad import WalkParams
 
 __all__ = [
-    "ScenarioConfig",
+    "WalkConfig",
     "SweepGrid",
+    "HopfieldConfig",
     "parse_scenario",
     "parse_sweep",
     "parse_hopfield",
@@ -38,12 +41,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """One experiment's settings; unused fields keep their defaults."""
+class WalkConfig:
+    """One walk scenario, read by ``simulate`` and ``classical``."""
 
     n: int
-    sinks: tuple[str, ...] = ()
-    initial: str = ""
+    sinks: tuple[str, ...]
+    initial: str
     kappa: float = 1.0
     gamma: float = 1.0
     t_max: float = DEFAULT_T_MAX
@@ -51,25 +54,40 @@ class ScenarioConfig:
     sample_every: float = DEFAULT_SAMPLE_EVERY
     edge_weights: tuple[tuple[str, str, float], ...] = ()
     equidistant_rule: str = STRICT
-    threshold_sense: str = STANDARD
-    seed: int = 0
     out: str | None = None
-    stored: tuple[str, ...] = ()
-    inputs: tuple[str, ...] = ()
-    order: str = CYCLIC
-    max_sweeps: int = 64
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Strength grid swept over a fixed scenario."""
+    """Strength grid swept over a fixed scenario; ``base``'s own kappa and gamma go unused."""
 
     kappas: tuple[float, ...]
     gammas: tuple[float, ...]
-    base: ScenarioConfig
+    base: WalkConfig
 
 
-def _load_mapping(path: str) -> dict:
+@dataclass(frozen=True)
+class HopfieldConfig:
+    """Stored and input patterns of the classical retrieval baseline."""
+
+    n: int
+    stored: tuple[str, ...]
+    inputs: tuple[str, ...]
+    threshold_sense: str = STANDARD
+    order: str = CYCLIC
+    max_sweeps: int = 64
+    seed: int = 0
+    out: str | None = None
+
+
+# A config of each kind accepts exactly these keys: its dataclass's fields,
+# and for a sweep the walk's fields with the strengths replaced by the grid.
+WALK_KEYS = frozenset(f.name for f in dataclasses.fields(WalkConfig))
+SWEEP_KEYS = WALK_KEYS - {"kappa", "gamma"} | {"kappa_values", "gamma_values"}
+HOPFIELD_KEYS = frozenset(f.name for f in dataclasses.fields(HopfieldConfig))
+
+
+def _load_mapping(path: str, overrides: dict | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -79,7 +97,17 @@ def _load_mapping(path: str) -> dict:
         raise ConfigurationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path!r} must hold a JSON object")
-    return data
+    return data | (overrides or {})
+
+
+def _reject_unknown(data, keys: frozenset, kind: str) -> None:
+    """Called after the known fields parsed, so a bad value is named under its own key."""
+    unknown = sorted(str(key) for key in data if key not in keys)
+    if unknown:
+        raise ConfigurationError(
+            f"{', '.join(unknown)}: not a key of a {kind} config "
+            f"(it accepts {', '.join(sorted(keys))})"
+        )
 
 
 def _field_int(data, key, default=None, minimum=None, maximum=None):
@@ -133,6 +161,13 @@ def _field_choice(data, key, choices, default):
     return value
 
 
+def _field_out(data):
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigurationError(f"out: expected a path string, got {out!r}")
+    return out
+
+
 def _field_pattern(key, value, n):
     if not isinstance(value, str) or len(value) != n or any(c not in "01" for c in value):
         raise ConfigurationError(
@@ -141,18 +176,40 @@ def _field_pattern(key, value, n):
     return value
 
 
-def _field_pattern_list(data, key, n, required, allow_empty=False):
+def _field_pattern_list(data, key, n):
     if key not in data:
-        if required:
-            raise ConfigurationError(f"{key}: required field is missing")
-        return ()
+        raise ConfigurationError(f"{key}: required field is missing")
     raw = data[key]
-    if not isinstance(raw, list) or (not allow_empty and len(raw) == 0):
+    if not isinstance(raw, list) or len(raw) == 0:
         raise ConfigurationError(f"{key}: expected a non-empty list of bit strings")
     return tuple(_field_pattern(key, v, n) for v in raw)
 
 
-def _parse_common(data, require_walk: bool) -> dict:
+def _field_edge_weights(data, n):
+    raw = data.get("edge_weights", [])
+    if not isinstance(raw, list):
+        raise ConfigurationError("edge_weights: expected a list of triples")
+    weights = []
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigurationError(
+                f"edge_weights: expected [pattern, pattern, weight], got {entry!r}"
+            )
+        u = _field_pattern("edge_weights", entry[0], n)
+        v = _field_pattern("edge_weights", entry[1], n)
+        if vertex_hamming(vertex_index(u), vertex_index(v)) > 1:
+            raise ConfigurationError(
+                f"edge_weights: {u!r} and {v!r} differ by more than one bit"
+            )
+        w = _finite("edge_weights", entry[2])
+        if not w > 0:
+            raise ConfigurationError(f"edge_weights: weight must be > 0, got {w!r}")
+        weights.append((u, v, w))
+    return tuple(weights)
+
+
+def _walk_fields(data) -> dict:
+    """Every walk field except the strengths, which a sweep takes from its grid."""
     n = _field_int(data, "n", minimum=1, maximum=MAX_NEURONS)
     fields = {
         "n": n,
@@ -166,66 +223,33 @@ def _parse_common(data, require_walk: bool) -> dict:
         raise ConfigurationError("sample_every: must be at least dt")
     fields |= {
         "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),
-        "threshold_sense": _field_choice(data, "threshold_sense", SENSES, STANDARD),
-        "seed": _field_int(data, "seed", 0, minimum=0, maximum=2**64 - 1),
-        "order": _field_choice(data, "order", ORDERS, CYCLIC),
-        "max_sweeps": _field_int(data, "max_sweeps", 64, minimum=1),
+        "out": _field_out(data),
     }
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigurationError(f"out: expected a path string, got {out!r}")
-    fields["out"] = out
-
-    if require_walk:
-        sinks = _field_pattern_list(data, "sinks", n, required=True)
-        if len(set(sinks)) != len(sinks):
-            raise ConfigurationError("sinks: patterns must be distinct")
-        if len(sinks) >= (1 << n):
-            raise ConfigurationError("sinks: at least one vertex must stay a non-sink")
-        initial = _field_pattern("initial", data.get("initial"), n)
-        fields["sinks"] = sinks
-        fields["initial"] = initial
-
-        weights = []
-        raw = data.get("edge_weights", [])
-        if not isinstance(raw, list):
-            raise ConfigurationError("edge_weights: expected a list of triples")
-        for entry in raw:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ConfigurationError(
-                    f"edge_weights: expected [pattern, pattern, weight], got {entry!r}"
-                )
-            u = _field_pattern("edge_weights", entry[0], n)
-            v = _field_pattern("edge_weights", entry[1], n)
-            if vertex_hamming(vertex_index(u), vertex_index(v)) > 1:
-                raise ConfigurationError(
-                    f"edge_weights: {u!r} and {v!r} differ by more than one bit"
-                )
-            w = _finite("edge_weights", entry[2])
-            if not w > 0:
-                raise ConfigurationError(f"edge_weights: weight must be > 0, got {w!r}")
-            weights.append((u, v, w))
-        fields["edge_weights"] = tuple(weights)
-
-    fields["stored"] = _field_pattern_list(data, "stored", n, required=False)
-    fields["inputs"] = _field_pattern_list(data, "inputs", n, required=False)
+    sinks = _field_pattern_list(data, "sinks", n)
+    if len(set(sinks)) != len(sinks):
+        raise ConfigurationError("sinks: patterns must be distinct")
+    if len(sinks) >= (1 << n):
+        raise ConfigurationError("sinks: at least one vertex must stay a non-sink")
+    fields["sinks"] = sinks
+    fields["initial"] = _field_pattern("initial", data.get("initial"), n)
+    fields["edge_weights"] = _field_edge_weights(data, n)
     return fields
 
 
-def parse_scenario(data: dict) -> ScenarioConfig:
+def parse_scenario(data: dict) -> WalkConfig:
     """Walk scenario: needs n, sinks, initial; strengths default to 1."""
-    fields = _parse_common(data, require_walk=True)
+    fields = _walk_fields(data)
     kappa = _field_real(data, "kappa", 1.0, minimum=0.0)
     gamma = _field_real(data, "gamma", 1.0, minimum=0.0)
     if kappa == 0 and gamma == 0:
         raise ConfigurationError("kappa/gamma: may not both be zero")
-    return ScenarioConfig(kappa=kappa, gamma=gamma, **fields)
+    _reject_unknown(data, WALK_KEYS, "walk")
+    return WalkConfig(kappa=kappa, gamma=gamma, **fields)
 
 
 def parse_sweep(data: dict) -> SweepGrid:
-    """Sweep grid: a walk scenario plus kappa_values and gamma_values."""
-    fields = _parse_common(data, require_walk=True)
-    base = ScenarioConfig(**fields)
+    """Sweep grid: a walk scenario without strengths, plus kappa_values and gamma_values."""
+    base = WalkConfig(**_walk_fields(data))
 
     def _values(key):
         raw = data.get(key)
@@ -242,36 +266,47 @@ def parse_sweep(data: dict) -> SweepGrid:
         raise ConfigurationError(
             "kappa_values/gamma_values: the grid contains the forbidden point (0, 0)"
         )
+    _reject_unknown(data, SWEEP_KEYS, "sweep")
     return SweepGrid(kappas=kappas, gammas=gammas, base=base)
 
 
-def parse_hopfield(data: dict) -> ScenarioConfig:
+def parse_hopfield(data: dict) -> HopfieldConfig:
     """Retrieval scenario: needs n, stored patterns and input patterns."""
-    fields = _parse_common(data, require_walk=False)
-    if len(fields["stored"]) == 0:
-        raise ConfigurationError("stored: required field is missing or empty")
-    if len(fields["inputs"]) == 0:
-        raise ConfigurationError("inputs: required field is missing or empty")
-    return ScenarioConfig(**fields)
+    n = _field_int(data, "n", minimum=1, maximum=MAX_NEURONS)
+    cfg = HopfieldConfig(
+        n=n,
+        stored=_field_pattern_list(data, "stored", n),
+        inputs=_field_pattern_list(data, "inputs", n),
+        threshold_sense=_field_choice(data, "threshold_sense", SENSES, STANDARD),
+        order=_field_choice(data, "order", ORDERS, CYCLIC),
+        max_sweeps=_field_int(data, "max_sweeps", 64, minimum=1),
+        seed=_field_int(data, "seed", 0, minimum=0, maximum=2**64 - 1),
+        out=_field_out(data),
+    )
+    _reject_unknown(data, HOPFIELD_KEYS, "hopfield")
+    return cfg
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    return parse_scenario(_load_mapping(path))
+def load_scenario(path: str, overrides: dict | None = None) -> WalkConfig:
+    """Parse a walk file; ``overrides`` replace its keys before any check."""
+    return parse_scenario(_load_mapping(path, overrides))
 
 
-def load_sweep(path: str) -> SweepGrid:
-    return parse_sweep(_load_mapping(path))
+def load_sweep(path: str, overrides: dict | None = None) -> SweepGrid:
+    """Parse a sweep file; ``overrides`` replace its keys before any check."""
+    return parse_sweep(_load_mapping(path, overrides))
 
 
-def load_hopfield(path: str) -> ScenarioConfig:
-    return parse_hopfield(_load_mapping(path))
+def load_hopfield(path: str, overrides: dict | None = None) -> HopfieldConfig:
+    """Parse a Hopfield file; ``overrides`` replace its keys before any check."""
+    return parse_hopfield(_load_mapping(path, overrides))
 
 
-def build_spec(cfg: ScenarioConfig) -> HypercubeSpec:
+def build_spec(cfg: WalkConfig) -> HypercubeSpec:
     return make_spec(cfg.n, cfg.sinks, cfg.edge_weights)
 
 
-def build_params(cfg: ScenarioConfig, kappa: float | None = None, gamma: float | None = None) -> WalkParams:
+def build_params(cfg: WalkConfig, kappa: float | None = None, gamma: float | None = None) -> WalkParams:
     return WalkParams(
         kappa=cfg.kappa if kappa is None else kappa,
         gamma=cfg.gamma if gamma is None else gamma,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coins, hopfield, markov, output
-from .config import ScenarioConfig, SweepGrid, build_params, build_spec
+from .config import HopfieldConfig, SweepGrid, WalkConfig, build_params, build_spec
 from .errors import IntegrationDiagnosticsError
 from .hypercube import build_jump_operators, index_pattern, vertex_index
 from .lindblad import Trajectory, density_from_pattern, evolve, mixing_time
@@ -51,7 +51,7 @@ class SweepResult:
     paths: list = field(default_factory=list)
 
 
-def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None, svg: bool = False) -> SimulateResult:
+def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False) -> SimulateResult:
     """Evolve one walk scenario and write its trajectory CSV."""
     spec = build_spec(cfg)
     rho0 = density_from_pattern(cfg.initial, cfg.n)
@@ -76,7 +76,7 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None, svg: bool = Fa
     return SimulateResult(trajectory=traj, paths=paths)
 
 
-def run_classical(cfg: ScenarioConfig, out_dir: str | None = None) -> SimulateResult:
+def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult:
     """Continuous-time classical chain over the same jump structure."""
     spec = build_spec(cfg)
     jumps = build_jump_operators(spec, cfg.equidistant_rule)
@@ -95,19 +95,6 @@ def run_classical(cfg: ScenarioConfig, out_dir: str | None = None) -> SimulateRe
     return SimulateResult(trajectory=traj, paths=[csv_path])
 
 
-def _sweep_point(grid: SweepGrid, kappa: float, gamma: float):
-    cfg = grid.base
-    spec = build_spec(cfg)
-    rho0 = density_from_pattern(cfg.initial, cfg.n)
-    params = build_params(cfg, kappa=kappa, gamma=gamma)
-    try:
-        traj = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
-    except IntegrationDiagnosticsError as exc:
-        # Distinct from the non-convergence sentinel 0: the point failed.
-        return (kappa, gamma, -1.0, str(exc).replace(",", ";"), None)
-    return (kappa, gamma, mixing_time(traj), "", traj)
-
-
 def run_sweep(
     grid: SweepGrid,
     out_dir: str | None = None,
@@ -117,13 +104,26 @@ def run_sweep(
 
     Points are independent evolutions, evaluated one after another.
     """
-    results = [_sweep_point(grid, k, g) for g in grid.gammas for k in grid.kappas]
+    cfg = grid.base
+    spec = build_spec(cfg)
+    rho0 = density_from_pattern(cfg.initial, cfg.n)
+    results = []
+    for g in grid.gammas:
+        for k in grid.kappas:
+            params = build_params(cfg, kappa=k, gamma=g)
+            try:
+                traj = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
+            except IntegrationDiagnosticsError as exc:
+                # Distinct from the non-convergence sentinel 0: the point failed.
+                results.append((k, g, -1.0, str(exc).replace(",", ";"), None))
+            else:
+                results.append((k, g, mixing_time(traj), "", traj))
 
     results.sort(key=lambda r: (r[1], r[0]))
     rows = [(k, g, tm, diag) for k, g, tm, diag, _ in results]
     trajectories = {(k, g): traj for k, g, _, _, traj in results if traj is not None}
 
-    target = _resolve_out_dir(grid.base.out, out_dir)
+    target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "sweep.csv")
     output.write_sweep_csv(csv_path, rows)
     paths = [csv_path]
@@ -155,7 +155,7 @@ def run_coin_check(grid_values=None, out_dir: str | None = None) -> tuple[list, 
     return rows, [csv_path]
 
 
-def run_hopfield(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[list, list]:
+def run_hopfield(cfg: HopfieldConfig, out_dir: str | None = None) -> tuple[list, list]:
     """Classical retrieval baseline: one row per input pattern."""
     stored = [hopfield.parse_pattern(p) for p in cfg.stored]
     weights = hopfield.hebbian_store(stored)

@@ -257,8 +257,12 @@ def evolve(
 
     for k in range(n_samples + 1):
         if k > 0:
-            for _ in range(steps_per_sample):
-                rho = rk4_step(rhs, rho, params.dt)
+            # An overflowing state is reported by the health check below as
+            # a diagnostics error; numpy's warnings about it would only
+            # precede that message.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(steps_per_sample):
+                    rho = rk4_step(rhs, rho, params.dt)
         times[k] = k * sample_dt
         _, drift, smallest = _health(rho)
         if not (drift <= TRACE_ABORT and smallest >= EIGENVALUE_ABORT):

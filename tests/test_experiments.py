@@ -1,11 +1,15 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patternwalks.cli import main
 from patternwalks.config import (
+    load_hopfield,
     load_scenario,
+    load_sweep,
     parse_hopfield,
     parse_scenario,
     parse_sweep,
@@ -18,6 +22,9 @@ from patternwalks.experiments import (
     run_simulate,
     run_sweep,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scenario_mapping(**overrides):
@@ -103,6 +110,32 @@ class TestConfigParsing:
             parse_hopfield({"n": 3, "inputs": ["101"]})
         cfg = parse_hopfield({"n": 3, "stored": ["101"], "inputs": ["001"]})
         assert cfg.stored == ("101",)
+
+    def test_every_key_of_each_kind_is_accepted(self):
+        walk = scenario_mapping(
+            dt=0.01, sample_every=0.1, edge_weights=[["0", "1", 2.0]],
+            equidistant_rule="lte", out="results",
+        )
+        assert parse_scenario(walk).out == "results"
+        sweep = {key: walk[key] for key in walk if key not in ("kappa", "gamma")}
+        grid = parse_sweep(sweep | {"kappa_values": [1.0], "gamma_values": [1.0]})
+        assert grid.base.edge_weights == (("0", "1", 2.0),)
+        cfg = parse_hopfield({
+            "n": 3, "stored": ["101"], "inputs": ["001"], "threshold_sense": "as-printed",
+            "order": "random", "max_sweeps": 3, "seed": 5, "out": "results",
+        })
+        assert (cfg.order, cfg.max_sweeps, cfg.seed) == ("random", 3, 5)
+
+    def test_every_demo_config_loads_with_its_command_loader(self):
+        loaders = {
+            "equidistant_demo.json": load_scenario,
+            "hopfield_demo.json": load_hopfield,
+            "retrieval_demo.json": load_scenario,
+            "sweep_demo.json": load_sweep,
+        }
+        assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(loaders)
+        for name, loader in loaders.items():
+            loader(str(CONFIGS / name))
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -344,6 +377,33 @@ class TestCli:
         path = write_config(tmp_path, data)
         assert main(["simulate", path, "--out", str(tmp_path)]) == 3
         assert "smaller" in capsys.readouterr().err
+
+    def test_overflowing_state_prints_no_runtime_warning(self, tmp_path, capsys):
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", kappa=1e200, t_max=1.0)
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", path, "--out", str(tmp_path)])
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize(
+        "command, data, flags, key",
+        [
+            ("simulate", scenario_mapping(kapa=5.0), [], "kapa"),
+            ("classical", scenario_mapping(stored=["1"]), [], "stored"),
+            ("sweep", {"n": 1, "sinks": ["1"], "initial": "0", "kappa": 7.0,
+                       "kappa_values": [1.0], "gamma_values": [1.0]}, [], "kappa"),
+            ("hopfield", {"n": 4, "stored": ["1010"], "inputs": ["1011"], "dt": 0.005}, [], "dt"),
+            ("hopfield", {"n": 4, "stored": ["1010"], "inputs": ["1011"]},
+             ["--seed", "18446744073709551616"], "seed"),
+        ],
+        ids=["simulate-kapa", "classical-stored", "sweep-kappa", "hopfield-dt", "hopfield-seed-flag"],
+    )
+    def test_schema_violation_exits_2_naming_the_key(self, tmp_path, capsys, command, data, flags, key):
+        path = write_config(tmp_path, data)
+        assert main([command, path, "--out", str(tmp_path), *flags]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, overrides",
