@@ -17,7 +17,7 @@ from . import coins, hopfield, markov, output
 from .config import HopfieldConfig, SweepGrid, WalkConfig, build_params, build_spec
 from .errors import IntegrationDiagnosticsError
 from .hypercube import build_jump_operators, index_pattern, vertex_index
-from .lindblad import Trajectory, density_from_pattern, evolve, mixing_time
+from .lindblad import Trajectory, density_from_pattern, evolve, evolve_batch, mixing_time
 
 __all__ = [
     "SimulateResult",
@@ -102,22 +102,25 @@ def run_sweep(
 ) -> SweepResult:
     """Mixing time per (kappa, gamma) grid point, rows sorted by (gamma, kappa).
 
-    Points are independent evolutions, evaluated one after another.
+    All points are integrated together as one stack; a point whose
+    integration fails is dropped from it and reported as -1.
     """
     cfg = grid.base
     spec = build_spec(cfg)
     rho0 = density_from_pattern(cfg.initial, cfg.n)
+    points = [(k, g) for g in grid.gammas for k in grid.kappas]
+    outcomes = evolve_batch(
+        rho0, spec,
+        [build_params(cfg, kappa=k, gamma=g) for k, g in points],
+        rule=cfg.equidistant_rule,
+    )
     results = []
-    for g in grid.gammas:
-        for k in grid.kappas:
-            params = build_params(cfg, kappa=k, gamma=g)
-            try:
-                traj = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
-            except IntegrationDiagnosticsError as exc:
-                # Distinct from the non-convergence sentinel 0: the point failed.
-                results.append((k, g, -1.0, str(exc).replace(",", ";"), None))
-            else:
-                results.append((k, g, mixing_time(traj), "", traj))
+    for (k, g), outcome in zip(points, outcomes):
+        if isinstance(outcome, IntegrationDiagnosticsError):
+            # Distinct from the non-convergence sentinel 0: the point failed.
+            results.append((k, g, -1.0, str(outcome).replace(",", ";"), None))
+        else:
+            results.append((k, g, mixing_time(outcome), "", outcome))
 
     results.sort(key=lambda r: (r[1], r[0]))
     rows = [(k, g, tm, diag) for k, g, tm, diag, _ in results]

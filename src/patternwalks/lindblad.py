@@ -63,6 +63,7 @@ __all__ = [
     "populations",
     "purity",
     "evolve",
+    "evolve_batch",
     "mixing_time",
 ]
 
@@ -133,17 +134,21 @@ def density_from_pattern(pattern: str, n: int) -> np.ndarray:
     return basis_density(vertex_index(pattern), 1 << n)
 
 
-def _health(m) -> tuple[np.ndarray, float, float]:
-    """Hermitian part of ``m``, its trace drift and its smallest eigenvalue.
+def _health(m) -> tuple[np.ndarray, np.ndarray]:
+    """Trace drift and smallest eigenvalue of each matrix in a (B, dim, dim) stack.
 
-    The eigenvalue is NaN when ``m`` has a non-finite entry, which
-    eigvalsh cannot take; a NaN fails every threshold comparison.
+    The eigenvalue is that of the Hermitian part. It is NaN for a matrix
+    with a non-finite entry, which eigvalsh cannot take; a NaN fails
+    every threshold comparison.
     """
-    herm = 0.5 * (m + m.conj().T)
-    drift = abs(float(np.trace(m).real) - 1.0)
-    if not np.isfinite(m).all():
-        return herm, drift, float("nan")
-    return herm, drift, float(np.min(np.linalg.eigvalsh(herm)))
+    drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
+    smallest = np.full(m.shape[0], np.nan)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if finite.any():
+        ok = m[finite]
+        herm = 0.5 * (ok + ok.conj().swapaxes(1, 2))
+        smallest[finite] = np.linalg.eigvalsh(herm).min(axis=1)
+    return drift, smallest
 
 
 def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
@@ -160,14 +165,14 @@ def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
         raise ContractViolationError(
             f"density matrix not Hermitian: residual {residual:.3g}"
         )
-    herm, drift, smallest = _health(m)
+    (drift,), (smallest,) = _health(m[None])
     if not drift <= trace_tol:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
     if not smallest >= POSITIVITY_FLOOR:
         raise ContractViolationError(
             f"density matrix has eigenvalue {smallest:.3g} below the floor"
         )
-    return herm
+    return 0.5 * (m + m.conj().T)
 
 
 def populations(rho) -> np.ndarray:
@@ -175,13 +180,14 @@ def populations(rho) -> np.ndarray:
 
     Negative numerical dust (magnitude below 1e-12) is clamped away and
     the vector renormalized; on a valid state the adjustment is < 1e-9.
+    A (B, dim, dim) stack gives one vector per matrix.
     """
     m = np.asarray(rho, dtype=np.complex128)
-    p = np.real(np.diag(m)).copy()
+    p = np.real(np.diagonal(m, axis1=-2, axis2=-1)).copy()
     p[np.abs(p) < POPULATION_DUST] = 0.0
     p = np.clip(p, 0.0, None)
-    total = float(p.sum())
-    if total <= 0:
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ContractViolationError("density matrix has no population")
     return p / total
 
@@ -197,13 +203,130 @@ def _rhs(rho, h_eff, feed):
 
     ``h_eff`` is the effective Hamiltonian K and ``feed`` the population
     feed F. For Hermitian ``rho``, ``rho K^dag = (K rho)^dag``, so one
-    matmul suffices, and the result is exactly Hermitian again.
+    matmul suffices, and the result is exactly Hermitian again. All three
+    may also be (B, dim, dim) stacks, one generator per state.
     """
+    dim = rho.shape[-1]
     a = h_eff @ rho
-    out = -1j * (a - a.conj().T)
-    idx = np.arange(rho.shape[0])
-    out[idx, idx] += feed @ np.diag(rho)
+    out = -1j * (a - a.conj().swapaxes(-1, -2))
+    # Every (dim + 1)-th entry of the flattened, freshly allocated ``out``
+    # is a diagonal entry: a strided view, cheaper than fancy indexing.
+    diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
+    diagonal += (feed @ np.diagonal(rho, axis1=-2, axis2=-1)[..., None])[..., 0]
     return out
+
+
+def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: int):
+    """Step a (B, dim, dim) stack of states with RK4, health-checking every sample.
+
+    Slice b evolves under ``h_eff[b]`` and ``feed[b]``. A slice that fails
+    the health check at a sample is dropped from the stack, so the others
+    go on unchanged. Returns the sample times and per slice either its
+    sampled ``Trajectory`` fields or its ``IntegrationDiagnosticsError``.
+    """
+    batch, dim = rho.shape[0], rho.shape[-1]
+    sample_dt = steps_per_sample * dt
+    times = np.arange(n_samples + 1) * sample_dt
+    pops = np.empty((batch, n_samples + 1, dim))
+    trace_drift = np.empty((batch, n_samples + 1))
+    min_eig = np.empty((batch, n_samples + 1))
+    pur = np.empty((batch, n_samples + 1))
+    herm = np.empty((batch, n_samples + 1))
+    errors = {}
+    live = np.arange(batch)
+
+    def rhs(y):
+        # Reads h_eff and feed when called, so it follows the dropped slices.
+        return _rhs(y, h_eff, feed)
+
+    for k in range(n_samples + 1):
+        if k > 0:
+            # An overflowing state is reported by the health check below as
+            # a diagnostics error; numpy's warnings about it would only
+            # precede that message.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(steps_per_sample):
+                    rho = rk4_step(rhs, rho, dt)
+        drift, smallest = _health(rho)
+        ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
+            rho, h_eff, feed, live = rho[ok], h_eff[ok], feed[ok], live[ok]
+            drift, smallest = drift[ok], smallest[ok]
+            if live.size == 0:
+                break
+        trace_drift[live, k] = drift
+        min_eig[live, k] = smallest
+        pur[live, k] = [purity(r) for r in rho]
+        herm[live, k] = hermiticity_residual(rho)
+        pops[live, k] = populations(rho)
+
+    return times, [
+        errors[b] if b in errors
+        else dict(
+            populations=pops[b], trace_drift=trace_drift[b], min_eigenvalue=min_eig[b],
+            purity=pur[b], hermiticity=herm[b],
+        )
+        for b in range(batch)
+    ]
+
+
+def evolve_batch(
+    rho0,
+    spec: HypercubeSpec,
+    params_seq,
+    rule: str = STRICT,
+) -> list:
+    """Integrate the walk from ``rho0`` once per params, all as one stack.
+
+    Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
+    the ``IntegrationDiagnosticsError`` that ended it; a failed run does
+    not stop the others, and each outcome equals that of a lone
+    ``evolve``. The runs must share ``dt``, ``sample_every`` and
+    ``t_max``, so that they share one step count.
+    """
+    params_seq = list(params_seq)
+    # validate_density returns the Hermitian part, which _rhs needs and keeps.
+    rho = validate_density(rho0)
+    dim = spec.dim
+    if rho.shape[0] != dim:
+        raise ConfigurationError(
+            f"density matrix dimension {rho.shape[0]} does not match 2^{spec.n}"
+        )
+    if not params_seq:
+        return []
+    first = params_seq[0]
+    if any(
+        (p.dt, p.sample_every, p.t_max) != (first.dt, first.sample_every, first.t_max)
+        for p in params_seq
+    ):
+        raise ConfigurationError("a batch of runs must share dt, sample_every and t_max")
+
+    h = build_hamiltonian(spec, rule)
+    gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
+    batch = len(params_seq)
+    h_eff = np.empty((batch, dim, dim), dtype=np.complex128)
+    feed = np.empty((batch, dim, dim), dtype=np.complex128)
+    for b, p in enumerate(params_seq):
+        # Rescale to 1/gamma time units; gamma = 0 runs in plain time.
+        if p.gamma > 0:
+            kappa_eff, gamma_eff = p.kappa / p.gamma, 1.0
+        else:
+            kappa_eff, gamma_eff = p.kappa, 0.0
+        h_eff[b] = kappa_eff * h - (0.5j * gamma_eff) * np.diag(out_degree)
+        feed[b] = gamma_eff * gain
+
+    steps_per_sample = max(1, int(round(first.sample_every / first.dt)))
+    n_samples = int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12))
+    times, outcomes = _integrate(
+        np.repeat(rho[None], batch, axis=0), h_eff, feed, first.dt, steps_per_sample, n_samples
+    )
+    return [
+        outcome if isinstance(outcome, IntegrationDiagnosticsError)
+        else Trajectory(times=times.copy(), **outcome, sink_indices=tuple(spec.sinks), params=p)
+        for outcome, p in zip(outcomes, params_seq)
+    ]
 
 
 def evolve(
@@ -218,71 +341,13 @@ def evolve(
     and the run extends to the first sample at or past ``t_max``. Every
     sampled state is health-checked; a non-finite entry, a trace drift
     beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
-    diagnostics error prescribing a smaller dt.
+    diagnostics error prescribing a smaller dt. This is the batch of one
+    of ``evolve_batch``.
     """
-    # validate_density returns the Hermitian part, which _rhs needs and keeps.
-    rho = validate_density(rho0)
-    dim = spec.dim
-    if rho.shape[0] != dim:
-        raise ConfigurationError(
-            f"density matrix dimension {rho.shape[0]} does not match 2^{spec.n}"
-        )
-    h = build_hamiltonian(spec, rule)
-    gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-
-    # Rescale to 1/gamma time units; gamma = 0 runs in plain time.
-    if params.gamma > 0:
-        kappa_eff = params.kappa / params.gamma
-        gamma_eff = 1.0
-    else:
-        kappa_eff = params.kappa
-        gamma_eff = 0.0
-
-    h_eff = kappa_eff * h - (0.5j * gamma_eff) * np.diag(out_degree)
-    feed = gamma_eff * gain
-
-    def rhs(y):
-        return _rhs(y, h_eff, feed)
-
-    steps_per_sample = max(1, int(round(params.sample_every / params.dt)))
-    sample_dt = steps_per_sample * params.dt
-    n_samples = int(np.ceil(params.t_max / sample_dt - 1e-12))
-
-    times = np.empty(n_samples + 1)
-    pops = np.empty((n_samples + 1, dim))
-    trace_drift = np.empty(n_samples + 1)
-    min_eig = np.empty(n_samples + 1)
-    pur = np.empty(n_samples + 1)
-    herm = np.empty(n_samples + 1)
-
-    for k in range(n_samples + 1):
-        if k > 0:
-            # An overflowing state is reported by the health check below as
-            # a diagnostics error; numpy's warnings about it would only
-            # precede that message.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(steps_per_sample):
-                    rho = rk4_step(rhs, rho, params.dt)
-        times[k] = k * sample_dt
-        _, drift, smallest = _health(rho)
-        if not (drift <= TRACE_ABORT and smallest >= EIGENVALUE_ABORT):
-            raise IntegrationDiagnosticsError(times[k], params.dt, drift, smallest)
-        trace_drift[k] = drift
-        min_eig[k] = smallest
-        pur[k] = purity(rho)
-        herm[k] = hermiticity_residual(rho)
-        pops[k] = populations(rho)
-
-    return Trajectory(
-        times=times,
-        populations=pops,
-        trace_drift=trace_drift,
-        min_eigenvalue=min_eig,
-        purity=pur,
-        hermiticity=herm,
-        sink_indices=tuple(spec.sinks),
-        params=params,
-    )
+    (outcome,) = evolve_batch(rho0, spec, [params], rule)
+    if isinstance(outcome, IntegrationDiagnosticsError):
+        raise outcome
+    return outcome
 
 
 def mixing_time(

@@ -31,12 +31,12 @@ def _square(a) -> np.ndarray:
     return m
 
 
-def hermiticity_residual(a) -> float:
-    """Max-entry norm of ``A - A^dagger``."""
-    m = _square(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_residual(a):
+    """Max-entry norm of ``A - A^dagger``; one per matrix of a (B, dim, dim) stack."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
 
 
 def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:

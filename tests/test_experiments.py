@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import pytest
 
 from patternwalks.cli import main
 from patternwalks.config import (
+    build_params,
+    build_spec,
     load_hopfield,
     load_scenario,
     load_sweep,
@@ -14,7 +19,7 @@ from patternwalks.config import (
     parse_scenario,
     parse_sweep,
 )
-from patternwalks.errors import ConfigurationError
+from patternwalks.errors import ConfigurationError, IntegrationDiagnosticsError
 from patternwalks.experiments import (
     run_classical,
     run_coin_check,
@@ -22,6 +27,7 @@ from patternwalks.experiments import (
     run_simulate,
     run_sweep,
 )
+from patternwalks.lindblad import density_from_pattern, evolve, mixing_time
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -317,6 +323,42 @@ class TestSweepRunner:
         ).read_bytes()
         assert first.rows == second.rows
 
+    def test_batched_points_equal_lone_runs(self, tmp_path):
+        # One stack holds a gamma = 0 point, healthy points, points RK4 takes
+        # out of the physical states and points that overflow; every row and
+        # trajectory must be the one a lone evolve of that point gives.
+        data = scenario_mapping(
+            n=2, sinks=["11"], initial="00", t_max=2.0, dt=0.01,
+            edge_weights=[["00", "01", 900.0]],
+        )
+        data.pop("kappa")
+        data.pop("gamma")
+        data["kappa_values"] = [0.001, 400.0, 1e200]
+        data["gamma_values"] = [0.0, 1.0]
+        grid = parse_sweep(data)
+        result = run_sweep(grid, out_dir=str(tmp_path))
+        cfg = grid.base
+        spec = build_spec(cfg)
+        rho0 = density_from_pattern(cfg.initial, cfg.n)
+        healthy = []
+        for kappa, gamma, t_mix, diag in result.rows:
+            params = build_params(cfg, kappa=kappa, gamma=gamma)
+            try:
+                lone = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
+            except IntegrationDiagnosticsError as exc:
+                assert (t_mix, diag) == (-1.0, str(exc).replace(",", ";"))
+                assert (kappa, gamma) not in result.trajectories
+                continue
+            healthy.append((kappa, gamma))
+            assert (t_mix, diag) == (mixing_time(lone), "")
+            batched = result.trajectories[(kappa, gamma)]
+            assert batched.params == lone.params
+            for name in ("times", "populations", "trace_drift", "min_eigenvalue",
+                         "purity", "hermiticity"):
+                assert np.array_equal(getattr(batched, name), getattr(lone, name)), name
+        assert healthy == [(0.001, 0.0), (0.001, 1.0)]
+        assert "nan" in result.rows[2][3] and "nan" not in result.rows[1][3]
+
     def test_failed_point_gets_minus_one_with_diagnostics(self, tmp_path):
         data = scenario_mapping(
             n=2, sinks=["11"], initial="00", t_max=2.0, dt=0.01,
@@ -371,6 +413,18 @@ class TestCli:
         code = main(["simulate", path, "--out", str(tmp_path)])
         assert code == 3
         assert "smaller" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        path = write_config(tmp_path, scenario_mapping(n=9))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "patternwalks.cli", "simulate", path, "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
 
     def test_overflowing_state_exits_3(self, tmp_path, capsys):
         data = scenario_mapping(n=2, sinks=["11"], initial="00", kappa=1e200, t_max=1.0)

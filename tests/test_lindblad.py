@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
+    _integrate,
     _rhs,
     basis_density,
     density_from_pattern,
     evolve,
+    evolve_batch,
     mixing_time,
     populations,
     purity,
@@ -304,6 +308,42 @@ class TestEvolve:
         spec = make_spec(2, ["11"])
         traj = evolve(rho, spec, WalkParams(kappa=1.0, gamma=1.0, t_max=5))
         assert traj.sink_population()[-1] > 0.9
+
+
+class TestEvolveBatch:
+    def test_runs_must_share_the_step_count(self):
+        spec = make_spec(2, ["11"])
+        base = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0, dt=0.01)
+        for other in (
+            replace(base, dt=0.005),
+            replace(base, t_max=2.0),
+            replace(base, sample_every=0.1),
+        ):
+            with pytest.raises(ConfigurationError, match="dt, sample_every and t_max"):
+                evolve_batch(basis_density(0, 4), spec, [base, other])
+
+    def test_slices_failing_at_different_samples(self):
+        # slice 0 overflows at the first sample; slice 2 gains trace at a
+        # rate of about 8e-6 through a negative decay on |0>, so it breaches
+        # the trace check two samples after slice 0 is gone; slice 1 runs as
+        # if alone
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        gain = np.diag([4e-6j, 0.0])
+        h_eff = np.stack([1e200 * x, x, x + gain])
+        feed = np.zeros_like(h_eff)
+        rho = np.repeat(basis_density(0, 2)[None], 3, axis=0)
+        times, outcomes = _integrate(rho, h_eff, feed, 0.01, 5, 40)
+        early, kept, late = outcomes
+        assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
+        assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
+        assert late.trace_drift > 1e-6
+        _, (lone,) = _integrate(rho[1:2], h_eff[1:2], feed[1:2], 0.01, 5, 40)
+        assert kept.keys() == lone.keys()
+        for name in kept:
+            assert np.array_equal(kept[name], lone[name]), name
+
+    def test_empty_batch(self):
+        assert evolve_batch(basis_density(0, 4), make_spec(2, ["11"]), []) == []
 
 
 class TestMixingTime:
