@@ -5,8 +5,8 @@ firing patterns of a binary neural network: memory patterns become
 absorbing sinks, a master equation mixes coherent hopping with directed
 incoherent jumps, and the walk retrieves the stored pattern nearest to
 the initial one. The classical pieces (threshold network, a
-continuous-time Markov chain, coined walks on the line) ship alongside
-as baselines and oracles.
+continuous-time Markov chain, the neuron-coin unitarity check) ship
+alongside as baselines and oracles.
 """
 
 from .constants import DEFAULT_DT, DEFAULT_SAMPLE_EVERY, DEFAULT_T_MAX
@@ -14,7 +14,6 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     IntegrationDiagnosticsError,
-    NonUnitaryCoinError,
 )
 from .hypercube import (
     HypercubeSpec,
@@ -42,7 +41,6 @@ __all__ = [
     "ConfigurationError",
     "ContractViolationError",
     "IntegrationDiagnosticsError",
-    "NonUnitaryCoinError",
     "HypercubeSpec",
     "JumpOperator",
     "make_spec",

@@ -1,60 +1,27 @@
-"""Two-state coin algebra and the reference coined walk on the line.
+"""Two-state coin algebra: the neuron coin and the biased Hadamard coin.
 
 Coins are plain 2x2 complex arrays; nonunitary coins are representable on
-purpose (unitarity is a checked property, not an invariant), but the
-coherent walk step refuses to apply one.
+purpose, because unitarity is the checked property: the coin built from a
+neuron's firing probability is unitary only at bias 1/2, while the biased
+Hadamard coin is unitary for every bias.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .constants import AMPLITUDE_NORM_TOL, UNITARITY_TOL
-from .errors import ConfigurationError, NonUnitaryCoinError
-from .hopfield import validate_weights
+from .constants import UNITARITY_TOL
+from .errors import ConfigurationError
 
 __all__ = [
-    "NeuronAmplitudes",
-    "hadamard_coin",
     "biased_coin",
     "neuron_coin",
-    "firing_probability",
     "UnitarityReport",
     "is_unitary",
-    "LineWalkerState",
-    "line_walker_at_origin",
-    "line_walk_step",
-    "run_line_walk",
-    "time_averaged_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class NeuronAmplitudes:
-    """Normalized amplitude pair (alpha on resting, beta on firing)."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
-            raise ConfigurationError(f"amplitudes have squared norm {norm!r}, not 1")
-
-    @classmethod
-    def from_firing_probability(cls, p: float, negative_beta: bool = False):
-        """Amplitudes ``alpha = sqrt(1-p)``, ``beta = +-sqrt(p)``."""
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"firing probability {p!r} outside [0, 1]")
-        sign = -1.0 if negative_beta else 1.0
-        return cls(complex(math.sqrt(1.0 - p)), complex(sign * math.sqrt(p)))
-
-    def firing_chance(self) -> float:
-        return float(abs(self.beta) ** 2)
 
 
 def _check_probability(p: float) -> float:
@@ -62,11 +29,6 @@ def _check_probability(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"coin bias {p!r} outside [0, 1]")
     return p
-
-
-def hadamard_coin() -> np.ndarray:
-    """The standard self-inverse Hadamard coin, (1/sqrt 2) [[1, 1], [1, -1]]."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 def biased_coin(p: float) -> np.ndarray:
@@ -91,25 +53,6 @@ def neuron_coin(p: float) -> np.ndarray:
     return np.array([[a, a], [b, -b]], dtype=np.complex128)
 
 
-def firing_probability(w, state, i: int) -> float:
-    """Normalized summed input of neuron ``i``: (sum_j w_ij x_j + (N-1)) / (2(N-1)).
-
-    Weights bounded by 1 keep the result inside [0, 1]. A single-neuron
-    network has no incoming signal to normalize, hence N >= 2.
-    """
-    w = validate_weights(w)
-    n = w.shape[0]
-    if n < 2:
-        raise ConfigurationError("firing_probability requires at least 2 neurons")
-    s = np.asarray(state, dtype=float).ravel()
-    if s.size != n:
-        raise ConfigurationError(f"state length {s.size} does not match {n} neurons")
-    if not 0 <= i < n:
-        raise ConfigurationError(f"neuron index {i} out of range")
-    signal = float(w[i, :] @ s)
-    return (signal + (n - 1)) / (2.0 * (n - 1))
-
-
 class UnitarityReport(NamedTuple):
     unitary: bool
     deviation: float
@@ -123,87 +66,3 @@ def is_unitary(coin, tol: float = UNITARITY_TOL) -> UnitarityReport:
     gram = c.conj().T @ c
     deviation = float(np.max(np.abs(gram - np.eye(c.shape[0]))))
     return UnitarityReport(deviation < tol, deviation)
-
-
-@dataclass(frozen=True)
-class LineWalkerState:
-    """Coin-indexed amplitudes over a contiguous window of line positions.
-
-    ``amplitudes[c, k]`` is the amplitude with coin state c at position
-    ``min_position + k``. Total squared amplitude stays 1.
-    """
-
-    amplitudes: np.ndarray
-    min_position: int
-
-    def positions(self) -> np.ndarray:
-        return np.arange(self.min_position, self.min_position + self.amplitudes.shape[1])
-
-    def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def position_distribution(self, half_width: int | None = None) -> np.ndarray:
-        """Probabilities over positions -half_width..half_width."""
-        local = np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-        pos = self.positions()
-        if half_width is None:
-            half_width = int(max(abs(pos[0]), abs(pos[-1])))
-        out = np.zeros(2 * half_width + 1)
-        for p, value in zip(pos, local):
-            if -half_width <= p <= half_width:
-                out[p + half_width] += value
-        return out
-
-
-def line_walker_at_origin(coin_amplitudes: Sequence[complex] = (1.0, 0.0)) -> LineWalkerState:
-    amps = np.asarray(coin_amplitudes, dtype=np.complex128).reshape(2, 1)
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
-        raise ConfigurationError(f"coin amplitudes have squared norm {norm!r}, not 1")
-    return LineWalkerState(amps, 0)
-
-
-def line_walk_step(state: LineWalkerState, coin, tol: float = UNITARITY_TOL) -> LineWalkerState:
-    """Coin toss followed by the conditional shift.
-
-    The coin acts on every position's amplitude pair, then the coin-|0>
-    component moves one position left and the coin-|1> component one
-    position right. Nonunitary coins are rejected outright (renormalizing
-    would silently change the walk).
-    """
-    report = is_unitary(coin, tol)
-    if not report.unitary:
-        raise NonUnitaryCoinError(report.deviation, tol)
-    c = np.asarray(coin, dtype=np.complex128)
-    tossed = c @ state.amplitudes
-    width = tossed.shape[1]
-    shifted = np.zeros((2, width + 2), dtype=np.complex128)
-    shifted[0, :width] = tossed[0]
-    shifted[1, 2:] = tossed[1]
-    return LineWalkerState(shifted, state.min_position - 1)
-
-
-def run_line_walk(state: LineWalkerState, coin, steps: int) -> list[LineWalkerState]:
-    """States after 0..steps applications of the coin-and-shift step."""
-    if steps < 0:
-        raise ConfigurationError("steps must be >= 0")
-    history = [state]
-    for _ in range(steps):
-        state = line_walk_step(state, coin)
-        history.append(state)
-    return history
-
-
-def time_averaged_distribution(history, horizon: int) -> np.ndarray:
-    """Mean of the first ``horizon`` per-step position distributions."""
-    if horizon <= 0:
-        raise ConfigurationError("averaging horizon must be a positive integer")
-    if len(history) < horizon:
-        raise ConfigurationError(
-            f"history holds {len(history)} distributions, fewer than {horizon}"
-        )
-    rows = [np.asarray(h, dtype=float) for h in history[:horizon]]
-    size = rows[0].size
-    if any(r.size != size for r in rows):
-        raise ConfigurationError("distributions must share a common support")
-    return np.mean(rows, axis=0)

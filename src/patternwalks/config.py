@@ -19,6 +19,7 @@ from .constants import (
     DEFAULT_T_MAX,
     MAX_DT,
     MAX_NEURONS,
+    MAX_SAMPLES,
 )
 from .errors import ConfigurationError
 from .hopfield import ORDERS, SENSES, STANDARD, CYCLIC
@@ -221,6 +222,11 @@ def _walk_fields(data) -> dict:
     }
     if fields["sample_every"] < fields["dt"]:
         raise ConfigurationError("sample_every: must be at least dt")
+    if fields["t_max"] / fields["sample_every"] > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"t_max: {fields['t_max']:g} asks for more than {MAX_SAMPLES} samples "
+            f"of sample_every = {fields['sample_every']:g}"
+        )
     fields |= {
         "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),
         "out": _field_out(data),

@@ -9,7 +9,6 @@ HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
-AMPLITUDE_NORM_TOL = 1e-10
 
 # Stochastic objects: rate-matrix column sums and probability-vector sums.
 ROW_SUM_TOL = 1e-12
@@ -19,6 +18,10 @@ DEFAULT_DT = 0.005
 MAX_DT = 0.01
 DEFAULT_T_MAX = 50.0
 DEFAULT_SAMPLE_EVERY = 0.05
+
+# A walk config may ask for at most this many samples, t_max / sample_every;
+# at n = 6 that many samples of the populations take 51 MB.
+MAX_SAMPLES = 10**5
 
 # evolve() aborts with a diagnostics error once a sampled state drifts
 # past these; the (tighter) invariants above are what healthy runs meet.

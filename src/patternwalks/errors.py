@@ -9,18 +9,6 @@ class ContractViolationError(ValueError):
     """A caller violated a documented precondition."""
 
 
-class NonUnitaryCoinError(ValueError):
-    """A coherent walk step was asked to apply a nonunitary coin."""
-
-    def __init__(self, deviation: float, tol: float):
-        self.deviation = float(deviation)
-        self.tol = float(tol)
-        super().__init__(
-            "coin operator is not unitary: ||C^dag C - I||_max = "
-            f"{self.deviation:.6g} exceeds tolerance {self.tol:g}"
-        )
-
-
 class IntegrationDiagnosticsError(RuntimeError):
     """Integration produced an unphysical state; rerun with a smaller dt."""
 

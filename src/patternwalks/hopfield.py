@@ -23,7 +23,6 @@ __all__ = [
     "ORDERS",
     "parse_pattern",
     "format_pattern",
-    "hamming",
     "validate_weights",
     "zero_thresholds",
     "update_neuron",
@@ -56,15 +55,6 @@ def parse_pattern(text: str) -> np.ndarray:
 
 def format_pattern(bits) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
-
-
-def hamming(a, b) -> int:
-    """Number of positions at which two equal-length patterns differ."""
-    pa = np.asarray(a).ravel()
-    pb = np.asarray(b).ravel()
-    if pa.shape != pb.shape:
-        raise ConfigurationError(f"hamming length mismatch: {pa.size} vs {pb.size}")
-    return int(np.count_nonzero(pa != pb))
 
 
 def validate_weights(w) -> np.ndarray:

@@ -51,6 +51,7 @@ from .hypercube import (
     build_hamiltonian,
     build_jump_operators,
     jump_gain,
+    vertex_index,
 )
 from .numerics import hermiticity_residual, rk4_step
 
@@ -127,8 +128,6 @@ def basis_density(v: int, dim: int) -> np.ndarray:
 
 def density_from_pattern(pattern: str, n: int) -> np.ndarray:
     """Pure density matrix sitting on one firing pattern."""
-    from .hypercube import vertex_index
-
     if len(pattern) != n:
         raise ConfigurationError(f"pattern {pattern!r} does not have length {n}")
     return basis_density(vertex_index(pattern), 1 << n)
@@ -151,7 +150,7 @@ def _health(m) -> tuple[np.ndarray, np.ndarray]:
     return drift, smallest
 
 
-def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix.
 
     Returns the Hermitian part ``(rho + rho^dag) / 2``, which equals an
@@ -166,7 +165,7 @@ def validate_density(rho, trace_tol: float = TRACE_TOL) -> np.ndarray:
             f"density matrix not Hermitian: residual {residual:.3g}"
         )
     (drift,), (smallest,) = _health(m[None])
-    if not drift <= trace_tol:
+    if not drift <= TRACE_TOL:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
     if not smallest >= POSITIVITY_FLOOR:
         raise ContractViolationError(
@@ -350,24 +349,20 @@ def evolve(
     return outcome
 
 
-def mixing_time(
-    traj: Trajectory,
-    eps: float = MIXING_EPS,
-    sink_threshold: float = SINK_THRESHOLD,
-) -> float:
+def mixing_time(traj: Trajectory) -> float:
     """Settling time of the sampled populations, in 1/gamma units.
 
     Returns the earliest sample time from which every later sample stays
-    within ``eps`` (sup norm) of the final one, provided the sinks have
-    actually absorbed ``sink_threshold`` of the population by the end of
+    within ``MIXING_EPS`` (sup norm) of the final one, provided the sinks
+    have actually absorbed ``SINK_THRESHOLD`` of the population by the end of
     the run; otherwise 0, the sentinel for a walk that failed to converge
     to the memory states.
     """
     final = traj.populations[-1]
     absorbed = float(final[list(traj.sink_indices)].sum())
-    if absorbed < sink_threshold:
+    if absorbed < SINK_THRESHOLD:
         return 0.0
     deviation = np.max(np.abs(traj.populations - final), axis=1)
-    bad = np.nonzero(deviation >= eps)[0]
+    bad = np.nonzero(deviation >= MIXING_EPS)[0]
     first_settled = 0 if bad.size == 0 else int(bad[-1]) + 1
     return float(traj.times[first_settled])

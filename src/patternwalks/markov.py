@@ -22,28 +22,28 @@ __all__ = [
 ]
 
 
-def as_probability_vector(v, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def as_probability_vector(v) -> np.ndarray:
     p = np.asarray(v, dtype=float).ravel()
     if p.size == 0:
         raise ConfigurationError("probability vector must be non-empty")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+    if np.any(p < -ROW_SUM_TOL) or np.any(p > 1.0 + ROW_SUM_TOL):
         raise ConfigurationError("probability vector entries must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > tol:
+    if abs(float(p.sum()) - 1.0) > ROW_SUM_TOL:
         raise ConfigurationError(f"probability vector sums to {p.sum()!r}, not 1")
     return p
 
 
-def as_rate_matrix(q, tol: float = ROW_SUM_TOL) -> np.ndarray:
+def as_rate_matrix(q) -> np.ndarray:
     """Validate a CTMC generator: non-negative off-diagonal, zero column sums."""
     a = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"rate matrix must be square, got {a.shape}")
     off = a.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(off < -tol):
+    if np.any(off < -ROW_SUM_TOL):
         raise ConfigurationError("rate matrix off-diagonal entries must be >= 0")
     cols = a.sum(axis=0)
-    if np.any(np.abs(cols) > tol * max(1.0, float(np.max(np.abs(a))))):
+    if np.any(np.abs(cols) > ROW_SUM_TOL * max(1.0, float(np.max(np.abs(a))))):
         worst = int(np.argmax(np.abs(cols)))
         raise ConfigurationError(f"column {worst} sums to {cols[worst]!r}, not 0")
     return a

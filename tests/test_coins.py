@@ -1,39 +1,16 @@
 import numpy as np
 import pytest
 
-from patternwalks.coins import (
-    NeuronAmplitudes,
-    biased_coin,
-    firing_probability,
-    hadamard_coin,
-    is_unitary,
-    line_walk_step,
-    line_walker_at_origin,
-    neuron_coin,
-    run_line_walk,
-    time_averaged_distribution,
-)
-from patternwalks.errors import ConfigurationError, NonUnitaryCoinError
+from patternwalks.coins import biased_coin, is_unitary, neuron_coin
+from patternwalks.errors import ConfigurationError
 
 GRID = [i / 20 for i in range(21)]
 
 
-class TestHadamard:
-    def test_image_of_first_basis_state(self):
-        out = hadamard_coin() @ np.array([1.0, 0.0])
-        assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-    def test_self_inverse(self):
-        h = hadamard_coin()
-        assert np.allclose(h @ h, np.eye(2), atol=1e-15)
-
-    def test_unitary(self):
-        assert is_unitary(hadamard_coin()).unitary
-
-
 class TestBiasedCoin:
     def test_half_bias_is_hadamard(self):
-        assert np.allclose(biased_coin(0.5), hadamard_coin())
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert np.allclose(biased_coin(0.5), hadamard)
 
     def test_boundary_bias(self):
         assert np.allclose(biased_coin(1.0), np.diag([1.0, -1.0]))
@@ -71,104 +48,3 @@ class TestNeuronCoin:
     def test_out_of_range_is_fatal(self):
         with pytest.raises(ConfigurationError):
             neuron_coin(-0.1)
-
-
-class TestFiringProbability:
-    def test_zero_weights_midpoint(self):
-        w = np.zeros((3, 3))
-        assert firing_probability(w, [0, 1, 1], 0) == pytest.approx(0.5)
-
-    def test_saturated_positive_signal(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = 1.0
-        w[0, 2] = w[2, 0] = 1.0
-        assert firing_probability(w, [0, 1, 1], 0) == pytest.approx(1.0)
-
-    def test_saturated_negative_signal(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = -1.0
-        w[0, 2] = w[2, 0] = -1.0
-        assert firing_probability(w, [0, 1, 1], 0) == pytest.approx(0.0)
-
-    def test_single_neuron_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            firing_probability(np.zeros((1, 1)), [1], 0)
-
-    def test_always_inside_unit_interval(self):
-        rng = np.random.default_rng(61)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            w = rng.uniform(-1, 1, size=(n, n))
-            w = 0.5 * (w + w.T)
-            np.fill_diagonal(w, 0.0)
-            p = firing_probability(w, rng.integers(0, 2, size=n), int(rng.integers(n)))
-            assert 0.0 <= p <= 1.0
-
-
-class TestNeuronAmplitudes:
-    def test_normalized_pair_accepted(self):
-        q = NeuronAmplitudes.from_firing_probability(0.3, negative_beta=True)
-        assert q.firing_chance() == pytest.approx(0.3)
-        assert q.beta.real < 0
-
-    def test_unnormalized_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NeuronAmplitudes(1.0, 1.0)
-
-
-class TestLineWalk:
-    def test_single_step_amplitudes(self):
-        state = line_walk_step(line_walker_at_origin(), hadamard_coin())
-        dist = state.position_distribution(1)
-        assert np.allclose(dist, [0.5, 0.0, 0.5])
-        # coin |0> went left, coin |1> right
-        assert state.amplitudes[0, 0] == pytest.approx(1 / np.sqrt(2))
-        assert state.amplitudes[1, 2] == pytest.approx(1 / np.sqrt(2))
-
-    def test_two_step_distribution(self):
-        states = run_line_walk(line_walker_at_origin(), hadamard_coin(), 2)
-        dist = states[-1].position_distribution(2)
-        assert np.allclose(dist, [0.25, 0.0, 0.5, 0.0, 0.25])
-
-    def test_nonunitary_coin_rejected_with_deviation(self):
-        with pytest.raises(NonUnitaryCoinError) as err:
-            line_walk_step(line_walker_at_origin(), neuron_coin(0.3))
-        assert err.value.deviation == pytest.approx(0.4, abs=1e-14)
-
-    def test_norm_preserved_over_long_walk(self):
-        states = run_line_walk(line_walker_at_origin(), hadamard_coin(), 200)
-        for s in (states[0], states[100], states[200]):
-            assert abs(s.total_probability() - 1.0) < 1e-10
-
-    def test_walk_is_asymmetric_from_definite_coin(self):
-        states = run_line_walk(line_walker_at_origin(), hadamard_coin(), 100)
-        dist = states[-1].position_distribution(100)
-        mean = float(np.arange(-100, 101) @ dist)
-        assert abs(mean) > 1e-3
-
-
-class TestTimeAveragedDistribution:
-    def test_constant_history(self):
-        dist = np.array([0.25, 0.5, 0.25])
-        assert np.allclose(time_averaged_distribution([dist] * 5, 5), dist)
-
-    def test_alternating_deltas(self):
-        d0 = np.array([1.0, 0.0])
-        d1 = np.array([0.0, 1.0])
-        assert np.allclose(time_averaged_distribution([d0, d1], 2), [0.5, 0.5])
-
-    def test_matches_direct_summation_for_walk(self):
-        states = run_line_walk(line_walker_at_origin(), hadamard_coin(), 50)
-        history = [s.position_distribution(50) for s in states]
-        averaged = time_averaged_distribution(history, 50)
-        direct = sum(history[:50]) / 50.0
-        assert abs(averaged.sum() - 1.0) < 1e-10
-        assert np.allclose(averaged, direct, atol=0)
-
-    def test_zero_horizon_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            time_averaged_distribution([np.array([1.0])], 0)
-
-    def test_short_history_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            time_averaged_distribution([np.array([1.0])], 2)

@@ -143,6 +143,19 @@ class TestConfigParsing:
         for name, loader in loaders.items():
             loader(str(CONFIGS / name))
 
+    def test_sample_count_beyond_the_cap_names_t_max(self):
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=1e300)
+        with pytest.raises(ConfigurationError, match="^t_max"):
+            parse_scenario(data)
+        grid = {key: data[key] for key in data if key not in ("kappa", "gamma")}
+        with pytest.raises(ConfigurationError, match="^t_max"):
+            parse_sweep(grid | {"kappa_values": [1.0], "gamma_values": [1.0]})
+
+    def test_sample_cap_boundary(self):
+        assert parse_scenario(scenario_mapping(t_max=100000.0, sample_every=1.0)).t_max == 1e5
+        with pytest.raises(ConfigurationError, match="^t_max"):
+            parse_scenario(scenario_mapping(t_max=100001.0, sample_every=1.0))
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -413,6 +426,12 @@ class TestCli:
         code = main(["simulate", path, "--out", str(tmp_path)])
         assert code == 3
         assert "smaller" in capsys.readouterr().err
+
+    def test_sample_count_beyond_the_cap_exits_2(self, tmp_path, capsys):
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=1e300)
+        path = write_config(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+        assert "config error: t_max" in capsys.readouterr().err
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         path = write_config(tmp_path, scenario_mapping(n=9))

@@ -9,7 +9,6 @@ from patternwalks.hopfield import (
     RANDOM,
     energy,
     format_pattern,
-    hamming,
     hebbian_store,
     parse_pattern,
     run_async,
@@ -105,30 +104,6 @@ class TestHebbianStore:
             assert np.allclose(w, w.T)
             assert np.all(np.diag(w) == 0.0)
             assert np.all(np.abs(w) <= 1.0)
-
-
-class TestHamming:
-    def test_identity(self):
-        assert hamming(parse_pattern("0110"), parse_pattern("0110")) == 0
-
-    def test_known_distance(self):
-        assert hamming(parse_pattern("000"), parse_pattern("101")) == 2
-
-    def test_complement(self):
-        assert hamming(parse_pattern("0000"), parse_pattern("1111")) == 4
-
-    def test_length_mismatch_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            hamming(parse_pattern("00"), parse_pattern("000"))
-
-    def test_metric_properties(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            n = int(rng.integers(1, 8))
-            a, b, c = (rng.integers(0, 2, size=n) for _ in range(3))
-            assert hamming(a, b) == hamming(b, a)
-            assert (hamming(a, b) == 0) == bool(np.array_equal(a, b))
-            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
 
 class TestRunAsync:
