@@ -20,6 +20,7 @@ from .constants import (
     MAX_DT,
     MAX_NEURONS,
     MAX_SAMPLES,
+    MAX_STEPS,
 )
 from .errors import ConfigurationError
 from .hopfield import ORDERS, SENSES, STANDARD, CYCLIC
@@ -226,6 +227,11 @@ def _walk_fields(data) -> dict:
         raise ConfigurationError(
             f"t_max: {fields['t_max']:g} asks for more than {MAX_SAMPLES} samples "
             f"of sample_every = {fields['sample_every']:g}"
+        )
+    if fields["t_max"] / fields["dt"] > MAX_STEPS:
+        raise ConfigurationError(
+            f"dt: {fields['dt']:g} asks for more than {MAX_STEPS} steps "
+            f"up to t_max = {fields['t_max']:g}"
         )
     fields |= {
         "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),

@@ -23,6 +23,10 @@ DEFAULT_SAMPLE_EVERY = 0.05
 # at n = 6 that many samples of the populations take 51 MB.
 MAX_SAMPLES = 10**5
 
+# ... and at most this many RK4 steps, t_max / dt. One n = 6 step took about
+# 0.4 ms on a 2-core x86-64 machine, so the cap is about an hour of integration.
+MAX_STEPS = 10**7
+
 # evolve() aborts with a diagnostics error once a sampled state drifts
 # past these; the (tighter) invariants above are what healthy runs meet.
 TRACE_ABORT = 1e-6

@@ -86,7 +86,7 @@ def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult
 
     steps = int(np.ceil(cfg.t_max / cfg.sample_every - 1e-12))
     times = np.array([k * cfg.sample_every for k in range(steps + 1)])
-    dists = np.array([markov.ctmc_evolve(q, pi0, t) for t in times])
+    dists = markov.ctmc_samples(q, pi0, cfg.sample_every, steps)
 
     target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "classical.csv")

@@ -277,7 +277,7 @@ def evolve_batch(
     params_seq,
     rule: str = STRICT,
 ) -> list:
-    """Integrate the walk from ``rho0`` once per params, all as one stack.
+    """Integrate the walk from ``rho0`` for each params, all as one stack.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -302,17 +302,19 @@ def evolve_batch(
     ):
         raise ConfigurationError("a batch of runs must share dt, sample_every and t_max")
 
+    # Rescale to 1/gamma time units; gamma = 0 runs in plain time. A run
+    # depends on its params only through these strengths, so each distinct
+    # pair is integrated once and its outcome goes to every params with it.
+    strengths = [(p.kappa / p.gamma, 1.0) if p.gamma > 0 else (p.kappa, 0.0) for p in params_seq]
+    distinct = list(dict.fromkeys(strengths))
+    slot = {pair: b for b, pair in enumerate(distinct)}
+
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-    batch = len(params_seq)
+    batch = len(distinct)
     h_eff = np.empty((batch, dim, dim), dtype=np.complex128)
     feed = np.empty((batch, dim, dim), dtype=np.complex128)
-    for b, p in enumerate(params_seq):
-        # Rescale to 1/gamma time units; gamma = 0 runs in plain time.
-        if p.gamma > 0:
-            kappa_eff, gamma_eff = p.kappa / p.gamma, 1.0
-        else:
-            kappa_eff, gamma_eff = p.kappa, 0.0
+    for b, (kappa_eff, gamma_eff) in enumerate(distinct):
         h_eff[b] = kappa_eff * h - (0.5j * gamma_eff) * np.diag(out_degree)
         feed[b] = gamma_eff * gain
 
@@ -321,11 +323,19 @@ def evolve_batch(
     times, outcomes = _integrate(
         np.repeat(rho[None], batch, axis=0), h_eff, feed, first.dt, steps_per_sample, n_samples
     )
-    return [
-        outcome if isinstance(outcome, IntegrationDiagnosticsError)
-        else Trajectory(times=times.copy(), **outcome, sink_indices=tuple(spec.sinks), params=p)
-        for outcome, p in zip(outcomes, params_seq)
-    ]
+    results, shared = [], set()
+    for p, pair in zip(params_seq, strengths):
+        outcome = outcomes[slot[pair]]
+        if isinstance(outcome, IntegrationDiagnosticsError):
+            results.append(outcome)
+            continue
+        if pair in shared:  # a repeat gets copies, so no two trajectories share an array
+            outcome = {name: values.copy() for name, values in outcome.items()}
+        shared.add(pair)
+        results.append(
+            Trajectory(times=times.copy(), **outcome, sink_indices=tuple(spec.sinks), params=p)
+        )
+    return results
 
 
 def evolve(

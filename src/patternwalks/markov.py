@@ -18,6 +18,7 @@ __all__ = [
     "as_probability_vector",
     "as_rate_matrix",
     "rate_matrix_from_jumps",
+    "ctmc_samples",
     "ctmc_evolve",
 ]
 
@@ -60,17 +61,37 @@ def rate_matrix_from_jumps(jumps, dim: int) -> np.ndarray:
     return gain - np.diag(out_degree)
 
 
-def ctmc_evolve(q, pi0, t: float) -> np.ndarray:
-    """Continuous-time evolution ``expm(q t) pi0`` of a probability vector."""
+def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
+    """Distributions ``expm(q k delta) pi0`` for k = 0, ..., steps, one per row.
+
+    One propagator ``expm(q delta)`` is computed and applied sample to
+    sample. After each product the distribution must still sum to 1
+    within 1e-9; it is then clipped at 0 and renormalized, so roundoff
+    cannot accumulate into negative or unnormalized rows.
+    """
     a = as_rate_matrix(q)
     p = as_probability_vector(pi0)
     if p.size != a.shape[0]:
         raise ConfigurationError(f"vector length {p.size} does not match {a.shape}")
-    if t < 0:
+    if delta < 0:
         raise ConfigurationError("evolution time must be >= 0")
-    out = np.real(expm(a * t) @ p)
-    drift = abs(float(out.sum()) - 1.0)
-    if drift > 1e-9:
-        raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")
-    out = np.clip(out, 0.0, None)
-    return out / out.sum()
+    # Kept complex, as expm returns it, with the real part taken after each
+    # product: real(step) @ p sums in another order than expm(q t) @ pi0
+    # and would move the last bits of ctmc_evolve.
+    step = expm(a * delta)
+    out = np.empty((steps + 1, p.size))
+    out[0] = p
+    for k in range(1, steps + 1):
+        p = np.real(step @ p)
+        drift = abs(float(p.sum()) - 1.0)
+        if drift > 1e-9:
+            raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
+        out[k] = p
+    return out
+
+
+def ctmc_evolve(q, pi0, t: float) -> np.ndarray:
+    """Continuous-time evolution ``expm(q t) pi0`` of a probability vector."""
+    return ctmc_samples(q, pi0, t, 1)[-1]

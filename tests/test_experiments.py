@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from patternwalks import markov
 from patternwalks.cli import main
 from patternwalks.config import (
     build_params,
@@ -19,6 +20,7 @@ from patternwalks.config import (
     parse_scenario,
     parse_sweep,
 )
+from patternwalks.constants import MAX_STEPS
 from patternwalks.errors import ConfigurationError, IntegrationDiagnosticsError
 from patternwalks.experiments import (
     run_classical,
@@ -152,9 +154,23 @@ class TestConfigParsing:
             parse_sweep(grid | {"kappa_values": [1.0], "gamma_values": [1.0]})
 
     def test_sample_cap_boundary(self):
-        assert parse_scenario(scenario_mapping(t_max=100000.0, sample_every=1.0)).t_max == 1e5
+        # dt = 0.01 keeps these 1e5 samples within the step cap
+        assert parse_scenario(
+            scenario_mapping(t_max=100000.0, sample_every=1.0, dt=0.01)
+        ).t_max == 1e5
         with pytest.raises(ConfigurationError, match="^t_max"):
-            parse_scenario(scenario_mapping(t_max=100001.0, sample_every=1.0))
+            parse_scenario(scenario_mapping(t_max=100001.0, sample_every=1.0, dt=0.01))
+
+    def test_step_cap_boundary(self):
+        at_cap = scenario_mapping(t_max=10000.0, dt=0.001, sample_every=1.0)
+        assert at_cap["t_max"] / at_cap["dt"] == MAX_STEPS
+        assert parse_scenario(at_cap).dt == 0.001
+        with pytest.raises(ConfigurationError, match="^dt"):
+            parse_scenario(at_cap | {"t_max": 10000.001})
+        grid = {key: at_cap[key] for key in at_cap if key not in ("kappa", "gamma")}
+        grid |= {"t_max": 10000.001, "kappa_values": [1.0], "gamma_values": [1.0]}
+        with pytest.raises(ConfigurationError, match="^dt"):
+            parse_sweep(grid)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -246,6 +262,19 @@ class TestClassicalRunner:
         for wr, cr in zip(walk_rows[::10], chain_rows[::10]):
             for a, b in zip(wr[1:9], cr[1:9]):
                 assert abs(float(a) - float(b)) < 1e-6
+
+    def test_one_matrix_exponential_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        expm = markov.expm
+
+        def counted(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(markov, "expm", counted)
+        cfg = parse_scenario(scenario_mapping(n=3, sinks=["101", "111"], initial="000"))
+        run_classical(cfg, out_dir=str(tmp_path))
+        assert len(calls) == 1
 
 
 class TestCoinCheck:
@@ -508,6 +537,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, path, "--out", str(tmp_path), *flags])
         assert exc.value.code == 2
+
+    def test_step_count_beyond_the_cap_exits_2_naming_dt(self, tmp_path, capsys):
+        # 1e12 steps of 1e-12: without the cap this would integrate for days
+        data = {"n": 1, "sinks": ["1"], "initial": "0", "t_max": 1.0, "dt": 1e-12}
+        path = write_config(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 2
+        assert "config error: dt" in capsys.readouterr().err
 
     def test_dt_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_mapping(t_max=2.0))

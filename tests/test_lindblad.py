@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patternwalks import lindblad
 from patternwalks.constants import HERMITICITY_TOL
 from patternwalks.errors import (
     ConfigurationError,
@@ -344,6 +345,28 @@ class TestEvolveBatch:
 
     def test_empty_batch(self):
         assert evolve_batch(basis_density(0, 4), make_spec(2, ["11"]), []) == []
+
+    def test_equal_strength_ratios_share_one_integration(self, monkeypatch):
+        # kappa/gamma = 0.5 twice; in 1/gamma units the two runs are one walk
+        stack_sizes = set()
+        step = lindblad.rk4_step
+
+        def recorded(f, y, dt):
+            stack_sizes.add(y.shape[0])
+            return step(f, y, dt)
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        spec = make_spec(3, ["101", "111"])
+        first = WalkParams(kappa=0.5, gamma=1.0, t_max=2.0)
+        other = WalkParams(kappa=1.0, gamma=2.0, t_max=2.0)
+        distinct = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
+        a, b, c = evolve_batch(basis_density(0, 8), spec, [first, distinct, other])
+        assert stack_sizes == {2}
+        assert (a.params, b.params, c.params) == (first, distinct, other)
+        assert np.array_equal(a.populations, c.populations)
+        assert not np.shares_memory(a.populations, c.populations)
+        lone = evolve(basis_density(0, 8), spec, distinct)
+        assert np.array_equal(b.populations, lone.populations)
 
 
 class TestMixingTime:

@@ -7,8 +7,10 @@ from patternwalks.markov import (
     as_probability_vector,
     as_rate_matrix,
     ctmc_evolve,
+    ctmc_samples,
     rate_matrix_from_jumps,
 )
+from patternwalks.numerics import expm
 
 
 def random_stochastic(n, rng):
@@ -71,6 +73,41 @@ class TestCtmcEvolve:
         q = np.zeros((2, 2))
         with pytest.raises(ConfigurationError):
             ctmc_evolve(q, [1.0, 0.0], -1.0)
+
+
+class TestCtmcSamples:
+    def test_matches_a_high_precision_exponential(self):
+        mp = pytest.importorskip("mpmath")
+        spec = make_spec(3, ["011", "101"])
+        q = rate_matrix_from_jumps(build_jump_operators(spec), 8)
+        pi0 = np.eye(8)[0]
+        delta, steps = 0.05, 200
+        stepped = ctmc_samples(q, pi0, delta, steps)
+        assert stepped.shape == (steps + 1, 8)
+        with mp.workdps(40):
+            q_mp = mp.matrix(q.tolist())
+            for k in range(0, steps + 1, 25):
+                # the sample time k * delta of the float delta, taken exactly
+                exact = mp.expm(q_mp * (k * mp.mpf(delta))) * mp.matrix(pi0.tolist())
+                reference = np.array([float(x) for x in exact])
+                assert np.max(np.abs(stepped[k] - reference)) < 1e-13, k
+
+    def test_one_step_is_ctmc_evolve_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            q = rate_matrix(random_stochastic(n, rng))
+            pi = rng.dirichlet(np.ones(n))
+            t = float(rng.uniform(0.0, 5.0))
+            out = ctmc_evolve(q, pi, t)
+            assert np.array_equal(out, ctmc_samples(q, pi, t, 1)[1])
+            # the single-time arithmetic: one expm(q t) @ pi0, clipped and renormalized
+            single = np.clip(np.real(expm(q * t) @ pi), 0.0, None)
+            assert np.array_equal(out, single / single.sum())
+
+    def test_zero_steps_is_the_initial_distribution(self):
+        q = rate_matrix(WEIGHTED_CHAIN)
+        assert np.array_equal(ctmc_samples(q, [0.2, 0.3, 0.5], 0.1, 0), [[0.2, 0.3, 0.5]])
 
 
 class TestJumpGenerator:
