@@ -53,7 +53,7 @@ from .hypercube import (
     jump_gain,
     vertex_index,
 )
-from .numerics import hermiticity_residual, rk4_step
+from .numerics import adjoint_into, hermiticity_residual, rk4_step
 
 __all__ = [
     "WalkParams",
@@ -144,8 +144,10 @@ def _health(m) -> tuple[np.ndarray, np.ndarray]:
     smallest = np.full(m.shape[0], np.nan)
     finite = np.isfinite(m).all(axis=(1, 2))
     if finite.any():
-        ok = m[finite]
-        herm = 0.5 * (ok + ok.conj().swapaxes(1, 2))
+        ok = m if finite.all() else m[finite]
+        herm = adjoint_into(ok, np.empty_like(ok))
+        herm += ok
+        herm *= 0.5
         smallest[finite] = np.linalg.eigvalsh(herm).min(axis=1)
     return drift, smallest
 
@@ -197,21 +199,29 @@ def purity(rho) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
-def _rhs(rho, h_eff, feed):
-    """``-i (K rho - rho K^dag) + diag(F diag(rho))`` for a Hermitian ``rho``.
+def _rhs(x, c, k, feed, out, a):
+    """Write ``c`` times the generator applied to a Hermitian ``x`` into ``out``.
 
-    ``h_eff`` is the effective Hamiltonian K and ``feed`` the population
-    feed F. For Hermitian ``rho``, ``rho K^dag = (K rho)^dag``, so one
-    matmul suffices, and the result is exactly Hermitian again. All three
-    may also be (B, dim, dim) stacks, one generator per state.
+    The generator is ``L(x) = -i (K x - x K^dag) + diag(F diag(x))``. ``k``
+    is K pre-scaled by ``-i c`` and ``feed`` is the population feed F.
+    For Hermitian ``x``, ``-i c x K^dag = (k x)^dag``, so one matmul
+    suffices, and ``c L(x) = k x + (k x)^dag + c diag(F diag(x))`` is
+    exactly Hermitian again. ``x``, ``k`` and ``feed`` may also be
+    (B, dim, dim) stacks, one generator per state. ``a`` is a scratch
+    array shaped like ``x``; ``out``, contiguous and shaped like ``x``, may
+    be ``x`` itself. Returns ``out``.
     """
-    dim = rho.shape[-1]
-    a = h_eff @ rho
-    out = -1j * (a - a.conj().swapaxes(-1, -2))
-    # Every (dim + 1)-th entry of the flattened, freshly allocated ``out``
-    # is a diagonal entry: a strided view, cheaper than fancy indexing.
+    dim = x.shape[-1]
+    np.matmul(k, x, out=a)
+    # Read x's diagonal before out, which may be x, is written.
+    gain = feed @ np.diagonal(x, axis1=-2, axis2=-1)[..., None]
+    gain *= c
+    adjoint_into(a, out)
+    out += a
+    # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
+    # diagonal entry: a strided view, cheaper than fancy indexing.
     diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
-    diagonal += (feed @ np.diagonal(rho, axis1=-2, axis2=-1)[..., None])[..., 0]
+    diagonal += gain[..., 0]
     return out
 
 
@@ -222,6 +232,11 @@ def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: in
     the health check at a sample is dropped from the stack, so the others
     go on unchanged. Returns the sample times and per slice either its
     sampled ``Trajectory`` fields or its ``IntegrationDiagnosticsError``.
+
+    The steps work on a copy of ``rho`` and allocate no state-sized
+    array: K is kept as one copy pre-scaled by ``-i c`` per RK4 stage
+    coefficient ``c``, and the stages work in two scratch stacks, all
+    compacted with the states when a slice drops.
     """
     batch, dim = rho.shape[0], rho.shape[-1]
     sample_dt = steps_per_sample * dt
@@ -233,10 +248,15 @@ def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: in
     herm = np.empty((batch, n_samples + 1))
     errors = {}
     live = np.arange(batch)
+    # rk4_step's stage coefficients: dt/4, dt/3, dt/2 and dt, computed alike.
+    scaled = {dt / d: (-1j * (dt / d)) * h_eff for d in (4, 3, 2, 1)}
+    rho = rho.copy()
+    product, work = np.empty_like(rho), np.empty_like(rho)
 
-    def rhs(y):
-        # Reads h_eff and feed when called, so it follows the dropped slices.
-        return _rhs(y, h_eff, feed)
+    def apply(x, c, out):
+        # Reads scaled, feed and the scratch stacks when called, so it
+        # follows the dropped slices.
+        return _rhs(x, c, scaled[c], feed, work if out is None else out, product)
 
     for k in range(n_samples + 1):
         if k > 0:
@@ -245,13 +265,18 @@ def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: in
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps_per_sample):
-                    rho = rk4_step(rhs, rho, dt)
+                    rho = rk4_step(apply, rho, dt)
         drift, smallest = _health(rho)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
                 errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
-            rho, h_eff, feed, live = rho[ok], h_eff[ok], feed[ok], live[ok]
+            rho, feed, live = rho[ok], feed[ok], live[ok]
+            for c in scaled:  # one at a time: old and new copies never all coexist
+                scaled[c] = scaled[c][ok]
+            # The scratch stacks' contents are dead here; their leading
+            # slices are contiguous stacks of the new size.
+            product, work = product[: live.size], work[: live.size]
             drift, smallest = drift[ok], smallest[ok]
             if live.size == 0:
                 break
@@ -321,7 +346,7 @@ def evolve_batch(
     steps_per_sample = max(1, int(round(first.sample_every / first.dt)))
     n_samples = int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12))
     times, outcomes = _integrate(
-        np.repeat(rho[None], batch, axis=0), h_eff, feed, first.dt, steps_per_sample, n_samples
+        np.broadcast_to(rho, (batch, dim, dim)), h_eff, feed, first.dt, steps_per_sample, n_samples
     )
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):

@@ -3,7 +3,9 @@
 Operator state throughout the package is a plain ``numpy.ndarray`` of
 complex128; the helpers here add dimension checks, a Hermiticity
 residual, a scaling-and-squaring matrix exponential and the RK4 step.
-Everything is a pure function of its inputs.
+``rk4_step`` advances its state in place and ``adjoint_into`` writes
+into the array it is given; everything else is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
+    "adjoint_into",
     "hermiticity_residual",
     "rk4_step",
     "expm",
@@ -31,23 +34,48 @@ def _square(a) -> np.ndarray:
     return m
 
 
+def adjoint_into(a, out) -> np.ndarray:
+    """Write the conjugate transpose of a matrix, or of each in a stack, into ``out``.
+
+    ``out`` must not overlap ``a``. A ufunc reading the transposed view
+    would buffer a copy the size of ``a``; ``copyto`` transposes without one.
+    """
+    np.copyto(out, a.swapaxes(-1, -2))
+    return np.conjugate(out, out=out)
+
+
 def hermiticity_residual(a):
     """Max-entry norm of ``A - A^dagger``; one per matrix of a (B, dim, dim) stack."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    diff = adjoint_into(m, np.empty_like(m))
+    np.subtract(m, diff, out=diff)
+    return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 
 
-def rk4_step(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta update of the autonomous ``y' = f(y)``."""
+def rk4_step(apply: Callable, y: np.ndarray, dt: float) -> np.ndarray:
+    """Advance ``y`` in place by one classical RK4 step of the linear ``y' = L(y)``.
+
+    For a linear, time-invariant L the four-stage RK4 update is the
+    polynomial ``1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` of ``h = dt``,
+    evaluated here in nested (Horner) form:
+
+        y + dt L(y + dt/2 L(y + dt/3 L(y + dt/4 L(y))))
+
+    ``apply(x, c, out)`` writes ``c L(x)`` into ``out`` and returns it;
+    ``out`` may be ``x``. Given ``out=None`` it writes into an array that
+    shares no memory with ``x``: a new one, as a numpy ufunc does, or
+    scratch space of its own. Returns ``y``.
+    """
     if dt <= 0:
         raise ConfigurationError("rk4_step requires dt > 0")
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    w = apply(y, dt / 4, None)
+    for c in (dt / 3, dt / 2, dt):
+        w += y
+        apply(w, c, w)
+    y += w
+    return y
 
 
 def expm(a) -> np.ndarray:

@@ -47,6 +47,15 @@ def random_density(n, rng):
     return rho / np.trace(rho)
 
 
+def rk4_staged_step(f, y, dt):
+    """Textbook four-stage RK4 step of ``y' = f(y)``; returns a new array."""
+    k1 = f(y)
+    k2 = f(y + (dt / 2) * k1)
+    k3 = f(y + (dt / 2) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 # ---------------------------------------------------------------------------
 # Dense master-equation algebra (matrix products everywhere).
 

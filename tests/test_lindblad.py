@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,11 +43,13 @@ from oracles import (
 )
 
 
-def walk_rhs(rho, h, jumps, kappa, gamma):
-    """The rhs evolve integrates, on the K and feed evolve derives from ``jumps``."""
+def walk_rhs(rho, h, jumps, kappa, gamma, c=1.0, out=None):
+    """``c`` times the rhs evolve integrates, on the K and feed evolve derives from ``jumps``."""
+    rho = np.asarray(rho, dtype=complex)
     gain, out_degree = jump_gain(jumps, rho.shape[0])
     h_eff = kappa * h - (0.5j * gamma) * np.diag(out_degree)
-    return _rhs(np.asarray(rho, dtype=complex), h_eff, gamma * gain)
+    out = np.empty_like(rho) if out is None else out
+    return _rhs(rho, c, (-1j * c) * h_eff, gamma * gain, out, np.empty_like(rho))
 
 
 def random_spec(rng, n):
@@ -161,6 +164,18 @@ class TestRhs:
         out = walk_rhs(rho, build_hamiltonian(spec), build_jump_operators(spec), 1.3, 0.7)
         assert hermiticity_residual(out) < 1e-12
 
+    def test_scaled_stage_written_over_its_input(self):
+        rng = np.random.default_rng(91)
+        spec = make_spec(3, ["101", "111"])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        rho = random_density(8, rng)
+        apart = walk_rhs(rho, h, jumps, 1.3, 0.7, c=0.25)
+        inplace = rho.copy()
+        assert walk_rhs(inplace, h, jumps, 1.3, 0.7, c=0.25, out=inplace) is inplace
+        assert np.array_equal(inplace, apart)
+        dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
+        assert np.max(np.abs(apart - 0.25 * dense)) < 1e-12
+
 
 class TestEvolve:
     def test_nearest_sink_retrieval(self):
@@ -225,11 +240,11 @@ class TestEvolve:
         jumps = build_jump_operators(spec)
         from patternwalks.numerics import rk4_step
 
-        def rhs(y):
-            return walk_rhs(y, h, jumps, 0.0, 1.0)
+        def apply(x, c, out):
+            return walk_rhs(x, h, jumps, 0.0, 1.0, c, out)
 
         for _ in range(600):
-            rho = rk4_step(rhs, rho, 0.005)
+            rk4_step(apply, rho, 0.005)
         off = rho - np.diag(np.diag(rho))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -342,6 +357,51 @@ class TestEvolveBatch:
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
+
+    def test_steps_allocate_no_state_stack(self, monkeypatch):
+        # 200 steps of an n = 4 stack of 8 states: the step's stage stacks
+        # are _integrate's own, so the traced peak over the steps stays
+        # below the size of one state stack
+        spec = make_spec(4, ["0110", "1111"])
+        h = build_hamiltonian(spec)
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        h_eff = np.stack([k * h - 0.5j * np.diag(out_degree) for k in np.linspace(0.2, 3.0, 8)])
+        feed = np.repeat(gain.astype(complex)[None], 8, axis=0)
+        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        step, calls, marks = lindblad.rk4_step, [], {}
+
+        def measured(apply, y, dt):
+            if not calls:
+                tracemalloc.reset_peak()
+                marks["start"] = tracemalloc.get_traced_memory()[0]
+            calls.append(None)
+            y = step(apply, y, dt)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return y
+
+        monkeypatch.setattr(lindblad, "rk4_step", measured)
+        tracemalloc.start()
+        try:
+            _, outcomes = _integrate(rho, h_eff, feed, 0.005, 200, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 200
+        assert all(isinstance(o, dict) for o in outcomes)
+        assert marks["peak"] - marks["start"] < rho.nbytes
+
+    def test_dropped_point_leaves_the_survivors_bits(self):
+        # kappa = 150 goes unphysical under RK4 at dt = 0.005 and is dropped
+        # from between the two finite points
+        spec = make_spec(4, ["0110", "1111"])
+        rho0 = basis_density(0, spec.dim)
+        finite = [WalkParams(kappa=0.5, gamma=1.0, t_max=2.0), WalkParams(kappa=2.0, gamma=1.0, t_max=2.0)]
+        stiff = WalkParams(kappa=150.0, gamma=1.0, t_max=2.0)
+        first, failed, last = evolve_batch(rho0, spec, [finite[0], stiff, finite[1]])
+        assert isinstance(failed, IntegrationDiagnosticsError) and failed.t < 2.0
+        for traj, params in zip((first, last), finite):
+            lone = evolve(rho0, spec, params)
+            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
 
     def test_empty_batch(self):
         assert evolve_batch(basis_density(0, 4), make_spec(2, ["11"]), []) == []

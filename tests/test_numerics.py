@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from patternwalks.errors import ConfigurationError
-from patternwalks.numerics import expm, hermiticity_residual, rk4_step
+from patternwalks.numerics import adjoint_into, expm, hermiticity_residual, rk4_step
 
-from oracles import random_hermitian, taylor_expm
+from oracles import random_hermitian, rk4_staged_step, taylor_expm
 
 
 class TestHermiticityResidual:
@@ -12,16 +14,59 @@ class TestHermiticityResidual:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert hermiticity_residual(a) == pytest.approx(1.0)
 
+    def test_stack_matches_elementwise_definition(self):
+        rng = np.random.default_rng(59)
+        a = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+        expected = [
+            max(np.abs(m[i, j] - np.conj(m[j, i])) for i in range(5) for j in range(5)) for m in a
+        ]
+        assert np.array_equal(hermiticity_residual(a), expected)
+
+
+class TestAdjointInto:
+    def test_conjugate_transpose_of_each_matrix(self):
+        rng = np.random.default_rng(61)
+        a = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+        out = np.empty_like(a)
+        assert adjoint_into(a, out) is out
+        assert np.array_equal(out, np.stack([m.conj().T for m in a]))
+
+    def test_allocates_no_copy_of_its_input(self):
+        a = np.ones((8, 32, 32), dtype=complex)
+        out = np.empty_like(a)
+        adjoint_into(a, out)
+        tracemalloc.start()
+        try:
+            adjoint_into(a, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
+
+def linear(a):
+    """``apply`` for rk4_step: writes ``c a x`` into ``out``."""
+    return lambda x, c, out: np.multiply(c, a @ x, out=out)
+
+
+def non_normal(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = np.triu(a)  # upper triangular with a non-zero strict part: non-normal
+    return a / np.linalg.norm(a, 2)
+
 
 class TestRk4:
     def test_zero_rhs_keeps_state(self):
         y = np.array([[1.0 + 2j, 0.5], [0.0, -1.0]])
-        out = rk4_step(lambda m: np.zeros_like(m), y, 0.1)
-        assert np.array_equal(out, y)
+        start = y.copy()
+        out = rk4_step(lambda x, c, out: np.multiply(0.0, x, out=out), y, 0.1)
+        assert out is y
+        assert np.array_equal(out, start)
 
     def test_scalar_exponential(self):
         y = np.array([[1.0 + 0j]])
-        out = rk4_step(lambda m: m, y, 0.1)
+        out = rk4_step(lambda x, c, out: np.multiply(c, x, out=out), y, 0.1)
+        assert out is y
         assert abs(out[0, 0] - np.exp(0.1)) < 1e-7
 
     def test_single_step_matches_propagator_to_fifth_order(self):
@@ -30,7 +75,7 @@ class TestRk4:
         a /= np.linalg.norm(a, 2)
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for dt in (0.01, 0.005):
-            stepped = rk4_step(lambda m: a @ m, y, dt)
+            stepped = rk4_step(linear(a), y.copy(), dt)
             exact = expm(a * dt) @ y
             assert np.max(np.abs(stepped - exact)) < 10 * dt**5
 
@@ -44,13 +89,27 @@ class TestRk4:
         total = 1.0
         y = y0.copy()
         for _ in range(int(round(total / dt))):
-            y = rk4_step(lambda m: a @ m, y, dt)
+            assert rk4_step(linear(a), y, dt) is y
         exact = expm(a * total) @ y0
         assert np.max(np.abs(y - exact)) / np.max(np.abs(exact)) < 1e-6
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigurationError):
-            rk4_step(lambda m: m, np.eye(2, dtype=complex), 0.0)
+            rk4_step(lambda x, c, out: np.multiply(c, x, out=out), np.eye(2, dtype=complex), 0.0)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_horner_form_matches_staged_oracle(self, n):
+        # The nested polynomial and the four general stages are the same
+        # map for a linear generator; only the rounding differs.
+        rng = np.random.default_rng(53 + n)
+        a = non_normal(n, rng)
+        assert np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 0.1
+        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        staged = y.copy()
+        for _ in range(100):
+            rk4_step(linear(a), y, 0.01)
+            staged = rk4_staged_step(lambda m: a @ m, staged, 0.01)
+        assert np.max(np.abs(y - staged)) / np.max(np.abs(staged)) < 1e-13
 
 
 class TestExpm:
