@@ -24,8 +24,8 @@ DEFAULT_SAMPLE_EVERY = 0.05
 MAX_SAMPLES = 10**5
 
 # ... and at most this many RK4 steps, t_max / dt. One n = 6 step took about
-# 0.32 ms (0.28 ms with one BLAS thread) on a 2-core x86-64 machine, so the
-# cap is just under an hour of integration.
+# 0.26 ms of wall and of CPU time on a 2-core x86-64 machine (numpy 2.4.6,
+# OpenBLAS 0.3.31), so the cap is about 45 minutes of integration.
 MAX_STEPS = 10**7
 
 # evolve() aborts with a diagnostics error once a sampled state drifts

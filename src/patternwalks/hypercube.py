@@ -186,7 +186,7 @@ def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
 
     ``H_ij = a_ij`` for vertices one bit flip apart when neither is a
     sink; sink rows and columns are identically zero and every non-sink
-    vertex keeps its self-loop.
+    vertex keeps its self-loop. The matrix is real and symmetric.
 
     Under the default strict rule an edge whose endpoints are equidistant
     from the sink set is removed from the coherent part too, mirroring
@@ -205,7 +205,7 @@ def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
     weights = np.ones((spec.dim, spec.dim))
     for lo, hi, w in spec.edge_weights:
         weights[lo, hi] = weights[hi, lo] = w
-    return np.where(edges, weights, 0.0).astype(np.complex128)
+    return np.where(edges, weights, 0.0)
 
 
 def build_jump_operators(spec: HypercubeSpec, rule: str = STRICT) -> list[JumpOperator]:

@@ -11,7 +11,16 @@ whole generator reads
 
 with G the jump gain matrix (G[dst, src] = 1 per jump) and out the
 out-degree of each vertex (Dalibard, Castin and Molmer, PRL 68, 580,
-1992; Plenio and Knight, RMP 70, 101, 1998).
+1992; Plenio and Knight, RMP 70, 101, 1998). H is real, and a sink has
+no coherent edge and no outgoing jump, so its rows and columns of K are
+zero.
+
+The integrator requires an initial state with no coherence that
+involves a sink, and then keeps every sink row and column at exactly 0.0
+off the diagonal. The state stays block diagonal: its non-sink block
+and the sink populations. The per-sample positivity check therefore
+takes eigenvalues of the non-sink block only, and compares them with
+the sink populations.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -50,6 +59,7 @@ from .hypercube import (
     HypercubeSpec,
     build_hamiltonian,
     build_jump_operators,
+    index_pattern,
     jump_gain,
     vertex_index,
 )
@@ -133,30 +143,48 @@ def density_from_pattern(pattern: str, n: int) -> np.ndarray:
     return basis_density(vertex_index(pattern), 1 << n)
 
 
-def _health(m) -> tuple[np.ndarray, np.ndarray]:
+def _split(dim: int, sinks) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the non-sink vertices and of the sinks."""
+    live = np.ones(dim, dtype=bool)
+    live[list(sinks)] = False
+    return np.flatnonzero(live), np.flatnonzero(~live)
+
+
+def _health(m, live, sinks) -> tuple[np.ndarray, np.ndarray]:
     """Trace drift and smallest eigenvalue of each matrix in a (B, dim, dim) stack.
 
-    The eigenvalue is that of the Hermitian part. It is NaN for a matrix
-    with a non-finite entry, which eigvalsh cannot take; a NaN fails
-    every threshold comparison.
+    The eigenvalue is that of the Hermitian part, whose sink rows and
+    columns (index array ``sinks``) must be zero off the diagonal. The
+    Hermitian part is then block diagonal, and its smallest eigenvalue is
+    the smaller of the non-sink block's (index array ``live``) and the
+    smallest sink population. It is NaN for a matrix with a non-finite
+    entry, which eigvalsh cannot take; a NaN fails every threshold
+    comparison.
     """
     drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
     smallest = np.full(m.shape[0], np.nan)
     finite = np.isfinite(m).all(axis=(1, 2))
     if finite.any():
         ok = m if finite.all() else m[finite]
-        herm = adjoint_into(ok, np.empty_like(ok))
-        herm += ok
+        block = ok[:, live[:, None], live]
+        herm = adjoint_into(block, np.empty_like(block))
+        herm += block
         herm *= 0.5
-        smallest[finite] = np.linalg.eigvalsh(herm).min(axis=1)
+        sink_populations = np.diagonal(ok, axis1=1, axis2=2).real[:, sinks]
+        smallest[finite] = np.minimum(
+            np.linalg.eigvalsh(herm).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
+        )
     return drift, smallest
 
 
-def validate_density(rho) -> np.ndarray:
+def validate_density(rho, sinks=()) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix.
 
     Returns the Hermitian part ``(rho + rho^dag) / 2``, which equals an
-    exactly Hermitian ``rho`` bit for bit.
+    exactly Hermitian ``rho`` bit for bit. The Hermitian part may have no
+    coherence that involves a vertex in ``sinks``; a ConfigurationError
+    names the first sink that has one. Positivity is then read from the
+    non-sink block and the sink populations.
     """
     m = np.asarray(rho, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -166,14 +194,25 @@ def validate_density(rho) -> np.ndarray:
         raise ContractViolationError(
             f"density matrix not Hermitian: residual {residual:.3g}"
         )
-    (drift,), (smallest,) = _health(m[None])
+    herm = 0.5 * (m + m.conj().T)
+    live, sinks = _split(m.shape[0], sinks)
+    cross = herm[sinks]
+    cross[np.arange(sinks.size), sinks] = 0.0
+    touched = sinks[np.any(cross != 0.0, axis=1)]
+    if touched.size:
+        pattern = index_pattern(int(touched[0]), m.shape[0].bit_length() - 1)
+        raise ConfigurationError(
+            f"density matrix has a coherence involving sink {pattern}; "
+            "the walk needs every sink row and column zero off the diagonal"
+        )
+    (drift,), (smallest,) = _health(herm[None], live, sinks)
     if not drift <= TRACE_TOL:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
     if not smallest >= POSITIVITY_FLOOR:
         raise ContractViolationError(
             f"density matrix has eigenvalue {smallest:.3g} below the floor"
         )
-    return 0.5 * (m + m.conj().T)
+    return herm
 
 
 def populations(rho) -> np.ndarray:
@@ -199,43 +238,58 @@ def purity(rho) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
-def _rhs(x, c, k, feed, out, a):
+def _rhs(x, c, coherent, decay, gain, gamma, out, a):
     """Write ``c`` times the generator applied to a Hermitian ``x`` into ``out``.
 
-    The generator is ``L(x) = -i (K x - x K^dag) + diag(F diag(x))``. ``k``
-    is K pre-scaled by ``-i c`` and ``feed`` is the population feed F.
-    For Hermitian ``x``, ``-i c x K^dag = (k x)^dag``, so one matmul
-    suffices, and ``c L(x) = k x + (k x)^dag + c diag(F diag(x))`` is
-    exactly Hermitian again. ``x``, ``k`` and ``feed`` may also be
-    (B, dim, dim) stacks, one generator per state. ``a`` is a scratch
-    array shaped like ``x``; ``out``, contiguous and shaped like ``x``, may
-    be ``x`` itself. Returns ``out``.
+    The generator is ``L(x) = -i (K x - x K^dag) + diag(F diag(x))`` with
+    ``K = kappa H - (i/2) gamma diag(out)`` and ``F = gamma G``. For
+    Hermitian ``x``, ``-i c x K^dag = (k x)^dag`` with ``k = -i c K``, so
+    ``c L(x) = k x + (k x)^dag + c gamma diag(G diag(x))`` is exactly
+    Hermitian again. H is real, so ``K x`` is one real product of
+    ``coherent`` = kappa H with the float view of ``x``, plus ``x``
+    scaled row by row by ``decay``, the decay rate -(i/2) gamma times
+    each row's out-degree, repeated in every column. ``gain`` is G. ``x`` may also be a
+    (B, dim, dim) stack that shares ``gain``, with one ``coherent`` and
+    ``decay`` per slice and ``gamma`` shaped (B, 1, 1). ``a`` is a
+    contiguous scratch array shaped like ``x``; ``out``, contiguous and
+    shaped like ``x``, may be ``x`` itself. Returns ``out``.
     """
     dim = x.shape[-1]
-    np.matmul(k, x, out=a)
-    # Read x's diagonal before out, which may be x, is written.
-    gain = feed @ np.diagonal(x, axis1=-2, axis2=-1)[..., None]
-    gain *= c
+    np.matmul(coherent, x.view(np.float64), out=a.view(np.float64))
+    # Read x before out, which may be x, is written. The feed is one
+    # product per slice, so a slice's bits do not depend on the stack.
+    fed = np.matmul(gain, np.diagonal(x, axis1=-2, axis2=-1).real[..., None])
+    fed *= c * gamma
+    np.multiply(x, decay, out=out)
+    a += out
+    a *= -1j * c
     adjoint_into(a, out)
     out += a
     # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
     # diagonal entry: a strided view, cheaper than fancy indexing.
     diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
-    diagonal += gain[..., 0]
+    diagonal += fed[..., 0]
     return out
 
 
-def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: int):
+def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_sample: int, n_samples: int):
     """Step a (B, dim, dim) stack of states with RK4, health-checking every sample.
 
-    Slice b evolves under ``h_eff[b]`` and ``feed[b]``. A slice that fails
-    the health check at a sample is dropped from the stack, so the others
-    go on unchanged. Returns the sample times and per slice either its
-    sampled ``Trajectory`` fields or its ``IntegrationDiagnosticsError``.
+    Slice b evolves under ``K = kappa H - (i/2) gamma diag(out_degree)``
+    and ``F = gamma G`` with ``(kappa, gamma) = strengths[b]``; the real
+    H = ``h`` and G = ``gain`` are shared by the stack. The rows and
+    columns of ``h``, the entries of ``out_degree`` and the columns of
+    ``gain`` at the ``sinks`` must be zero, and so must every coherence
+    of ``rho`` that involves a sink; the steps then keep those
+    coherences at 0.0, and the health check reads eigenvalues of the
+    non-sink block. A slice that fails the health check at a sample is
+    dropped from the stack, so the others go on unchanged. Returns the
+    sample times and per slice either its sampled ``Trajectory`` fields
+    or its ``IntegrationDiagnosticsError``.
 
     The steps work on a copy of ``rho`` and allocate no state-sized
-    array: K is kept as one copy pre-scaled by ``-i c`` per RK4 stage
-    coefficient ``c``, and the stages work in two scratch stacks, all
+    array: K is kept as its real part kappa H and its decay diagonal
+    spread over each row, and the stages work in two scratch stacks, all
     compacted with the states when a slice drops.
     """
     batch, dim = rho.shape[0], rho.shape[-1]
@@ -248,15 +302,19 @@ def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: in
     herm = np.empty((batch, n_samples + 1))
     errors = {}
     live = np.arange(batch)
-    # rk4_step's stage coefficients: dt/4, dt/3, dt/2 and dt, computed alike.
-    scaled = {dt / d: (-1j * (dt / d)) * h_eff for d in (4, 3, 2, 1)}
+    block, sinks = _split(dim, sinks)
+    kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
+    coherent = kappa * h
+    # The decay is spread to the state's shape: numpy buffers a
+    # state-sized copy for a ufunc whose operand broadcasts.
+    decay = np.repeat((-0.5j * gamma) * out_degree[:, None], dim, axis=-1)
     rho = rho.copy()
     product, work = np.empty_like(rho), np.empty_like(rho)
 
     def apply(x, c, out):
-        # Reads scaled, feed and the scratch stacks when called, so it
+        # Reads the generator and the scratch stacks when called, so it
         # follows the dropped slices.
-        return _rhs(x, c, scaled[c], feed, work if out is None else out, product)
+        return _rhs(x, c, coherent, decay, gain, gamma, work if out is None else out, product)
 
     for k in range(n_samples + 1):
         if k > 0:
@@ -266,14 +324,13 @@ def _integrate(rho, h_eff, feed, dt: float, steps_per_sample: int, n_samples: in
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps_per_sample):
                     rho = rk4_step(apply, rho, dt)
-        drift, smallest = _health(rho)
+        drift, smallest = _health(rho, block, sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
                 errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
-            rho, feed, live = rho[ok], feed[ok], live[ok]
-            for c in scaled:  # one at a time: old and new copies never all coexist
-                scaled[c] = scaled[c][ok]
+            rho, live = rho[ok], live[ok]
+            coherent, decay, gamma = coherent[ok], decay[ok], gamma[ok]
             # The scratch stacks' contents are dead here; their leading
             # slices are contiguous stacks of the new size.
             product, work = product[: live.size], work[: live.size]
@@ -308,16 +365,17 @@ def evolve_batch(
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
     not stop the others, and each outcome equals that of a lone
     ``evolve``. The runs must share ``dt``, ``sample_every`` and
-    ``t_max``, so that they share one step count.
+    ``t_max``, so that they share one step count. ``rho0`` may have no
+    coherence that involves a sink (a ConfigurationError names the sink).
     """
     params_seq = list(params_seq)
-    # validate_density returns the Hermitian part, which _rhs needs and keeps.
-    rho = validate_density(rho0)
     dim = spec.dim
-    if rho.shape[0] != dim:
+    if np.shape(rho0) != (dim, dim):
         raise ConfigurationError(
-            f"density matrix dimension {rho.shape[0]} does not match 2^{spec.n}"
+            f"density matrix shape {np.shape(rho0)} does not match 2^{spec.n}"
         )
+    # validate_density returns the Hermitian part, which _rhs needs and keeps.
+    rho = validate_density(rho0, spec.sinks)
     if not params_seq:
         return []
     first = params_seq[0]
@@ -336,17 +394,11 @@ def evolve_batch(
 
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-    batch = len(distinct)
-    h_eff = np.empty((batch, dim, dim), dtype=np.complex128)
-    feed = np.empty((batch, dim, dim), dtype=np.complex128)
-    for b, (kappa_eff, gamma_eff) in enumerate(distinct):
-        h_eff[b] = kappa_eff * h - (0.5j * gamma_eff) * np.diag(out_degree)
-        feed[b] = gamma_eff * gain
-
     steps_per_sample = max(1, int(round(first.sample_every / first.dt)))
     n_samples = int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12))
     times, outcomes = _integrate(
-        np.broadcast_to(rho, (batch, dim, dim)), h_eff, feed, first.dt, steps_per_sample, n_samples
+        np.broadcast_to(rho, (len(distinct), dim, dim)), h, gain, out_degree, distinct,
+        spec.sinks, first.dt, steps_per_sample, n_samples,
     )
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
@@ -375,8 +427,9 @@ def evolve(
     and the run extends to the first sample at or past ``t_max``. Every
     sampled state is health-checked; a non-finite entry, a trace drift
     beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
-    diagnostics error prescribing a smaller dt. This is the batch of one
-    of ``evolve_batch``.
+    diagnostics error prescribing a smaller dt. ``rho0`` may have no
+    coherence that involves a sink (a ConfigurationError names the sink).
+    This is the batch of one of ``evolve_batch``.
     """
     (outcome,) = evolve_batch(rho0, spec, [params], rule)
     if isinstance(outcome, IntegrationDiagnosticsError):

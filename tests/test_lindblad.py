@@ -21,8 +21,10 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
+    _health,
     _integrate,
     _rhs,
+    _split,
     basis_density,
     density_from_pattern,
     evolve,
@@ -43,13 +45,19 @@ from oracles import (
 )
 
 
+def generator(h, out_degree, kappa, gamma):
+    """``_rhs``'s coherent part and decay rows of K, computed as ``_integrate`` computes them."""
+    decay = np.repeat((-0.5j * gamma) * out_degree[:, None], len(out_degree), axis=-1)
+    return kappa * h, decay
+
+
 def walk_rhs(rho, h, jumps, kappa, gamma, c=1.0, out=None):
-    """``c`` times the rhs evolve integrates, on the K and feed evolve derives from ``jumps``."""
+    """``c`` times the rhs evolve integrates, on the generator evolve derives from ``jumps``."""
     rho = np.asarray(rho, dtype=complex)
     gain, out_degree = jump_gain(jumps, rho.shape[0])
-    h_eff = kappa * h - (0.5j * gamma) * np.diag(out_degree)
     out = np.empty_like(rho) if out is None else out
-    return _rhs(rho, c, (-1j * c) * h_eff, gamma * gain, out, np.empty_like(rho))
+    coherent, decay = generator(h, out_degree, kappa, gamma)
+    return _rhs(rho, c, coherent, decay, gain, gamma, out, np.empty_like(rho))
 
 
 def random_spec(rng, n):
@@ -133,14 +141,14 @@ class TestRhs:
         assert np.all(out == 0.0)
 
     def test_commuting_state_gives_zero_without_dissipation(self):
-        h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        h = np.diag([1.0, 2.0, 3.0])
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
         out = walk_rhs(rho, h, [], 1.0, 0.0)
         assert np.max(np.abs(out)) < 1e-15
 
     def test_two_level_amplitude_damping_by_hand(self):
         rho = basis_density(0, 2)
-        h = np.zeros((2, 2), dtype=complex)
+        h = np.zeros((2, 2))
         out = walk_rhs(rho, h, [JumpOperator(src=0, dst=1)], 0.0, 1.0)
         assert np.allclose(out, np.diag([-1.0, 1.0]))
 
@@ -175,6 +183,27 @@ class TestRhs:
         assert np.array_equal(inplace, apart)
         dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
         assert np.max(np.abs(apart - 0.25 * dense)) < 1e-12
+
+    def test_stage_on_a_stack_of_strengths(self):
+        # three slices share H and G but not kappa and gamma; each matches
+        # the dense generator and its own lone evaluation bit for bit, and
+        # the stacked output is exactly Hermitian
+        rng = np.random.default_rng(107)
+        spec = make_spec(3, ["101", "111"])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        gain, out_degree = jump_gain(jumps, 8)
+        kappa = np.array([0.0, 1.3, 2.5])[:, None, None]
+        gamma = np.array([1.0, 0.7, 0.0])[:, None, None]
+        rho = np.stack([random_density(8, rng) for _ in range(3)])
+        coherent, decay = generator(h, out_degree, kappa, gamma)
+        out = _rhs(rho, 0.25, coherent, decay, gain, gamma, np.empty_like(rho), np.empty_like(rho))
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        mats = dense_jump_matrices(jumps, 8)
+        for b in range(3):
+            k, g = kappa[b, 0, 0], gamma[b, 0, 0]
+            dense = dense_master_rhs(rho[b], h, mats, k, g)
+            assert np.max(np.abs(out[b] - 0.25 * dense)) < 1e-12
+            assert np.array_equal(out[b], walk_rhs(rho[b], h, jumps, k, g, c=0.25))
 
 
 class TestEvolve:
@@ -340,20 +369,19 @@ class TestEvolveBatch:
 
     def test_slices_failing_at_different_samples(self):
         # slice 0 overflows at the first sample; slice 2 gains trace at a
-        # rate of about 8e-6 through a negative decay on |0>, so it breaches
-        # the trace check two samples after slice 0 is gone; slice 1 runs as
-        # if alone
-        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        gain = np.diag([4e-6j, 0.0])
-        h_eff = np.stack([1e200 * x, x, x + gain])
-        feed = np.zeros_like(h_eff)
+        # rate of about 8e-6 through a negative decay on |0> (K's diagonal
+        # gets +4e-6 i), so it breaches the trace check two samples after
+        # slice 0 is gone; slice 1 runs as if alone
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        gain, out_degree = np.zeros((2, 2)), np.array([1.0, 0.0])
+        strengths = [(1e200, 0.0), (1.0, 0.0), (1.0, -8e-6)]
         rho = np.repeat(basis_density(0, 2)[None], 3, axis=0)
-        times, outcomes = _integrate(rho, h_eff, feed, 0.01, 5, 40)
+        times, outcomes = _integrate(rho, x, gain, out_degree, strengths, (), 0.01, 5, 40)
         early, kept, late = outcomes
         assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
         assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
         assert late.trace_drift > 1e-6
-        _, (lone,) = _integrate(rho[1:2], h_eff[1:2], feed[1:2], 0.01, 5, 40)
+        _, (lone,) = _integrate(rho[1:2], x, gain, out_degree, strengths[1:2], (), 0.01, 5, 40)
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
@@ -365,8 +393,7 @@ class TestEvolveBatch:
         spec = make_spec(4, ["0110", "1111"])
         h = build_hamiltonian(spec)
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        h_eff = np.stack([k * h - 0.5j * np.diag(out_degree) for k in np.linspace(0.2, 3.0, 8)])
-        feed = np.repeat(gain.astype(complex)[None], 8, axis=0)
+        strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
         step, calls, marks = lindblad.rk4_step, [], {}
 
@@ -382,7 +409,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            _, outcomes = _integrate(rho, h_eff, feed, 0.005, 200, 1)
+            _, outcomes = _integrate(rho, h, gain, out_degree, strengths, spec.sinks, 0.005, 200, 1)
         finally:
             tracemalloc.stop()
         assert len(calls) == 200
@@ -427,6 +454,67 @@ class TestEvolveBatch:
         assert not np.shares_memory(a.populations, c.populations)
         lone = evolve(basis_density(0, 8), spec, distinct)
         assert np.array_equal(b.populations, lone.populations)
+
+
+class TestSinkBlock:
+    def test_block_minimum_is_the_full_minimum(self):
+        # a state with no sink coherence is block diagonal, so the non-sink
+        # block and the sink populations hold all of its eigenvalues
+        rng = np.random.default_rng(109)
+        sink_held_minimum = []
+        for _ in range(20):
+            spec = random_spec(rng, int(rng.integers(2, 5)))
+            live, sinks = _split(spec.dim, spec.sinks)
+            weights = rng.dirichlet(np.full(sinks.size + 1, 0.3), size=4)
+            rho = np.zeros((4, spec.dim, spec.dim), dtype=complex)
+            for r, w in zip(rho, weights):
+                r[np.ix_(live, live)] = w[0] * random_density(live.size, rng)
+                r[sinks, sinks] = w[1:]
+            _, smallest = _health(rho, live, sinks)
+            full = np.linalg.eigvalsh(rho).min(axis=1)
+            assert np.max(np.abs(smallest - full)) < 1e-15
+            sink_held_minimum += list(weights[:, 1:].min(axis=1) == smallest)
+        # both the block and the sink populations held the minimum somewhere
+        assert 0 < sum(sink_held_minimum) < len(sink_held_minimum)
+
+    def test_sink_coherence_rejected(self):
+        spec = make_spec(3, ["101", "111"])
+        params = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0)
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[0, 0] = rho[0, 5] = rho[5, 0] = rho[5, 5] = 0.5
+        with pytest.raises(ConfigurationError, match="coherence involving sink 101"):
+            evolve_batch(rho, spec, [params])
+        # an anti-Hermitian sink coherence within HERMITICITY_TOL is not
+        # part of the Hermitian part the walk integrates
+        rho = basis_density(0, 8)
+        rho[0, 7], rho[7, 0] = 1e-11j, 1e-11j
+        (traj,) = evolve_batch(rho, spec, [params])
+        assert isinstance(traj, Trajectory)
+
+    def test_steps_keep_sink_coherences_zero(self, monkeypatch):
+        # 200 steps from a superposition of non-sink patterns: the sinks
+        # fill up, and their rows and columns stay exactly zero off the
+        # diagonal
+        spec = make_spec(4, ["0110", "1111"])
+        amplitudes = np.zeros(spec.dim, dtype=complex)
+        amplitudes[[0, 1, 3, 8]] = [0.5, 0.5j, -0.5, 0.5]
+        rho0 = np.outer(amplitudes, amplitudes.conj())
+        step, states = lindblad.rk4_step, []
+
+        def recorded(apply, y, dt):
+            y = step(apply, y, dt)
+            states.append(y.copy())
+            return y
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]
+        evolve_batch(rho0, spec, params)
+        assert len(states) == 200
+        for rho in states:
+            for s in spec.sinks:
+                assert np.all(np.delete(rho[:, s], s, axis=-1) == 0.0)
+                assert np.all(np.delete(rho[:, :, s], s, axis=-1) == 0.0)
+        assert np.all(states[-1][:, list(spec.sinks), list(spec.sinks)].real > 0.0)
 
 
 class TestMixingTime:

@@ -1,4 +1,5 @@
-"""Every public package name is reached from outside the unit tests.
+"""Every public package name is reached from outside the unit tests, and a
+command imports no numpy module it does not use.
 
 Public means listed in a module's ``__all__`` or defined at its top
 level without a leading underscore. A name is reached when a command, a
@@ -10,6 +11,10 @@ spelling count as one, which can only make the check more lenient.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +91,21 @@ def test_every_public_name_is_reached_outside_the_unit_tests(path):
     exports, defs, _ = _parse(path)
     public = set(exports) | {name for name in defs if not name.startswith("_")}
     assert sorted(public - REACHED) == []
+
+
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma (which np.setdiff1d imports) adds 1-1.5 MB to a run's peak memory
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps({"n": 3, "sinks": ["101", "111"], "initial": "000", "t_max": 1.0}))
+    script = (
+        "import sys\n"
+        "from patternwalks import cli\n"
+        f"assert cli.main(['simulate', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
