@@ -7,13 +7,14 @@ written directly, with no plotting dependency.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .hypercube import index_pattern
 from .lindblad import Trajectory
 
 __all__ = [
-    "fmt_real",
     "write_trajectory_csv",
     "write_classical_csv",
     "write_sweep_csv",
@@ -23,10 +24,7 @@ __all__ = [
     "svg_heatmap",
 ]
 
-
-def fmt_real(x: float) -> str:
-    """12 significant digits, no exponent padding."""
-    return format(float(x), ".12g")
+_REAL = "%.12g"  # the text of format(float(x), ".12g")
 
 
 def _write_lines(path: str, lines) -> None:
@@ -36,57 +34,53 @@ def _write_lines(path: str, lines) -> None:
             fh.write("\n")
 
 
+def _write_table(path: str, header: str, row_format: str, rows) -> None:
+    """Write ``header``, then ``row_format % row`` for each tuple, one row at a time."""
+    _write_lines(path, chain([header], (row_format % row for row in rows)))
+
+
+def _pattern_columns(dim: int, n: int) -> tuple[str, str]:
+    """Header and row format of a ``t`` column and one real column per pattern."""
+    header = "t," + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
+    return header, ",".join([_REAL] * (dim + 1))
+
+
 def write_trajectory_csv(path: str, traj: Trajectory, n: int) -> None:
     """Header ``t,pattern_<bits>...,trace_drift,min_eig,purity``."""
-    dim = traj.populations.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
-        + ",trace_drift,min_eig,purity"
+    header, row_format = _pattern_columns(traj.populations.shape[1], n)
+    columns = zip(traj.times, traj.populations, traj.trace_drift, traj.min_eigenvalue, traj.purity)
+    _write_table(
+        path, header + ",trace_drift,min_eig,purity", row_format + f",{_REAL}" * 3,
+        ((t, *p.tolist(), drift, eig, pur) for t, p, drift, eig, pur in columns),
     )
-    lines = [header]
-    for k in range(traj.times.size):
-        cells = [fmt_real(traj.times[k])]
-        cells.extend(fmt_real(p) for p in traj.populations[k])
-        cells.append(fmt_real(traj.trace_drift[k]))
-        cells.append(fmt_real(traj.min_eigenvalue[k]))
-        cells.append(fmt_real(traj.purity[k]))
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
 
 
 def write_classical_csv(path: str, times, distributions, n: int) -> None:
-    dim = np.asarray(distributions).shape[1]
-    header = "t," + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
-    lines = [header]
-    for t, dist in zip(times, distributions):
-        lines.append(",".join([fmt_real(t)] + [fmt_real(p) for p in dist]))
-    _write_lines(path, lines)
+    header, row_format = _pattern_columns(distributions.shape[1], n)
+    _write_table(path, header, row_format, ((t, *p.tolist()) for t, p in zip(times, distributions)))
 
 
 def write_sweep_csv(path: str, rows) -> None:
     """Rows of (kappa, gamma, mixing_time, diagnostics), pre-sorted."""
-    lines = ["kappa,gamma,mixing_time,diagnostics"]
-    for kappa, gamma, t_mix, diag in rows:
-        lines.append(f"{fmt_real(kappa)},{fmt_real(gamma)},{fmt_real(t_mix)},{diag}")
-    _write_lines(path, lines)
+    _write_table(path, "kappa,gamma,mixing_time,diagnostics", f"{_REAL},{_REAL},{_REAL},%s", rows)
 
 
 def write_coin_csv(path: str, rows) -> None:
-    lines = ["p,kind,deviation,unitary"]
-    for p, kind, deviation, unitary in rows:
-        flag = "true" if unitary else "false"
-        lines.append(f"{fmt_real(p)},{kind},{fmt_real(deviation)},{flag}")
-    _write_lines(path, lines)
+    _write_table(
+        path, "p,kind,deviation,unitary", f"{_REAL},%s,{_REAL},%s",
+        ((p, kind, dev, "true" if unitary else "false") for p, kind, dev, unitary in rows),
+    )
 
 
 def write_hopfield_csv(path: str, rows) -> None:
-    lines = ["input,output,steps,converged,energy_trace"]
-    for inp, out, steps, converged, energies in rows:
-        trace = ";".join(fmt_real(e) for e in energies)
-        flag = "true" if converged else "false"
-        lines.append(f"{inp},{out},{steps},{flag},{trace}")
-    _write_lines(path, lines)
+    _write_table(
+        path, "input,output,steps,converged,energy_trace", "%s,%s,%s,%s,%s",
+        (
+            (inp, out, steps, "true" if converged else "false",
+             ";".join(_REAL % e for e in energies))
+            for inp, out, steps, converged, energies in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

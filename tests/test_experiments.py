@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patternwalks import markov
+from patternwalks import markov, output
 from patternwalks.cli import main
 from patternwalks.config import (
     build_params,
@@ -29,7 +29,7 @@ from patternwalks.experiments import (
     run_simulate,
     run_sweep,
 )
-from patternwalks.lindblad import density_from_pattern, evolve, mixing_time
+from patternwalks.lindblad import Trajectory, WalkParams, density_from_pattern, evolve, mixing_time
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -217,9 +217,11 @@ class TestSimulate:
         )
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run_simulate(cfg, out_dir=str(a))
-        run_simulate(cfg, out_dir=str(b))
-        assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
+        for out in (a, b):
+            run_simulate(cfg, out_dir=str(out))
+            run_classical(cfg, out_dir=str(out))
+        for name in ("simulate.csv", "classical.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_equidistant_sink_columns_identical(self, tmp_path):
         cfg = parse_scenario(
@@ -583,8 +585,26 @@ class TestCli:
 
 class TestRealFormatting:
     def test_twelve_significant_digits(self, tmp_path):
-        from patternwalks.output import fmt_real
+        path = str(tmp_path / "sweep.csv")
+        output.write_sweep_csv(path, [(1.0 / 3.0, 0.05, 1e-12, "")])
+        _, rows = read_csv(path)
+        assert rows == [["0.333333333333", "0.05", "1e-12", ""]]
 
-        assert fmt_real(1.0 / 3.0) == "0.333333333333"
-        assert fmt_real(0.05) == "0.05"
-        assert fmt_real(1e-12) == "1e-12"
+    def test_every_trajectory_cell_is_the_twelve_digit_text_of_its_value(self, tmp_path):
+        special = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0 / 3.0, -2.5e17, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(7)
+        scales = 10.0 ** rng.integers(-20, 20, 16)
+        values = np.concatenate([special, rng.standard_normal(16) * scales])
+        table = values[:25].reshape(5, 5)  # t, two patterns, trace_drift, min_eig; purity below
+        traj = Trajectory(
+            times=table[:, 0], populations=table[:, 1:3], trace_drift=table[:, 3],
+            min_eigenvalue=table[:, 4], purity=-table[:, 0], hermiticity=np.zeros(5),
+            sink_indices=(1,), params=WalkParams(kappa=1.0, gamma=1.0),
+        )
+        path = str(tmp_path / "simulate.csv")
+        output.write_trajectory_csv(path, traj, 1)
+        header, rows = read_csv(path)
+        assert header == ["t", "pattern_0", "pattern_1", "trace_drift", "min_eig", "purity"]
+        expected = np.column_stack([table, -table[:, 0]])
+        assert rows == [[format(float(x), ".12g") for x in row] for row in expected]
+        assert rows[0][:4] == ["-0", "4.94065645841e-324", "1e-300", "0.3"]
