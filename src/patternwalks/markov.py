@@ -75,14 +75,11 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
         raise ConfigurationError(f"vector length {p.size} does not match {a.shape}")
     if delta < 0:
         raise ConfigurationError("evolution time must be >= 0")
-    # Kept complex, as expm returns it, with the real part taken after each
-    # product: real(step) @ p sums in another order than expm(q t) @ pi0
-    # and would move the last bits of ctmc_evolve.
     step = expm(a * delta)
     out = np.empty((steps + 1, p.size))
     out[0] = p
     for k in range(1, steps + 1):
-        p = np.real(step @ p)
+        p = step @ p
         drift = abs(float(p.sum()) - 1.0)
         if drift > 1e-9:
             raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")

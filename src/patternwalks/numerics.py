@@ -1,8 +1,9 @@
-"""Dense complex matrix helpers, a matrix exponential and fixed-step RK4.
+"""Dense matrix helpers, a matrix exponential and fixed-step RK4.
 
-Operator state throughout the package is a plain ``numpy.ndarray`` of
-complex128; the helpers here add dimension checks, a Hermiticity
-residual, a scaling-and-squaring matrix exponential and the RK4 step.
+Operators are plain ``numpy.ndarray``s, complex128 for the walk's states
+and float64 for the classical chain; the helpers here add dimension
+checks, a Hermiticity residual, a scaling-and-squaring matrix
+exponential and the RK4 step.
 ``rk4_step`` advances its state in place and ``adjoint_into`` writes
 into the array it is given; everything else is a pure function of its
 inputs.
@@ -25,8 +26,9 @@ __all__ = [
 
 
 def _square(a) -> np.ndarray:
-    """Coerce ``a`` to a square complex128 matrix (no copy when already one)."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a square float64 or complex128 matrix (no copy when already one)."""
+    m = np.asarray(a)
+    m = m.astype(np.result_type(m, np.float64), copy=False)
     if m.ndim != 2:
         raise ConfigurationError(f"expected a matrix, got an array of rank {m.ndim}")
     if m.shape[0] != m.shape[1]:
@@ -83,7 +85,8 @@ def expm(a) -> np.ndarray:
 
     The argument is scaled down to 1-norm <= 0.25, where the truncated
     series converges to working precision in well under 30 terms, then
-    squared back up.
+    squared back up. A real argument gives a float64 result, a complex
+    one a complex128 result.
     """
     m = _square(a)
     n = m.shape[0]
@@ -96,8 +99,8 @@ def expm(a) -> np.ndarray:
         squarings = int(np.ceil(np.log2(norm / 0.25)))
         m = m / (2.0**squarings)
 
-    result = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
+    result = np.eye(n, dtype=m.dtype)
+    term = np.eye(n, dtype=m.dtype)
     for k in range(1, 40):
         term = term @ m / k
         result = result + term

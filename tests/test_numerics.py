@@ -116,6 +116,14 @@ class TestExpm:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3, dtype=complex))
 
+    def test_keeps_a_real_argument_real(self):
+        a = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        out = expm(a)
+        assert out.dtype == np.float64
+        decay = np.exp(-1.0)
+        assert np.allclose(out, [[decay, 0.0], [1.0 - decay, 1.0]], rtol=0.0, atol=1e-15)
+        assert expm(a.astype(complex)).dtype == np.complex128
+
     def test_diagonal(self):
         a, b = 0.3 - 1.2j, -2.0 + 0.4j
         out = expm(np.diag([a, b]))
