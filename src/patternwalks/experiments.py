@@ -15,7 +15,7 @@ import numpy as np
 
 from . import coins, hopfield, markov, output
 from .config import HopfieldConfig, SweepGrid, WalkConfig, build_params, build_spec
-from .errors import IntegrationDiagnosticsError
+from .errors import ConfigurationError, IntegrationDiagnosticsError
 from .hypercube import build_jump_operators, index_pattern, vertex_index
 from .lindblad import Trajectory, density_from_pattern, evolve, evolve_batch, mixing_time
 
@@ -33,8 +33,12 @@ DEFAULT_COIN_GRID = tuple(i / 20 for i in range(21))
 
 
 def _resolve_out_dir(cfg_out: str | None, out_dir: str | None) -> str:
+    """Create the output directory; each runner calls this before its work."""
     target = out_dir or cfg_out or "."
-    os.makedirs(target, exist_ok=True)
+    try:
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"out: cannot create output directory {target!r}: {exc}") from exc
     return target
 
 
@@ -53,11 +57,11 @@ class SweepResult:
 
 def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False) -> SimulateResult:
     """Evolve one walk scenario and write its trajectory CSV."""
+    target = _resolve_out_dir(cfg.out, out_dir)
     spec = build_spec(cfg)
     rho0 = density_from_pattern(cfg.initial, cfg.n)
     traj = evolve(rho0, spec, build_params(cfg), rule=cfg.equidistant_rule)
 
-    target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "simulate.csv")
     output.write_trajectory_csv(csv_path, traj, cfg.n)
     paths = [csv_path]
@@ -78,21 +82,21 @@ def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False)
 
 def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult:
     """Continuous-time classical chain over the same jump structure."""
+    target = _resolve_out_dir(cfg.out, out_dir)
     spec = build_spec(cfg)
     jumps = build_jump_operators(spec, cfg.equidistant_rule)
     q = markov.rate_matrix_from_jumps(jumps, spec.dim)
     pi0 = np.zeros(spec.dim)
     pi0[vertex_index(cfg.initial)] = 1.0
 
-    steps = int(np.ceil(cfg.t_max / cfg.sample_every - 1e-12))
-    times = np.array([k * cfg.sample_every for k in range(steps + 1)])
+    # At least one sample interval, however short t_max is.
+    steps = max(1, int(np.ceil(cfg.t_max / cfg.sample_every - 1e-12)))
+    times = np.arange(steps + 1) * cfg.sample_every
     dists = markov.ctmc_samples(q, pi0, cfg.sample_every, steps)
 
-    target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "classical.csv")
     output.write_classical_csv(csv_path, times, dists, cfg.n)
-    traj = None
-    return SimulateResult(trajectory=traj, paths=[csv_path])
+    return SimulateResult(trajectory=None, paths=[csv_path])
 
 
 def run_sweep(
@@ -106,6 +110,7 @@ def run_sweep(
     integration fails is dropped from it and reported as -1.
     """
     cfg = grid.base
+    target = _resolve_out_dir(cfg.out, out_dir)
     spec = build_spec(cfg)
     rho0 = density_from_pattern(cfg.initial, cfg.n)
     points = [(k, g) for g in grid.gammas for k in grid.kappas]
@@ -126,7 +131,6 @@ def run_sweep(
     rows = [(k, g, tm, diag) for k, g, tm, diag, _ in results]
     trajectories = {(k, g): traj for k, g, _, _, traj in results if traj is not None}
 
-    target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "sweep.csv")
     output.write_sweep_csv(csv_path, rows)
     paths = [csv_path]
@@ -146,13 +150,13 @@ def run_sweep(
 
 def run_coin_check(grid_values=None, out_dir: str | None = None) -> tuple[list, list]:
     """Unitarity deviations of the neuron and biased coins over a p grid."""
+    target = _resolve_out_dir(None, out_dir)
     values = tuple(DEFAULT_COIN_GRID if grid_values is None else grid_values)
     rows = []
     for p in values:
         for kind, factory in (("neuron", coins.neuron_coin), ("biased", coins.biased_coin)):
             report = coins.is_unitary(factory(p))
             rows.append((p, kind, report.deviation, report.unitary))
-    target = _resolve_out_dir(None, out_dir)
     csv_path = os.path.join(target, "coin_check.csv")
     output.write_coin_csv(csv_path, rows)
     return rows, [csv_path]
@@ -160,6 +164,7 @@ def run_coin_check(grid_values=None, out_dir: str | None = None) -> tuple[list, 
 
 def run_hopfield(cfg: HopfieldConfig, out_dir: str | None = None) -> tuple[list, list]:
     """Classical retrieval baseline: one row per input pattern."""
+    target = _resolve_out_dir(cfg.out, out_dir)
     stored = [hopfield.parse_pattern(p) for p in cfg.stored]
     weights = hopfield.hebbian_store(stored)
     theta = hopfield.zero_thresholds(cfg.n)
@@ -175,7 +180,6 @@ def run_hopfield(cfg: HopfieldConfig, out_dir: str | None = None) -> tuple[list,
         rows.append(
             (text, hopfield.format_pattern(run.final), run.flips, run.converged, energies)
         )
-    target = _resolve_out_dir(cfg.out, out_dir)
     csv_path = os.path.join(target, "hopfield.csv")
     output.write_hopfield_csv(csv_path, rows)
     return rows, [csv_path]

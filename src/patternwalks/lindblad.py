@@ -395,7 +395,7 @@ def evolve_batch(
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
     steps_per_sample = max(1, int(round(first.sample_every / first.dt)))
-    n_samples = int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12))
+    n_samples = max(1, int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12)))
     times, outcomes = _integrate(
         np.broadcast_to(rho, (len(distinct), dim, dim)), h, gain, out_degree, distinct,
         spec.sinks, first.dt, steps_per_sample, n_samples,

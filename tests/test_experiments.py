@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patternwalks import markov, output
+from patternwalks import coins, experiments, hopfield, markov, output
 from patternwalks.cli import main
 from patternwalks.config import (
     build_params,
@@ -447,6 +447,39 @@ class TestCli:
         code = main(["simulate", path, "--out", str(tmp_path)])
         assert code == 2
         assert "n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", "retrieval_demo.json"),
+        ("classical", "retrieval_demo.json"),
+        ("sweep", "sweep_demo.json"),
+        ("hopfield", "hopfield_demo.json"),
+        ("coin-check", None),
+    ])
+    def test_output_path_that_is_a_file_exits_2_before_the_work(
+        self, tmp_path, capsys, monkeypatch, command, config
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before the output directory was checked")
+
+        for module, name in (
+            (experiments, "evolve"), (experiments, "evolve_batch"), (markov, "ctmc_samples"),
+            (hopfield, "run_async"), (coins, "is_unitary"),
+        ):
+            monkeypatch.setattr(module, name, never)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        argv = [command] + ([str(CONFIGS / config)] if config else []) + ["--out", str(blocker)]
+        assert main(argv) == 2
+        assert "config error: out:" in capsys.readouterr().err
+
+    def test_horizon_shorter_than_one_sample_gives_one_interval(self, tmp_path, capsys):
+        path = write_config(tmp_path, scenario_mapping(t_max=1e-14))
+        assert main(["simulate", path, "--out", str(tmp_path), "--svg"]) == 0
+        assert main(["classical", path, "--out", str(tmp_path)]) == 0
+        for name in ("simulate.csv", "classical.csv"):
+            _, rows = read_csv(str(tmp_path / name))
+            assert [cells[0] for cells in rows] == ["0", "0.05"]
+        assert (tmp_path / "simulate.svg").read_text().startswith("<svg")
 
     def test_diagnostics_error_exits_3(self, tmp_path, capsys):
         data = scenario_mapping(
