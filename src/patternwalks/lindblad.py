@@ -3,24 +3,31 @@
 The generator combines a coherent commutator term (strength kappa) with a
 dissipator built from the hypercube's directed jump operators (strength
 gamma). Every jump operator is a basis transition |dst><src|, so the
-dissipator splits into a no-jump part and a population feed, and the
-whole generator reads
+dissipator splits into a no-jump decay and a population feed:
 
-    drho/dt = -i (K rho - rho K^dag) + diag(F diag(rho))
-    K = kappa H - (i/2) gamma diag(out),    F = gamma G
+    drho/dt = -i kappa [H, rho] - Gamma o rho + diag(F diag(rho))
+    Gamma[i, j] = gamma (out[i] + out[j]) / 2,    F = gamma G
 
-with G the jump gain matrix (G[dst, src] = 1 per jump) and out the
-out-degree of each vertex (Dalibard, Castin and Molmer, PRL 68, 580,
-1992; Plenio and Knight, RMP 70, 101, 1998). H is real, and a sink has
-no coherent edge and no outgoing jump, so its rows and columns of K are
-zero.
+with G the jump gain matrix (G[dst, src] = 1 per jump), out the
+out-degree of each vertex and o the entrywise product (Dalibard, Castin
+and Molmer, PRL 68, 580, 1992; Plenio and Knight, RMP 70, 101, 1998).
+H is real and symmetric, so for rho = S + iA (S symmetric, A
+antisymmetric) -i kappa [H, rho] = kappa [H, A] - i kappa [H, S] splits
+into a symmetric and an antisymmetric real part, and the real Y = S + A
+obeys, since A - S = -Y^T,
+
+    dY/dt = kappa [H, Y]^T - Gamma o Y + diag(F diag(Y)).
+
+The integrator steps Y: a stage takes two contiguous real products, H Y
+and Y H, not one product of H with rho's interleaved float view, and
+real elementwise passes. A sink has no coherent edge and no outgoing
+jump, so its rows and columns of H and Gamma are zero.
 
 The integrator requires an initial state with no coherence that
-involves a sink, and then keeps every sink row and column at exactly 0.0
-off the diagonal. The state stays block diagonal: its non-sink block
-and the sink populations. The per-sample positivity check therefore
-takes eigenvalues of the non-sink block only, and compares them with
-the sink populations.
+involves a sink, and keeps every such coherence at exactly 0.0. The
+state stays block diagonal, so the per-sample positivity check takes
+eigenvalues of the non-sink block and compares them with the sink
+populations.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -63,7 +70,7 @@ from .hypercube import (
     jump_gain,
     vertex_index,
 )
-from .numerics import adjoint_into, hermiticity_residual, rk4_step
+from .numerics import hermiticity_residual, rk4_step
 
 __all__ = [
     "WalkParams",
@@ -153,13 +160,12 @@ def _split(dim: int, sinks) -> tuple[np.ndarray, np.ndarray]:
 def _health(m, live, sinks) -> tuple[np.ndarray, np.ndarray]:
     """Trace drift and smallest eigenvalue of each matrix in a (B, dim, dim) stack.
 
-    The eigenvalue is that of the Hermitian part, whose sink rows and
-    columns (index array ``sinks``) must be zero off the diagonal. The
-    Hermitian part is then block diagonal, and its smallest eigenvalue is
-    the smaller of the non-sink block's (index array ``live``) and the
-    smallest sink population. It is NaN for a matrix with a non-finite
-    entry, which eigvalsh cannot take; a NaN fails every threshold
-    comparison.
+    Each matrix must be Hermitian, with its sink rows and columns (index
+    array ``sinks``) zero off the diagonal. It is then block diagonal,
+    and its smallest eigenvalue is the smaller of the non-sink block's
+    (index array ``live``) and the smallest sink population. It is NaN
+    for a matrix with a non-finite entry, which eigvalsh cannot take; a
+    NaN fails every threshold comparison.
     """
     drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
     smallest = np.full(m.shape[0], np.nan)
@@ -167,12 +173,9 @@ def _health(m, live, sinks) -> tuple[np.ndarray, np.ndarray]:
     if finite.any():
         ok = m if finite.all() else m[finite]
         block = ok[:, live[:, None], live]
-        herm = adjoint_into(block, np.empty_like(block))
-        herm += block
-        herm *= 0.5
         sink_populations = np.diagonal(ok, axis1=1, axis2=2).real[:, sinks]
         smallest[finite] = np.minimum(
-            np.linalg.eigvalsh(herm).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
+            np.linalg.eigvalsh(block).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
         )
     return drift, smallest
 
@@ -238,33 +241,45 @@ def purity(rho) -> float:
     return float(np.real(np.vdot(m, m)))
 
 
-def _rhs(x, c, coherent, decay, gain, gamma, out, a):
-    """Write ``c`` times the generator applied to a Hermitian ``x`` into ``out``.
+def _density(y) -> np.ndarray:
+    """``rho = S + iA`` of a real state ``Y = S + A``, or of each in a stack.
 
-    The generator is ``L(x) = -i (K x - x K^dag) + diag(F diag(x))`` with
-    ``K = kappa H - (i/2) gamma diag(out)`` and ``F = gamma G``. For
-    Hermitian ``x``, ``-i c x K^dag = (k x)^dag`` with ``k = -i c K``, so
-    ``c L(x) = k x + (k x)^dag + c gamma diag(G diag(x))`` is exactly
-    Hermitian again. H is real, so ``K x`` is one real product of
-    ``coherent`` = kappa H with the float view of ``x``, plus ``x``
-    scaled row by row by ``decay``, the decay rate -(i/2) gamma times
-    each row's out-degree, repeated in every column. ``gain`` is G. ``x`` may also be a
-    (B, dim, dim) stack that shares ``gain``, with one ``coherent`` and
-    ``decay`` per slice and ``gamma`` shaped (B, 1, 1). ``a`` is a
-    contiguous scratch array shaped like ``x``; ``out``, contiguous and
-    shaped like ``x``, may be ``x`` itself. Returns ``out``.
+    ``S = (Y + Y^T)/2`` and ``A = (Y - Y^T)/2``, so a mirrored pair of
+    entries gives the same real part and opposite imaginary parts
+    exactly: ``rho`` is exactly Hermitian.
     """
-    dim = x.shape[-1]
-    np.matmul(coherent, x.view(np.float64), out=a.view(np.float64))
-    # Read x before out, which may be x, is written. The feed is one
+    yt = y.swapaxes(-1, -2)
+    rho = ((y + yt) * 0.5).astype(np.complex128)
+    rho.imag = (y - yt) * 0.5
+    return rho
+
+
+def _scaled_generator(h, out_degree, kappa, gamma, c):
+    """``_stage``'s ``c kappa H``, ``c Gamma`` and ``c gamma``; per slice for (B, 1, 1) strengths."""
+    rates = 0.5 * (out_degree[:, None] + out_degree)
+    return c * kappa * h, c * gamma * rates, c * gamma
+
+
+def _stage(y, coherent, decay, feed, gain, out, product, commutator):
+    """Write ``c L(y)`` for the real state ``y`` into ``out`` and return it.
+
+    ``(coherent, decay, feed)`` is ``_scaled_generator``'s output for
+    ``c`` and ``gain`` is G; a (B, dim, dim) stack ``y`` shares ``gain``.
+    ``product`` and ``commutator`` are contiguous scratch arrays shaped
+    like ``y``; ``out``, contiguous and shaped like ``y``, may be ``y``.
+    """
+    dim = y.shape[-1]
+    np.matmul(coherent, y, out=product)
+    np.matmul(y, coherent, out=commutator)
+    np.subtract(product, commutator, out=product)
+    # A ufunc reading the transposed view would buffer a state-sized copy.
+    np.copyto(commutator, product.swapaxes(-1, -2))
+    # Read y before out, which may be y, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
-    fed = np.matmul(gain, np.diagonal(x, axis1=-2, axis2=-1).real[..., None])
-    fed *= c * gamma
-    np.multiply(x, decay, out=out)
-    a += out
-    a *= -1j * c
-    adjoint_into(a, out)
-    out += a
+    fed = np.matmul(gain, np.diagonal(y, axis1=-2, axis2=-1)[..., None])
+    fed *= feed
+    np.multiply(y, decay, out=out)
+    np.subtract(commutator, out, out=out)
     # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
     # diagonal entry: a strided view, cheaper than fancy indexing.
     diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
@@ -275,26 +290,22 @@ def _rhs(x, c, coherent, decay, gain, gamma, out, a):
 def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_sample: int, n_samples: int):
     """Step a (B, dim, dim) stack of states with RK4, health-checking every sample.
 
-    Slice b evolves under ``K = kappa H - (i/2) gamma diag(out_degree)``
-    and ``F = gamma G`` with ``(kappa, gamma) = strengths[b]``; the real
-    H = ``h`` and G = ``gain`` are shared by the stack. The rows and
-    columns of ``h``, the entries of ``out_degree`` and the columns of
-    ``gain`` at the ``sinks`` must be zero, and so must every coherence
-    of ``rho`` that involves a sink; the steps then keep those
-    coherences at 0.0, and the health check reads eigenvalues of the
-    non-sink block. A slice that fails the health check at a sample is
-    dropped from the stack, so the others go on unchanged. Returns the
-    sample times and per slice either its sampled ``Trajectory`` fields
-    or its ``IntegrationDiagnosticsError``.
+    Slice b evolves under the generator with ``(kappa, gamma) =
+    strengths[b]``; H = ``h``, G = ``gain`` and ``out_degree`` are shared.
+    H's rows and columns, G's columns and ``out_degree`` are zero at the
+    ``sinks``, and so is each coherence of the Hermitian ``rho`` with a
+    sink; the health check then reads eigenvalues of the non-sink block.
+    A slice that fails it at a sample is dropped, and the others go on
+    unchanged. Returns the sample times and per slice its ``Trajectory``
+    fields or its ``IntegrationDiagnosticsError``.
 
-    The steps work on a copy of ``rho`` and allocate no state-sized
-    array: K is kept as its real part kappa H and its decay diagonal
-    spread over each row, and the stages work in two scratch stacks, all
-    compacted with the states when a slice drops.
+    The steps work on the real ``Y = Re rho + Im rho`` and allocate no
+    state-sized array: ``_stage``'s operands for RK4's four coefficients
+    and three scratch stacks are made once, and compacted with the states
+    when a slice drops. Each sample rebuilds ``rho`` from ``Y``.
     """
     batch, dim = rho.shape[0], rho.shape[-1]
-    sample_dt = steps_per_sample * dt
-    times = np.arange(n_samples + 1) * sample_dt
+    times = np.arange(n_samples + 1) * (steps_per_sample * dt)
     pops = np.empty((batch, n_samples + 1, dim))
     trace_drift = np.empty((batch, n_samples + 1))
     min_eig = np.empty((batch, n_samples + 1))
@@ -304,17 +315,15 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     live = np.arange(batch)
     block, sinks = _split(dim, sinks)
     kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
-    coherent = kappa * h
-    # The decay is spread to the state's shape: numpy buffers a
-    # state-sized copy for a ufunc whose operand broadcasts.
-    decay = np.repeat((-0.5j * gamma) * out_degree[:, None], dim, axis=-1)
-    rho = rho.copy()
-    product, work = np.empty_like(rho), np.empty_like(rho)
+    # The coefficients at which rk4_step evaluates its stages.
+    scaled = {c: _scaled_generator(h, out_degree, kappa, gamma, c) for c in (dt / 4, dt / 3, dt / 2, dt)}
+    y = rho.real + rho.imag
+    product, commutator, work = np.empty_like(y), np.empty_like(y), np.empty_like(y)
 
     def apply(x, c, out):
-        # Reads the generator and the scratch stacks when called, so it
+        # Reads the operands and the scratch stacks when called, so it
         # follows the dropped slices.
-        return _rhs(x, c, coherent, decay, gain, gamma, work if out is None else out, product)
+        return _stage(x, *scaled[c], gain, work if out is None else out, product, commutator)
 
     for k in range(n_samples + 1):
         if k > 0:
@@ -323,17 +332,19 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps_per_sample):
-                    rho = rk4_step(apply, rho, dt)
+                    y = rk4_step(apply, y, dt)
+        rho = _density(y)
         drift, smallest = _health(rho, block, sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
                 errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
-            rho, live = rho[ok], live[ok]
-            coherent, decay, gamma = coherent[ok], decay[ok], gamma[ok]
+            y, rho, live = y[ok], rho[ok], live[ok]
+            # Popping frees each coefficient's old operands once its new ones exist.
+            scaled = {c: tuple(m[ok] for m in scaled.pop(c)) for c in list(scaled)}
             # The scratch stacks' contents are dead here; their leading
             # slices are contiguous stacks of the new size.
-            product, work = product[: live.size], work[: live.size]
+            product, commutator, work = product[: live.size], commutator[: live.size], work[: live.size]
             drift, smallest = drift[ok], smallest[ok]
             if live.size == 0:
                 break
@@ -374,7 +385,7 @@ def evolve_batch(
         raise ConfigurationError(
             f"density matrix shape {np.shape(rho0)} does not match 2^{spec.n}"
         )
-    # validate_density returns the Hermitian part, which _rhs needs and keeps.
+    # validate_density returns the Hermitian part, which _integrate needs.
     rho = validate_density(rho0, spec.sinks)
     if not params_seq:
         return []

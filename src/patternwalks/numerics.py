@@ -4,9 +4,8 @@ Operators are plain ``numpy.ndarray``s, complex128 for the walk's states
 and float64 for the classical chain; the helpers here add dimension
 checks, a Hermiticity residual, a scaling-and-squaring matrix
 exponential and the RK4 step.
-``rk4_step`` advances its state in place and ``adjoint_into`` writes
-into the array it is given; everything else is a pure function of its
-inputs.
+``rk4_step`` advances its state in place; everything else is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "adjoint_into",
     "hermiticity_residual",
     "rk4_step",
     "expm",
@@ -36,23 +34,14 @@ def _square(a) -> np.ndarray:
     return m
 
 
-def adjoint_into(a, out) -> np.ndarray:
-    """Write the conjugate transpose of a matrix, or of each in a stack, into ``out``.
-
-    ``out`` must not overlap ``a``. A ufunc reading the transposed view
-    would buffer a copy the size of ``a``; ``copyto`` transposes without one.
-    """
-    np.copyto(out, a.swapaxes(-1, -2))
-    return np.conjugate(out, out=out)
-
-
 def hermiticity_residual(a):
     """Max-entry norm of ``A - A^dagger``; one per matrix of a (B, dim, dim) stack."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    diff = adjoint_into(m, np.empty_like(m))
-    np.subtract(m, diff, out=diff)
+    # A ufunc reading the transposed view would buffer a copy of it.
+    diff = np.ascontiguousarray(m.swapaxes(-1, -2))
+    np.subtract(m, np.conjugate(diff, out=diff), out=diff)
     return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 
 

@@ -17,14 +17,17 @@ from patternwalks.hypercube import (
     build_jump_operators,
     jump_gain,
     make_spec,
+    vertex_index,
 )
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
+    _density,
     _health,
     _integrate,
-    _rhs,
+    _scaled_generator,
     _split,
+    _stage,
     basis_density,
     density_from_pattern,
     evolve,
@@ -34,7 +37,7 @@ from patternwalks.lindblad import (
     purity,
     validate_density,
 )
-from patternwalks.markov import ctmc_evolve, rate_matrix_from_jumps
+from patternwalks.markov import ctmc_evolve, ctmc_samples, rate_matrix_from_jumps
 from patternwalks.numerics import expm, hermiticity_residual
 
 from oracles import (
@@ -45,19 +48,18 @@ from oracles import (
 )
 
 
-def generator(h, out_degree, kappa, gamma):
-    """``_rhs``'s coherent part and decay rows of K, computed as ``_integrate`` computes them."""
-    decay = np.repeat((-0.5j * gamma) * out_degree[:, None], len(out_degree), axis=-1)
-    return kappa * h, decay
+def real_state(rho):
+    """``Y = Re rho + Im rho``, the real state ``_integrate`` steps for a Hermitian ``rho``."""
+    return rho.real + rho.imag
 
 
-def walk_rhs(rho, h, jumps, kappa, gamma, c=1.0, out=None):
-    """``c`` times the rhs evolve integrates, on the generator evolve derives from ``jumps``."""
-    rho = np.asarray(rho, dtype=complex)
-    gain, out_degree = jump_gain(jumps, rho.shape[0])
-    out = np.empty_like(rho) if out is None else out
-    coherent, decay = generator(h, out_degree, kappa, gamma)
-    return _rhs(rho, c, coherent, decay, gain, gamma, out, np.empty_like(rho))
+def walk_rhs(y, h, jumps, kappa, gamma, c=1.0, out=None):
+    """``c`` times the stage evolve integrates on the real state ``y``, with the
+    generator evolve derives from ``jumps``."""
+    gain, out_degree = jump_gain(jumps, y.shape[-1])
+    out = np.empty_like(y) if out is None else out
+    operands = _scaled_generator(h, out_degree, kappa, gamma, c)
+    return _stage(y, *operands, gain, out, np.empty_like(y), np.empty_like(y))
 
 
 def random_spec(rng, n):
@@ -136,20 +138,20 @@ class TestRhs:
     def test_zero_strengths_give_zero(self):
         spec = make_spec(2, ["11"])
         h = build_hamiltonian(spec)
-        rho = basis_density(0, 4)
-        out = walk_rhs(rho, h, build_jump_operators(spec), 0.0, 0.0)
+        y = real_state(basis_density(0, 4))
+        out = walk_rhs(y, h, build_jump_operators(spec), 0.0, 0.0)
         assert np.all(out == 0.0)
 
     def test_commuting_state_gives_zero_without_dissipation(self):
         h = np.diag([1.0, 2.0, 3.0])
-        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        out = walk_rhs(rho, h, [], 1.0, 0.0)
+        y = np.diag([0.2, 0.3, 0.5])
+        out = walk_rhs(y, h, [], 1.0, 0.0)
         assert np.max(np.abs(out)) < 1e-15
 
     def test_two_level_amplitude_damping_by_hand(self):
-        rho = basis_density(0, 2)
+        y = real_state(basis_density(0, 2))
         h = np.zeros((2, 2))
-        out = walk_rhs(rho, h, [JumpOperator(src=0, dst=1)], 0.0, 1.0)
+        out = walk_rhs(y, h, [JumpOperator(src=0, dst=1)], 0.0, 1.0)
         assert np.allclose(out, np.diag([-1.0, 1.0]))
 
     def test_matches_dense_operator_algebra(self):
@@ -161,33 +163,44 @@ class TestRhs:
             h = build_hamiltonian(spec)
             rho = random_density(spec.dim, rng)
             kappa, gamma = rng.uniform(0, 2, size=2)
-            fast = walk_rhs(rho, h, jumps, kappa, gamma)
+            fast = _density(walk_rhs(real_state(rho), h, jumps, kappa, gamma))
             dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, spec.dim), kappa, gamma)
             assert np.max(np.abs(fast - dense)) < 1e-12
 
     def test_output_is_hermitian(self):
+        # the stage keeps Y's split: its symmetric part is the real part of
+        # the dense generator's output and its antisymmetric part the
+        # imaginary part; the density matrix rebuilt from it is exactly
+        # Hermitian
         rng = np.random.default_rng(89)
         spec = make_spec(3, ["101", "111"])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         rho = random_density(8, rng)
-        out = walk_rhs(rho, build_hamiltonian(spec), build_jump_operators(spec), 1.3, 0.7)
-        assert hermiticity_residual(out) < 1e-12
+        out = walk_rhs(real_state(rho), h, jumps, 1.3, 0.7)
+        dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
+        assert np.max(np.abs(0.5 * (out + out.T) - dense.real)) < 1e-12
+        assert np.max(np.abs(0.5 * (out - out.T) - dense.imag)) < 1e-12
+        rebuilt = _density(out)
+        assert np.array_equal(rebuilt, rebuilt.conj().T)
 
     def test_scaled_stage_written_over_its_input(self):
         rng = np.random.default_rng(91)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         rho = random_density(8, rng)
-        apart = walk_rhs(rho, h, jumps, 1.3, 0.7, c=0.25)
-        inplace = rho.copy()
+        y = real_state(rho)
+        apart = walk_rhs(y, h, jumps, 1.3, 0.7, c=0.25)
+        inplace = y.copy()
         assert walk_rhs(inplace, h, jumps, 1.3, 0.7, c=0.25, out=inplace) is inplace
         assert np.array_equal(inplace, apart)
         dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
-        assert np.max(np.abs(apart - 0.25 * dense)) < 1e-12
+        assert np.max(np.abs(_density(apart) - 0.25 * dense)) < 1e-12
 
     def test_stage_on_a_stack_of_strengths(self):
         # three slices share H and G but not kappa and gamma; each matches
         # the dense generator and its own lone evaluation bit for bit, and
-        # the stacked output is exactly Hermitian
+        # the density matrices rebuilt from the stacked output are exactly
+        # Hermitian
         rng = np.random.default_rng(107)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
@@ -195,15 +208,34 @@ class TestRhs:
         kappa = np.array([0.0, 1.3, 2.5])[:, None, None]
         gamma = np.array([1.0, 0.7, 0.0])[:, None, None]
         rho = np.stack([random_density(8, rng) for _ in range(3)])
-        coherent, decay = generator(h, out_degree, kappa, gamma)
-        out = _rhs(rho, 0.25, coherent, decay, gain, gamma, np.empty_like(rho), np.empty_like(rho))
-        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        y = real_state(rho)
+        operands = _scaled_generator(h, out_degree, kappa, gamma, 0.25)
+        out = _stage(y, *operands, gain, np.empty_like(y), np.empty_like(y), np.empty_like(y))
+        rebuilt = _density(out)
+        assert np.array_equal(rebuilt, rebuilt.conj().swapaxes(-1, -2))
         mats = dense_jump_matrices(jumps, 8)
         for b in range(3):
             k, g = kappa[b, 0, 0], gamma[b, 0, 0]
             dense = dense_master_rhs(rho[b], h, mats, k, g)
-            assert np.max(np.abs(out[b] - 0.25 * dense)) < 1e-12
-            assert np.array_equal(out[b], walk_rhs(rho[b], h, jumps, k, g, c=0.25))
+            assert np.max(np.abs(rebuilt[b] - 0.25 * dense)) < 1e-12
+            assert np.array_equal(out[b], walk_rhs(y[b], h, jumps, k, g, c=0.25))
+
+    def test_real_state_round_trip(self):
+        # Y -> rho -> Y returns the diagonal, and every entry of a symmetric
+        # or an antisymmetric pair, exactly; any other entry comes back
+        # within one rounding of the larger entry of its pair (no pair of
+        # doubles S, A gives both 1 = S + A and 1 + 2^-52 = S - A), and the
+        # rebuilt rho is exactly Hermitian
+        rng = np.random.default_rng(113)
+        y = rng.normal(size=(3, 8, 8)) * np.logspace(-8, 2, 8)
+        rho = _density(y)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+        back = real_state(rho)
+        pair = np.maximum(np.abs(y), np.abs(y.swapaxes(-1, -2)))
+        assert np.all(np.abs(back - y) <= np.spacing(pair))
+        assert np.array_equal(np.diagonal(back, axis1=-2, axis2=-1), np.diagonal(y, axis1=-2, axis2=-1))
+        for paired in (y + y.swapaxes(-1, -2), y - y.swapaxes(-1, -2)):
+            assert np.array_equal(real_state(_density(paired)), paired)
 
 
 class TestEvolve:
@@ -264,7 +296,7 @@ class TestEvolve:
         spec = make_spec(3, ["101", "111"])
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=3.0)
         # evolve validates via populations; check off-diagonals via rhs invariance
-        rho = basis_density(0, 8)
+        y = real_state(basis_density(0, 8))
         h = build_hamiltonian(spec)
         jumps = build_jump_operators(spec)
         from patternwalks.numerics import rk4_step
@@ -273,8 +305,8 @@ class TestEvolve:
             return walk_rhs(x, h, jumps, 0.0, 1.0, c, out)
 
         for _ in range(600):
-            rk4_step(apply, rho, 0.005)
-        off = rho - np.diag(np.diag(rho))
+            rk4_step(apply, y, 0.005)
+        off = y - np.diag(np.diag(y))
         assert np.max(np.abs(off)) < 1e-10
 
     def test_health_diagnostics_along_run(self):
@@ -515,6 +547,37 @@ class TestSinkBlock:
                 assert np.all(np.delete(rho[:, s], s, axis=-1) == 0.0)
                 assert np.all(np.delete(rho[:, :, s], s, axis=-1) == 0.0)
         assert np.all(states[-1][:, list(spec.sinks), list(spec.sinks)].real > 0.0)
+
+
+class TestAtSixNeurons:
+    # the CLI's largest size, in the two limits that have an exact answer
+    # independent of the integrator
+    spec = make_spec(6, ["011010", "110111"])
+    start = vertex_index("100001")
+
+    def test_coherent_limit_matches_the_unitary(self):
+        # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
+        # eigh of the real H, so the populations are |U[:, start]|^2; the
+        # gap, about 4e-8, is RK4's error at dt = 0.005 with ||H|| = 6.8
+        h = build_hamiltonian(self.spec)
+        traj = evolve(
+            basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=0.0, t_max=5.0)
+        )
+        w, v = np.linalg.eigh(h)
+        amplitudes = (v * np.exp(-1j * np.outer(traj.times, w))[:, None, :]) @ v[self.start]
+        assert traj.times[-1] == pytest.approx(5.0)
+        assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-7
+
+    def test_dissipative_limit_matches_the_chain(self):
+        # kappa = 0: the populations follow the classical chain sample by
+        # sample; RK4's error here is about 2e-10
+        params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
+        traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
+        q = rate_matrix_from_jumps(build_jump_operators(self.spec), self.spec.dim)
+        pi0 = np.zeros(self.spec.dim)
+        pi0[self.start] = 1.0
+        chain = ctmc_samples(q, pi0, traj.times[1], traj.times.size - 1)
+        assert np.max(np.abs(traj.populations - chain)) < 1e-8
 
 
 class TestMixingTime:

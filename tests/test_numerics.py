@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from patternwalks.errors import ConfigurationError
-from patternwalks.numerics import adjoint_into, expm, hermiticity_residual, rk4_step
+from patternwalks.numerics import expm, hermiticity_residual, rk4_step
 
 from oracles import random_hermitian, rk4_staged_step, taylor_expm
 
@@ -21,27 +19,6 @@ class TestHermiticityResidual:
             max(np.abs(m[i, j] - np.conj(m[j, i])) for i in range(5) for j in range(5)) for m in a
         ]
         assert np.array_equal(hermiticity_residual(a), expected)
-
-
-class TestAdjointInto:
-    def test_conjugate_transpose_of_each_matrix(self):
-        rng = np.random.default_rng(61)
-        a = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
-        out = np.empty_like(a)
-        assert adjoint_into(a, out) is out
-        assert np.array_equal(out, np.stack([m.conj().T for m in a]))
-
-    def test_allocates_no_copy_of_its_input(self):
-        a = np.ones((8, 32, 32), dtype=complex)
-        out = np.empty_like(a)
-        adjoint_into(a, out)
-        tracemalloc.start()
-        try:
-            adjoint_into(a, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < a.nbytes / 4
 
 
 def linear(a):
