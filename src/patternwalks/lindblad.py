@@ -70,7 +70,7 @@ from .hypercube import (
     jump_gain,
     vertex_index,
 )
-from .numerics import hermiticity_residual, rk4_step
+from .numerics import hermiticity_residual, rk4_coefficients, rk4_step
 
 __all__ = [
     "WalkParams",
@@ -315,14 +315,12 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     live = np.arange(batch)
     block, sinks = _split(dim, sinks)
     kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
-    # The coefficients at which rk4_step evaluates its stages.
-    scaled = {c: _scaled_generator(h, out_degree, kappa, gamma, c) for c in (dt / 4, dt / 3, dt / 2, dt)}
-    y = rho.real + rho.imag
+    scaled = {c: _scaled_generator(h, out_degree, kappa, gamma, c) for c in rk4_coefficients(dt)}
+    y = np.add(rho.real, rho.imag, order="C")
     product, commutator, work = np.empty_like(y), np.empty_like(y), np.empty_like(y)
 
     def apply(x, c, out):
-        # Reads the operands and the scratch stacks when called, so it
-        # follows the dropped slices.
+        # Reads ``scaled`` and the scratch stacks when called: it follows drops.
         return _stage(x, *scaled[c], gain, work if out is None else out, product, commutator)
 
     for k in range(n_samples + 1):

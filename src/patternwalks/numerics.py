@@ -16,11 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = [
-    "hermiticity_residual",
-    "rk4_step",
-    "expm",
-]
+__all__ = ["hermiticity_residual", "rk4_coefficients", "rk4_step", "expm"]
 
 
 def _square(a) -> np.ndarray:
@@ -39,10 +35,15 @@ def hermiticity_residual(a):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    # A ufunc reading the transposed view would buffer a copy of it.
-    diff = np.ascontiguousarray(m.swapaxes(-1, -2))
+    # Copy (m may be the caller's): a ufunc would buffer the transposed view.
+    diff = m.swapaxes(-1, -2).copy()
     np.subtract(m, np.conjugate(diff, out=diff), out=diff)
     return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
+
+
+def rk4_coefficients(dt: float) -> tuple:
+    """The coefficients ``c`` at which ``rk4_step`` calls ``apply``, in call order."""
+    return dt / 4, dt / 3, dt / 2, dt
 
 
 def rk4_step(apply: Callable, y: np.ndarray, dt: float) -> np.ndarray:
@@ -61,8 +62,9 @@ def rk4_step(apply: Callable, y: np.ndarray, dt: float) -> np.ndarray:
     """
     if dt <= 0:
         raise ConfigurationError("rk4_step requires dt > 0")
-    w = apply(y, dt / 4, None)
-    for c in (dt / 3, dt / 2, dt):
+    first, *rest = rk4_coefficients(dt)
+    w = apply(y, first, None)
+    for c in rest:
         w += y
         apply(w, c, w)
     y += w

@@ -379,6 +379,20 @@ class TestEvolve:
         assert np.max(np.abs(perturbed.populations - exact.populations)) < 1e-12
         assert np.all(perturbed.hermiticity == 0.0)
 
+    def test_fortran_ordered_density_accepted(self):
+        # rho.T = conj(rho) is a valid state with complex coherences, stored
+        # Fortran-ordered; it runs as its C-ordered copy and is not written
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[:7, :7] = random_density(7, np.random.default_rng(107))
+        fortran = rho.T
+        start = fortran.copy()
+        assert fortran.flags.f_contiguous and np.any(fortran.imag != 0.0)
+        spec = make_spec(3, ["111"])
+        params = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
+        traj = evolve(fortran, spec, params)
+        assert np.array_equal(fortran, start)
+        assert np.array_equal(traj.populations, evolve(start, spec, params).populations)
+
     def test_superposed_initial_state_accepted(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = rho[0, 2] = rho[2, 0] = rho[2, 2] = 0.5
@@ -447,6 +461,32 @@ class TestEvolveBatch:
         assert len(calls) == 200
         assert all(isinstance(o, dict) for o in outcomes)
         assert marks["peak"] - marks["start"] < rho.nbytes
+
+    def test_steps_allocate_no_real_state_stack(self, monkeypatch):
+        # the steps run on the real Y, half the size of the complex input
+        # stack that bounds the test above; no step allocates one Y either
+        spec = make_spec(4, ["0110", "1111"])
+        h = build_hamiltonian(spec)
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
+        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        step, peaks = lindblad.rk4_step, []
+
+        def measured(apply, y, dt):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            y = step(apply, y, dt)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return y
+
+        monkeypatch.setattr(lindblad, "rk4_step", measured)
+        tracemalloc.start()
+        try:
+            _integrate(rho, h, gain, out_degree, strengths, spec.sinks, 0.005, 200, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 200
+        assert max(peaks) < rho.real.nbytes
 
     def test_dropped_point_leaves_the_survivors_bits(self):
         # kappa = 150 goes unphysical under RK4 at dt = 0.005 and is dropped

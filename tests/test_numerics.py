@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patternwalks.errors import ConfigurationError
-from patternwalks.numerics import expm, hermiticity_residual, rk4_step
+from patternwalks.numerics import expm, hermiticity_residual, rk4_coefficients, rk4_step
 
 from oracles import random_hermitian, rk4_staged_step, taylor_expm
 
@@ -19,6 +19,16 @@ class TestHermiticityResidual:
             max(np.abs(m[i, j] - np.conj(m[j, i])) for i in range(5) for j in range(5)) for m in a
         ]
         assert np.array_equal(hermiticity_residual(a), expected)
+
+    def test_fortran_ordered_input_is_read_not_written(self):
+        # the transpose of a Fortran-ordered matrix is C-contiguous, so a
+        # copy-if-needed of it would alias the caller's array
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        h = np.asfortranarray(x + x.conj().T)
+        start = h.copy()
+        assert hermiticity_residual(h) == 0.0
+        assert np.array_equal(h, start)
 
 
 def linear(a):
@@ -69,6 +79,16 @@ class TestRk4:
             assert rk4_step(linear(a), y, dt) is y
         exact = expm(a * total) @ y0
         assert np.max(np.abs(y - exact)) / np.max(np.abs(exact)) < 1e-6
+
+    def test_calls_apply_at_the_exported_coefficients(self):
+        seen = []
+
+        def apply(x, c, out):
+            seen.append(c)
+            return np.multiply(c, x, out=out)
+
+        rk4_step(apply, np.ones((2, 2)), 0.3)
+        assert tuple(seen) == rk4_coefficients(0.3) == (0.3 / 4, 0.3 / 3, 0.3 / 2, 0.3)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ConfigurationError):
