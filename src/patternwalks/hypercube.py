@@ -28,6 +28,7 @@ __all__ = [
     "vertex_index",
     "index_pattern",
     "vertex_hamming",
+    "popcount",
     "sink_distances",
     "build_hamiltonian",
     "build_jump_operators",
@@ -150,13 +151,15 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
     return HypercubeSpec(n=n, sinks=tuple(sorted(sinks)), edge_weights=tuple(overrides))
 
 
+def popcount(v, n: int) -> np.ndarray:
+    """Set bits among the low ``n`` bits of each entry of ``v`` (np.bitwise_count needs numpy >= 2)."""
+    return sum(((v >> b) & 1 for b in range(n)), np.zeros_like(v))
+
+
 def sink_distances(spec: HypercubeSpec) -> np.ndarray:
     """Hamming distance from every vertex to its nearest sink, indexed by vertex."""
     diff = np.arange(spec.dim)[:, None] ^ np.asarray(spec.sinks)[None, :]
-    count = np.zeros_like(diff)
-    for b in range(spec.n):  # popcount; np.bitwise_count needs numpy >= 2
-        count += (diff >> b) & 1
-    return count.min(axis=1)
+    return popcount(diff, spec.n).min(axis=1)
 
 
 def _jump_mask(spec: HypercubeSpec, rule: str) -> np.ndarray:

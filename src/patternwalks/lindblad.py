@@ -1,33 +1,28 @@
 """Master-equation evolution of the walk's density matrix.
 
-The generator combines a coherent commutator term (strength kappa) with a
-dissipator built from the hypercube's directed jump operators (strength
-gamma). Every jump operator is a basis transition |dst><src|, so the
-dissipator splits into a no-jump decay and a population feed:
+A coherent term (strength kappa) and a dissipator of the hypercube's
+directed jumps |dst><src| (strength gamma) give, with G[dst, src] = 1
+per jump and out the out-degree of each vertex (Dalibard, Castin and
+Molmer, PRL 68, 580, 1992),
 
-    drho/dt = -i kappa [H, rho] - Gamma o rho + diag(F diag(rho))
-    Gamma[i, j] = gamma (out[i] + out[j]) / 2,    F = gamma G
+    drho/dt = M' rho + (M' rho)^dag + gamma diag(G diag(rho)),
+    M' = -i kappa H - (gamma/2) diag(out).
 
-with G the jump gain matrix (G[dst, src] = 1 per jump), out the
-out-degree of each vertex and o the entrywise product (Dalibard, Castin
-and Molmer, PRL 68, 580, 1992; Plenio and Knight, RMP 70, 101, 1998).
-H is real and symmetric, so for rho = S + iA (S symmetric, A
-antisymmetric) -i kappa [H, rho] = kappa [H, A] - i kappa [H, S] splits
-into a symmetric and an antisymmetric real part, and the real Y = S + A
-obeys, since A - S = -Y^T,
-
-    dY/dt = kappa [H, Y]^T - Gamma o Y + diag(F diag(Y)).
-
-The integrator steps Y: a stage takes two contiguous real products, H Y
-and Y H, not one product of H with rho's interleaved float view, and
-real elementwise passes. A sink has no coherent edge and no outgoing
-jump, so its rows and columns of H and Gamma are zero.
-
-The integrator requires an initial state with no coherence that
-involves a sink, and keeps every such coherence at exactly 0.0. The
-state stays block diagonal, so the per-sample positivity check takes
-eigenvalues of the non-sink block and compares them with the sink
-populations.
+The hypercube is bipartite: a coherent edge flips one bit, and so the
+parity of the popcount |v|. The integrator steps R = Q^dag rho Q with
+Q = diag(i^|v|), where Q^dag H Q = D + iK: K is real antisymmetric (+-H
+on the edges) and D is the self-loop diagonal. R obeys the equation
+above with M = kappa K - i kappa D - (gamma/2) diag(out). D's constant
+part on the non-sink vertices commutes with the state and is dropped,
+so D is zero unless non-sink self-loops differ. M is then real, and a
+real R (every basis pattern) stays real symmetric float64; otherwise R
+is complex128 on the same code. A stage is one product P = M R, the sum
+P + P^dag, Hermitian to the bit, and the feed. R has rho's diagonal,
+spectrum and purity, so each sample reads them off R. A sink has no
+coherent edge and no outgoing jump, so its rows and columns of M are
+zero. The integrator requires an initial state with no coherence that
+involves a sink and keeps each such coherence at exactly 0.0, so the
+positivity check reads the non-sink block and the sink populations.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -68,6 +63,7 @@ from .hypercube import (
     build_jump_operators,
     index_pattern,
     jump_gain,
+    popcount,
     vertex_index,
 )
 from .numerics import hermiticity_residual, rk4_coefficients, rk4_step
@@ -172,7 +168,8 @@ def _health(m, live, sinks) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(m).all(axis=(1, 2))
     if finite.any():
         ok = m if finite.all() else m[finite]
-        block = ok[:, live[:, None], live]
+        # Each slice's block is contiguous, as a lone matrix's is.
+        block = np.take(ok[:, live], live, axis=2)
         sink_populations = np.diagonal(ok, axis1=1, axis2=2).real[:, sinks]
         smallest[finite] = np.minimum(
             np.linalg.eigvalsh(block).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
@@ -208,7 +205,8 @@ def validate_density(rho, sinks=()) -> np.ndarray:
             f"density matrix has a coherence involving sink {pattern}; "
             "the walk needs every sink row and column zero off the diagonal"
         )
-    (drift,), (smallest,) = _health(herm[None], live, sinks)
+    # A real state takes the real eigensolver, as its walk's samples do.
+    (drift,), (smallest,) = _health((herm if herm.imag.any() else herm.real)[None], live, sinks)
     if not drift <= TRACE_TOL:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
     if not smallest >= POSITIVITY_FLOOR:
@@ -225,8 +223,7 @@ def populations(rho) -> np.ndarray:
     the vector renormalized; on a valid state the adjustment is < 1e-9.
     A (B, dim, dim) stack gives one vector per matrix.
     """
-    m = np.asarray(rho, dtype=np.complex128)
-    p = np.real(np.diagonal(m, axis1=-2, axis2=-1)).copy()
+    p = np.diagonal(np.asarray(rho), axis1=-2, axis2=-1).real.astype(np.float64)
     p[np.abs(p) < POPULATION_DUST] = 0.0
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=-1, keepdims=True)
@@ -237,49 +234,51 @@ def populations(rho) -> np.ndarray:
 
 def purity(rho) -> float:
     """trace(rho^2); 1 for pure states, 1/dim for the maximally mixed one."""
-    m = np.asarray(rho, dtype=np.complex128)
-    return float(np.real(np.vdot(m, m)))
+    return float(np.real(np.vdot(rho, rho)))
 
 
-def _density(y) -> np.ndarray:
-    """``rho = S + iA`` of a real state ``Y = S + A``, or of each in a stack.
+def _parity_phases(dim: int) -> np.ndarray:
+    """``phases[u, v] = i^(|v| - |u|)``, exactly 1, i, -1 or -i: ``Q^dag X Q = X * phases``."""
+    ones = popcount(np.arange(dim), dim.bit_length())
+    return np.array([1, 1j, -1, -1j])[(ones - ones[:, None]) % 4]
 
-    ``S = (Y + Y^T)/2`` and ``A = (Y - Y^T)/2``, so a mirrored pair of
-    entries gives the same real part and opposite imaginary parts
-    exactly: ``rho`` is exactly Hermitian.
+
+def _framed(rho, h, out_degree, live, kappa, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """A new C-ordered ``R = Q^dag rho Q`` and ``M``, per slice for (B, 1, 1) strengths.
+
+    ``D`` on the non-sink vertices (index array ``live``) is taken
+    relative to the first one. Both are float64 if ``D`` and ``Im R`` are 0.
     """
-    yt = y.swapaxes(-1, -2)
-    rho = ((y + yt) * 0.5).astype(np.complex128)
-    rho.imag = (y - yt) * 0.5
-    return rho
+    phases = _parity_phases(h.shape[-1])
+    framed, r = h * phases, rho * phases
+    d = framed.real
+    d[live, live] -= d[live[0], live[0]]
+    m = kappa * framed.imag - gamma * np.diag(0.5 * out_degree)
+    if d.any():
+        m = m - 1j * kappa * d
+    if np.iscomplexobj(m) or r.imag.any():
+        return r, m.astype(np.complex128)
+    return r.real.copy(), m
 
 
-def _scaled_generator(h, out_degree, kappa, gamma, c):
-    """``_stage``'s ``c kappa H``, ``c Gamma`` and ``c gamma``; per slice for (B, 1, 1) strengths."""
-    rates = 0.5 * (out_degree[:, None] + out_degree)
-    return c * kappa * h, c * gamma * rates, c * gamma
+def _stage(r, m, feed, gain, out, product):
+    """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
 
-
-def _stage(y, coherent, decay, feed, gain, out, product, commutator):
-    """Write ``c L(y)`` for the real state ``y`` into ``out`` and return it.
-
-    ``(coherent, decay, feed)`` is ``_scaled_generator``'s output for
-    ``c`` and ``gain`` is G; a (B, dim, dim) stack ``y`` shares ``gain``.
-    ``product`` and ``commutator`` are contiguous scratch arrays shaped
-    like ``y``; ``out``, contiguous and shaped like ``y``, may be ``y``.
+    ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
+    dim) stack ``r``, which shares ``gain`` = G. The scratch ``product``
+    and ``out`` are contiguous and shaped like ``r``; ``out`` may be ``r``.
     """
-    dim = y.shape[-1]
-    np.matmul(coherent, y, out=product)
-    np.matmul(y, coherent, out=commutator)
-    np.subtract(product, commutator, out=product)
-    # A ufunc reading the transposed view would buffer a state-sized copy.
-    np.copyto(commutator, product.swapaxes(-1, -2))
-    # Read y before out, which may be y, is written. The feed is one
+    dim = r.shape[-1]
+    np.matmul(m, r, out=product)
+    # Read r before out, which may be r, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
-    fed = np.matmul(gain, np.diagonal(y, axis1=-2, axis2=-1)[..., None])
+    fed = np.matmul(gain, np.diagonal(r, axis1=-2, axis2=-1).real[..., None])
     fed *= feed
-    np.multiply(y, decay, out=out)
-    np.subtract(commutator, out, out=out)
+    # A ufunc reading the transposed view would buffer a state-sized copy.
+    np.copyto(out, product.swapaxes(-1, -2))
+    if np.iscomplexobj(out):
+        np.conjugate(out, out=out)
+    out += product
     # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
     # diagonal entry: a strided view, cheaper than fancy indexing.
     diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
@@ -299,10 +298,9 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     unchanged. Returns the sample times and per slice its ``Trajectory``
     fields or its ``IntegrationDiagnosticsError``.
 
-    The steps work on the real ``Y = Re rho + Im rho`` and allocate no
-    state-sized array: ``_stage``'s operands for RK4's four coefficients
-    and three scratch stacks are made once, and compacted with the states
-    when a slice drops. Each sample rebuilds ``rho`` from ``Y``.
+    The steps work on the framed ``R = Q^dag rho Q`` and allocate no
+    state-sized array: ``c M`` for RK4's four coefficients and two scratch
+    stacks are made once, and compacted with the states when a slice drops.
     """
     batch, dim = rho.shape[0], rho.shape[-1]
     times = np.arange(n_samples + 1) * (steps_per_sample * dt)
@@ -315,13 +313,13 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     live = np.arange(batch)
     block, sinks = _split(dim, sinks)
     kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
-    scaled = {c: _scaled_generator(h, out_degree, kappa, gamma, c) for c in rk4_coefficients(dt)}
-    y = np.add(rho.real, rho.imag, order="C")
-    product, commutator, work = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    r, m = _framed(rho, h, out_degree, block, kappa, gamma)
+    scaled = {c: (c * m, c * gamma) for c in rk4_coefficients(dt)}
+    product, work = np.empty_like(r), np.empty_like(r)
 
     def apply(x, c, out):
         # Reads ``scaled`` and the scratch stacks when called: it follows drops.
-        return _stage(x, *scaled[c], gain, work if out is None else out, product, commutator)
+        return _stage(x, *scaled[c], gain, work if out is None else out, product)
 
     for k in range(n_samples + 1):
         if k > 0:
@@ -330,27 +328,26 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps_per_sample):
-                    y = rk4_step(apply, y, dt)
-        rho = _density(y)
-        drift, smallest = _health(rho, block, sinks)
+                    r = rk4_step(apply, r, dt)
+        drift, smallest = _health(r, block, sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
                 errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
-            y, rho, live = y[ok], rho[ok], live[ok]
+            r, live = r[ok], live[ok]
             # Popping frees each coefficient's old operands once its new ones exist.
-            scaled = {c: tuple(m[ok] for m in scaled.pop(c)) for c in list(scaled)}
+            scaled = {c: tuple(x[ok] for x in scaled.pop(c)) for c in list(scaled)}
             # The scratch stacks' contents are dead here; their leading
             # slices are contiguous stacks of the new size.
-            product, commutator, work = product[: live.size], commutator[: live.size], work[: live.size]
+            product, work = product[: live.size], work[: live.size]
             drift, smallest = drift[ok], smallest[ok]
             if live.size == 0:
                 break
         trace_drift[live, k] = drift
         min_eig[live, k] = smallest
-        pur[live, k] = [purity(r) for r in rho]
-        herm[live, k] = hermiticity_residual(rho)
-        pops[live, k] = populations(rho)
+        pur[live, k] = [purity(x) for x in r]
+        herm[live, k] = hermiticity_residual(r)
+        pops[live, k] = populations(r)
 
     return times, [
         errors[b] if b in errors

@@ -1,9 +1,8 @@
 """Dense matrix helpers, a matrix exponential and fixed-step RK4.
 
-Operators are plain ``numpy.ndarray``s, complex128 for the walk's states
-and float64 for the classical chain; the helpers here add dimension
-checks, a Hermiticity residual, a scaling-and-squaring matrix
-exponential and the RK4 step.
+Operators are plain ``numpy.ndarray``s, float64 or complex128; the
+helpers here add dimension checks, a Hermiticity residual, a
+scaling-and-squaring matrix exponential and the RK4 step.
 ``rk4_step`` advances its state in place; everything else is a pure
 function of its inputs.
 """
@@ -32,7 +31,7 @@ def _square(a) -> np.ndarray:
 
 def hermiticity_residual(a):
     """Max-entry norm of ``A - A^dagger``; one per matrix of a (B, dim, dim) stack."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     # Copy (m may be the caller's): a ufunc would buffer the transposed view.

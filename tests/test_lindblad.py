@@ -12,6 +12,7 @@ from patternwalks.errors import (
     IntegrationDiagnosticsError,
 )
 from patternwalks.hypercube import (
+    RULES,
     JumpOperator,
     build_hamiltonian,
     build_jump_operators,
@@ -22,10 +23,10 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
-    _density,
+    _framed,
     _health,
     _integrate,
-    _scaled_generator,
+    _parity_phases,
     _split,
     _stage,
     basis_density,
@@ -48,18 +49,34 @@ from oracles import (
 )
 
 
-def real_state(rho):
-    """``Y = Re rho + Im rho``, the real state ``_integrate`` steps for a Hermitian ``rho``."""
-    return rho.real + rho.imag
+def unframed(r):
+    """``rho = Q R Q^dag`` of the state ``R = Q^dag rho Q`` that ``_integrate`` steps."""
+    return r * _parity_phases(r.shape[-1]).conj()
 
 
-def walk_rhs(y, h, jumps, kappa, gamma, c=1.0, out=None):
-    """``c`` times the stage evolve integrates on the real state ``y``, with the
-    generator evolve derives from ``jumps``."""
-    gain, out_degree = jump_gain(jumps, y.shape[-1])
-    out = np.empty_like(y) if out is None else out
-    operands = _scaled_generator(h, out_degree, kappa, gamma, c)
-    return _stage(y, *operands, gain, out, np.empty_like(y), np.empty_like(y))
+def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
+    """``(R, M, G)``: the state and generator evolve derives from ``rho``, ``h`` and ``jumps``."""
+    dim = rho.shape[-1]
+    gain, out_degree = jump_gain(jumps, dim)
+    r, m = _framed(rho, h, out_degree, _split(dim, sinks)[0], kappa, gamma)
+    return r, m, gain
+
+
+def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
+    """``c`` times the stage evolve integrates, on the framed ``rho``, as a new array."""
+    r, m, gain = walk_operands(rho, h, jumps, kappa, gamma, sinks)
+    return _stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
+
+
+def random_framed_state(spec, rng, real):
+    """A random framed state with no sink coherence: real symmetric or complex Hermitian."""
+    live, sinks = _split(spec.dim, spec.sinks)
+    weights = rng.dirichlet(np.ones(sinks.size + 1))
+    block = random_density(live.size, rng)
+    r = np.zeros((spec.dim, spec.dim), dtype=float if real else complex)
+    r[np.ix_(live, live)] = weights[0] * (block.real if real else block)
+    r[sinks, sinks] = weights[1:]
+    return r
 
 
 def random_spec(rng, n):
@@ -138,104 +155,155 @@ class TestRhs:
     def test_zero_strengths_give_zero(self):
         spec = make_spec(2, ["11"])
         h = build_hamiltonian(spec)
-        y = real_state(basis_density(0, 4))
-        out = walk_rhs(y, h, build_jump_operators(spec), 0.0, 0.0)
+        out = walk_rhs(basis_density(0, 4), h, build_jump_operators(spec), 0.0, 0.0, spec.sinks)
         assert np.all(out == 0.0)
 
     def test_commuting_state_gives_zero_without_dissipation(self):
         h = np.diag([1.0, 2.0, 3.0])
-        y = np.diag([0.2, 0.3, 0.5])
-        out = walk_rhs(y, h, [], 1.0, 0.0)
+        rho = np.diag([0.2, 0.3, 0.5])
+        out = walk_rhs(rho, h, [], 1.0, 0.0)
         assert np.max(np.abs(out)) < 1e-15
 
     def test_two_level_amplitude_damping_by_hand(self):
-        y = real_state(basis_density(0, 2))
         h = np.zeros((2, 2))
-        out = walk_rhs(y, h, [JumpOperator(src=0, dst=1)], 0.0, 1.0)
+        out = walk_rhs(basis_density(0, 2), h, [JumpOperator(src=0, dst=1)], 0.0, 1.0)
         assert np.allclose(out, np.diag([-1.0, 1.0]))
 
     def test_matches_dense_operator_algebra(self):
+        # real and complex framed states, each against the dense generator
+        # applied to rho = Q R Q^dag
         rng = np.random.default_rng(83)
-        for _ in range(10):
+        for trial in range(10):
             n = int(rng.integers(1, 4))
             spec = random_spec(rng, n)
             jumps = build_jump_operators(spec)
             h = build_hamiltonian(spec)
-            rho = random_density(spec.dim, rng)
+            rho = unframed(random_framed_state(spec, rng, real=trial % 2 == 0))
             kappa, gamma = rng.uniform(0, 2, size=2)
-            fast = _density(walk_rhs(real_state(rho), h, jumps, kappa, gamma))
+            fast = walk_rhs(rho, h, jumps, kappa, gamma, spec.sinks)
+            assert fast.dtype == np.float64 or trial % 2 == 1
             dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, spec.dim), kappa, gamma)
-            assert np.max(np.abs(fast - dense)) < 1e-12
+            assert np.max(np.abs(unframed(fast) - dense)) < 1e-12
 
     def test_output_is_hermitian(self):
-        # the stage keeps Y's split: its symmetric part is the real part of
-        # the dense generator's output and its antisymmetric part the
-        # imaginary part; the density matrix rebuilt from it is exactly
-        # Hermitian
+        # a real state gives an exactly symmetric output and a complex one
+        # an exactly Hermitian output; both are the dense generator's
         rng = np.random.default_rng(89)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
-        rho = random_density(8, rng)
-        out = walk_rhs(real_state(rho), h, jumps, 1.3, 0.7)
-        dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
-        assert np.max(np.abs(0.5 * (out + out.T) - dense.real)) < 1e-12
-        assert np.max(np.abs(0.5 * (out - out.T) - dense.imag)) < 1e-12
-        rebuilt = _density(out)
-        assert np.array_equal(rebuilt, rebuilt.conj().T)
+        for real in (True, False):
+            rho = unframed(random_framed_state(spec, rng, real))
+            out = walk_rhs(rho, h, jumps, 1.3, 0.7, spec.sinks)
+            assert np.array_equal(out, out.conj().T)
+            dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
+            assert np.max(np.abs(unframed(out) - dense)) < 1e-12
 
     def test_scaled_stage_written_over_its_input(self):
         rng = np.random.default_rng(91)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
-        rho = random_density(8, rng)
-        y = real_state(rho)
-        apart = walk_rhs(y, h, jumps, 1.3, 0.7, c=0.25)
-        inplace = y.copy()
-        assert walk_rhs(inplace, h, jumps, 1.3, 0.7, c=0.25, out=inplace) is inplace
+        rho = unframed(random_framed_state(spec, rng, real=True))
+        apart = walk_rhs(rho, h, jumps, 1.3, 0.7, spec.sinks, c=0.25)
+        inplace, m, gain = walk_operands(rho, h, jumps, 1.3, 0.7, spec.sinks)
+        assert _stage(inplace, 0.25 * m, 0.25 * 0.7, gain, inplace, np.empty_like(inplace)) is inplace
         assert np.array_equal(inplace, apart)
         dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
-        assert np.max(np.abs(_density(apart) - 0.25 * dense)) < 1e-12
+        assert np.max(np.abs(unframed(apart) - 0.25 * dense)) < 1e-12
 
     def test_stage_on_a_stack_of_strengths(self):
         # three slices share H and G but not kappa and gamma; each matches
         # the dense generator and its own lone evaluation bit for bit, and
-        # the density matrices rebuilt from the stacked output are exactly
-        # Hermitian
+        # each output slice is exactly symmetric
         rng = np.random.default_rng(107)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         gain, out_degree = jump_gain(jumps, 8)
         kappa = np.array([0.0, 1.3, 2.5])[:, None, None]
         gamma = np.array([1.0, 0.7, 0.0])[:, None, None]
-        rho = np.stack([random_density(8, rng) for _ in range(3)])
-        y = real_state(rho)
-        operands = _scaled_generator(h, out_degree, kappa, gamma, 0.25)
-        out = _stage(y, *operands, gain, np.empty_like(y), np.empty_like(y), np.empty_like(y))
-        rebuilt = _density(out)
-        assert np.array_equal(rebuilt, rebuilt.conj().swapaxes(-1, -2))
+        rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
+        live = _split(8, spec.sinks)[0]
+        r, m = _framed(rho, h, out_degree, live, kappa, gamma)
+        assert r.dtype == m.dtype == np.float64
+        out = _stage(r, 0.25 * m, 0.25 * gamma, gain, np.empty_like(r), np.empty_like(r))
+        assert np.array_equal(out, out.swapaxes(-1, -2))
         mats = dense_jump_matrices(jumps, 8)
         for b in range(3):
             k, g = kappa[b, 0, 0], gamma[b, 0, 0]
             dense = dense_master_rhs(rho[b], h, mats, k, g)
-            assert np.max(np.abs(rebuilt[b] - 0.25 * dense)) < 1e-12
-            assert np.array_equal(out[b], walk_rhs(y[b], h, jumps, k, g, c=0.25))
+            assert np.max(np.abs(unframed(out[b]) - 0.25 * dense)) < 1e-12
+            assert np.array_equal(out[b], walk_rhs(rho[b], h, jumps, k, g, spec.sinks, c=0.25))
 
-    def test_real_state_round_trip(self):
-        # Y -> rho -> Y returns the diagonal, and every entry of a symmetric
-        # or an antisymmetric pair, exactly; any other entry comes back
-        # within one rounding of the larger entry of its pair (no pair of
-        # doubles S, A gives both 1 = S + A and 1 + 2^-52 = S - A), and the
-        # rebuilt rho is exactly Hermitian
-        rng = np.random.default_rng(113)
-        y = rng.normal(size=(3, 8, 8)) * np.logspace(-8, 2, 8)
-        rho = _density(y)
-        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
-        back = real_state(rho)
-        pair = np.maximum(np.abs(y), np.abs(y.swapaxes(-1, -2)))
-        assert np.all(np.abs(back - y) <= np.spacing(pair))
-        assert np.array_equal(np.diagonal(back, axis1=-2, axis2=-1), np.diagonal(y, axis1=-2, axis2=-1))
-        for paired in (y + y.swapaxes(-1, -2), y - y.swapaxes(-1, -2)):
-            assert np.array_equal(real_state(_density(paired)), paired)
+    def test_self_pair_override_matches_dense_operator_algebra(self):
+        # unequal non-sink self-loops leave D nonzero, so M and the state
+        # are complex; the formula still matches the dense generator
+        rng = np.random.default_rng(127)
+        spec = make_spec(3, ["101", "111"], [("000", "000", 2.0), ("010", "010", 0.5)])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        for real in (True, False):
+            rho = unframed(random_framed_state(spec, rng, real))
+            out = walk_rhs(rho, h, jumps, 1.3, 0.7, spec.sinks)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out, out.conj().T)
+            dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
+            assert np.max(np.abs(unframed(out) - dense)) < 1e-12
+
+
+class TestFrame:
+    def test_phases_conjugate_by_parity(self):
+        for n in (1, 3, 4):
+            dim = 1 << n
+            q = np.array([1j ** bin(v).count("1") for v in range(dim)])
+            x = np.random.default_rng(n).normal(size=(dim, dim))
+            assert np.allclose(_parity_phases(dim) * x, np.diag(q.conj()) @ x @ np.diag(q), atol=1e-15)
+
+    def test_k_is_real_antisymmetric_with_zero_sink_rows(self):
+        # under both rules and random distance-1 weights, Q^dag H Q = iK
+        # on the non-sink block: K is real antisymmetric, carries H's
+        # weights with a sign, and has no sink row or column
+        rng = np.random.default_rng(131)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            edges = [(u, u | 1 << b) for u in range(1 << n) for b in range(n) if not u >> b & 1]
+            weights = rng.uniform(0.2, 3.0, size=len(edges))
+            spec = make_spec(n, list(random_spec(rng, n).sinks), [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+            live, sinks = _split(spec.dim, spec.sinks)
+            rho0 = basis_density(int(live[0]), spec.dim)
+            for rule in RULES:
+                h = build_hamiltonian(spec, rule)
+                # M = K at kappa = 1, gamma = 0
+                _, k = _framed(rho0, h, np.zeros(spec.dim), live, 1.0, 0.0)
+                assert k.dtype == np.float64
+                assert np.array_equal(k, -k.T)
+                assert np.array_equal(np.abs(k), h - np.diag(np.diag(h)))
+                assert np.all(k[sinks] == 0.0) and np.all(k[:, sinks] == 0.0)
+
+    def test_state_dtype_follows_the_data(self, monkeypatch):
+        # a basis start keeps R float64; a complex rho0 or unequal non-sink
+        # self-loop weights make it complex128
+        step, dtypes = lindblad.rk4_step, []
+
+        def recorded(apply, y, dt):
+            dtypes.append(y.dtype)
+            return step(apply, y, dt)
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        spec = make_spec(3, ["101", "111"])
+        params = WalkParams(kappa=1.0, gamma=1.0, t_max=0.01)
+        # (|000> + |010>) / sqrt 2 is real, but its coherence joins two
+        # parities and so is imaginary in the frame
+        superposed = np.zeros((8, 8))
+        superposed[0, 0] = superposed[2, 2] = superposed[0, 2] = superposed[2, 0] = 0.5
+        self_pairs = make_spec(3, ["101", "111"], [("000", "000", 2.0)])
+        equal_self_pairs = make_spec(3, ["101", "111"], [(v, v, 2.0) for v in (0, 1, 2, 3, 4, 6)])
+        for rho0, walk_spec, dtype in (
+            (basis_density(0, 8), spec, np.float64),
+            (superposed, spec, np.complex128),
+            (basis_density(0, 8), self_pairs, np.complex128),
+            (basis_density(0, 8), equal_self_pairs, np.float64),
+        ):
+            dtypes.clear()
+            evolve(rho0, walk_spec, params)
+            assert set(dtypes) == {np.dtype(dtype)}
 
 
 class TestEvolve:
@@ -294,19 +362,17 @@ class TestEvolve:
 
     def test_dissipative_limit_keeps_state_diagonal(self):
         spec = make_spec(3, ["101", "111"])
-        params = WalkParams(kappa=0.0, gamma=1.0, t_max=3.0)
         # evolve validates via populations; check off-diagonals via rhs invariance
-        y = real_state(basis_density(0, 8))
         h = build_hamiltonian(spec)
-        jumps = build_jump_operators(spec)
+        r, m, gain = walk_operands(basis_density(0, 8), h, build_jump_operators(spec), 0.0, 1.0, spec.sinks)
         from patternwalks.numerics import rk4_step
 
         def apply(x, c, out):
-            return walk_rhs(x, h, jumps, 0.0, 1.0, c, out)
+            return _stage(x, c * m, c, gain, np.empty_like(x) if out is None else out, np.empty_like(x))
 
         for _ in range(600):
-            rk4_step(apply, y, 0.005)
-        off = y - np.diag(np.diag(y))
+            rk4_step(apply, r, 0.005)
+        off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 1e-10
 
     def test_health_diagnostics_along_run(self):
@@ -415,8 +481,8 @@ class TestEvolveBatch:
 
     def test_slices_failing_at_different_samples(self):
         # slice 0 overflows at the first sample; slice 2 gains trace at a
-        # rate of about 8e-6 through a negative decay on |0> (K's diagonal
-        # gets +4e-6 i), so it breaches the trace check two samples after
+        # rate of about 8e-6 through a negative decay on |0> (M's diagonal
+        # gets +4e-6), so it breaches the trace check two samples after
         # slice 0 is gone; slice 1 runs as if alone
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         gain, out_degree = np.zeros((2, 2)), np.array([1.0, 0.0])
@@ -587,6 +653,24 @@ class TestSinkBlock:
                 assert np.all(np.delete(rho[:, s], s, axis=-1) == 0.0)
                 assert np.all(np.delete(rho[:, :, s], s, axis=-1) == 0.0)
         assert np.all(states[-1][:, list(spec.sinks), list(spec.sinks)].real > 0.0)
+
+
+class TestAtFourNeurons:
+    # kappa, gamma > 0 against the exponential of the 256-dim superoperator:
+    # a basis start under the default H steps a real state, and unequal
+    # non-sink self-loops make it complex
+    @pytest.mark.parametrize(
+        "overrides", [(), [("0000", "0000", 2.0), ("0101", "0101", 0.5)]], ids=["real", "complex"]
+    )
+    def test_matches_superoperator_exponential_oracle(self, overrides):
+        spec = make_spec(4, ["0110", "1111"], overrides)
+        rho0 = basis_density(0, spec.dim)
+        traj = evolve(rho0, spec, WalkParams(kappa=1.3, gamma=0.7, t_max=5.0))
+        mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
+        oracle = superoperator_populations(
+            build_hamiltonian(spec), mats, 1.3 / 0.7, 1.0, rho0, traj.times, expm
+        )
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-6
 
 
 class TestAtSixNeurons:
