@@ -143,11 +143,12 @@ def svg_line_plot(path: str, x, series: dict, title: str, x_label: str, y_label:
             f'<line x1="{_ML}" y1="{sy(tick):.1f}" x2="{_W - _MR}" y2="{sy(tick):.1f}" '
             f'stroke="#dddddd"/>'
         )
+    # sx and sy take whole arrays; "%.2f" formats each float as f"{v:.2f}" does.
+    xs = sx(x).tolist()
     for idx, (label, values) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, values)
-        )
+        ys = sy(np.asarray(values, dtype=float)).tolist()
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -641,3 +642,34 @@ class TestRealFormatting:
         expected = np.column_stack([table, -table[:, 0]])
         assert rows == [[format(float(x), ".12g") for x in row] for row in expected]
         assert rows[0][:4] == ["-0", "4.94065645841e-324", "1e-300", "0.3"]
+
+
+class TestSvg:
+    def test_polylines_are_the_per_point_text(self, tmp_path):
+        # the whole-array coordinates format to the same text as the
+        # per-point formula, point by point
+        x = np.linspace(0.0, 2.5, 51)
+        rng = np.random.default_rng(11)
+        series = {
+            "pattern_00": rng.random(51),
+            "pattern_01": -rng.random(51) * 1e-3,
+            "pattern_10": np.linspace(0.0, 1.0, 51) ** 3,
+            "pattern_11": list(1.0 - np.linspace(0.0, 1.0, 51) ** 3),
+        }
+        path = tmp_path / "plot.svg"
+        output.svg_line_plot(str(path), x, series, "walk", "t", "population")
+        y_min = min(float(np.min(v)) for v in series.values())
+        y_max = max(float(np.max(v)) for v in series.values())
+
+        def sx(v):
+            return output._ML + (v - x[0]) / (x[-1] - x[0]) * (output._W - output._ML - output._MR)
+
+        def sy(v):
+            return output._H - output._MB - (v - y_min) / (y_max - y_min) * (output._H - output._MT - output._MB)
+
+        expected = [
+            " ".join(f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(x, values))
+            for values in series.values()
+        ]
+        assert re.findall('<polyline points="([^"]*)"', path.read_text()) == expected
+
