@@ -12,13 +12,15 @@ class ContractViolationError(ValueError):
 class IntegrationDiagnosticsError(RuntimeError):
     """Integration produced an unphysical state; rerun with a smaller dt."""
 
-    def __init__(self, t: float, dt: float, trace_drift: float, min_eigenvalue: float):
+    def __init__(self, t: float, dt: float, trace_drift: float, min_eigenvalue: float, largest_entry: float):
         self.t = float(t)
         self.dt = float(dt)
         self.trace_drift = float(trace_drift)
         self.min_eigenvalue = float(min_eigenvalue)
+        # A diverged state's trace is rounding noise; its largest |entry| is not.
+        self.largest_entry = float(largest_entry)
         super().__init__(
-            f"state invariants breached at t = {self.t:g} (trace drift "
-            f"{self.trace_drift:.3g}, min eigenvalue {self.min_eigenvalue:.3g}); "
+            f"state invariants breached at t = {self.t:g} (trace drift {self.trace_drift:.3g}, "
+            f"min eigenvalue {self.min_eigenvalue:.3g}, largest entry {self.largest_entry:.3g}); "
             f"rerun with a step smaller than dt = {self.dt:g}"
         )

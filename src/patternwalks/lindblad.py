@@ -333,7 +333,9 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
-                errors[live[i]] = IntegrationDiagnosticsError(times[k], dt, drift[i], smallest[i])
+                errors[live[i]] = IntegrationDiagnosticsError(
+                    times[k], dt, drift[i], smallest[i], np.abs(r[i]).max()
+                )
             r, live = r[ok], live[ok]
             # Popping frees each coefficient's old operands once its new ones exist.
             scaled = {c: tuple(x[ok] for x in scaled.pop(c)) for c in list(scaled)}

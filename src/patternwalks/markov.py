@@ -67,7 +67,8 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
     One propagator ``expm(q delta)`` is computed and applied sample to
     sample. After each product the distribution must still sum to 1
     within 1e-9; it is then clipped at 0 and renormalized, so roundoff
-    cannot accumulate into negative or unnormalized rows.
+    cannot accumulate into negative or unnormalized rows. Each step
+    writes its row of the result in place and creates no array.
     """
     a = as_rate_matrix(q)
     p = as_probability_vector(pi0)
@@ -79,13 +80,15 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
     out = np.empty((steps + 1, p.size))
     out[0] = p
     for k in range(1, steps + 1):
-        p = step @ p
-        drift = abs(float(p.sum()) - 1.0)
+        row = out[k]
+        np.matmul(step, out[k - 1], out=row)
+        drift = abs(float(np.add.reduce(row)) - 1.0)
         if drift > 1e-9:
             raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        out[k] = p
+        # np.clip(row, 0.0, None) is this ufunc call, operands in this
+        # order: -0.0 becomes +0.0 and NaN propagates.
+        np.maximum(row, 0.0, out=row)
+        row /= np.add.reduce(row)
     return out
 
 

@@ -39,25 +39,32 @@ def _write_table(path: str, header: str, row_format: str, rows) -> None:
     _write_lines(path, chain([header], (row_format % row for row in rows)))
 
 
-def _pattern_columns(dim: int, n: int) -> tuple[str, str]:
-    """Header and row format of a ``t`` column and one real column per pattern."""
-    header = "t," + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
-    return header, ",".join([_REAL] * (dim + 1))
+def _write_real_table(path: str, header: str, table) -> None:
+    """Write ``header``, then each row of the 2-D float ``table`` as ``_REAL`` cells.
+
+    A column that is +0.0 in every row is written as its ``_REAL`` text,
+    the literal ``0``, so that only the populated columns are formatted.
+    """
+    empty = ((table == 0) & ~np.signbit(table)).all(axis=0)
+    row_format = ",".join(["0" if e else _REAL for e in empty.tolist()])
+    # Rows become Python floats one at a time: no whole-table list is held.
+    _write_table(path, header, row_format, (tuple(row.tolist()) for row in table[:, ~empty]))
+
+
+def _pattern_header(dim: int, n: int) -> str:
+    return "t," + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, n: int) -> None:
     """Header ``t,pattern_<bits>...,trace_drift,min_eig,purity``."""
-    header, row_format = _pattern_columns(traj.populations.shape[1], n)
-    columns = zip(traj.times, traj.populations, traj.trace_drift, traj.min_eigenvalue, traj.purity)
-    _write_table(
-        path, header + ",trace_drift,min_eig,purity", row_format + f",{_REAL}" * 3,
-        ((t, *p.tolist(), drift, eig, pur) for t, p, drift, eig, pur in columns),
-    )
+    columns = [traj.times, traj.populations, traj.trace_drift, traj.min_eigenvalue, traj.purity]
+    header = _pattern_header(traj.populations.shape[1], n) + ",trace_drift,min_eig,purity"
+    _write_real_table(path, header, np.column_stack(columns))
 
 
 def write_classical_csv(path: str, times, distributions, n: int) -> None:
-    header, row_format = _pattern_columns(distributions.shape[1], n)
-    _write_table(path, header, row_format, ((t, *p.tolist()) for t, p in zip(times, distributions)))
+    header = _pattern_header(distributions.shape[1], n)
+    _write_real_table(path, header, np.column_stack([times, distributions]))
 
 
 def write_sweep_csv(path: str, rows) -> None:

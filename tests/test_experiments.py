@@ -419,6 +419,26 @@ class TestSweepRunner:
         assert t_mix == -1.0
         assert "dt" in diag and "," not in diag
 
+    def test_diverged_point_reports_its_largest_entry(self, tmp_path):
+        # kappa = 150 at dt = 0.005 diverges before the first sample; the
+        # trace of the state cancels to rounding noise, its size does not
+        data = scenario_mapping(
+            n=4, sinks=["0001", "0111"], initial="1110", t_max=0.1, dt=0.005,
+            sample_every=0.05,
+        )
+        data.pop("kappa")
+        data.pop("gamma")
+        data["kappa_values"] = [150.0]
+        data["gamma_values"] = [0.2]
+        grid = parse_sweep(data)
+        ((_, _, t_mix, diag),) = run_sweep(grid, out_dir=str(tmp_path)).rows
+        assert t_mix == -1.0 and "t = 0.05 " in diag
+        with pytest.raises(IntegrationDiagnosticsError) as err:
+            evolve(density_from_pattern(grid.base.initial, 4), build_spec(grid.base),
+                   build_params(grid.base, kappa=150.0, gamma=0.2))
+        assert err.value.largest_entry > 1e30
+        assert f"largest entry {err.value.largest_entry:.3g}" in diag
+
     def test_overflowing_point_gets_minus_one_and_others_survive(self, tmp_path):
         data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=20.0)
         data.pop("kappa")
@@ -642,6 +662,62 @@ class TestRealFormatting:
         expected = np.column_stack([table, -table[:, 0]])
         assert rows == [[format(float(x), ".12g") for x in row] for row in expected]
         assert rows[0][:4] == ["-0", "4.94065645841e-324", "1e-300", "0.3"]
+
+    @staticmethod
+    def _cell_by_cell(header, table):
+        """The CSV text with every cell formatted on its own."""
+        lines = [header] + [",".join("%.12g" % x for x in row) for row in table.tolist()]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def _assert_classical_bytes(self, tmp_path, patterns, times=None):
+        times = np.arange(patterns.shape[0]) * 0.05 if times is None else times
+        path = tmp_path / "classical.csv"
+        output.write_classical_csv(str(path), times, patterns, 2)
+        header = "t,pattern_00,pattern_01,pattern_10,pattern_11"
+        assert path.read_bytes() == self._cell_by_cell(header, np.column_stack([times, patterns]))
+        return path.read_text()
+
+    def test_all_positive_zero_column(self, tmp_path):
+        patterns = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.75, 0.0]])
+        self._assert_classical_bytes(tmp_path, patterns)
+
+    def test_column_zero_in_every_row_but_one(self, tmp_path):
+        patterns = np.zeros((5, 4))
+        patterns[:, 0] = 1.0
+        patterns[3] = [0.75, 1e-300, 0.0, 0.25]
+        self._assert_classical_bytes(tmp_path, patterns)
+
+    def test_negative_zero_column_still_prints_minus_zero(self, tmp_path):
+        patterns = np.zeros((3, 4))
+        patterns[:, 0] = 1.0
+        patterns[:, 2] = -0.0
+        patterns[1, 3] = -0.0
+        text = self._assert_classical_bytes(tmp_path, patterns)
+        assert text.splitlines()[1] == "0,1,0,-0,0"
+        assert text.splitlines()[2] == "0.05,1,0,-0,-0"
+
+    def test_nan_column_is_formatted(self, tmp_path):
+        patterns = np.zeros((3, 4))
+        patterns[:, 3] = [0.0, np.nan, 0.0]
+        self._assert_classical_bytes(tmp_path, patterns)
+
+    def test_all_zero_table(self, tmp_path):
+        # no column is formatted: the row format holds no conversion at all
+        text = self._assert_classical_bytes(tmp_path, np.zeros((3, 4)), times=np.zeros(3))
+        assert text.splitlines()[1:] == ["0,0,0,0,0"] * 3
+
+    def test_dissipative_only_walk_is_cell_by_cell(self, tmp_path):
+        # at kappa = 0 the walk, like the chain, leaves most patterns at +0.0
+        cfg = load_scenario(write_config(tmp_path, scenario_mapping(
+            n=4, sinks=["1011", "1111"], initial="0000", kappa=0.0, t_max=2.0,
+        )))
+        traj = run_simulate(cfg, out_dir=str(tmp_path)).trajectory
+        table = np.column_stack(
+            [traj.times, traj.populations, traj.trace_drift, traj.min_eigenvalue, traj.purity]
+        )
+        assert ((traj.populations == 0) & ~np.signbit(traj.populations)).all(axis=0).any()
+        header = (tmp_path / "simulate.csv").read_text().splitlines()[0]
+        assert (tmp_path / "simulate.csv").read_bytes() == self._cell_by_cell(header, table)
 
 
 class TestSvg:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patternwalks.errors import ConfigurationError
-from patternwalks.hypercube import build_jump_operators, make_spec
+from patternwalks.hypercube import build_jump_operators, make_spec, vertex_index
 from patternwalks.markov import (
     as_probability_vector,
     as_rate_matrix,
@@ -104,6 +104,54 @@ class TestCtmcSamples:
             # the single-time arithmetic: one expm(q t) @ pi0, clipped and renormalized
             single = np.clip(np.real(expm(q * t) @ pi), 0.0, None)
             assert np.array_equal(out, single / single.sum())
+
+    @staticmethod
+    def _per_step_formula(q, pi0, delta, steps):
+        """The stepping ``ctmc_samples`` replaced: new arrays at every step."""
+        step = expm(np.asarray(q, dtype=float) * delta)
+        p = np.asarray(pi0, dtype=float)
+        rows, clipped = [p], 0
+        for _ in range(steps):
+            p = step @ p
+            clipped += int(np.count_nonzero(p < 0))
+            p = np.clip(p, 0, None)
+            p = p / p.sum()
+            rows.append(p)
+        return np.array(rows), clipped
+
+    def _assert_pinned(self, q, pi0, delta, steps):
+        expected, clipped = self._per_step_formula(q, pi0, delta, steps)
+        got = ctmc_samples(q, pi0, delta, steps)
+        # the bytes pin every bit, sign bits of zeros included
+        assert got.tobytes() == expected.tobytes()
+        return clipped
+
+    def test_in_place_steps_equal_the_per_step_formula_on_the_n6_chain(self):
+        # the n = 6 scenario of the classical benchmark's seed 3: jumps reach
+        # 4 of the 64 vertices from the start, and 400 steps of 0.05
+        spec = make_spec(6, ["100110", "101010"])
+        q = rate_matrix_from_jumps(build_jump_operators(spec), spec.dim)
+        pi0 = np.zeros(spec.dim)
+        pi0[vertex_index("110100")] = 1.0
+        self._assert_pinned(q, pi0, 0.05, 400)
+
+    def test_in_place_steps_equal_the_per_step_formula_on_random_chains(self):
+        rng = np.random.default_rng(5)
+        clipped = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            w = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+            # off-diagonal rates just inside the validation tolerance give
+            # propagators with negative entries, so some steps clip
+            w[rng.random((n, n)) < 0.2] = -5e-13
+            np.fill_diagonal(w, 0.0)
+            q = w - np.diag(w.sum(axis=0))
+            pi0 = np.zeros(n)
+            pi0[int(rng.integers(n))] = 1.0
+            clipped += self._assert_pinned(q, pi0, 0.05, 400)
+            clipped += self._assert_pinned(rate_matrix(random_stochastic(n, rng)),
+                                           rng.dirichlet(np.ones(n)), 0.05, 400)
+        assert clipped > 0
 
     def test_zero_steps_is_the_initial_distribution(self):
         q = rate_matrix(WEIGHTED_CHAIN)
