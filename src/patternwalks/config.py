@@ -19,13 +19,11 @@ from .constants import (
     DEFAULT_T_MAX,
     MAX_DT,
     MAX_NEURONS,
-    MAX_SAMPLES,
-    MAX_STEPS,
 )
 from .errors import ConfigurationError
 from .hopfield import ORDERS, SENSES, STANDARD, CYCLIC
 from .hypercube import RULES, STRICT, HypercubeSpec, make_spec, vertex_hamming, vertex_index
-from .lindblad import WalkParams
+from .lindblad import WalkParams, sample_grid
 
 __all__ = [
     "WalkConfig",
@@ -191,7 +189,7 @@ def _field_edge_weights(data, n):
     raw = data.get("edge_weights", [])
     if not isinstance(raw, list):
         raise ConfigurationError("edge_weights: expected a list of triples")
-    weights = []
+    weights, pairs = [], set()
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigurationError(
@@ -203,6 +201,10 @@ def _field_edge_weights(data, n):
             raise ConfigurationError(
                 f"edge_weights: {u!r} and {v!r} differ by more than one bit"
             )
+        pair = frozenset((u, v))
+        if pair in pairs:
+            raise ConfigurationError(f"edge_weights: the pair {u!r}, {v!r} is given twice")
+        pairs.add(pair)
         w = _finite("edge_weights", entry[2])
         if not w > 0:
             raise ConfigurationError(f"edge_weights: weight must be > 0, got {w!r}")
@@ -223,16 +225,9 @@ def _walk_fields(data) -> dict:
     }
     if fields["sample_every"] < fields["dt"]:
         raise ConfigurationError("sample_every: must be at least dt")
-    if fields["t_max"] / fields["sample_every"] > MAX_SAMPLES:
-        raise ConfigurationError(
-            f"t_max: {fields['t_max']:g} asks for more than {MAX_SAMPLES} samples "
-            f"of sample_every = {fields['sample_every']:g}"
-        )
-    if fields["t_max"] / fields["dt"] > MAX_STEPS:
-        raise ConfigurationError(
-            f"dt: {fields['dt']:g} asks for more than {MAX_STEPS} steps "
-            f"up to t_max = {fields['t_max']:g}"
-        )
+    # The walk steps by dt; the classical chain on the same file steps once per sample.
+    for step in (fields["dt"], fields["sample_every"]):
+        sample_grid(step, fields["sample_every"], fields["t_max"])
     fields |= {
         "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),
         "out": _field_out(data),

@@ -17,7 +17,7 @@ from . import coins, hopfield, markov, output
 from .config import HopfieldConfig, SweepGrid, WalkConfig, build_params, build_spec
 from .errors import ConfigurationError, IntegrationDiagnosticsError
 from .hypercube import build_jump_operators, index_pattern, vertex_index
-from .lindblad import Trajectory, density_from_pattern, evolve, evolve_batch, mixing_time
+from .lindblad import Trajectory, density_from_pattern, evolve, evolve_batch, mixing_time, sample_grid
 
 __all__ = [
     "SimulateResult",
@@ -89,8 +89,8 @@ def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult
     pi0 = np.zeros(spec.dim)
     pi0[vertex_index(cfg.initial)] = 1.0
 
-    # At least one sample interval, however short t_max is.
-    steps = max(1, int(np.ceil(cfg.t_max / cfg.sample_every - 1e-12)))
+    # The chain steps once per sample, for at least one interval.
+    _, steps = sample_grid(cfg.sample_every, cfg.sample_every, cfg.t_max)
     times = np.arange(steps + 1) * cfg.sample_every
     dists = markov.ctmc_samples(q, pi0, cfg.sample_every, steps)
 

@@ -23,6 +23,9 @@ coherent edge and no outgoing jump, so its rows and columns of M are
 zero. The integrator requires an initial state with no coherence that
 involves a sink and keeps each such coherence at exactly 0.0, so the
 positivity check reads the non-sink block and the sink populations.
+The equation is linear with a constant generator L, so one RK4 step is
+the polynomial 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 of h = dt;
+``rk4_step`` evaluates it in place, in nested form, with four stages.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -44,6 +47,8 @@ from .constants import (
     EIGENVALUE_ABORT,
     HERMITICITY_TOL,
     MAX_DT,
+    MAX_SAMPLES,
+    MAX_STEPS,
     MIXING_EPS,
     POPULATION_DUST,
     POSITIVITY_FLOOR,
@@ -66,7 +71,7 @@ from .hypercube import (
     popcount,
     vertex_index,
 )
-from .numerics import hermiticity_residual, rk4_coefficients, rk4_step
+from .numerics import hermiticity_residual
 
 __all__ = [
     "WalkParams",
@@ -286,6 +291,22 @@ def _stage(r, m, feed, gain, out, product):
     return out
 
 
+def rk4_step(r, stages, gain, work, product):
+    """Advance the (B, dim, dim) stack ``r`` in place by one RK4 step; return ``r``.
+
+    The step is ``r + dt L(r + dt/2 L(r + dt/3 L(r + dt/4 L(r))))``, with
+    ``stages[i] = (c M, c gamma)`` for c = dt/4, dt/3, dt/2 and dt. The
+    scratch ``work`` and ``product`` are contiguous and shaped like ``r``.
+    """
+    (m, feed), *rest = stages
+    w = _stage(r, m, feed, gain, work, product)
+    for m, feed in rest:
+        w += r
+        _stage(w, m, feed, gain, w, product)
+    r += w
+    return r
+
+
 def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_sample: int, n_samples: int):
     """Step a (B, dim, dim) stack of states with RK4, health-checking every sample.
 
@@ -299,8 +320,9 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     fields or its ``IntegrationDiagnosticsError``.
 
     The steps work on the framed ``R = Q^dag rho Q`` and allocate no
-    state-sized array: ``c M`` for RK4's four coefficients and two scratch
-    stacks are made once, and compacted with the states when a slice drops.
+    state-sized array: ``rk4_step``'s four ``(c M, c gamma)`` and two
+    scratch stacks are made once, and compacted with the states when a
+    slice drops.
     """
     batch, dim = rho.shape[0], rho.shape[-1]
     times = np.arange(n_samples + 1) * (steps_per_sample * dt)
@@ -314,12 +336,8 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     block, sinks = _split(dim, sinks)
     kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
     r, m = _framed(rho, h, out_degree, block, kappa, gamma)
-    scaled = {c: (c * m, c * gamma) for c in rk4_coefficients(dt)}
+    stages = [(c * m, c * gamma) for c in (dt / 4, dt / 3, dt / 2, dt)]
     product, work = np.empty_like(r), np.empty_like(r)
-
-    def apply(x, c, out):
-        # Reads ``scaled`` and the scratch stacks when called: it follows drops.
-        return _stage(x, *scaled[c], gain, work if out is None else out, product)
 
     for k in range(n_samples + 1):
         if k > 0:
@@ -328,7 +346,7 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps_per_sample):
-                    r = rk4_step(apply, r, dt)
+                    r = rk4_step(r, stages, gain, work, product)
         drift, smallest = _health(r, block, sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
@@ -337,8 +355,9 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
                     times[k], dt, drift[i], smallest[i], np.abs(r[i]).max()
                 )
             r, live = r[ok], live[ok]
-            # Popping frees each coefficient's old operands once its new ones exist.
-            scaled = {c: tuple(x[ok] for x in scaled.pop(c)) for c in list(scaled)}
+            # Each pair's old operands are freed once its new ones exist.
+            for i in range(len(stages)):
+                stages[i] = tuple(x[ok] for x in stages[i])
             # The scratch stacks' contents are dead here; their leading
             # slices are contiguous stacks of the new size.
             product, work = product[: live.size], work[: live.size]
@@ -361,6 +380,31 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
     ]
 
 
+def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, int]:
+    """``(steps_per_sample, n_samples)`` of a run that steps by ``dt``.
+
+    The stride rounds ``sample_every`` to whole steps, at least one, and
+    the run extends to the first sample at or past ``t_max``. A run of
+    more than MAX_SAMPLES samples or MAX_STEPS steps is a
+    ConfigurationError naming ``t_max`` or ``dt``.
+    """
+    # Checked first, so that round() never meets an infinite ratio.
+    if not sample_every / dt < MAX_STEPS + 1:
+        raise ConfigurationError(f"dt: {dt:g} asks for more than {MAX_STEPS} steps per sample")
+    steps_per_sample = max(1, int(round(sample_every / dt)))
+    stride = steps_per_sample * dt
+    n_samples = max(1, int(np.ceil(t_max / stride - 1e-12)))
+    if n_samples > MAX_SAMPLES:
+        raise ConfigurationError(
+            f"t_max: {t_max:g} asks for {n_samples:g} samples of stride {stride:g}, more than {MAX_SAMPLES}"
+        )
+    if steps_per_sample * n_samples > MAX_STEPS:
+        raise ConfigurationError(
+            f"dt: {dt:g} asks for {steps_per_sample * n_samples:g} steps, more than {MAX_STEPS}"
+        )
+    return steps_per_sample, n_samples
+
+
 def evolve_batch(
     rho0,
     spec: HypercubeSpec,
@@ -373,8 +417,8 @@ def evolve_batch(
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
     not stop the others, and each outcome equals that of a lone
     ``evolve``. The runs must share ``dt``, ``sample_every`` and
-    ``t_max``, so that they share one step count. ``rho0`` may have no
-    coherence that involves a sink (a ConfigurationError names the sink).
+    ``t_max``, so that they share one ``sample_grid``. ``rho0`` may have
+    no coherence that involves a sink (a ConfigurationError names the sink).
     """
     params_seq = list(params_seq)
     dim = spec.dim
@@ -392,6 +436,7 @@ def evolve_batch(
         for p in params_seq
     ):
         raise ConfigurationError("a batch of runs must share dt, sample_every and t_max")
+    steps_per_sample, n_samples = sample_grid(first.dt, first.sample_every, first.t_max)
 
     # Rescale to 1/gamma time units; gamma = 0 runs in plain time. A run
     # depends on its params only through these strengths, so each distinct
@@ -402,8 +447,6 @@ def evolve_batch(
 
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-    steps_per_sample = max(1, int(round(first.sample_every / first.dt)))
-    n_samples = max(1, int(np.ceil(first.t_max / (steps_per_sample * first.dt) - 1e-12)))
     times, outcomes = _integrate(
         np.broadcast_to(rho, (len(distinct), dim, dim)), h, gain, out_degree, distinct,
         spec.sinks, first.dt, steps_per_sample, n_samples,

@@ -1,21 +1,18 @@
-"""Dense matrix helpers, a matrix exponential and fixed-step RK4.
+"""Dense matrix helpers and a matrix exponential.
 
 Operators are plain ``numpy.ndarray``s, float64 or complex128; the
-helpers here add dimension checks, a Hermiticity residual, a
-scaling-and-squaring matrix exponential and the RK4 step.
-``rk4_step`` advances its state in place; everything else is a pure
-function of its inputs.
+helpers here add dimension checks, a Hermiticity residual and a
+scaling-and-squaring matrix exponential, each a pure function of its
+inputs. The walk's RK4 step lives beside its rhs in ``lindblad``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["hermiticity_residual", "rk4_coefficients", "rk4_step", "expm"]
+__all__ = ["hermiticity_residual", "expm"]
 
 
 def _square(a) -> np.ndarray:
@@ -38,36 +35,6 @@ def hermiticity_residual(a):
     diff = m.swapaxes(-1, -2).copy()
     np.subtract(m, np.conjugate(diff, out=diff), out=diff)
     return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
-
-
-def rk4_coefficients(dt: float) -> tuple:
-    """The coefficients ``c`` at which ``rk4_step`` calls ``apply``, in call order."""
-    return dt / 4, dt / 3, dt / 2, dt
-
-
-def rk4_step(apply: Callable, y: np.ndarray, dt: float) -> np.ndarray:
-    """Advance ``y`` in place by one classical RK4 step of the linear ``y' = L(y)``.
-
-    For a linear, time-invariant L the four-stage RK4 update is the
-    polynomial ``1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` of ``h = dt``,
-    evaluated here in nested (Horner) form:
-
-        y + dt L(y + dt/2 L(y + dt/3 L(y + dt/4 L(y))))
-
-    ``apply(x, c, out)`` writes ``c L(x)`` into ``out`` and returns it;
-    ``out`` may be ``x``. Given ``out=None`` it writes into an array that
-    shares no memory with ``x``: a new one, as a numpy ufunc does, or
-    scratch space of its own. Returns ``y``.
-    """
-    if dt <= 0:
-        raise ConfigurationError("rk4_step requires dt > 0")
-    first, *rest = rk4_coefficients(dt)
-    w = apply(y, first, None)
-    for c in rest:
-        w += y
-        apply(w, c, w)
-    y += w
-    return y
 
 
 def expm(a) -> np.ndarray:

@@ -173,6 +173,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="^dt"):
             parse_sweep(grid)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            # t_max / dt is 2, but the one stride of 1e6 / 0.01 takes 1e8 steps
+            ({"dt": 0.01, "sample_every": 1e6, "t_max": 0.02}, "dt"),
+            # t_max / sample_every is 1e5, but 0.014 rounds to one step of
+            # 0.01, so the walk would write 140 001 rows
+            ({"dt": 0.01, "sample_every": 0.014, "t_max": 1400.0}, "t_max"),
+            # sample_every / dt overflows to inf, while t_max / dt is 5e6
+            ({"dt": 1e-307, "sample_every": 100.0, "t_max": 5e-301}, "dt"),
+        ],
+    )
+    def test_caps_count_the_rounded_stride(self, overrides, key):
+        data = scenario_mapping(**overrides)
+        with pytest.raises(ConfigurationError, match=f"^{key}:"):
+            parse_scenario(data)
+        grid = {k: data[k] for k in data if k not in ("kappa", "gamma")}
+        with pytest.raises(ConfigurationError, match=f"^{key}:"):
+            parse_sweep(grid | {"kappa_values": [1.0], "gamma_values": [1.0]})
+
+    def test_chain_samples_count_against_the_sample_cap(self):
+        # 0.016 rounds up to two steps of 0.01, so the walk takes 90 000
+        # samples to t_max = 1800; the classical chain on the same file
+        # takes one per 0.016, 112 500 of them
+        with pytest.raises(ConfigurationError, match="^t_max"):
+            parse_scenario(scenario_mapping(dt=0.01, sample_every=0.016, t_max=1800.0))
+        within = scenario_mapping(dt=0.01, sample_every=0.016, t_max=1600.0)
+        assert parse_scenario(within).t_max == 1600.0
+
+    @pytest.mark.parametrize("second", [["000", "001", 3.0], ["001", "000", 3.0]])
+    def test_repeated_edge_weight_pair_rejected(self, second):
+        data = scenario_mapping(
+            n=3, sinks=["111"], initial="000", edge_weights=[["000", "001", 2.0], second]
+        )
+        with pytest.raises(ConfigurationError, match="^edge_weights: .*'001'.* twice"):
+            parse_scenario(data)
+        grid = {key: data[key] for key in data if key not in ("kappa", "gamma")}
+        with pytest.raises(ConfigurationError, match="^edge_weights"):
+            parse_sweep(grid | {"kappa_values": [1.0], "gamma_values": [1.0]})
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -600,6 +640,17 @@ class TestCli:
         path = write_config(tmp_path, data)
         assert main(["simulate", path, "--out", str(tmp_path)]) == 2
         assert "config error: dt" in capsys.readouterr().err
+
+    def test_repeated_edge_weight_pair_exits_2_before_the_output_directory(self, tmp_path, capsys):
+        data = scenario_mapping(
+            n=3, sinks=["111"], initial="000",
+            edge_weights=[["000", "001", 2.0], ["001", "000", 3.0]],
+        )
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["simulate", path, "--out", str(out)]) == 2
+        assert "config error: edge_weights" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dt_override_validated(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_mapping(t_max=2.0))

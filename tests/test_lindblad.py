@@ -36,6 +36,7 @@ from patternwalks.lindblad import (
     mixing_time,
     populations,
     purity,
+    sample_grid,
     validate_density,
 )
 from patternwalks.markov import ctmc_evolve, ctmc_samples, rate_matrix_from_jumps
@@ -44,7 +45,9 @@ from patternwalks.numerics import expm, hermiticity_residual
 from oracles import (
     dense_jump_matrices,
     dense_master_rhs,
+    liouvillian_matrix,
     random_density,
+    rk4_staged_step,
     superoperator_populations,
 )
 
@@ -66,6 +69,20 @@ def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
     """``c`` times the stage evolve integrates, on the framed ``rho``, as a new array."""
     r, m, gain = walk_operands(rho, h, jumps, kappa, gamma, sinks)
     return _stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
+
+
+def rk4_stages(m, gamma, dt):
+    """The ``stages`` of ``lindblad.rk4_step`` for ``M`` and ``gamma``: ``(c M, c gamma)`` per coefficient."""
+    return [(c * m, c * gamma) for c in (dt / 4, dt / 3, dt / 2, dt)]
+
+
+def stepped(r, stages, gain, steps=1):
+    """``r`` as a stack of one, after ``steps`` calls of ``lindblad.rk4_step``."""
+    r = r[None].copy()
+    work, product = np.empty_like(r), np.empty_like(r)
+    for _ in range(steps):
+        lindblad.rk4_step(r, stages, gain, work, product)
+    return r[0]
 
 
 def random_framed_state(spec, rng, real):
@@ -94,6 +111,11 @@ class TestWalkParams:
     def test_step_cap(self):
         with pytest.raises(ConfigurationError):
             WalkParams(kappa=1.0, gamma=1.0, dt=0.02)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.005])
+    def test_nonpositive_step_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must lie in"):
+            WalkParams(kappa=1.0, gamma=1.0, dt=dt)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -248,6 +270,62 @@ class TestRhs:
             assert np.max(np.abs(unframed(out) - dense)) < 1e-12
 
 
+class TestRk4Step:
+    # self-pairs of unequal weight on non-sink vertices make M complex
+    SELF_PAIRS = {"real": (), "complex": [("000", "000", 2.0), ("010", "010", 0.5)]}
+
+    def test_zero_generator_keeps_state(self):
+        rng = np.random.default_rng(137)
+        r = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        start = r.copy()
+        stages = [(np.zeros((4, 4), dtype=complex), 0.0)] * 4
+        out = lindblad.rk4_step(r, stages, np.zeros((4, 4)), np.empty_like(r), np.empty_like(r))
+        assert out is r
+        assert np.array_equal(r, start)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005])
+    def test_two_level_decay_is_the_quartic_taylor_polynomial(self, dt):
+        # n = 1, sink 1, start 0, kappa = 0: the population on 0 obeys
+        # p' = -p, so one step multiplies it by the degree-4 Taylor
+        # polynomial of exp(-dt)
+        spec = make_spec(1, ["1"])
+        r, m, gain = walk_operands(
+            basis_density(0, 2), build_hamiltonian(spec), build_jump_operators(spec), 0.0, 1.0, spec.sinks
+        )
+        after = stepped(r, rk4_stages(m, 1.0, dt), gain)
+        assert after[0, 0] == pytest.approx(1 - dt + dt**2 / 2 - dt**3 / 6 + dt**4 / 24, rel=1e-15, abs=0.0)
+        assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_single_step_matches_liouvillian_exponential_to_fifth_order(self, path):
+        spec = make_spec(3, ["101", "111"], self.SELF_PAIRS[path])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        rho0 = basis_density(0, 8)
+        sup = liouvillian_matrix(h, dense_jump_matrices(jumps, 8), 1.0, 1.0)
+        r, m, gain = walk_operands(rho0, h, jumps, 1.0, 1.0, spec.sinks)
+        assert r.dtype == (np.float64 if path == "real" else np.complex128)
+        for dt in (0.01, 0.005):
+            after = unframed(stepped(r, rk4_stages(m, 1.0, dt), gain))
+            exact = (expm(dt * sup) @ rho0.reshape(-1, order="F")).reshape(8, 8, order="F")
+            assert np.max(np.abs(after - exact)) < 10 * dt**5
+
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_nested_form_matches_staged_oracle(self, path):
+        # the nested polynomial and the four general stages are the same
+        # map for a linear generator; only the rounding differs
+        rng = np.random.default_rng(139)
+        spec = make_spec(3, ["101", "111"], self.SELF_PAIRS[path])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        mats = dense_jump_matrices(jumps, 8)
+        rho = unframed(random_framed_state(spec, rng, real=path == "real"))
+        r, m, gain = walk_operands(rho, h, jumps, 1.3, 0.7, spec.sinks)
+        nested = unframed(stepped(r, rk4_stages(m, 0.7, 0.01), gain, steps=100))
+        staged = rho
+        for _ in range(100):
+            staged = rk4_staged_step(lambda x: dense_master_rhs(x, h, mats, 1.3, 0.7), staged, 0.01)
+        assert np.max(np.abs(nested - staged)) / np.max(np.abs(staged)) < 1e-13
+
+
 class TestFrame:
     def test_phases_conjugate_by_parity(self):
         for n in (1, 3, 4):
@@ -282,9 +360,9 @@ class TestFrame:
         # self-loop weights make it complex128
         step, dtypes = lindblad.rk4_step, []
 
-        def recorded(apply, y, dt):
-            dtypes.append(y.dtype)
-            return step(apply, y, dt)
+        def recorded(r, *rest):
+            dtypes.append(r.dtype)
+            return step(r, *rest)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
@@ -365,13 +443,9 @@ class TestEvolve:
         # evolve validates via populations; check off-diagonals via rhs invariance
         h = build_hamiltonian(spec)
         r, m, gain = walk_operands(basis_density(0, 8), h, build_jump_operators(spec), 0.0, 1.0, spec.sinks)
-        from patternwalks.numerics import rk4_step
-
-        def apply(x, c, out):
-            return _stage(x, c * m, c, gain, np.empty_like(x) if out is None else out, np.empty_like(x))
-
+        stages, work, product = rk4_stages(m, 1.0, 0.005), np.empty_like(r), np.empty_like(r)
         for _ in range(600):
-            rk4_step(apply, r, 0.005)
+            lindblad.rk4_step(r, stages, gain, work, product)
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -425,6 +499,8 @@ class TestEvolve:
         params = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0, dt=0.004, sample_every=0.01)
         traj = evolve(basis_density(0, 4), spec, params)
         # stride rounds to a whole number of 0.004 steps (0.008 here)
+        assert sample_grid(params.dt, params.sample_every, params.t_max) == (2, 125)
+        assert traj.times.size == 126
         assert traj.times[0] == 0.0
         assert traj.times[1] == pytest.approx(0.008)
         assert traj.times[-1] >= params.t_max - 1e-12
@@ -509,14 +585,14 @@ class TestEvolveBatch:
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
         step, calls, marks = lindblad.rk4_step, [], {}
 
-        def measured(apply, y, dt):
+        def measured(r, *rest):
             if not calls:
                 tracemalloc.reset_peak()
                 marks["start"] = tracemalloc.get_traced_memory()[0]
             calls.append(None)
-            y = step(apply, y, dt)
+            r = step(r, *rest)
             marks["peak"] = tracemalloc.get_traced_memory()[1]
-            return y
+            return r
 
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
@@ -538,12 +614,12 @@ class TestEvolveBatch:
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
         step, peaks = lindblad.rk4_step, []
 
-        def measured(apply, y, dt):
+        def measured(r, *rest):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            y = step(apply, y, dt)
+            r = step(r, *rest)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            return y
+            return r
 
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
@@ -576,9 +652,9 @@ class TestEvolveBatch:
         stack_sizes = set()
         step = lindblad.rk4_step
 
-        def recorded(f, y, dt):
-            stack_sizes.add(y.shape[0])
-            return step(f, y, dt)
+        def recorded(r, *rest):
+            stack_sizes.add(r.shape[0])
+            return step(r, *rest)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
@@ -639,10 +715,10 @@ class TestSinkBlock:
         rho0 = np.outer(amplitudes, amplitudes.conj())
         step, states = lindblad.rk4_step, []
 
-        def recorded(apply, y, dt):
-            y = step(apply, y, dt)
-            states.append(y.copy())
-            return y
+        def recorded(r, *rest):
+            r = step(r, *rest)
+            states.append(r.copy())
+            return r
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]

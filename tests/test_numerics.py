@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from patternwalks.errors import ConfigurationError
-from patternwalks.numerics import expm, hermiticity_residual, rk4_coefficients, rk4_step
+from patternwalks.numerics import expm, hermiticity_residual
 
-from oracles import random_hermitian, rk4_staged_step, taylor_expm
+from oracles import random_hermitian, taylor_expm
 
 
 class TestHermiticityResidual:
@@ -29,84 +28,6 @@ class TestHermiticityResidual:
         start = h.copy()
         assert hermiticity_residual(h) == 0.0
         assert np.array_equal(h, start)
-
-
-def linear(a):
-    """``apply`` for rk4_step: writes ``c a x`` into ``out``."""
-    return lambda x, c, out: np.multiply(c, a @ x, out=out)
-
-
-def non_normal(n, rng):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = np.triu(a)  # upper triangular with a non-zero strict part: non-normal
-    return a / np.linalg.norm(a, 2)
-
-
-class TestRk4:
-    def test_zero_rhs_keeps_state(self):
-        y = np.array([[1.0 + 2j, 0.5], [0.0, -1.0]])
-        start = y.copy()
-        out = rk4_step(lambda x, c, out: np.multiply(0.0, x, out=out), y, 0.1)
-        assert out is y
-        assert np.array_equal(out, start)
-
-    def test_scalar_exponential(self):
-        y = np.array([[1.0 + 0j]])
-        out = rk4_step(lambda x, c, out: np.multiply(c, x, out=out), y, 0.1)
-        assert out is y
-        assert abs(out[0, 0] - np.exp(0.1)) < 1e-7
-
-    def test_single_step_matches_propagator_to_fifth_order(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a /= np.linalg.norm(a, 2)
-        y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for dt in (0.01, 0.005):
-            stepped = rk4_step(linear(a), y.copy(), dt)
-            exact = expm(a * dt) @ y
-            assert np.max(np.abs(stepped - exact)) < 10 * dt**5
-
-    @pytest.mark.parametrize("norm, dt", [(3.0, 0.01), (10.0, 0.005)])
-    def test_long_run_matches_propagator(self, norm, dt):
-        rng = np.random.default_rng(37)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = 0.5 * (a - a.conj().T)  # norm-preserving generator
-        a *= norm / np.linalg.norm(a, 2)
-        y0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        total = 1.0
-        y = y0.copy()
-        for _ in range(int(round(total / dt))):
-            assert rk4_step(linear(a), y, dt) is y
-        exact = expm(a * total) @ y0
-        assert np.max(np.abs(y - exact)) / np.max(np.abs(exact)) < 1e-6
-
-    def test_calls_apply_at_the_exported_coefficients(self):
-        seen = []
-
-        def apply(x, c, out):
-            seen.append(c)
-            return np.multiply(c, x, out=out)
-
-        rk4_step(apply, np.ones((2, 2)), 0.3)
-        assert tuple(seen) == rk4_coefficients(0.3) == (0.3 / 4, 0.3 / 3, 0.3 / 2, 0.3)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ConfigurationError):
-            rk4_step(lambda x, c, out: np.multiply(c, x, out=out), np.eye(2, dtype=complex), 0.0)
-
-    @pytest.mark.parametrize("n", [4, 16])
-    def test_horner_form_matches_staged_oracle(self, n):
-        # The nested polynomial and the four general stages are the same
-        # map for a linear generator; only the rounding differs.
-        rng = np.random.default_rng(53 + n)
-        a = non_normal(n, rng)
-        assert np.linalg.norm(a @ a.conj().T - a.conj().T @ a) > 0.1
-        y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        staged = y.copy()
-        for _ in range(100):
-            rk4_step(linear(a), y, 0.01)
-            staged = rk4_staged_step(lambda m: a @ m, staged, 0.01)
-        assert np.max(np.abs(y - staged)) / np.max(np.abs(staged)) < 1e-13
 
 
 class TestExpm:
