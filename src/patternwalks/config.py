@@ -1,14 +1,17 @@
 """Walk, sweep and Hopfield configuration files.
 
 Configs are flat JSON objects with explicit keys. Each kind accepts
-exactly the keys its command reads: every field is checked at parse time
-against the preconditions of the module it feeds, any other key is an
-error, and the offending key is named in the error message.
+exactly the keys its command reads, and any other key is an error. The
+parser checks the JSON itself: types, keys and bit strings. A walk's
+values are then checked once, by ``make_spec``, ``WalkParams`` and
+``sample_grid``, which the parser calls before it returns. Every error
+message starts with the offending key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,12 +20,11 @@ from .constants import (
     DEFAULT_DT,
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_T_MAX,
-    MAX_DT,
     MAX_NEURONS,
 )
 from .errors import ConfigurationError
 from .hopfield import ORDERS, SENSES, STANDARD, CYCLIC
-from .hypercube import RULES, STRICT, HypercubeSpec, make_spec, vertex_hamming, vertex_index
+from .hypercube import RULES, STRICT, HypercubeSpec, make_spec
 from .lindblad import WalkParams, sample_grid
 
 __all__ = [
@@ -59,7 +61,7 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Strength grid swept over a fixed scenario; ``base``'s own kappa and gamma go unused."""
+    """Strength grid swept over a fixed scenario; ``base`` keeps the default strengths."""
 
     kappas: tuple[float, ...]
     gammas: tuple[float, ...]
@@ -138,20 +140,8 @@ def _finite(key, value) -> float:
     return number
 
 
-def _field_real(data, key, default=None, minimum=None, maximum=None, strict_min=False):
-    if key not in data:
-        if default is None:
-            raise ConfigurationError(f"{key}: required field is missing")
-        return default
-    value = _finite(key, data[key])
-    if minimum is not None:
-        if strict_min and not value > minimum:
-            raise ConfigurationError(f"{key}: must be > {minimum}, got {value}")
-        if not strict_min and value < minimum:
-            raise ConfigurationError(f"{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"{key}: must be <= {maximum}, got {value}")
-    return value
+def _field_real(data, key, default):
+    return _finite(key, data[key]) if key in data else default
 
 
 def _field_choice(data, key, choices, default):
@@ -189,69 +179,42 @@ def _field_edge_weights(data, n):
     raw = data.get("edge_weights", [])
     if not isinstance(raw, list):
         raise ConfigurationError("edge_weights: expected a list of triples")
-    weights, pairs = [], set()
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigurationError(
                 f"edge_weights: expected [pattern, pattern, weight], got {entry!r}"
             )
-        u = _field_pattern("edge_weights", entry[0], n)
-        v = _field_pattern("edge_weights", entry[1], n)
-        if vertex_hamming(vertex_index(u), vertex_index(v)) > 1:
-            raise ConfigurationError(
-                f"edge_weights: {u!r} and {v!r} differ by more than one bit"
-            )
-        pair = frozenset((u, v))
-        if pair in pairs:
-            raise ConfigurationError(f"edge_weights: the pair {u!r}, {v!r} is given twice")
-        pairs.add(pair)
-        w = _finite("edge_weights", entry[2])
-        if not w > 0:
-            raise ConfigurationError(f"edge_weights: weight must be > 0, got {w!r}")
-        weights.append((u, v, w))
-    return tuple(weights)
+    key = "edge_weights"
+    return tuple(
+        (_field_pattern(key, u, n), _field_pattern(key, v, n), _finite(key, w)) for u, v, w in raw
+    )
 
 
 def _walk_fields(data) -> dict:
     """Every walk field except the strengths, which a sweep takes from its grid."""
     n = _field_int(data, "n", minimum=1, maximum=MAX_NEURONS)
-    fields = {
+    return {
         "n": n,
-        "t_max": _field_real(data, "t_max", DEFAULT_T_MAX, minimum=0.0, strict_min=True),
-        "dt": _field_real(data, "dt", DEFAULT_DT, minimum=0.0, maximum=MAX_DT, strict_min=True),
-        "sample_every": _field_real(
-            data, "sample_every", DEFAULT_SAMPLE_EVERY, minimum=0.0, strict_min=True
-        ),
-    }
-    if fields["sample_every"] < fields["dt"]:
-        raise ConfigurationError("sample_every: must be at least dt")
-    # The walk steps by dt; the classical chain on the same file steps once per sample.
-    for step in (fields["dt"], fields["sample_every"]):
-        sample_grid(step, fields["sample_every"], fields["t_max"])
-    fields |= {
+        "t_max": _field_real(data, "t_max", DEFAULT_T_MAX),
+        "dt": _field_real(data, "dt", DEFAULT_DT),
+        "sample_every": _field_real(data, "sample_every", DEFAULT_SAMPLE_EVERY),
         "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),
         "out": _field_out(data),
+        "sinks": _field_pattern_list(data, "sinks", n),
+        "initial": _field_pattern("initial", data.get("initial"), n),
+        "edge_weights": _field_edge_weights(data, n),
     }
-    sinks = _field_pattern_list(data, "sinks", n)
-    if len(set(sinks)) != len(sinks):
-        raise ConfigurationError("sinks: patterns must be distinct")
-    if len(sinks) >= (1 << n):
-        raise ConfigurationError("sinks: at least one vertex must stay a non-sink")
-    fields["sinks"] = sinks
-    fields["initial"] = _field_pattern("initial", data.get("initial"), n)
-    fields["edge_weights"] = _field_edge_weights(data, n)
-    return fields
 
 
 def parse_scenario(data: dict) -> WalkConfig:
     """Walk scenario: needs n, sinks, initial; strengths default to 1."""
     fields = _walk_fields(data)
-    kappa = _field_real(data, "kappa", 1.0, minimum=0.0)
-    gamma = _field_real(data, "gamma", 1.0, minimum=0.0)
-    if kappa == 0 and gamma == 0:
-        raise ConfigurationError("kappa/gamma: may not both be zero")
+    cfg = WalkConfig(
+        kappa=_field_real(data, "kappa", 1.0), gamma=_field_real(data, "gamma", 1.0), **fields
+    )
     _reject_unknown(data, WALK_KEYS, "walk")
-    return WalkConfig(kappa=kappa, gamma=gamma, **fields)
+    _check_values(cfg)
+    return cfg
 
 
 def parse_sweep(data: dict) -> SweepGrid:
@@ -262,19 +225,21 @@ def parse_sweep(data: dict) -> SweepGrid:
         raw = data.get(key)
         if not isinstance(raw, list) or len(raw) == 0:
             raise ConfigurationError(f"{key}: expected a non-empty list of numbers")
-        values = tuple(_finite(key, v) for v in raw)
-        if any(v < 0 for v in values):
-            raise ConfigurationError(f"{key}: entries must be numbers >= 0, got {raw!r}")
-        return values
+        return tuple(_finite(key, v) for v in raw)
 
-    kappas = _values("kappa_values")
-    gammas = _values("gamma_values")
-    if any(k == 0 and g == 0 for k in kappas for g in gammas):
-        raise ConfigurationError(
-            "kappa_values/gamma_values: the grid contains the forbidden point (0, 0)"
-        )
+    grid = SweepGrid(kappas=_values("kappa_values"), gammas=_values("gamma_values"), base=base)
     _reject_unknown(data, SWEEP_KEYS, "sweep")
-    return SweepGrid(kappas=kappas, gammas=gammas, base=base)
+    # base's default strengths pass, so this checks the scenario and its times,
+    # and a grid point can then fail only on its strengths
+    _check_values(base)
+    for gamma, kappa in itertools.product(grid.gammas, grid.kappas):
+        try:
+            build_params(base, kappa, gamma)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"kappa_values/gamma_values: point ({kappa:g}, {gamma:g}): {exc}"
+            ) from exc
+    return grid
 
 
 def parse_hopfield(data: dict) -> HopfieldConfig:
@@ -321,3 +286,12 @@ def build_params(cfg: WalkConfig, kappa: float | None = None, gamma: float | Non
         dt=cfg.dt,
         sample_every=cfg.sample_every,
     )
+
+
+def _check_values(cfg: WalkConfig) -> None:
+    """Run the value checks of ``make_spec``, ``WalkParams`` and ``sample_grid`` on ``cfg``."""
+    build_spec(cfg)
+    build_params(cfg)
+    # The walk steps by dt; the classical chain on the same file steps once per sample.
+    for step in (cfg.dt, cfg.sample_every):
+        sample_grid(step, cfg.sample_every, cfg.t_max)

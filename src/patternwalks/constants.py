@@ -23,9 +23,9 @@ DEFAULT_SAMPLE_EVERY = 0.05
 # at n = 6 that many samples of the populations take 51 MB.
 MAX_SAMPLES = 10**5
 
-# ... and at most this many RK4 steps, t_max / dt. One n = 6 step took about
-# 0.26 ms of wall and of CPU time on a 2-core x86-64 machine (numpy 2.4.6,
-# OpenBLAS 0.3.31), so the cap is about 45 minutes of integration.
+# ... and at most this many RK4 steps, t_max / dt. One n = 6 step took
+# 0.105-0.125 ms of wall and of CPU time on a 2-core x86-64 machine (numpy 2.4.6,
+# OpenBLAS 0.3.31), so the cap is about 20 minutes of integration.
 MAX_STEPS = 10**7
 
 # evolve() aborts with a diagnostics error once a sampled state drifts

@@ -96,18 +96,18 @@ def vertex_hamming(i: int, j: int) -> int:
     return bin(i ^ j).count("1")
 
 
-def _spec_vertex(p, n: int, what: str) -> int:
+def _spec_vertex(p, n: int, key: str) -> int:
     """Vertex index of a vertex given as an index or as a length-n pattern."""
     if isinstance(p, bool):
-        raise ConfigurationError(f"{what} {p!r} is a bool, not a vertex")
+        raise ConfigurationError(f"{key}: {p!r} is a bool, not a vertex")
     if isinstance(p, int):
         v = p
     else:
         v = vertex_index(p)
         if len(p) != n:
-            raise ConfigurationError(f"{what} pattern {p!r} does not have length {n}")
+            raise ConfigurationError(f"{key}: pattern {p!r} does not have length {n}")
     if not 0 <= v < 1 << n:
-        raise ConfigurationError(f"{what} vertex {v} out of range for n = {n}")
+        raise ConfigurationError(f"{key}: vertex {v} out of range for n = {n}")
     return v
 
 
@@ -118,35 +118,35 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
     are (pattern, pattern, weight) or (index, index, weight) triples.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigurationError(f"neuron count must be a positive integer, got {n!r}")
+        raise ConfigurationError(f"n: must be a positive integer, got {n!r}")
     dim = 1 << n
 
-    sinks = [_spec_vertex(p, n, "sink") for p in sink_patterns]
+    sinks = [_spec_vertex(p, n, "sinks") for p in sink_patterns]
     if len(sinks) == 0:
-        raise ConfigurationError("at least one sink is required")
+        raise ConfigurationError("sinks: at least one sink is required")
     if len(set(sinks)) != len(sinks):
-        raise ConfigurationError("sink patterns must be distinct")
+        raise ConfigurationError("sinks: patterns must be distinct")
     if len(sinks) >= dim:
-        raise ConfigurationError("at least one vertex must remain a non-sink")
+        raise ConfigurationError("sinks: at least one vertex must stay a non-sink")
 
-    overrides = []
+    overrides, seen = [], set()
     for entry in edge_weight_overrides or ():
         u, v, w = entry
-        iu = _spec_vertex(u, n, "edge override endpoint")
-        iv = _spec_vertex(v, n, "edge override endpoint")
+        iu = _spec_vertex(u, n, "edge_weights")
+        iv = _spec_vertex(v, n, "edge_weights")
         if vertex_hamming(iu, iv) > 1:
             raise ConfigurationError(
-                f"edge override {entry!r} joins vertices farther than one bit flip"
+                f"edge_weights: {entry!r} joins vertices farther than one bit flip"
             )
         w = float(w)
         if not (w > 0 and math.isfinite(w)):
-            raise ConfigurationError(f"edge weight must be positive and finite, got {w!r}")
-        overrides.append((min(iu, iv), max(iu, iv), w))
-    seen = set()
-    for lo, hi, _ in overrides:
+            raise ConfigurationError(f"edge_weights: weight must be positive and finite, got {w!r}")
+        lo, hi = min(iu, iv), max(iu, iv)
         if (lo, hi) in seen:
-            raise ConfigurationError(f"duplicate edge weight override for ({lo}, {hi})")
+            pair = f"{index_pattern(lo, n)!r}, {index_pattern(hi, n)!r}"
+            raise ConfigurationError(f"edge_weights: the pair {pair} is given twice")
         seen.add((lo, hi))
+        overrides.append((lo, hi, w))
 
     return HypercubeSpec(n=n, sinks=tuple(sorted(sinks)), edge_weights=tuple(overrides))
 

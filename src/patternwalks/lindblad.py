@@ -105,10 +105,11 @@ class WalkParams:
         for name in ("kappa", "gamma", "t_max", "dt", "sample_every"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a finite number")
-        if self.kappa < 0 or self.gamma < 0:
-            raise ConfigurationError("kappa and gamma must be >= 0")
+        for name, value in (("kappa", self.kappa), ("gamma", self.gamma)):
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.kappa == 0 and self.gamma == 0:
-            raise ConfigurationError("kappa and gamma may not both be zero")
+            raise ConfigurationError("kappa/gamma: may not both be zero")
         if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
         if not 0 < self.dt <= MAX_DT:

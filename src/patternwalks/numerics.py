@@ -3,7 +3,7 @@
 Operators are plain ``numpy.ndarray``s, float64 or complex128; the
 helpers here add dimension checks, a Hermiticity residual and a
 scaling-and-squaring matrix exponential, each a pure function of its
-inputs. The walk's RK4 step lives beside its rhs in ``lindblad``.
+inputs.
 """
 
 from __future__ import annotations

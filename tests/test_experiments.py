@@ -30,6 +30,7 @@ from patternwalks.experiments import (
     run_simulate,
     run_sweep,
 )
+from patternwalks.hypercube import make_spec
 from patternwalks.lindblad import Trajectory, WalkParams, density_from_pattern, evolve, mixing_time
 
 
@@ -91,12 +92,73 @@ class TestConfigParsing:
             ({"seed": -1}, "seed"),
             ({"edge_weights": [["0", "1", 0.0]]}, "edge_weights"),
             ({"edge_weights": [["0", "1"]]}, "edge_weights"),
+            ({"gamma": -1.0}, "gamma"),
+            ({"n": 2, "sinks": ["11"], "initial": "00", "edge_weights": [["00", "11", 2.0]]},
+             "edge_weights"),
+            ({"edge_weights": [["0", "0", -1.0]]}, "edge_weights"),
         ],
     )
     def test_field_errors_name_the_field(self, overrides, fragment):
         with pytest.raises(ConfigurationError) as err:
             parse_scenario(scenario_mapping(**overrides))
-        assert fragment in str(err.value)
+        assert str(err.value).startswith(fragment)
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"kappa_values": [1.0, -1.0]},
+             "kappa_values/gamma_values: point (-1, 1): kappa must be >= 0"),
+            ({"kappa_values": [0.0, 1.0], "gamma_values": [1.0, 0.0]},
+             "kappa_values/gamma_values: point (0, 0): kappa/gamma: may not both be zero"),
+            ({"gamma_values": [-0.5]}, "kappa_values/gamma_values"),
+            ({"kappa_values": [1.0, "2"]}, "kappa_values"),
+            ({"t_max": 0.0}, "t_max"),
+            ({"dt": 0.02}, "dt"),
+            ({"sinks": ["1", "1"]}, "sinks"),
+        ],
+    )
+    def test_sweep_field_errors_name_the_field(self, overrides, fragment):
+        data = scenario_mapping(**overrides)
+        del data["kappa"], data["gamma"]
+        data = {"kappa_values": [1.0], "gamma_values": [1.0]} | data
+        with pytest.raises(ConfigurationError) as err:
+            parse_sweep(data)
+        assert str(err.value).startswith(fragment)
+
+    @pytest.mark.parametrize(
+        "overrides, direct",
+        [
+            ({"sinks": ["1", "1"]}, lambda: make_spec(1, ["1", "1"])),
+            ({"sinks": ["0", "1"]}, lambda: make_spec(1, ["0", "1"])),
+            ({"n": 2, "sinks": ["11"], "initial": "00", "edge_weights": [["00", "11", 2.0]]},
+             lambda: make_spec(2, ["11"], [("00", "11", 2.0)])),
+            ({"edge_weights": [["0", "0", -1.0]]},
+             lambda: make_spec(1, ["1"], [("0", "0", -1.0)])),
+            ({"n": 3, "sinks": ["111"], "initial": "000",
+              "edge_weights": [["001", "000", 2.0], ["000", "001", 3.0]]},
+             lambda: make_spec(3, ["111"], [("001", "000", 2.0), ("000", "001", 3.0)])),
+            ({"kappa": -1.0}, lambda: WalkParams(kappa=-1.0, gamma=1.0)),
+            ({"gamma": -1.0}, lambda: WalkParams(kappa=0.0, gamma=-1.0)),
+            ({"gamma": 0.0}, lambda: WalkParams(kappa=0.0, gamma=0.0)),
+            ({"t_max": -1.0}, lambda: WalkParams(kappa=0.0, gamma=1.0, t_max=-1.0)),
+            ({"dt": 0.02}, lambda: WalkParams(kappa=0.0, gamma=1.0, dt=0.02)),
+            ({"dt": 0.01, "sample_every": 0.005},
+             lambda: WalkParams(kappa=0.0, gamma=1.0, dt=0.01, sample_every=0.005)),
+        ],
+    )
+    def test_parser_reports_the_library_check_verbatim(self, overrides, direct):
+        with pytest.raises(ConfigurationError) as parsed:
+            parse_scenario(scenario_mapping(**overrides))
+        with pytest.raises(ConfigurationError) as called:
+            direct()
+        assert str(parsed.value) == str(called.value)
+
+    def test_type_fault_and_unknown_key_come_before_a_value_fault(self):
+        # distinct sinks fail in make_spec, which runs only once the JSON is well formed
+        with pytest.raises(ConfigurationError, match="^initial:"):
+            parse_scenario(scenario_mapping(sinks=["1", "1"], initial=0))
+        with pytest.raises(ConfigurationError, match="^colour: not a key"):
+            parse_scenario(scenario_mapping(sinks=["1", "1"], colour="red"))
 
     def test_sweep_requires_value_lists(self):
         data = scenario_mapping(n=2, sinks=["11"], initial="00")
@@ -650,6 +712,16 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", path, "--out", str(out)]) == 2
         assert "config error: edge_weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_grid_with_the_zero_point_exits_2_before_the_output_directory(
+        self, tmp_path, capsys
+    ):
+        data = scenario_mapping(kappa_values=[0.0, 1.0], gamma_values=[0.0, 1.0])
+        del data["kappa"], data["gamma"]
+        out = tmp_path / "out"
+        assert main(["sweep", write_config(tmp_path, data), "--out", str(out)]) == 2
+        assert "config error: kappa_values/gamma_values" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dt_override_validated(self, tmp_path, capsys):

@@ -102,6 +102,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             make_spec(2, ["11"], [("00", "01", 0.0)])
 
+    @pytest.mark.parametrize("second", [("000", "001", 3.0), ("001", "000", 3.0)])
+    def test_repeated_override_names_both_patterns(self, second):
+        with pytest.raises(ConfigurationError) as err:
+            make_spec(3, ["111"], [("000", "001", 2.0), second])
+        assert str(err.value) == "edge_weights: the pair '000', '001' is given twice"
+
     def test_rejects_override_pattern_of_wrong_length(self):
         with pytest.raises(ConfigurationError):
             make_spec(3, ["111"], [("0000", "0001", 2.0)])
