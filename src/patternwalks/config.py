@@ -2,10 +2,10 @@
 
 Configs are flat JSON objects with explicit keys. Each kind accepts
 exactly the keys its command reads, and any other key is an error. The
-parser checks the JSON itself: types, keys and bit strings. A walk's
-values are then checked once, by ``make_spec``, ``WalkParams`` and
-``sample_grid``, which the parser calls before it returns. Every error
-message starts with the offending key.
+parser checks the JSON itself: types, keys and bit strings. It then
+builds the ``HypercubeSpec`` and ``WalkParams`` that the command runs,
+so ``make_spec``, ``WalkParams`` and ``sample_grid`` check a walk's
+values once. Every error message starts with the offending key.
 """
 
 from __future__ import annotations
@@ -37,35 +37,30 @@ __all__ = [
     "load_scenario",
     "load_sweep",
     "load_hopfield",
-    "build_spec",
-    "build_params",
 ]
 
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """One walk scenario, read by ``simulate`` and ``classical``."""
+    """One walk scenario, run by ``simulate`` and ``classical``."""
 
-    n: int
-    sinks: tuple[str, ...]
+    spec: HypercubeSpec
+    params: WalkParams
     initial: str
-    kappa: float = 1.0
-    gamma: float = 1.0
-    t_max: float = DEFAULT_T_MAX
-    dt: float = DEFAULT_DT
-    sample_every: float = DEFAULT_SAMPLE_EVERY
-    edge_weights: tuple[tuple[str, str, float], ...] = ()
     equidistant_rule: str = STRICT
     out: str | None = None
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Strength grid swept over a fixed scenario; ``base`` keeps the default strengths."""
+    """Strength grid swept over a fixed scenario; ``base`` keeps the default strengths.
 
-    kappas: tuple[float, ...]
-    gammas: tuple[float, ...]
+    ``points`` holds one ``WalkParams`` per grid point, every kappa for
+    the first gamma, then every kappa for the next.
+    """
+
     base: WalkConfig
+    points: tuple[WalkParams, ...]
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,12 @@ class HopfieldConfig:
     out: str | None = None
 
 
-# A config of each kind accepts exactly these keys: its dataclass's fields,
-# and for a sweep the walk's fields with the strengths replaced by the grid.
-WALK_KEYS = frozenset(f.name for f in dataclasses.fields(WalkConfig))
+# A config of each kind accepts exactly these keys: a sweep takes the walk's
+# keys with the strengths replaced by the grid, and Hopfield its dataclass's fields.
+WALK_KEYS = frozenset({
+    "n", "sinks", "initial", "kappa", "gamma", "t_max", "dt", "sample_every",
+    "edge_weights", "equidistant_rule", "out",
+})
 SWEEP_KEYS = WALK_KEYS - {"kappa", "gamma"} | {"kappa_values", "gamma_values"}
 HOPFIELD_KEYS = frozenset(f.name for f in dataclasses.fields(HopfieldConfig))
 
@@ -206,20 +204,30 @@ def _walk_fields(data) -> dict:
     }
 
 
+def _walk_config(fields: dict, kappa: float = 1.0, gamma: float = 1.0) -> WalkConfig:
+    """Build the spec and params of ``_walk_fields``' result; they check its values."""
+    spec = make_spec(fields["n"], fields["sinks"], fields["edge_weights"])
+    params = WalkParams(
+        kappa=kappa, gamma=gamma, t_max=fields["t_max"], dt=fields["dt"],
+        sample_every=fields["sample_every"],
+    )
+    # The walk steps by dt; the classical chain on the same file steps once per sample.
+    for step in (params.dt, params.sample_every):
+        sample_grid(step, params.sample_every, params.t_max)
+    return WalkConfig(spec, params, fields["initial"], fields["equidistant_rule"], fields["out"])
+
+
 def parse_scenario(data: dict) -> WalkConfig:
     """Walk scenario: needs n, sinks, initial; strengths default to 1."""
     fields = _walk_fields(data)
-    cfg = WalkConfig(
-        kappa=_field_real(data, "kappa", 1.0), gamma=_field_real(data, "gamma", 1.0), **fields
-    )
+    kappa, gamma = _field_real(data, "kappa", 1.0), _field_real(data, "gamma", 1.0)
     _reject_unknown(data, WALK_KEYS, "walk")
-    _check_values(cfg)
-    return cfg
+    return _walk_config(fields, kappa, gamma)
 
 
 def parse_sweep(data: dict) -> SweepGrid:
     """Sweep grid: a walk scenario without strengths, plus kappa_values and gamma_values."""
-    base = WalkConfig(**_walk_fields(data))
+    fields = _walk_fields(data)
 
     def _values(key):
         raw = data.get(key)
@@ -227,19 +235,20 @@ def parse_sweep(data: dict) -> SweepGrid:
             raise ConfigurationError(f"{key}: expected a non-empty list of numbers")
         return tuple(_finite(key, v) for v in raw)
 
-    grid = SweepGrid(kappas=_values("kappa_values"), gammas=_values("gamma_values"), base=base)
+    kappas, gammas = _values("kappa_values"), _values("gamma_values")
     _reject_unknown(data, SWEEP_KEYS, "sweep")
     # base's default strengths pass, so this checks the scenario and its times,
     # and a grid point can then fail only on its strengths
-    _check_values(base)
-    for gamma, kappa in itertools.product(grid.gammas, grid.kappas):
+    base = _walk_config(fields)
+    points = []
+    for gamma, kappa in itertools.product(gammas, kappas):
         try:
-            build_params(base, kappa, gamma)
+            points.append(dataclasses.replace(base.params, kappa=kappa, gamma=gamma))
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"kappa_values/gamma_values: point ({kappa:g}, {gamma:g}): {exc}"
             ) from exc
-    return grid
+    return SweepGrid(base=base, points=tuple(points))
 
 
 def parse_hopfield(data: dict) -> HopfieldConfig:
@@ -272,26 +281,3 @@ def load_sweep(path: str, overrides: dict | None = None) -> SweepGrid:
 def load_hopfield(path: str, overrides: dict | None = None) -> HopfieldConfig:
     """Parse a Hopfield file; ``overrides`` replace its keys before any check."""
     return parse_hopfield(_load_mapping(path, overrides))
-
-
-def build_spec(cfg: WalkConfig) -> HypercubeSpec:
-    return make_spec(cfg.n, cfg.sinks, cfg.edge_weights)
-
-
-def build_params(cfg: WalkConfig, kappa: float | None = None, gamma: float | None = None) -> WalkParams:
-    return WalkParams(
-        kappa=cfg.kappa if kappa is None else kappa,
-        gamma=cfg.gamma if gamma is None else gamma,
-        t_max=cfg.t_max,
-        dt=cfg.dt,
-        sample_every=cfg.sample_every,
-    )
-
-
-def _check_values(cfg: WalkConfig) -> None:
-    """Run the value checks of ``make_spec``, ``WalkParams`` and ``sample_grid`` on ``cfg``."""
-    build_spec(cfg)
-    build_params(cfg)
-    # The walk steps by dt; the classical chain on the same file steps once per sample.
-    for step in (cfg.dt, cfg.sample_every):
-        sample_grid(step, cfg.sample_every, cfg.t_max)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coins, hopfield, markov, output
-from .config import HopfieldConfig, SweepGrid, WalkConfig, build_params, build_spec
+from .config import HopfieldConfig, SweepGrid, WalkConfig
 from .errors import ConfigurationError, IntegrationDiagnosticsError
 from .hypercube import build_jump_operators, index_pattern, vertex_index
 from .lindblad import Trajectory, density_from_pattern, evolve, evolve_batch, mixing_time, sample_grid
@@ -58,22 +58,22 @@ class SweepResult:
 def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False) -> SimulateResult:
     """Evolve one walk scenario and write its trajectory CSV."""
     target = _resolve_out_dir(cfg.out, out_dir)
-    spec = build_spec(cfg)
-    rho0 = density_from_pattern(cfg.initial, cfg.n)
-    traj = evolve(rho0, spec, build_params(cfg), rule=cfg.equidistant_rule)
+    spec, params = cfg.spec, cfg.params
+    rho0 = density_from_pattern(cfg.initial, spec.n)
+    traj = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
 
     csv_path = os.path.join(target, "simulate.csv")
-    output.write_trajectory_csv(csv_path, traj, cfg.n)
+    output.write_trajectory_csv(csv_path, traj, spec.n)
     paths = [csv_path]
     if svg:
         svg_path = os.path.join(target, "simulate.svg")
         series = {
-            index_pattern(v, cfg.n): traj.populations[:, v]
+            index_pattern(v, spec.n): traj.populations[:, v]
             for v in range(spec.dim)
         }
         output.svg_line_plot(
             svg_path, traj.times, series,
-            title=f"firing-pattern populations (kappa={cfg.kappa:g}, gamma={cfg.gamma:g})",
+            title=f"firing-pattern populations (kappa={params.kappa:g}, gamma={params.gamma:g})",
             x_label="t (1/gamma units)", y_label="probability",
         )
         paths.append(svg_path)
@@ -83,19 +83,19 @@ def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False)
 def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult:
     """Continuous-time classical chain over the same jump structure."""
     target = _resolve_out_dir(cfg.out, out_dir)
-    spec = build_spec(cfg)
+    spec, stride = cfg.spec, cfg.params.sample_every
     jumps = build_jump_operators(spec, cfg.equidistant_rule)
     q = markov.rate_matrix_from_jumps(jumps, spec.dim)
     pi0 = np.zeros(spec.dim)
     pi0[vertex_index(cfg.initial)] = 1.0
 
     # The chain steps once per sample, for at least one interval.
-    _, steps = sample_grid(cfg.sample_every, cfg.sample_every, cfg.t_max)
-    times = np.arange(steps + 1) * cfg.sample_every
-    dists = markov.ctmc_samples(q, pi0, cfg.sample_every, steps)
+    _, steps = sample_grid(stride, stride, cfg.params.t_max)
+    times = np.arange(steps + 1) * stride
+    dists = markov.ctmc_samples(q, pi0, stride, steps)
 
     csv_path = os.path.join(target, "classical.csv")
-    output.write_classical_csv(csv_path, times, dists, cfg.n)
+    output.write_classical_csv(csv_path, times, dists, spec.n)
     return SimulateResult(trajectory=None, paths=[csv_path])
 
 
@@ -111,16 +111,11 @@ def run_sweep(
     """
     cfg = grid.base
     target = _resolve_out_dir(cfg.out, out_dir)
-    spec = build_spec(cfg)
-    rho0 = density_from_pattern(cfg.initial, cfg.n)
-    points = [(k, g) for g in grid.gammas for k in grid.kappas]
-    outcomes = evolve_batch(
-        rho0, spec,
-        [build_params(cfg, kappa=k, gamma=g) for k, g in points],
-        rule=cfg.equidistant_rule,
-    )
+    rho0 = density_from_pattern(cfg.initial, cfg.spec.n)
+    outcomes = evolve_batch(rho0, cfg.spec, grid.points, rule=cfg.equidistant_rule)
     results = []
-    for (k, g), outcome in zip(points, outcomes):
+    for params, outcome in zip(grid.points, outcomes):
+        k, g = params.kappa, params.gamma
         if isinstance(outcome, IntegrationDiagnosticsError):
             # Distinct from the non-convergence sentinel 0: the point failed.
             results.append((k, g, -1.0, str(outcome).replace(",", ";"), None))
@@ -136,8 +131,8 @@ def run_sweep(
     paths = [csv_path]
     if svg:
         svg_path = os.path.join(target, "sweep.svg")
-        kappas = sorted(set(grid.kappas))
-        gammas = sorted(set(grid.gammas))
+        kappas = sorted({p.kappa for p in grid.points})
+        gammas = sorted({p.gamma for p in grid.points})
         lookup = {(k, g): tm for k, g, tm, _ in rows}
         cells = np.array([[lookup[(k, g)] for k in kappas] for g in gammas])
         output.svg_heatmap(

@@ -12,6 +12,7 @@ arrays of both generators are read off it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,20 +70,11 @@ class HypercubeSpec:
         return 1 << self.n
 
 
-def vertex_index(pattern) -> int:
-    """Vertex index of a pattern, first bit most significant ("101" -> 5)."""
-    if isinstance(pattern, str):
-        bits = pattern
-        if len(bits) == 0 or any(ch not in "01" for ch in bits):
-            raise ConfigurationError(f"invalid pattern {pattern!r}")
-        return int(bits, 2)
-    arr = np.asarray(pattern).ravel()
-    if arr.size == 0 or np.any((arr != 0) & (arr != 1)):
+def vertex_index(pattern: str) -> int:
+    """Vertex index of a bit string, first bit most significant ("101" -> 5)."""
+    if not isinstance(pattern, str) or len(pattern) == 0 or any(ch not in "01" for ch in pattern):
         raise ConfigurationError(f"invalid pattern {pattern!r}")
-    value = 0
-    for b in arr:
-        value = (value << 1) | int(b)
-    return value
+    return int(pattern, 2)
 
 
 def index_pattern(v: int, n: int) -> str:
@@ -97,15 +89,15 @@ def vertex_hamming(i: int, j: int) -> int:
 
 
 def _spec_vertex(p, n: int, key: str) -> int:
-    """Vertex index of a vertex given as an index or as a length-n pattern."""
-    if isinstance(p, bool):
-        raise ConfigurationError(f"{key}: {p!r} is a bool, not a vertex")
-    if isinstance(p, int):
-        v = p
+    """Vertex index of a vertex given as an integer index or as a length-n bit string."""
+    if isinstance(p, numbers.Integral) and not isinstance(p, bool):
+        v = int(p)
+    elif isinstance(p, str) and len(p) == n and all(ch in "01" for ch in p):
+        v = int(p, 2)
     else:
-        v = vertex_index(p)
-        if len(p) != n:
-            raise ConfigurationError(f"{key}: pattern {p!r} does not have length {n}")
+        raise ConfigurationError(
+            f"{key}: expected a vertex index or a bit string of length {n}, got {p!r}"
+        )
     if not 0 <= v < 1 << n:
         raise ConfigurationError(f"{key}: vertex {v} out of range for n = {n}")
     return v
@@ -131,14 +123,24 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
 
     overrides, seen = [], set()
     for entry in edge_weight_overrides or ():
-        u, v, w = entry
+        try:
+            u, v, w = entry
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"edge_weights: expected (vertex, vertex, weight), got {entry!r}"
+            ) from None
         iu = _spec_vertex(u, n, "edge_weights")
         iv = _spec_vertex(v, n, "edge_weights")
         if vertex_hamming(iu, iv) > 1:
             raise ConfigurationError(
                 f"edge_weights: {entry!r} joins vertices farther than one bit flip"
             )
-        w = float(w)
+        if isinstance(w, bool) or not isinstance(w, numbers.Real):
+            raise ConfigurationError(f"edge_weights: weight must be a real number, got {w!r}")
+        try:
+            w = float(w)
+        except OverflowError:  # an integer beyond the float range
+            w = math.inf
         if not (w > 0 and math.isfinite(w)):
             raise ConfigurationError(f"edge_weights: weight must be positive and finite, got {w!r}")
         lo, hi = min(iu, iv), max(iu, iv)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,11 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patternwalks import coins, experiments, hopfield, markov, output
+from patternwalks import coins, config, experiments, hopfield, markov, output
 from patternwalks.cli import main
 from patternwalks.config import (
-    build_params,
-    build_spec,
     load_hopfield,
     load_scenario,
     load_sweep,
@@ -70,7 +69,7 @@ def read_csv(path):
 class TestConfigParsing:
     def test_minimal_scenario(self):
         cfg = parse_scenario(scenario_mapping())
-        assert cfg.n == 1 and cfg.sinks == ("1",) and cfg.gamma == 1.0
+        assert cfg.spec.n == 1 and cfg.spec.sinks == (1,) and cfg.params.gamma == 1.0
 
     @pytest.mark.parametrize(
         "overrides, fragment",
@@ -190,7 +189,7 @@ class TestConfigParsing:
         assert parse_scenario(walk).out == "results"
         sweep = {key: walk[key] for key in walk if key not in ("kappa", "gamma")}
         grid = parse_sweep(sweep | {"kappa_values": [1.0], "gamma_values": [1.0]})
-        assert grid.base.edge_weights == (("0", "1", 2.0),)
+        assert grid.base.spec.edge_weights == ((0, 1, 2.0),)
         cfg = parse_hopfield({
             "n": 3, "stored": ["101"], "inputs": ["001"], "threshold_sense": "as-printed",
             "order": "random", "max_sweeps": 3, "seed": 5, "out": "results",
@@ -220,14 +219,14 @@ class TestConfigParsing:
         # dt = 0.01 keeps these 1e5 samples within the step cap
         assert parse_scenario(
             scenario_mapping(t_max=100000.0, sample_every=1.0, dt=0.01)
-        ).t_max == 1e5
+        ).params.t_max == 1e5
         with pytest.raises(ConfigurationError, match="^t_max"):
             parse_scenario(scenario_mapping(t_max=100001.0, sample_every=1.0, dt=0.01))
 
     def test_step_cap_boundary(self):
         at_cap = scenario_mapping(t_max=10000.0, dt=0.001, sample_every=1.0)
         assert at_cap["t_max"] / at_cap["dt"] == MAX_STEPS
-        assert parse_scenario(at_cap).dt == 0.001
+        assert parse_scenario(at_cap).params.dt == 0.001
         with pytest.raises(ConfigurationError, match="^dt"):
             parse_scenario(at_cap | {"t_max": 10000.001})
         grid = {key: at_cap[key] for key in at_cap if key not in ("kappa", "gamma")}
@@ -262,7 +261,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="^t_max"):
             parse_scenario(scenario_mapping(dt=0.01, sample_every=0.016, t_max=1800.0))
         within = scenario_mapping(dt=0.01, sample_every=0.016, t_max=1600.0)
-        assert parse_scenario(within).t_max == 1600.0
+        assert parse_scenario(within).params.t_max == 1600.0
 
     @pytest.mark.parametrize("second", [["000", "001", 3.0], ["001", "000", 3.0]])
     def test_repeated_edge_weight_pair_rejected(self, second):
@@ -485,13 +484,12 @@ class TestSweepRunner:
         grid = parse_sweep(data)
         result = run_sweep(grid, out_dir=str(tmp_path))
         cfg = grid.base
-        spec = build_spec(cfg)
-        rho0 = density_from_pattern(cfg.initial, cfg.n)
+        rho0 = density_from_pattern(cfg.initial, cfg.spec.n)
         healthy = []
         for kappa, gamma, t_mix, diag in result.rows:
-            params = build_params(cfg, kappa=kappa, gamma=gamma)
+            params = dataclasses.replace(cfg.params, kappa=kappa, gamma=gamma)
             try:
-                lone = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
+                lone = evolve(rho0, cfg.spec, params, rule=cfg.equidistant_rule)
             except IntegrationDiagnosticsError as exc:
                 assert (t_mix, diag) == (-1.0, str(exc).replace(",", ";"))
                 assert (kappa, gamma) not in result.trajectories
@@ -536,8 +534,7 @@ class TestSweepRunner:
         ((_, _, t_mix, diag),) = run_sweep(grid, out_dir=str(tmp_path)).rows
         assert t_mix == -1.0 and "t = 0.05 " in diag
         with pytest.raises(IntegrationDiagnosticsError) as err:
-            evolve(density_from_pattern(grid.base.initial, 4), build_spec(grid.base),
-                   build_params(grid.base, kappa=150.0, gamma=0.2))
+            evolve(density_from_pattern(grid.base.initial, 4), grid.base.spec, grid.points[0])
         assert err.value.largest_entry > 1e30
         assert f"largest entry {err.value.largest_entry:.3g}" in diag
 
@@ -556,6 +553,52 @@ class TestSweepRunner:
         grid = self._grid(tmp_path)
         result = run_sweep(grid, out_dir=str(tmp_path), svg=True)
         assert any(p.endswith("sweep.svg") for p in result.paths)
+
+
+class TestRunnersRunTheParsedObjects:
+    """The runners hand the parser's spec and params on, and build neither again."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch, experiments, "evolve")
+        cfg = parse_scenario(scenario_mapping(t_max=1.0))
+        run_simulate(cfg, out_dir=str(tmp_path))
+        ((_, spec, params),) = calls
+        assert spec is cfg.spec and params is cfg.params
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch, experiments, "evolve_batch")
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=1.0)
+        del data["kappa"], data["gamma"]
+        grid = parse_sweep(data | {"kappa_values": [0.5, 1.0], "gamma_values": [0.0, 1.0]})
+        run_sweep(grid, out_dir=str(tmp_path))
+        ((_, spec, points),) = calls
+        assert spec is grid.base.spec and points is grid.points
+        assert [(p.kappa, p.gamma) for p in points] == [(0.5, 0.0), (1.0, 0.0), (0.5, 1.0), (1.0, 1.0)]
+
+    def test_classical(self, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch, experiments, "build_jump_operators")
+        cfg = parse_scenario(scenario_mapping(t_max=1.0))
+        run_classical(cfg, out_dir=str(tmp_path))
+        ((spec, _),) = calls
+        assert spec is cfg.spec
+
+    def test_one_simulate_command_builds_one_spec(self, tmp_path, monkeypatch, capsys):
+        calls = self.spy(monkeypatch, config, "make_spec")
+        path = write_config(tmp_path, scenario_mapping(t_max=1.0))
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestCli:

@@ -56,8 +56,10 @@ class TestVertexIndex:
         for v in range(16):
             assert vertex_index(index_pattern(v, 4)) == v
 
-    def test_bit_sequence_input(self):
-        assert vertex_index([1, 0, 1]) == 5
+    @pytest.mark.parametrize("pattern", [[1, 0, 1], 5, "", "1a1"])
+    def test_rejects_anything_but_a_bit_string(self, pattern):
+        with pytest.raises(ConfigurationError, match="invalid pattern"):
+            vertex_index(pattern)
 
 
 class TestMinSinkDistance:
@@ -117,6 +119,27 @@ class TestSpecValidation:
             make_spec(3, [True])
         with pytest.raises(ConfigurationError):
             make_spec(3, ["111"], [(False, 1, 2.0)])
+
+    @pytest.mark.parametrize(
+        "vertex", [[1, 0, 1], (1, 0, 1), 5.0, None, np.bool_(True), "10", "1a1", np.int64(9)]
+    )
+    def test_vertex_is_an_integer_index_or_a_bit_string(self, vertex):
+        with pytest.raises(ConfigurationError, match="^sinks: "):
+            make_spec(3, [vertex])
+        with pytest.raises(ConfigurationError, match="^edge_weights: "):
+            make_spec(3, ["111"], [(vertex, "000", 2.0)])
+
+    def test_numpy_integer_is_an_index(self):
+        assert make_spec(3, [np.int64(5), np.int8(1)]).sinks == (1, 5)
+
+    @pytest.mark.parametrize(
+        "override",
+        [("0", "0", "abc"), ("0", "0", None), ("0", "0"), ("0", "0", 2.0, 1), None, 5,
+         ("0", "0", "2.5"), ("0", "0", True), ("0", "0", 10**400)],
+    )
+    def test_malformed_override_names_edge_weights(self, override):
+        with pytest.raises(ConfigurationError, match="^edge_weights: "):
+            make_spec(1, ["1"], [override])
 
 
 class TestHamiltonian:

@@ -809,3 +809,40 @@ class TestMixingTime:
         traj = evolve(basis_density(0, 8), spec, WalkParams(kappa=1, gamma=1, t_max=50))
         t_mix = mixing_time(traj)
         assert 0.0 < t_mix < 15.0
+
+
+class TestSinkParity:
+    """Retrieval is exact only when the two sinks are an odd Hamming distance apart.
+
+    At odd distance every edge between the two basins joins patterns equally
+    far from the sink set, so the strict rule drops it from H and from the
+    jumps, and no amplitude reaches the far sink. At even distance no edge is
+    equidistant, and coherence carries part of the walker to the far sink.
+    """
+
+    @staticmethod
+    def sink_populations(n, near, far, start, kappas):
+        spec = make_spec(n, [near, far])
+        runs = evolve_batch(
+            density_from_pattern(start, n), spec,
+            [WalkParams(kappa=k, gamma=1.0, t_max=20.0) for k in kappas],
+        )
+        return [(r.populations[:, vertex_index(near)], r.populations[:, vertex_index(far)])
+                for r in runs]
+
+    @pytest.mark.parametrize("n, near, far, start", [
+        (4, "1011", "1111", "0000"),
+        (3, "101", "111", "000"),
+    ])
+    def test_odd_distance_keeps_the_far_sink_empty(self, n, near, far, start):
+        for near_pop, far_pop in self.sink_populations(n, near, far, start, [0.5, 1.0, 4.0]):
+            assert np.all(far_pop == 0.0)
+            assert near_pop[-1] > 0.999
+
+    def test_even_distance_leaks_to_the_far_sink_under_coherence(self):
+        # at kappa = gamma the far sink ends at 0.3254, at t = 20 as at t = 40
+        (_, dissipative), (_, coherent) = self.sink_populations(
+            4, "0011", "1111", "0001", [0.0, 1.0]
+        )
+        assert np.all(dissipative == 0.0)
+        assert coherent[-1] > 0.25
