@@ -8,6 +8,7 @@ an ASCII bit string with neuron 1 first, e.g. ``"101"``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "format_pattern",
     "validate_weights",
     "zero_thresholds",
-    "update_neuron",
     "energy",
     "hebbian_store",
     "RetrievalRun",
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 # Threshold sense: "standard" fires when the summed input reaches the
-# threshold; "as-printed" is the literal inverted variant (fire when the
-# input is <= the threshold), kept for fidelity experiments.
+# threshold, ties included; "as-printed" is the literal inverted variant
+# (fire when the input is <= the threshold), kept for fidelity experiments.
 STANDARD = "standard"
 AS_PRINTED = "as-printed"
 SENSES = (STANDARD, AS_PRINTED)
@@ -84,27 +84,9 @@ def _check_state(state, n: int) -> np.ndarray:
     return s.astype(np.int8)
 
 
-def update_neuron(state, w, theta, i: int, sense: str = STANDARD) -> int:
-    """Updated value of neuron ``i`` given the current network state.
-
-    With the standard sense the neuron fires (returns 1) exactly when the
-    weighted input from the other neurons reaches its threshold; ties at
-    the threshold fire. The as-printed sense inverts the comparison.
-    """
-    w = validate_weights(w)
-    n = w.shape[0]
-    s = _check_state(state, n)
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != n:
-        raise ConfigurationError(f"threshold length {theta.size} does not match {n}")
-    if not 0 <= i < n:
-        raise ConfigurationError(f"neuron index {i} out of range for {n} neurons")
-    if sense not in SENSES:
-        raise ConfigurationError(f"unknown threshold sense {sense!r}")
-    local = float(w[:, i] @ s)
-    if sense == STANDARD:
-        return 1 if local >= theta[i] else 0
-    return 1 if local <= theta[i] else 0
+def _check_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def energy(state, w, theta) -> float:
@@ -165,17 +147,24 @@ def run_async(
 ) -> RetrievalRun:
     """Asynchronous retrieval: single-neuron updates until a fixed point.
 
-    ``order`` is either a cyclic schedule (0..N-1 repeating) or a fresh
-    seeded random permutation per sweep. The run stops after the first
-    full sweep that changes nothing, or after ``max_sweeps``.
+    A neuron fires by the rule of ``sense`` (see SENSES). ``order`` is
+    either a cyclic schedule (0..N-1 repeating) or a fresh seeded random
+    permutation per sweep. The run stops after the first full sweep that
+    changes nothing, or after ``max_sweeps``. Every argument is checked
+    once, before the first sweep.
     """
     w = validate_weights(w)
     n = w.shape[0]
-    current = _check_state(state, n).copy()
+    current = _check_state(state, n)
     if order not in ORDERS:
         raise ConfigurationError(f"unknown update order {order!r}")
-    if max_sweeps < 1:
-        raise ConfigurationError("max_sweeps must be at least 1")
+    _check_count("max_sweeps", max_sweeps, 1)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n,):
+        raise ConfigurationError(f"threshold shape {theta.shape} does not match {n} neurons")
+    if sense not in SENSES:
+        raise ConfigurationError(f"unknown threshold sense {sense!r}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     states = [current.copy()]
@@ -184,7 +173,8 @@ def run_async(
         schedule = rng.permutation(n) if order == RANDOM else range(n)
         changed = 0
         for i in schedule:
-            new_value = update_neuron(current, w, theta, int(i), sense)
+            local = float(w[:, i] @ current)
+            new_value = int(local >= theta[i] if sense == STANDARD else local <= theta[i])
             if new_value != current[i]:
                 current[i] = new_value
                 changed += 1

@@ -36,6 +36,7 @@ plain coherent equation is integrated and times are unscaled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,14 @@ class WalkParams:
     sample_every: float = DEFAULT_SAMPLE_EVERY
 
     def __post_init__(self):
-        for name in ("kappa", "gamma", "t_max", "dt", "sample_every"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise ConfigurationError(f"{name} must be a finite number")
         for name, value in (("kappa", self.kappa), ("gamma", self.gamma)):
             if value < 0:
@@ -202,6 +209,8 @@ def validate_density(rho, sinks=()) -> np.ndarray:
         )
     herm = 0.5 * (m + m.conj().T)
     live, sinks = _split(m.shape[0], sinks)
+    if not live.size:
+        raise ConfigurationError("sinks: at least one vertex must stay a non-sink")
     cross = herm[sinks]
     cross[np.arange(sinks.size), sinks] = 0.0
     touched = sinks[np.any(cross != 0.0, axis=1)]

@@ -7,12 +7,12 @@ from patternwalks.errors import ConfigurationError
 from patternwalks.hopfield import (
     AS_PRINTED,
     RANDOM,
+    STANDARD,
     energy,
     format_pattern,
     hebbian_store,
     parse_pattern,
     run_async,
-    update_neuron,
     zero_thresholds,
 )
 
@@ -37,32 +37,34 @@ class TestPatterns:
             parse_pattern("")
 
 
+def first_neuron_after_one_sweep(w, sense=STANDARD):
+    """Neuron 0 after one cyclic sweep from "010": it updates first, so it reads the input."""
+    run = run_async(parse_pattern("010"), w, zero_thresholds(3), max_sweeps=1, sense=sense)
+    return run.states[1][0]
+
+
+def coupled_pair(weight):
+    """A 3-neuron net whose only coupling joins neurons 0 and 1."""
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = weight
+    return w
+
+
 class TestUpdateNeuron:
+    """The single-neuron threshold rule, as one sweep of run_async applies it."""
+
     def test_zero_weights_fire_on_tie(self):
-        w = np.zeros((3, 3))
-        theta = zero_thresholds(3)
-        assert update_neuron([0, 1, 0], w, theta, 0) == 1
+        assert first_neuron_after_one_sweep(np.zeros((3, 3))) == 1
 
     def test_positive_coupling_fires(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = 1.0
-        assert update_neuron([0, 1, 0], w, zero_thresholds(3), 0) == 1
+        assert first_neuron_after_one_sweep(coupled_pair(1.0)) == 1
 
     def test_negative_coupling_rests(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = -1.0
-        assert update_neuron([0, 1, 0], w, zero_thresholds(3), 0) == 0
+        assert first_neuron_after_one_sweep(coupled_pair(-1.0)) == 0
 
     def test_as_printed_sense_inverts(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = -1.0
-        assert update_neuron([0, 1, 0], w, zero_thresholds(3), 0, AS_PRINTED) == 1
-        w[0, 1] = w[1, 0] = 1.0
-        assert update_neuron([0, 1, 0], w, zero_thresholds(3), 0, AS_PRINTED) == 0
-
-    def test_index_out_of_range_is_fatal(self):
-        with pytest.raises(ConfigurationError):
-            update_neuron([0, 1], np.zeros((2, 2)), zero_thresholds(2), 2)
+        assert first_neuron_after_one_sweep(coupled_pair(-1.0), AS_PRINTED) == 1
+        assert first_neuron_after_one_sweep(coupled_pair(1.0), AS_PRINTED) == 0
 
 
 class TestEnergy:
@@ -162,8 +164,26 @@ class TestRunAsync:
             theta = zero_thresholds(n)
             run = run_async(rng.integers(0, 2, size=n), w, theta)
             if run.converged:
-                for i in range(n):
-                    assert update_neuron(run.final, w, theta, i) == run.final[i]
+                again = run_async(run.final, w, theta)
+                assert again.converged and again.flips == 0
+                assert np.array_equal(again.final, run.final)
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("theta", zero_thresholds(2), "threshold shape"),
+            ("sense", "inverted", "threshold sense"),
+            ("max_sweeps", 2.5, "max_sweeps"),
+            ("max_sweeps", 0, "max_sweeps"),
+            ("max_sweeps", True, "max_sweeps"),
+            ("seed", -1, "seed"),
+        ],
+    )
+    def test_bad_argument_is_a_configuration_error(self, argument, value, message):
+        arguments = {"state": [0, 1, 0], "w": np.zeros((3, 3)), "theta": zero_thresholds(3)}
+        arguments[argument] = value
+        with pytest.raises(ConfigurationError, match=message):
+            run_async(**arguments)
 
 
 def test_single_stored_pattern_basin_for_all_small_networks():

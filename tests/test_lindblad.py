@@ -130,11 +130,21 @@ class TestWalkParams:
             ("gamma", float("inf")),
             ("t_max", float("inf")),
             ("sample_every", float("inf")),
+            pytest.param("kappa", 10**400, id="kappa-huge-int"),
+            pytest.param("t_max", -(10**400), id="t_max-huge-int"),
         ],
     )
     def test_non_finite_number_rejected(self, field, value):
         values = {"kappa": 1.0, "gamma": 1.0, field: value}
         with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+            WalkParams(**values)
+
+    @pytest.mark.parametrize(
+        "field, value", [("kappa", None), ("kappa", "1"), ("kappa", True), ("dt", False)]
+    )
+    def test_value_that_is_not_a_real_number_rejected(self, field, value):
+        values = {"kappa": 1.0, "gamma": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be a real number, got {value!r}"):
             WalkParams(**values)
 
 
@@ -155,6 +165,10 @@ class TestStateHelpers:
         rho = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ContractViolationError):
             validate_density(rho)
+
+    def test_validate_rejects_sinks_on_every_vertex(self):
+        with pytest.raises(ConfigurationError, match="sinks: at least one vertex"):
+            validate_density(np.eye(2) / 2, sinks=(0, 1))
 
     def test_validate_rejects_non_finite(self):
         rho = np.eye(2, dtype=complex) / 2
