@@ -25,7 +25,7 @@ __all__ = ["build_parser", "main", "app"]
 _FLAGS = {
     "--svg": dict(action="store_true", help="also write an SVG sketch"),
     "--seed": dict(type=int, help="override the config random seed"),
-    "--dt": dict(type=float, help="override the integrator step"),
+    "--dt": dict(type=float, help="override dt, the step budget of the integrator"),
 }
 
 

@@ -13,7 +13,10 @@ POSITIVITY_FLOOR = -1e-8
 # Stochastic objects: rate-matrix column sums and probability-vector sums.
 ROW_SUM_TOL = 1e-12
 
-# Fixed-step RK4 defaults. All times are expressed in 1/gamma units.
+# Walk step defaults. All times are expressed in 1/gamma units. dt is the
+# work budget of a sample stride and the step of its RK4 fallback: a stride
+# of s steps of dt takes one Taylor polynomial only if that costs fewer than
+# the 4 s stages of RK4 at dt (see TAYLOR_THETA).
 DEFAULT_DT = 0.005
 MAX_DT = 0.01
 DEFAULT_T_MAX = 50.0
@@ -23,10 +26,27 @@ DEFAULT_SAMPLE_EVERY = 0.05
 # at n = 6 that many samples of the populations take 51 MB.
 MAX_SAMPLES = 10**5
 
-# ... and at most this many RK4 steps, t_max / dt. One n = 6 step took
+# ... and at most this many steps of dt, t_max / dt. A run spends at most
+# 4 stages per step, the cost of RK4 at dt. One n = 6 RK4 step took
 # 0.105-0.125 ms of wall and of CPU time on a 2-core x86-64 machine (numpy 2.4.6,
 # OpenBLAS 0.3.31), so the cap is about 20 minutes of integration.
 MAX_STEPS = 10**7
+
+# theta_m: the largest ||h L||_1 for which the degree-m Taylor polynomial
+# of exp(h L) equals exp(h L + E) with ||E|| <= 2^-53 ||h L||, i.e. is exact
+# to double precision in backward error. Degrees 1-30 are from Higham and
+# Al-Mohy, "Computing matrix functions", Acta Numerica 19, 159 (2010),
+# Table A.3; 35-55 from Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
+# (2011), Table 3.1.
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 # evolve() aborts with a diagnostics error once a sampled state drifts
 # past these; the (tighter) invariants above are what healthy runs meet.

@@ -57,11 +57,21 @@ def format_pattern(bits) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
 
 
+def _floats(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, or a ConfigurationError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must hold real numbers: {exc}") from None
+
+
 def validate_weights(w) -> np.ndarray:
-    """Check symmetry, zero diagonal and the [-1, 1] bound; return float64."""
-    m = np.asarray(w, dtype=float)
+    """Check finiteness, symmetry, zero diagonal and the [-1, 1] bound; return float64."""
+    m = _floats("weight matrix", w)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"weight matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConfigurationError("weights must be finite numbers")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
         raise ConfigurationError("weight matrix must be symmetric")
     if np.any(np.abs(np.diag(m)) > 0.0):
@@ -89,11 +99,18 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_theta(theta, n: int) -> np.ndarray:
+    theta = _floats("threshold", theta)
+    if theta.shape != (n,):
+        raise ConfigurationError(f"threshold shape {theta.shape} does not match {n} neurons")
+    return theta
+
+
 def energy(state, w, theta) -> float:
     """Ising-style energy ``-1/2 sum_ij w_ij x_i x_j + sum_i theta_i x_i``."""
     w = validate_weights(w)
     s = _check_state(state, w.shape[0]).astype(float)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_theta(theta, w.shape[0])
     return float(-0.5 * s @ w @ s + theta @ s)
 
 
@@ -159,9 +176,7 @@ def run_async(
     if order not in ORDERS:
         raise ConfigurationError(f"unknown update order {order!r}")
     _check_count("max_sweeps", max_sweeps, 1)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n,):
-        raise ConfigurationError(f"threshold shape {theta.shape} does not match {n} neurons")
+    theta = _check_theta(theta, n)
     if sense not in SENSES:
         raise ConfigurationError(f"unknown threshold sense {sense!r}")
     _check_count("seed", seed, 0)

@@ -23,9 +23,14 @@ coherent edge and no outgoing jump, so its rows and columns of M are
 zero. The integrator requires an initial state with no coherence that
 involves a sink and keeps each such coherence at exactly 0.0, so the
 positivity check reads the non-sink block and the sink populations.
-The equation is linear with a constant generator L, so one RK4 step is
-the polynomial 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24 of h = dt;
-``rk4_step`` evaluates it in place, in nested form, with four stages.
+The equation is linear with a constant generator L, so each sample is
+exp(s L) applied to the one before, for the sample stride s. ``rk4_step``
+evaluates the degree-m Taylor polynomial of exp(hL) in place, in nested
+form, with m stages; m = 4 is RK4. With the bound ||L||_1 <= 2 ||M||_1 +
+gamma ||G||_1, a run takes one step h = s per sample, of the smallest
+degree m that the bound makes exact to double precision (Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488, 2011), if m is below the 4 s/dt
+stages of RK4 at dt. Otherwise it takes s/dt RK4 steps of h = dt.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -54,6 +59,7 @@ from .constants import (
     POPULATION_DUST,
     POSITIVITY_FLOOR,
     SINK_THRESHOLD,
+    TAYLOR_THETA,
     TRACE_ABORT,
     TRACE_TOL,
 )
@@ -302,60 +308,87 @@ def _stage(r, m, feed, gain, out, product):
 
 
 def rk4_step(r, stages, gain, work, product):
-    """Advance the (B, dim, dim) stack ``r`` in place by one RK4 step; return ``r``.
+    """Advance the (B, dim, dim) stack ``r`` in place by one Taylor step; return ``r``.
 
-    The step is ``r + dt L(r + dt/2 L(r + dt/3 L(r + dt/4 L(r))))``, with
-    ``stages[i] = (c M, c gamma)`` for c = dt/4, dt/3, dt/2 and dt. The
-    scratch ``work`` and ``product`` are contiguous and shaped like ``r``.
+    Slice b takes the degree-m_b Taylor polynomial of exp(h L) in nested
+    form, ``r + h L(r + h/2 L(... (r + h/m_b L(r))))``. ``stages[i] = (c M,
+    c gamma)`` for c = h/m_0, ..., h/2, h (m_0 the largest degree), each a
+    stack over the leading slices whose degree is at least h/c; a slice
+    whose polynomial starts at a later stage copies ``r`` into ``work``
+    there. The scratch ``work`` and ``product`` are contiguous and shaped
+    like ``r``. For a constant generator every m-stage explicit
+    Runge-Kutta method of order m is this polynomial, so m = 4, with c =
+    dt/4, dt/3, dt/2 and dt, is one RK4 step.
     """
-    (m, feed), *rest = stages
-    w = _stage(r, m, feed, gain, work, product)
-    for m, feed in rest:
-        w += r
-        _stage(w, m, feed, gain, w, product)
-    r += w
+    started = 0
+    for m, feed in stages:
+        w, p = work[: len(m)], product[: len(m)]
+        if started:
+            w[:started] += r[:started]
+            np.copyto(w[started:], r[started : len(m)])
+            _stage(w, m, feed, gain, w, p)
+        else:
+            _stage(r[: len(m)], m, feed, gain, w, p)
+        started = len(m)
+    r += work
     return r
 
 
-def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_sample: int, n_samples: int):
-    """Step a (B, dim, dim) stack of states with RK4, health-checking every sample.
+def _taylor_stages(m, gamma, h, degrees) -> list:
+    """``rk4_step``'s stages for a (B, dim, dim) ``M``, (B, 1, 1) ``gamma`` and step ``h``.
 
-    Slice b evolves under the generator with ``(kappa, gamma) =
-    strengths[b]``; H = ``h``, G = ``gain`` and ``out_degree`` are shared.
-    H's rows and columns, G's columns and ``out_degree`` are zero at the
-    ``sinks``, and so is each coherence of the Hermitian ``rho`` with a
-    sink; the health check then reads eigenvalues of the non-sink block.
-    A slice that fails it at a sample is dropped, and the others go on
-    unchanged. Returns the sample times and per slice its ``Trajectory``
-    fields or its ``IntegrationDiagnosticsError``.
-
-    The steps work on the framed ``R = Q^dag rho Q`` and allocate no
-    state-sized array: ``rk4_step``'s four ``(c M, c gamma)`` and two
-    scratch stacks are made once, and compacted with the states when a
-    slice drops.
+    ``degrees`` gives slice b's degree and must not increase with b.
     """
-    batch, dim = rho.shape[0], rho.shape[-1]
-    times = np.arange(n_samples + 1) * (steps_per_sample * dt)
-    pops = np.empty((batch, n_samples + 1, dim))
-    trace_drift = np.empty((batch, n_samples + 1))
-    min_eig = np.empty((batch, n_samples + 1))
-    pur = np.empty((batch, n_samples + 1))
-    herm = np.empty((batch, n_samples + 1))
+    degrees = np.asarray(degrees)
+    stages = []
+    for j in range(degrees[0], 0, -1):
+        c, count = h / j, np.count_nonzero(degrees >= j)
+        stages.append((c * m[:count], c * gamma[:count]))
+    return stages
+
+
+def _taylor_degree(norm: float, budget: int) -> int:
+    """Smallest tabled degree m with ``TAYLOR_THETA[m] >= norm`` if m < ``budget``, else 0."""
+    for m, theta in TAYLOR_THETA.items():
+        if theta >= norm:
+            return m if m < budget else 0
+    return 0
+
+
+def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
+    """Step a (B, dim, dim) stack of framed states in place, health-checking every sample.
+
+    Each sample after ``times[0]`` is ``steps`` calls of ``rk4_step`` with
+    ``stages``, which hold each slice's ``c M`` and ``c gamma``; G =
+    ``gain`` is shared. M's rows and columns, G's columns and each
+    coherence of the Hermitian ``r`` with a sink are zero at the
+    ``sinks``; the health check then reads eigenvalues of the non-sink
+    block. A slice that fails it at a sample is dropped, and the others
+    go on unchanged. Returns per slice its ``Trajectory`` fields or its
+    ``IntegrationDiagnosticsError``, which reports ``dt``.
+
+    The steps allocate no state-sized array: the stages and two scratch
+    stacks are made once, and compacted with the states when a slice
+    drops.
+    """
+    batch, dim = r.shape[0], r.shape[-1]
+    pops = np.empty((batch, times.size, dim))
+    trace_drift = np.empty((batch, times.size))
+    min_eig = np.empty((batch, times.size))
+    pur = np.empty((batch, times.size))
+    herm = np.empty((batch, times.size))
     errors = {}
     live = np.arange(batch)
     block, sinks = _split(dim, sinks)
-    kappa, gamma = np.asarray(strengths, dtype=float).reshape(batch, 2).T[..., None, None]
-    r, m = _framed(rho, h, out_degree, block, kappa, gamma)
-    stages = [(c * m, c * gamma) for c in (dt / 4, dt / 3, dt / 2, dt)]
     product, work = np.empty_like(r), np.empty_like(r)
 
-    for k in range(n_samples + 1):
+    for k in range(times.size):
         if k > 0:
             # An overflowing state is reported by the health check below as
             # a diagnostics error; numpy's warnings about it would only
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(steps_per_sample):
+                for _ in range(steps):
                     r = rk4_step(r, stages, gain, work, product)
         drift, smallest = _health(r, block, sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
@@ -365,9 +398,10 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
                     times[k], dt, drift[i], smallest[i], np.abs(r[i]).max()
                 )
             r, live = r[ok], live[ok]
+            # Each stage covers a leading run of the slices, which stays one.
             # Each pair's old operands are freed once its new ones exist.
-            for i in range(len(stages)):
-                stages[i] = tuple(x[ok] for x in stages[i])
+            for i, stage in enumerate(stages):
+                stages[i] = tuple(x[ok[: len(x)]] for x in stage)
             # The scratch stacks' contents are dead here; their leading
             # slices are contiguous stacks of the new size.
             product, work = product[: live.size], work[: live.size]
@@ -380,7 +414,7 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
         herm[live, k] = hermiticity_residual(r)
         pops[live, k] = populations(r)
 
-    return times, [
+    return [
         errors[b] if b in errors
         else dict(
             populations=pops[b], trace_drift=trace_drift[b], min_eigenvalue=min_eig[b],
@@ -391,12 +425,13 @@ def _integrate(rho, h, gain, out_degree, strengths, sinks, dt: float, steps_per_
 
 
 def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, int]:
-    """``(steps_per_sample, n_samples)`` of a run that steps by ``dt``.
+    """``(steps_per_sample, n_samples)`` of a run in steps of ``dt``.
 
     The stride rounds ``sample_every`` to whole steps, at least one, and
     the run extends to the first sample at or past ``t_max``. A run of
     more than MAX_SAMPLES samples or MAX_STEPS steps is a
-    ConfigurationError naming ``t_max`` or ``dt``.
+    ConfigurationError naming ``t_max`` or ``dt``. The walk takes these
+    steps with RK4, or one Taylor step per stride where that costs less.
     """
     # Checked first, so that round() never meets an infinite ratio.
     if not sample_every / dt < MAX_STEPS + 1:
@@ -421,7 +456,10 @@ def evolve_batch(
     params_seq,
     rule: str = STRICT,
 ) -> list:
-    """Integrate the walk from ``rho0`` for each params, all as one stack.
+    """Integrate the walk from ``rho0`` for each params, stacked.
+
+    The runs that take one Taylor step per sample form one stack, and
+    those that fall back to RK4 steps of dt another.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -457,10 +495,26 @@ def evolve_batch(
 
     h = build_hamiltonian(spec, rule)
     gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
-    times, outcomes = _integrate(
-        np.broadcast_to(rho, (len(distinct), dim, dim)), h, gain, out_degree, distinct,
-        spec.sinks, first.dt, steps_per_sample, n_samples,
+    kappa, gamma = np.array(distinct).T[..., None, None]
+    r, m = _framed(
+        np.broadcast_to(rho, (len(distinct), dim, dim)), h, out_degree,
+        _split(dim, spec.sinks)[0], kappa, gamma,
     )
+    stride = steps_per_sample * first.dt
+    times = np.arange(n_samples + 1) * stride
+    # ||M R||_1 and ||R M^dag||_1 are at most ||M||_1 ||R||_1 each, and the
+    # feed at most gamma ||G||_1 ||R||_1, in the entrywise 1-norm of R.
+    bound = 2 * np.abs(m).sum(axis=-2).max(axis=-1) + gamma[:, 0, 0] * np.abs(gain).sum(axis=0).max()
+    degrees = [_taylor_degree(x * stride, 4 * steps_per_sample) for x in bound]
+    # The Taylor slices run highest degree first, so that each stage acts
+    # on a leading run of their stack; the others take RK4 steps of dt.
+    taylor = sorted((b for b, d in enumerate(degrees) if d), key=lambda b: -degrees[b])
+    fallback = [b for b, d in enumerate(degrees) if not d]
+    outcomes = {}
+    for group, step, steps in ((taylor, stride, 1), (fallback, first.dt, steps_per_sample)):
+        if group:
+            stages = _taylor_stages(m[group], gamma[group], step, [degrees[b] or 4 for b in group])
+            outcomes.update(zip(group, _integrate(r[group], stages, gain, spec.sinks, steps, times, first.dt)))
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
         outcome = outcomes[slot[pair]]
@@ -482,14 +536,17 @@ def evolve(
     params: WalkParams,
     rule: str = STRICT,
 ) -> Trajectory:
-    """Integrate the walk with fixed-step RK4 and sample its populations.
+    """Integrate the walk and sample its populations.
 
-    The sampling stride is rounded to a whole number of integrator steps
-    and the run extends to the first sample at or past ``t_max``. Every
+    The sampling stride is rounded to a whole number of steps of dt and
+    the run extends to the first sample at or past ``t_max``. Each stride
+    is one Taylor step whose degree comes from a norm bound, or, where
+    that costs more, RK4 steps of dt (see the module docstring). Every
     sampled state is health-checked; a non-finite entry, a trace drift
     beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
-    diagnostics error prescribing a smaller dt. ``rho0`` may have no
-    coherence that involves a sink (a ConfigurationError names the sink).
+    diagnostics error, whose advice of a smaller dt is for RK4 steps.
+    ``rho0`` may have no coherence that involves a sink (a
+    ConfigurationError names the sink).
     This is the batch of one of ``evolve_batch``.
     """
     (outcome,) = evolve_batch(rho0, spec, [params], rule)

@@ -13,6 +13,7 @@ from patternwalks.hopfield import (
     hebbian_store,
     parse_pattern,
     run_async,
+    validate_weights,
     zero_thresholds,
 )
 
@@ -77,6 +78,10 @@ class TestEnergy:
 
     def test_threshold_term(self):
         assert energy([1, 1], np.zeros((2, 2)), np.array([1.0, 1.0])) == pytest.approx(2.0)
+
+    def test_threshold_of_the_wrong_length_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match=r"threshold shape \(1,\) does not match 2 neurons"):
+            energy([1, 1], np.zeros((2, 2)), [1.0])
 
 
 class TestHebbianStore:
@@ -184,6 +189,23 @@ class TestRunAsync:
         arguments[argument] = value
         with pytest.raises(ConfigurationError, match=message):
             run_async(**arguments)
+
+    @pytest.mark.parametrize(
+        "w, theta, message",
+        [
+            pytest.param([["a", "b"], ["c", "d"]], [0, 0], "weight matrix must hold real numbers", id="weights"),
+            pytest.param(np.zeros((2, 2)), ["a", "b"], "threshold must hold real numbers", id="theta"),
+        ],
+    )
+    def test_non_numeric_entry_is_a_configuration_error(self, w, theta, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_async([0, 1], w, theta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_named(self, bad):
+        # NaN != NaN would otherwise fail the symmetry test first
+        with pytest.raises(ConfigurationError, match="weights must be finite numbers"):
+            validate_weights([[0.0, bad], [bad, 0.0]])
 
 
 def test_single_stored_pattern_basin_for_all_small_networks():

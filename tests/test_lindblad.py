@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from patternwalks.lindblad import (
     _parity_phases,
     _split,
     _stage,
+    _taylor_degree,
+    _taylor_stages,
     basis_density,
     density_from_pattern,
     evolve,
@@ -71,9 +75,16 @@ def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
     return _stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
 
 
-def rk4_stages(m, gamma, dt):
-    """The ``stages`` of ``lindblad.rk4_step`` for ``M`` and ``gamma``: ``(c M, c gamma)`` per coefficient."""
-    return [(c * m, c * gamma) for c in (dt / 4, dt / 3, dt / 2, dt)]
+def rk4_stages(m, gamma, dt, degree=4):
+    """The ``stages`` of ``lindblad.rk4_step`` for one ``M`` and ``gamma``: ``(c M, c gamma)`` per coefficient."""
+    return _taylor_stages(m[None], np.full((1, 1, 1), gamma), dt, [degree])
+
+
+def framed_stack(rho, h, out_degree, strengths, sinks=()):
+    """``(R, M, gamma)`` as evolve_batch frames them: one ``(kappa, gamma)`` per slice of ``rho``."""
+    kappa, gamma = np.array(strengths, dtype=float).T[..., None, None]
+    r, m = _framed(rho, h, out_degree, _split(rho.shape[-1], sinks)[0], kappa, gamma)
+    return r, m, gamma
 
 
 def stepped(r, stages, gain, steps=1):
@@ -292,7 +303,7 @@ class TestRk4Step:
         rng = np.random.default_rng(137)
         r = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         start = r.copy()
-        stages = [(np.zeros((4, 4), dtype=complex), 0.0)] * 4
+        stages = [(np.zeros((2, 4, 4), dtype=complex), 0.0)] * 4
         out = lindblad.rk4_step(r, stages, np.zeros((4, 4)), np.empty_like(r), np.empty_like(r))
         assert out is r
         assert np.array_equal(r, start)
@@ -309,6 +320,50 @@ class TestRk4Step:
         after = stepped(r, rk4_stages(m, 1.0, dt), gain)
         assert after[0, 0] == pytest.approx(1 - dt + dt**2 / 2 - dt**3 / 6 + dt**4 / 24, rel=1e-15, abs=0.0)
         assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("degree", [1, 7, 19, 55])
+    @pytest.mark.parametrize("h", [0.05, 0.5])
+    def test_two_level_decay_is_the_truncated_series(self, degree, h):
+        # the same decay: one degree-m step multiplies the population on 0
+        # by sum_{k <= m} (-h)^k / k!, as if summed exactly
+        spec = make_spec(1, ["1"])
+        r, m, gain = walk_operands(
+            basis_density(0, 2), build_hamiltonian(spec), build_jump_operators(spec), 0.0, 1.0, spec.sinks
+        )
+        after = stepped(r, rk4_stages(m, 1.0, h, degree), gain)
+        series = float(sum(Fraction(-h) ** k / math.factorial(k) for k in range(degree + 1)))
+        assert after[0, 0] == pytest.approx(series, rel=1e-15, abs=0.0)
+        assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    def test_stages_of_a_mixed_stack(self):
+        # degrees 3, 3 and 1: stage c = h/3 and h/2 act on the two leading
+        # slices and c = h on all three; a slice whose polynomial starts
+        # late equals its lone step bit for bit
+        rng = np.random.default_rng(149)
+        spec = make_spec(3, ["101", "111"])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+        gain, out_degree = jump_gain(jumps, 8)
+        strengths = [(0.4, 1.0), (1.3, 1.0), (2.5, 0.0)]
+        rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
+        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gamma, 0.1, [3, 3, 1])
+        assert [len(cm) for cm, _ in stages] == [2, 2, 3]
+        assert np.array_equal(stages[0][0], 0.1 / 3 * m[:2]) and np.array_equal(stages[2][1], 0.1 * gamma)
+        after = r.copy()
+        lindblad.rk4_step(after, stages, gain, np.empty_like(r), np.empty_like(r))
+        for b, degree in enumerate([3, 3, 1]):
+            lone = stepped(r[b], _taylor_stages(m[b : b + 1], gamma[b : b + 1], 0.1, [degree]), gain)
+            assert np.array_equal(after[b], lone)
+
+    @pytest.mark.parametrize(
+        "norm, budget, degree",
+        [(0.0, 40, 1), (1.2, 40, 19), (1.26, 40, 19), (1.27, 40, 20), (4.4, 40, 35),
+         (4.8, 40, 0), (4.4, 36, 35), (4.4, 35, 0), (9.9, 56, 55), (10.0, 10**6, 0)],
+    )
+    def test_degree_is_the_smallest_tabled_one_within_budget(self, norm, budget, degree):
+        # 0 is the RK4 fallback: no tabled degree covers the norm below the
+        # budget of 4 stages per step of dt
+        assert _taylor_degree(norm, budget) == degree
 
     @pytest.mark.parametrize("path", ["real", "complex"])
     def test_single_step_matches_liouvillian_exponential_to_fifth_order(self, path):
@@ -457,9 +512,7 @@ class TestEvolve:
         # evolve validates via populations; check off-diagonals via rhs invariance
         h = build_hamiltonian(spec)
         r, m, gain = walk_operands(basis_density(0, 8), h, build_jump_operators(spec), 0.0, 1.0, spec.sinks)
-        stages, work, product = rk4_stages(m, 1.0, 0.005), np.empty_like(r), np.empty_like(r)
-        for _ in range(600):
-            lindblad.rk4_step(r, stages, gain, work, product)
+        r = stepped(r, rk4_stages(m, 1.0, 0.005), gain, steps=600)
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -569,21 +622,47 @@ class TestEvolveBatch:
             with pytest.raises(ConfigurationError, match="dt, sample_every and t_max"):
                 evolve_batch(basis_density(0, 4), spec, [base, other])
 
-    def test_slices_failing_at_different_samples(self):
-        # slice 0 overflows at the first sample; slice 2 gains trace at a
-        # rate of about 8e-6 through a negative decay on |0> (M's diagonal
-        # gets +4e-6), so it breaches the trace check two samples after
-        # slice 0 is gone; slice 1 runs as if alone
+    @staticmethod
+    def failing_slices(slices, step, degrees, steps):
+        """``_integrate``'s outcomes for the ``slices`` of a three-run stack with two bad runs.
+
+        Slice 0 overflows at the first sample. Slice 2 gains trace at a
+        rate of about 8e-6 through a negative decay on |0> (M's diagonal
+        gets +4e-6), so it breaches the trace check two samples after
+        slice 0 is gone. Slice b takes ``steps`` degree-``degrees[b]``
+        steps of ``step`` per sample, of stride 0.05.
+        """
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         gain, out_degree = np.zeros((2, 2)), np.array([1.0, 0.0])
         strengths = [(1e200, 0.0), (1.0, 0.0), (1.0, -8e-6)]
-        rho = np.repeat(basis_density(0, 2)[None], 3, axis=0)
-        times, outcomes = _integrate(rho, x, gain, out_degree, strengths, (), 0.01, 5, 40)
+        rho = np.repeat(basis_density(0, 2)[None], len(slices), axis=0)
+        r, m, gamma = framed_stack(rho, x, out_degree, [strengths[b] for b in slices])
+        stages = _taylor_stages(m, gamma, step, [degrees[b] for b in slices])
+        times = np.arange(41) * 0.05
+        return times, _integrate(r, stages, gain, (), steps, times, 0.01)
+
+    def test_slices_failing_at_different_samples(self):
+        # RK4 steps of dt = 0.01; slice 1 runs as if alone
+        times, outcomes = self.failing_slices([0, 1, 2], 0.01, (4, 4, 4), 5)
         early, kept, late = outcomes
         assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
         assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
         assert late.trace_drift > 1e-6
-        _, (lone,) = _integrate(rho[1:2], x, gain, out_degree, strengths[1:2], (), 0.01, 5, 40)
+        _, (lone,) = self.failing_slices([1], 0.01, (4, 4, 4), 5)
+        assert kept.keys() == lone.keys()
+        for name in kept:
+            assert np.array_equal(kept[name], lone[name]), name
+
+    def test_taylor_slices_failing_at_different_samples(self):
+        # one step per sample, of degrees 10, 8 and 6: slice 0 alone has
+        # the two leading stages, which empty out when it drops; slice 1
+        # runs as if alone
+        times, outcomes = self.failing_slices([0, 1, 2], 0.05, (10, 8, 6), 1)
+        early, kept, late = outcomes
+        assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
+        assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
+        assert late.trace_drift > 1e-6 and late.dt == 0.01
+        _, (lone,) = self.failing_slices([1], 0.05, (10, 8, 6), 1)
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
@@ -597,6 +676,8 @@ class TestEvolveBatch:
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gamma, 0.005, [4] * 8)
         step, calls, marks = lindblad.rk4_step, [], {}
 
         def measured(r, *rest):
@@ -611,7 +692,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            _, outcomes = _integrate(rho, h, gain, out_degree, strengths, spec.sinks, 0.005, 200, 1)
+            outcomes = _integrate(r, stages, gain, spec.sinks, 200, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
         assert len(calls) == 200
@@ -626,6 +707,8 @@ class TestEvolveBatch:
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gamma, 0.005, [4] * 8)
         step, peaks = lindblad.rk4_step, []
 
         def measured(r, *rest):
@@ -638,11 +721,68 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            _integrate(rho, h, gain, out_degree, strengths, spec.sinks, 0.005, 200, 1)
+            _integrate(r, stages, gain, spec.sinks, 200, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 200
         assert max(peaks) < rho.real.nbytes
+
+    def test_taylor_steps_allocate_no_real_state_stack(self, monkeypatch):
+        # one step per sample, of degrees 30 down to 12, on the stack of 8
+        # real states above: no step allocates one state stack either
+        spec = make_spec(4, ["0110", "1111"])
+        h = build_hamiltonian(spec)
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        strengths = [(k, 1.0) for k in np.linspace(3.0, 0.2, 8)]
+        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gamma, 0.05, [30, 26, 22, 19, 19, 15, 12, 12])
+        step, peaks = lindblad.rk4_step, []
+
+        def measured(r, *rest):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            r = step(r, *rest)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return r
+
+        monkeypatch.setattr(lindblad, "rk4_step", measured)
+        tracemalloc.start()
+        try:
+            outcomes = _integrate(r, stages, gain, spec.sinks, 1, np.arange(201) * 0.05, 0.005)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 200
+        assert all(isinstance(o, dict) for o in outcomes)
+        assert max(peaks) < rho.real.nbytes
+
+    def test_mixed_degrees_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
+        # at a stride of 0.05, kappa/gamma = 0.5 and 4 take one Taylor step
+        # per sample, of two degrees, in one stack; kappa/gamma = 150 would
+        # need more than RK4's 40 stages per stride, so it takes RK4 steps
+        # of dt = 0.005 and goes unphysical at the first sample
+        step, calls = lindblad.rk4_step, []
+
+        def recorded(r, stages, *rest):
+            calls.append([len(cm) for cm, _ in stages])
+            return step(r, stages, *rest)
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        spec = make_spec(4, ["0110", "1111"])
+        rho0 = basis_density(0, spec.dim)
+        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 150.0, 4.0)]
+        first, failed, last = evolve_batch(rho0, spec, points)
+        taylor, rk4 = calls[:40], calls[40:]
+        assert all(c == taylor[0] for c in taylor) and set(taylor[0]) == {1, 2}
+        assert rk4 == [[1, 1, 1, 1]] * 10
+        assert isinstance(failed, IntegrationDiagnosticsError) and failed.t == 0.05
+        with pytest.raises(IntegrationDiagnosticsError) as lone_failure:
+            evolve(rho0, spec, points[1])
+        assert str(lone_failure.value) == str(failed)
+        for traj, params in ((first, points[0]), (last, points[2])):
+            lone = evolve(rho0, spec, params)
+            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
 
     def test_dropped_point_leaves_the_survivors_bits(self):
         # kappa = 150 goes unphysical under RK4 at dt = 0.005 and is dropped
@@ -761,6 +901,9 @@ class TestAtFourNeurons:
             build_hamiltonian(spec), mats, 1.3 / 0.7, 1.0, rho0, traj.times, expm
         )
         assert np.max(np.abs(traj.populations - oracle)) < 1e-6
+        # one Taylor step per sample, exact to double precision: the gap
+        # was 9.7e-15 (real) and 2.8e-15 (complex), against RK4's 1.4e-8
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
 
 class TestAtSixNeurons:
@@ -769,10 +912,25 @@ class TestAtSixNeurons:
     spec = make_spec(6, ["011010", "110111"])
     start = vertex_index("100001")
 
+    def test_a_sample_is_one_degree_19_step(self, monkeypatch):
+        # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound ||L||_1 by
+        # 24, so a stride of 0.05 needs theta_m >= 1.2: m = 19, against the
+        # 40 stages of RK4 at dt = 0.005
+        step, calls = lindblad.rk4_step, []
+
+        def recorded(r, stages, *rest):
+            calls.append(len(stages))
+            return step(r, stages, *rest)
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        evolve(basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=1.0, t_max=1.0))
+        assert calls == [19] * 20
+
     def test_coherent_limit_matches_the_unitary(self):
         # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
         # eigh of the real H, so the populations are |U[:, start]|^2; the
-        # gap, about 4e-8, is RK4's error at dt = 0.005 with ||H|| = 6.8
+        # gap was 6.0e-13 with one Taylor step per sample, where RK4 at
+        # dt = 0.005 is off by 4e-8 (||H|| = 6.8)
         h = build_hamiltonian(self.spec)
         traj = evolve(
             basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=0.0, t_max=5.0)
@@ -781,10 +939,12 @@ class TestAtSixNeurons:
         amplitudes = (v * np.exp(-1j * np.outer(traj.times, w))[:, None, :]) @ v[self.start]
         assert traj.times[-1] == pytest.approx(5.0)
         assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-7
+        assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-11
 
     def test_dissipative_limit_matches_the_chain(self):
         # kappa = 0: the populations follow the classical chain sample by
-        # sample; RK4's error here is about 2e-10
+        # sample; the gap was 2.6e-15 with one Taylor step per sample, where
+        # RK4 at dt = 0.005 is off by about 2e-10
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
         traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
         q = rate_matrix_from_jumps(build_jump_operators(self.spec), self.spec.dim)
@@ -792,6 +952,7 @@ class TestAtSixNeurons:
         pi0[self.start] = 1.0
         chain = ctmc_samples(q, pi0, traj.times[1], traj.times.size - 1)
         assert np.max(np.abs(traj.populations - chain)) < 1e-8
+        assert np.max(np.abs(traj.populations - chain)) < 1e-13
 
 
 class TestMixingTime:
