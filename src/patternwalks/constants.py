@@ -37,7 +37,7 @@ MAX_STEPS = 10**7
 # to double precision in backward error. Degrees 1-30 are from Higham and
 # Al-Mohy, "Computing matrix functions", Acta Numerica 19, 159 (2010),
 # Table A.3; 35-55 from Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
-# (2011), Table 3.1.
+# (2011), Table 3.1. Read only by numerics.taylor_degree, for the walk's step and expm.
 TAYLOR_THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,

@@ -22,7 +22,7 @@ class IntegrationDiagnosticsError(RuntimeError):
         self.dt = float(dt)
         self.trace_drift = float(trace_drift)
         self.min_eigenvalue = float(min_eigenvalue)
-        # A diverged state's trace is rounding noise; its largest |entry| is not.
+        # A diverged state's trace is rounding noise; its largest |entry| is not (inf if not finite).
         self.largest_entry = float(largest_entry)
         super().__init__(
             f"state invariants breached at t = {self.t:g} (trace drift {self.trace_drift:.3g}, "

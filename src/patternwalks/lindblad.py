@@ -28,9 +28,9 @@ exp(s L) applied to the one before, for the sample stride s. ``rk4_step``
 evaluates the degree-m Taylor polynomial of exp(hL) in place, in nested
 form, with m stages; m = 4 is RK4. With the bound ||L||_1 <= 2 ||M||_1 +
 gamma ||G||_1, a run takes one step h = s per sample, of the smallest
-degree m that the bound makes exact to double precision (Al-Mohy and
-Higham, SIAM J. Sci. Comput. 33, 488, 2011), if m is below the 4 s/dt
-stages of RK4 at dt. Otherwise it takes s/dt RK4 steps of h = dt.
+degree m that the bound makes exact to double precision (the rule of
+``numerics.taylor_degree``, which ``expm`` shares), if m is below the
+4 s/dt stages of RK4 at dt. Otherwise it takes s/dt RK4 steps of h = dt.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -59,7 +59,6 @@ from .constants import (
     POPULATION_DUST,
     POSITIVITY_FLOOR,
     SINK_THRESHOLD,
-    TAYLOR_THETA,
     TRACE_ABORT,
     TRACE_TOL,
 )
@@ -78,7 +77,7 @@ from .hypercube import (
     popcount,
     vertex_index,
 )
-from .numerics import hermiticity_residual
+from .numerics import hermiticity_residual, taylor_degree
 
 __all__ = [
     "WalkParams",
@@ -313,24 +312,20 @@ def rk4_step(r, stages, gain, work, product):
     Slice b takes the degree-m_b Taylor polynomial of exp(h L) in nested
     form, ``r + h L(r + h/2 L(... (r + h/m_b L(r))))``. ``stages[i] = (c M,
     c gamma)`` for c = h/m_0, ..., h/2, h (m_0 the largest degree), each a
-    stack over the leading slices whose degree is at least h/c; a slice
-    whose polynomial starts at a later stage copies ``r`` into ``work``
-    there. The scratch ``work`` and ``product`` are contiguous and shaped
-    like ``r``. For a constant generator every m-stage explicit
-    Runge-Kutta method of order m is this polynomial, so m = 4, with c =
-    dt/4, dt/3, dt/2 and dt, is one RK4 step.
+    stack over the leading slices whose degree is at least h/c. ``work``
+    starts as ``r``, and a stage sets its slices of it to ``r + c L(work)``,
+    so a slice whose polynomial starts late starts from its own state.
+    The scratch ``work`` and ``product`` are contiguous and shaped like
+    ``r``. For a constant generator every m-stage explicit Runge-Kutta
+    method of order m is this polynomial, so m = 4, with c = dt/4, dt/3,
+    dt/2 and dt, is one RK4 step.
     """
-    started = 0
+    np.copyto(work, r)
     for m, feed in stages:
-        w, p = work[: len(m)], product[: len(m)]
-        if started:
-            w[:started] += r[:started]
-            np.copyto(w[started:], r[started : len(m)])
-            _stage(w, m, feed, gain, w, p)
-        else:
-            _stage(r[: len(m)], m, feed, gain, w, p)
-        started = len(m)
-    r += work
+        w = work[: len(m)]
+        _stage(w, m, feed, gain, w, product[: len(m)])
+        w += r[: len(m)]
+    np.copyto(r, work)
     return r
 
 
@@ -345,14 +340,6 @@ def _taylor_stages(m, gamma, h, degrees) -> list:
         c, count = h / j, np.count_nonzero(degrees >= j)
         stages.append((c * m[:count], c * gamma[:count]))
     return stages
-
-
-def _taylor_degree(norm: float, budget: int) -> int:
-    """Smallest tabled degree m with ``TAYLOR_THETA[m] >= norm`` if m < ``budget``, else 0."""
-    for m, theta in TAYLOR_THETA.items():
-        if theta >= norm:
-            return m if m < budget else 0
-    return 0
 
 
 def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
@@ -395,7 +382,8 @@ def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
         if not ok.all():
             for i in np.flatnonzero(~ok):
                 errors[live[i]] = IntegrationDiagnosticsError(
-                    times[k], dt, drift[i], smallest[i], np.abs(r[i]).max()
+                    times[k], dt, drift[i], smallest[i],
+                    np.where(np.isfinite(r[i]), np.abs(r[i]), np.inf).max(),
                 )
             r, live = r[ok], live[ok]
             # Each stage covers a leading run of the slices, which stays one.
@@ -505,7 +493,7 @@ def evolve_batch(
     # ||M R||_1 and ||R M^dag||_1 are at most ||M||_1 ||R||_1 each, and the
     # feed at most gamma ||G||_1 ||R||_1, in the entrywise 1-norm of R.
     bound = 2 * np.abs(m).sum(axis=-2).max(axis=-1) + gamma[:, 0, 0] * np.abs(gain).sum(axis=0).max()
-    degrees = [_taylor_degree(x * stride, 4 * steps_per_sample) for x in bound]
+    degrees = [taylor_degree(x * stride, 4 * steps_per_sample) for x in bound]
     # The Taylor slices run highest degree first, so that each stage acts
     # on a leading run of their stack; the others take RK4 steps of dt.
     taylor = sorted((b for b, d in enumerate(degrees) if d), key=lambda b: -degrees[b])

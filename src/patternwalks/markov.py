@@ -35,10 +35,12 @@ def as_probability_vector(v) -> np.ndarray:
 
 
 def as_rate_matrix(q) -> np.ndarray:
-    """Validate a CTMC generator: non-negative off-diagonal, zero column sums."""
+    """Validate a CTMC generator: finite, non-negative off-diagonal, zero column sums."""
     a = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"rate matrix must be square, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ConfigurationError("rate matrix entries must be finite numbers")
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < -ROW_SUM_TOL):

@@ -1,18 +1,19 @@
-"""Dense matrix helpers and a matrix exponential.
+"""Dense matrix helpers, the Taylor degree rule and a matrix exponential.
 
 Operators are plain ``numpy.ndarray``s, float64 or complex128; the
-helpers here add dimension checks, a Hermiticity residual and a
-scaling-and-squaring matrix exponential, each a pure function of its
-inputs.
+helpers here add dimension checks, a Hermiticity residual, the Taylor
+degree rule that ``expm`` and the walk's step share, and ``expm``, each
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .constants import TAYLOR_THETA
 from .errors import ConfigurationError
 
-__all__ = ["hermiticity_residual", "expm"]
+__all__ = ["hermiticity_residual", "taylor_degree", "expm"]
 
 
 def _square(a) -> np.ndarray:
@@ -37,13 +38,21 @@ def hermiticity_residual(a):
     return np.max(np.abs(diff), axis=(-2, -1), initial=0.0)
 
 
+def taylor_degree(norm: float, budget: float = np.inf) -> int:
+    """Smallest tabled degree m with ``TAYLOR_THETA[m] >= norm`` if m < ``budget``, else 0."""
+    for m, theta in TAYLOR_THETA.items():
+        if theta >= norm:
+            return m if m < budget else 0
+    return 0
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
-    The argument is scaled down to 1-norm <= 0.25, where the truncated
-    series converges to working precision in well under 30 terms, then
-    squared back up. A real argument gives a float64 result, a complex
-    one a complex128 result.
+    The argument is halved to 1-norm <= ``TAYLOR_THETA[18]``, its series
+    is summed to the ``taylor_degree`` of that norm, and the sum squared
+    back up. A real argument gives a float64 result, a complex one a
+    complex128 result; a non-finite 1-norm is a ConfigurationError.
     """
     m = _square(a)
     n = m.shape[0]
@@ -51,18 +60,18 @@ def expm(a) -> np.ndarray:
         return m.copy()
 
     norm = float(np.max(np.sum(np.abs(m), axis=0)))
+    if not np.isfinite(norm):
+        raise ConfigurationError(f"matrix exponential needs a finite argument, got 1-norm {norm}")
     squarings = 0
-    if norm > 0.25:
-        squarings = int(np.ceil(np.log2(norm / 0.25)))
+    if norm > TAYLOR_THETA[18]:
+        squarings = int(np.ceil(np.log2(norm / TAYLOR_THETA[18])))
         m = m / (2.0**squarings)
 
     result = np.eye(n, dtype=m.dtype)
     term = np.eye(n, dtype=m.dtype)
-    for k in range(1, 40):
+    for k in range(1, taylor_degree(norm / 2.0**squarings) + 1):
         term = term @ m / k
         result = result + term
-        if float(np.max(np.abs(term))) < 1e-18:
-            break
     for _ in range(squarings):
         result = result @ result
     return result

@@ -657,6 +657,13 @@ class TestCli:
         assert code == 3
         assert "smaller" in capsys.readouterr().err
 
+    def test_state_beyond_the_float_range_reports_an_infinite_largest_entry(self, tmp_path, capsys):
+        # the first step overflows and leaves every entry NaN
+        data = scenario_mapping(n=2, sinks=["11"], initial="00", kappa=1e200, gamma=1.0, t_max=1.0)
+        path = write_config(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path)]) == 3
+        assert "largest entry inf)" in capsys.readouterr().err
+
     def test_sample_count_beyond_the_cap_exits_2(self, tmp_path, capsys):
         data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=1e300)
         path = write_config(tmp_path, data)

@@ -31,7 +31,6 @@ from patternwalks.lindblad import (
     _parity_phases,
     _split,
     _stage,
-    _taylor_degree,
     _taylor_stages,
     basis_density,
     density_from_pattern,
@@ -44,7 +43,7 @@ from patternwalks.lindblad import (
     validate_density,
 )
 from patternwalks.markov import ctmc_evolve, ctmc_samples, rate_matrix_from_jumps
-from patternwalks.numerics import expm, hermiticity_residual
+from patternwalks.numerics import expm, hermiticity_residual, taylor_degree
 
 from oracles import (
     dense_jump_matrices,
@@ -363,7 +362,7 @@ class TestRk4Step:
     def test_degree_is_the_smallest_tabled_one_within_budget(self, norm, budget, degree):
         # 0 is the RK4 fallback: no tabled degree covers the norm below the
         # budget of 4 stages per step of dt
-        assert _taylor_degree(norm, budget) == degree
+        assert taylor_degree(norm, budget) == degree
 
     @pytest.mark.parametrize("path", ["real", "complex"])
     def test_single_step_matches_liouvillian_exponential_to_fifth_order(self, path):

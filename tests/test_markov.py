@@ -43,6 +43,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             as_rate_matrix([[-1.0, 0.0], [0.5, 0.0]])
 
+    @pytest.mark.parametrize(
+        "q", [[[np.nan, 0.0], [0.0, 0.0]], [[-np.inf, np.inf], [np.inf, -np.inf]]], ids=["nan", "inf"]
+    )
+    def test_rate_matrix_with_a_non_finite_entry(self, q):
+        # a NaN passes every sign and column-sum test, and ctmc_samples
+        # would return NaN rows: its drift guard is false for NaN
+        with pytest.raises(ConfigurationError, match="finite"):
+            as_rate_matrix(q)
+
 
 class TestCtmcEvolve:
     def test_zero_time_is_identity(self):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from patternwalks.errors import ConfigurationError
+from patternwalks.hypercube import build_jump_operators, make_spec
+from patternwalks.markov import rate_matrix_from_jumps
 from patternwalks.numerics import expm, hermiticity_residual
 
 from oracles import random_hermitian, taylor_expm
@@ -73,3 +76,36 @@ class TestExpm:
         reference = vectors @ np.diag(np.exp(values)) @ vectors.conj().T
         error = np.linalg.norm(expm(a) - reference, 2) / np.linalg.norm(reference, 2)
         assert error < 1e-10
+
+    @pytest.mark.parametrize(
+        "a",
+        [[[np.nan, 0.0], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 0.0]], [[-np.inf, np.inf], [np.inf, -np.inf]]],
+        ids=["nan", "inf", "infinite-generator"],
+    )
+    def test_non_finite_argument_is_a_configuration_error(self, a):
+        with pytest.raises(ConfigurationError, match="finite"):
+            expm(a)
+
+    def test_n6_chain_stride_against_mpmath(self):
+        # the CI n = 6 chain's generator times its sample stride (1-norm
+        # 0.6); the max-entry error relative to the largest entry is 1.1e-16
+        mp = pytest.importorskip("mpmath")
+        spec = make_spec(6, ["011010", "110111"])
+        a = rate_matrix_from_jumps(build_jump_operators(spec), 64) * 0.05
+        with mp.workdps(20):
+            reference = np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+        error = np.max(np.abs(expm(a) - reference)) / np.max(np.abs(reference))
+        assert error < 5e-16
+
+    @pytest.mark.parametrize(
+        "norm, bound", [(1e-3, 1e-15), (0.3, 2e-15), (3.0, 1e-14), (30.0, 5e-14), (300.0, 1e-12)]
+    )
+    def test_random_matrix_against_mpmath(self, norm, bound):
+        # max-entry error relative to the largest entry, measured at
+        # 2.2e-16, 2.1e-16, 1.3e-15, 5.0e-15 and 1.1e-13
+        mp = pytest.importorskip("mpmath")
+        a = np.random.default_rng(0).normal(size=(10, 10))
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        with mp.workdps(30):
+            reference = np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+        assert np.max(np.abs(expm(a) - reference)) / np.max(np.abs(reference)) < bound
