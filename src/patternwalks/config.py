@@ -2,10 +2,16 @@
 
 Configs are flat JSON objects with explicit keys. Each kind accepts
 exactly the keys its command reads, and any other key is an error. The
-parser checks the JSON itself: types, keys and bit strings. It then
-builds the ``HypercubeSpec`` and ``WalkParams`` that the command runs,
-so ``make_spec``, ``WalkParams`` and ``sample_grid`` check a walk's
-values once. Every error message starts with the offending key.
+parser checks only the JSON: types, keys and shapes, and that
+``initial`` and the Hopfield patterns are bit strings of length n
+(``vertex_index``). Every value is checked once, by the object that
+owns it: ``WalkParams`` checks the strengths and times, ``make_spec``
+the sinks, edge weights and ``equidistant_rule`` (which becomes the
+spec's ``rule``), ``sample_grid`` the sample and step caps, and
+``hopfield.check_options`` the Hopfield options. The checks run in this
+order: the JSON, the strengths and times (each sweep point's too) or the
+Hopfield options, the unknown keys, then the spec and the caps. Every
+error message starts with the offending key.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 from .constants import (
@@ -23,8 +28,8 @@ from .constants import (
     MAX_NEURONS,
 )
 from .errors import ConfigurationError
-from .hopfield import ORDERS, SENSES, STANDARD, CYCLIC
-from .hypercube import RULES, STRICT, HypercubeSpec, make_spec
+from .hopfield import STANDARD, CYCLIC, check_options
+from .hypercube import STRICT, HypercubeSpec, make_spec, vertex_index
 from .lindblad import WalkParams, sample_grid
 
 __all__ = [
@@ -47,7 +52,6 @@ class WalkConfig:
     spec: HypercubeSpec
     params: WalkParams
     initial: str
-    equidistant_rule: str = STRICT
     out: str | None = None
 
 
@@ -101,7 +105,7 @@ def _load_mapping(path: str, overrides: dict | None) -> dict:
 
 
 def _reject_unknown(data, keys: frozenset, kind: str) -> None:
-    """Called after the known fields parsed, so a bad value is named under its own key."""
+    """Called once the known fields' JSON is checked, so a fault there is named by its key."""
     unknown = sorted(str(key) for key in data if key not in keys)
     if unknown:
         raise ConfigurationError(
@@ -110,43 +114,13 @@ def _reject_unknown(data, keys: frozenset, kind: str) -> None:
         )
 
 
-def _field_int(data, key, default=None, minimum=None, maximum=None):
-    if key not in data:
-        if default is None:
-            raise ConfigurationError(f"{key}: required field is missing")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"{key}: must be <= {maximum}, got {value}")
-    return value
-
-
-def _finite(key, value) -> float:
-    """A JSON number as a float; NaN and the infinities json accepts are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{key}: expected a finite number, got {value!r}")
-    return number
-
-
-def _field_real(data, key, default):
-    return _finite(key, data[key]) if key in data else default
-
-
-def _field_choice(data, key, choices, default):
-    value = data.get(key, default)
-    if value not in choices:
-        raise ConfigurationError(f"{key}: must be one of {choices}, got {value!r}")
-    return value
+def _field_n(data) -> int:
+    if "n" not in data:
+        raise ConfigurationError("n: required field is missing")
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_NEURONS:
+        raise ConfigurationError(f"n: expected an integer in 1..{MAX_NEURONS}, got {n!r}")
+    return n
 
 
 def _field_out(data):
@@ -156,73 +130,76 @@ def _field_out(data):
     return out
 
 
-def _field_pattern(key, value, n):
-    if not isinstance(value, str) or len(value) != n or any(c not in "01" for c in value):
-        raise ConfigurationError(
-            f"{key}: expected a bit string of length {n}, got {value!r}"
-        )
-    return value
-
-
-def _field_pattern_list(data, key, n):
+def _field_patterns(data, key, n=None) -> tuple:
+    """A non-empty list of strings, each a bit string of length ``n`` if given."""
     if key not in data:
         raise ConfigurationError(f"{key}: required field is missing")
     raw = data[key]
-    if not isinstance(raw, list) or len(raw) == 0:
+    if not isinstance(raw, list) or not raw or not all(isinstance(p, str) for p in raw):
         raise ConfigurationError(f"{key}: expected a non-empty list of bit strings")
-    return tuple(_field_pattern(key, v, n) for v in raw)
+    if n is not None:
+        for p in raw:
+            vertex_index(p, n, key)
+    return tuple(raw)
 
 
-def _field_edge_weights(data, n):
+def _field_edge_weights(data) -> tuple:
     raw = data.get("edge_weights", [])
     if not isinstance(raw, list):
         raise ConfigurationError("edge_weights: expected a list of triples")
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 3:
+        triple = isinstance(entry, list) and len(entry) == 3
+        if not (triple and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise ConfigurationError(
                 f"edge_weights: expected [pattern, pattern, weight], got {entry!r}"
             )
-    key = "edge_weights"
-    return tuple(
-        (_field_pattern(key, u, n), _field_pattern(key, v, n), _finite(key, w)) for u, v, w in raw
-    )
+    return tuple(tuple(entry) for entry in raw)
 
 
 def _walk_fields(data) -> dict:
-    """Every walk field except the strengths, which a sweep takes from its grid."""
-    n = _field_int(data, "n", minimum=1, maximum=MAX_NEURONS)
+    """The JSON of every walk field except the strengths, which a sweep takes from its grid.
+
+    The sinks' and edge weights' bits are left to ``make_spec``, and the
+    times to ``WalkParams``.
+    """
+    n = _field_n(data)
+    initial = data.get("initial")
+    vertex_index(initial, n, "initial")
     return {
         "n": n,
-        "t_max": _field_real(data, "t_max", DEFAULT_T_MAX),
-        "dt": _field_real(data, "dt", DEFAULT_DT),
-        "sample_every": _field_real(data, "sample_every", DEFAULT_SAMPLE_EVERY),
-        "equidistant_rule": _field_choice(data, "equidistant_rule", RULES, STRICT),
+        "times": {
+            "t_max": data.get("t_max", DEFAULT_T_MAX),
+            "dt": data.get("dt", DEFAULT_DT),
+            "sample_every": data.get("sample_every", DEFAULT_SAMPLE_EVERY),
+        },
+        "rule": data.get("equidistant_rule", STRICT),
         "out": _field_out(data),
-        "sinks": _field_pattern_list(data, "sinks", n),
-        "initial": _field_pattern("initial", data.get("initial"), n),
-        "edge_weights": _field_edge_weights(data, n),
+        "sinks": _field_patterns(data, "sinks"),
+        "initial": initial,
+        "edge_weights": _field_edge_weights(data),
     }
 
 
-def _walk_config(fields: dict, kappa: float = 1.0, gamma: float = 1.0) -> WalkConfig:
-    """Build the spec and params of ``_walk_fields``' result; they check its values."""
-    spec = make_spec(fields["n"], fields["sinks"], fields["edge_weights"])
-    params = WalkParams(
-        kappa=kappa, gamma=gamma, t_max=fields["t_max"], dt=fields["dt"],
-        sample_every=fields["sample_every"],
-    )
+def _walk_config(fields: dict, params: WalkParams) -> WalkConfig:
+    """Build the spec of ``_walk_fields``' result and check the sample caps of ``params``."""
+    spec = make_spec(fields["n"], fields["sinks"], fields["edge_weights"], fields["rule"])
     # The walk steps by dt; the classical chain on the same file steps once per sample.
     for step in (params.dt, params.sample_every):
         sample_grid(step, params.sample_every, params.t_max)
-    return WalkConfig(spec, params, fields["initial"], fields["equidistant_rule"], fields["out"])
+    return WalkConfig(spec, params, fields["initial"], fields["out"])
 
 
 def parse_scenario(data: dict) -> WalkConfig:
     """Walk scenario: needs n, sinks, initial; strengths default to 1."""
     fields = _walk_fields(data)
-    kappa, gamma = _field_real(data, "kappa", 1.0), _field_real(data, "gamma", 1.0)
+    params = WalkParams(data.get("kappa", 1.0), data.get("gamma", 1.0), **fields["times"])
     _reject_unknown(data, WALK_KEYS, "walk")
-    return _walk_config(fields, kappa, gamma)
+    return _walk_config(fields, params)
+
+
+def _number_text(value) -> str:
+    """A JSON value in a sweep point's label: a float as ``%g``, anything else as written."""
+    return f"{value:g}" if isinstance(value, float) else repr(value)
 
 
 def parse_sweep(data: dict) -> SweepGrid:
@@ -233,37 +210,38 @@ def parse_sweep(data: dict) -> SweepGrid:
         raw = data.get(key)
         if not isinstance(raw, list) or len(raw) == 0:
             raise ConfigurationError(f"{key}: expected a non-empty list of numbers")
-        return tuple(_finite(key, v) for v in raw)
+        return raw
 
     kappas, gammas = _values("kappa_values"), _values("gamma_values")
-    _reject_unknown(data, SWEEP_KEYS, "sweep")
-    # base's default strengths pass, so this checks the scenario and its times,
-    # and a grid point can then fail only on its strengths
-    base = _walk_config(fields)
+    # The default strengths pass, so this checks the times, and a grid
+    # point can then fail only on its strengths.
+    base = WalkParams(1.0, 1.0, **fields["times"])
     points = []
     for gamma, kappa in itertools.product(gammas, kappas):
         try:
-            points.append(dataclasses.replace(base.params, kappa=kappa, gamma=gamma))
+            points.append(dataclasses.replace(base, kappa=kappa, gamma=gamma))
         except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"kappa_values/gamma_values: point ({kappa:g}, {gamma:g}): {exc}"
-            ) from exc
-    return SweepGrid(base=base, points=tuple(points))
+            point = f"{_number_text(kappa)}, {_number_text(gamma)}"
+            raise ConfigurationError(f"kappa_values/gamma_values: point ({point}): {exc}") from exc
+    _reject_unknown(data, SWEEP_KEYS, "sweep")
+    return SweepGrid(base=_walk_config(fields, base), points=tuple(points))
 
 
 def parse_hopfield(data: dict) -> HopfieldConfig:
     """Retrieval scenario: needs n, stored patterns and input patterns."""
-    n = _field_int(data, "n", minimum=1, maximum=MAX_NEURONS)
+    n = _field_n(data)
+    options = ("threshold_sense", "order", "max_sweeps", "seed")
     cfg = HopfieldConfig(
         n=n,
-        stored=_field_pattern_list(data, "stored", n),
-        inputs=_field_pattern_list(data, "inputs", n),
-        threshold_sense=_field_choice(data, "threshold_sense", SENSES, STANDARD),
-        order=_field_choice(data, "order", ORDERS, CYCLIC),
-        max_sweeps=_field_int(data, "max_sweeps", 64, minimum=1),
-        seed=_field_int(data, "seed", 0, minimum=0, maximum=2**64 - 1),
+        stored=_field_patterns(data, "stored", n),
+        inputs=_field_patterns(data, "inputs", n),
         out=_field_out(data),
+        **{key: data[key] for key in options if key in data},
     )
+    check_options(cfg.threshold_sense, cfg.order, cfg.max_sweeps, cfg.seed)
+    # run_async takes any seed >= 0; a config's seed is an unsigned 64-bit integer.
+    if cfg.seed > 2**64 - 1:
+        raise ConfigurationError(f"seed: must be <= {2**64 - 1}, got {cfg.seed}")
     _reject_unknown(data, HOPFIELD_KEYS, "hopfield")
     return cfg
 

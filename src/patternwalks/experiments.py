@@ -60,7 +60,7 @@ def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False)
     target = _resolve_out_dir(cfg.out, out_dir)
     spec, params = cfg.spec, cfg.params
     rho0 = density_from_pattern(cfg.initial, spec.n)
-    traj = evolve(rho0, spec, params, rule=cfg.equidistant_rule)
+    traj = evolve(rho0, spec, params)
 
     csv_path = os.path.join(target, "simulate.csv")
     output.write_trajectory_csv(csv_path, traj, spec.n)
@@ -84,7 +84,7 @@ def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult
     """Continuous-time classical chain over the same jump structure."""
     target = _resolve_out_dir(cfg.out, out_dir)
     spec, stride = cfg.spec, cfg.params.sample_every
-    jumps = build_jump_operators(spec, cfg.equidistant_rule)
+    jumps = build_jump_operators(spec)
     q = markov.rate_matrix_from_jumps(jumps, spec.dim)
     pi0 = np.zeros(spec.dim)
     pi0[vertex_index(cfg.initial)] = 1.0
@@ -112,7 +112,7 @@ def run_sweep(
     cfg = grid.base
     target = _resolve_out_dir(cfg.out, out_dir)
     rho0 = density_from_pattern(cfg.initial, cfg.spec.n)
-    outcomes = evolve_batch(rho0, cfg.spec, grid.points, rule=cfg.equidistant_rule)
+    outcomes = evolve_batch(rho0, cfg.spec, grid.points)
     results = []
     for params, outcome in zip(grid.points, outcomes):
         k, g = params.kappa, params.gamma

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .hypercube import vertex_index
 
 __all__ = [
     "STANDARD",
@@ -23,6 +24,7 @@ __all__ = [
     "RANDOM",
     "ORDERS",
     "parse_pattern",
+    "check_options",
     "format_pattern",
     "validate_weights",
     "zero_thresholds",
@@ -46,10 +48,7 @@ ORDERS = (CYCLIC, RANDOM)
 
 def parse_pattern(text: str) -> np.ndarray:
     """Parse an ASCII bit string into a 0/1 array (neuron 1 first)."""
-    if not isinstance(text, str) or len(text) == 0:
-        raise ConfigurationError(f"pattern must be a non-empty bit string, got {text!r}")
-    if any(ch not in "01" for ch in text):
-        raise ConfigurationError(f"pattern may contain only '0' and '1', got {text!r}")
+    vertex_index(text)
     return np.array([1 if ch == "1" else 0 for ch in text], dtype=np.int8)
 
 
@@ -96,7 +95,19 @@ def _check_state(state, n: int) -> np.ndarray:
 
 def _check_count(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ConfigurationError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+
+
+def check_options(sense, order, max_sweeps, seed) -> None:
+    """Check the options of ``run_async``; each message starts with its config key."""
+    if sense not in SENSES:
+        raise ConfigurationError(
+            f"threshold_sense: unknown threshold sense {sense!r}, expected one of {SENSES}"
+        )
+    if order not in ORDERS:
+        raise ConfigurationError(f"order: unknown update order {order!r}, expected one of {ORDERS}")
+    _check_count("max_sweeps", max_sweeps, 1)
+    _check_count("seed", seed, 0)
 
 
 def _check_theta(theta, n: int) -> np.ndarray:
@@ -173,13 +184,8 @@ def run_async(
     w = validate_weights(w)
     n = w.shape[0]
     current = _check_state(state, n)
-    if order not in ORDERS:
-        raise ConfigurationError(f"unknown update order {order!r}")
-    _check_count("max_sweeps", max_sweeps, 1)
     theta = _check_theta(theta, n)
-    if sense not in SENSES:
-        raise ConfigurationError(f"unknown threshold sense {sense!r}")
-    _check_count("seed", seed, 0)
+    check_options(sense, order, max_sweeps, seed)
     rng = np.random.default_rng(seed)
 
     states = [current.copy()]

@@ -4,20 +4,23 @@ Vertices are the 2^N firing patterns; edges join patterns at Hamming
 distance one, plus a self-loop on every vertex. Sink vertices (the
 memorized patterns) are cut out of the adjacency Hamiltonian entirely and
 are instead fed by directed jump operators that always point strictly
-closer to the sink set. The jump set is built once, with bit operations
+closer to the sink set. A ``HypercubeSpec`` holds the whole graph: n, the
+sinks, the edge weights and the rule for equidistant edges, each checked
+once by ``make_spec``. The jump set is built once, with bit operations
 over all vertices, and the Hamiltonian, the operator list and the gain
-arrays of both generators are read off it.
+arrays of both generators are read off it. ``vertex_index`` is the
+package's one check of a bit-string pattern.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .numerics import finite_real
 
 __all__ = [
     "STRICT",
@@ -54,26 +57,37 @@ class JumpOperator:
 
 @dataclass(frozen=True)
 class HypercubeSpec:
-    """Hypercube walk ingredients: neuron count, sink vertices, edge weights.
+    """Hypercube walk ingredients: neuron count, sink vertices, edge weights, jump rule.
 
     ``edge_weights`` holds explicit overrides as (low, high, weight)
     triples over unordered vertex pairs at Hamming distance <= 1; every
-    other edge weighs 1. Build instances through :func:`make_spec`.
+    other edge weighs 1. ``rule`` (one of RULES) sets the jumps, and with
+    them the coherence, of an edge whose ends are equidistant from the
+    sinks. Build instances through :func:`make_spec`, which checks them all.
     """
 
     n: int
     sinks: tuple[int, ...]
     edge_weights: tuple[tuple[int, int, float], ...] = ()
+    rule: str = STRICT
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
 
-def vertex_index(pattern: str) -> int:
-    """Vertex index of a bit string, first bit most significant ("101" -> 5)."""
-    if not isinstance(pattern, str) or len(pattern) == 0 or any(ch not in "01" for ch in pattern):
-        raise ConfigurationError(f"invalid pattern {pattern!r}")
+def vertex_index(pattern: str, n: int | None = None, key: str = "pattern") -> int:
+    """Vertex index of a bit string, first bit most significant ("101" -> 5).
+
+    Anything but a non-empty string of '0' and '1', of length ``n`` when
+    given, is a ConfigurationError starting with ``key``.
+    """
+    if (
+        not isinstance(pattern, str) or not pattern or not set(pattern) <= {"0", "1"}
+        or n is not None and len(pattern) != n
+    ):
+        length = "" if n is None else f" of length {n}"
+        raise ConfigurationError(f"{key}: invalid pattern {pattern!r}, expected a bit string{length}")
     return int(pattern, 2)
 
 
@@ -90,27 +104,29 @@ def vertex_hamming(i: int, j: int) -> int:
 
 def _spec_vertex(p, n: int, key: str) -> int:
     """Vertex index of a vertex given as an integer index or as a length-n bit string."""
-    if isinstance(p, numbers.Integral) and not isinstance(p, bool):
-        v = int(p)
-    elif isinstance(p, str) and len(p) == n and all(ch in "01" for ch in p):
-        v = int(p, 2)
-    else:
+    if isinstance(p, str):
+        return vertex_index(p, n, key)
+    if not isinstance(p, numbers.Integral) or isinstance(p, bool):
         raise ConfigurationError(
             f"{key}: expected a vertex index or a bit string of length {n}, got {p!r}"
         )
-    if not 0 <= v < 1 << n:
-        raise ConfigurationError(f"{key}: vertex {v} out of range for n = {n}")
-    return v
+    if not 0 <= p < 1 << n:
+        raise ConfigurationError(f"{key}: vertex {p} out of range for n = {n}")
+    return int(p)
 
 
-def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpec:
+def make_spec(n: int, sink_patterns, edge_weight_overrides=None, rule: str = STRICT) -> HypercubeSpec:
     """Validate and build a HypercubeSpec.
 
     ``sink_patterns`` may mix bit strings and vertex indices; overrides
     are (pattern, pattern, weight) or (index, index, weight) triples.
+    ``rule`` is the spec's equidistant rule, one of RULES. Each error
+    message starts with the config key of the faulty argument.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"n: must be a positive integer, got {n!r}")
+    if rule not in RULES:
+        raise ConfigurationError(f"equidistant_rule: must be one of {RULES}, got {rule!r}")
     dim = 1 << n
 
     sinks = [_spec_vertex(p, n, "sinks") for p in sink_patterns]
@@ -135,14 +151,9 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
             raise ConfigurationError(
                 f"edge_weights: {entry!r} joins vertices farther than one bit flip"
             )
-        if isinstance(w, bool) or not isinstance(w, numbers.Real):
-            raise ConfigurationError(f"edge_weights: weight must be a real number, got {w!r}")
-        try:
-            w = float(w)
-        except OverflowError:  # an integer beyond the float range
-            w = math.inf
-        if not (w > 0 and math.isfinite(w)):
-            raise ConfigurationError(f"edge_weights: weight must be positive and finite, got {w!r}")
+        w = finite_real("edge_weights: weight", w)
+        if not w > 0:
+            raise ConfigurationError(f"edge_weights: weight must be positive, got {w!r}")
         lo, hi = min(iu, iv), max(iu, iv)
         if (lo, hi) in seen:
             pair = f"{index_pattern(lo, n)!r}, {index_pattern(hi, n)!r}"
@@ -150,7 +161,7 @@ def make_spec(n: int, sink_patterns, edge_weight_overrides=None) -> HypercubeSpe
         seen.add((lo, hi))
         overrides.append((lo, hi, w))
 
-    return HypercubeSpec(n=n, sinks=tuple(sorted(sinks)), edge_weights=tuple(overrides))
+    return HypercubeSpec(n=n, sinks=tuple(sorted(sinks)), edge_weights=tuple(overrides), rule=rule)
 
 
 def popcount(v, n: int) -> np.ndarray:
@@ -164,20 +175,18 @@ def sink_distances(spec: HypercubeSpec) -> np.ndarray:
     return popcount(diff, spec.n).min(axis=1)
 
 
-def _jump_mask(spec: HypercubeSpec, rule: str) -> np.ndarray:
+def _jump_mask(spec: HypercubeSpec) -> np.ndarray:
     """Boolean (dim, dim) matrix, True at [src, dst] for each directed jump.
 
     Every distance-one edge points from the endpoint farther from the
     sink set to the nearer one. An equidistant edge gets no jump under
-    the strict rule and a jump each way under "lte"; no jump leaves a
-    sink under either rule.
+    the spec's strict rule and a jump each way under "lte"; no jump
+    leaves a sink under either rule.
     """
-    if rule not in RULES:
-        raise ConfigurationError(f"unknown equidistant rule {rule!r}")
     d = sink_distances(spec)
     src = np.arange(spec.dim)[:, None]
     dst = src ^ (1 << np.arange(spec.n))  # (dim, n) neighbours
-    if rule == STRICT:
+    if spec.rule == STRICT:
         emits = d[dst] < d[src]
     else:
         emits = (d[dst] <= d[src]) & (d[src] > 0)
@@ -186,7 +195,7 @@ def _jump_mask(spec: HypercubeSpec, rule: str) -> np.ndarray:
     return mask
 
 
-def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
+def build_hamiltonian(spec: HypercubeSpec) -> np.ndarray:
     """Sink-isolated weighted adjacency matrix, self-loops included.
 
     ``H_ij = a_ij`` for vertices one bit flip apart when neither is a
@@ -203,7 +212,7 @@ def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
     Both follow from the jump structure: an edge between non-sinks stays
     coherent exactly when it carries a jump in some direction.
     """
-    jumps = _jump_mask(spec, rule)
+    jumps = _jump_mask(spec)
     live = np.ones(spec.dim, dtype=bool)
     live[list(spec.sinks)] = False
     edges = (jumps | jumps.T | np.eye(spec.dim, dtype=bool)) & live[:, None] & live[None, :]
@@ -213,7 +222,7 @@ def build_hamiltonian(spec: HypercubeSpec, rule: str = STRICT) -> np.ndarray:
     return np.where(edges, weights, 0.0)
 
 
-def build_jump_operators(spec: HypercubeSpec, rule: str = STRICT) -> list[JumpOperator]:
+def build_jump_operators(spec: HypercubeSpec) -> list[JumpOperator]:
     """Directed jump operators over the hypercube edges, ordered by (src, dst).
 
     For every distance-one edge {i, j} the operator points from the
@@ -221,7 +230,7 @@ def build_jump_operators(spec: HypercubeSpec, rule: str = STRICT) -> list[JumpOp
     strict rule an equidistant edge gets no operator at all. Self-loops
     never carry operators, and no operator leaves a sink.
     """
-    src, dst = np.nonzero(_jump_mask(spec, rule))
+    src, dst = np.nonzero(_jump_mask(spec))
     return [JumpOperator(src=int(s), dst=int(t)) for s, t in zip(src, dst)]
 
 

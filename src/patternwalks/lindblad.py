@@ -41,7 +41,6 @@ plain coherent equation is integrated and times are unscaled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,6 @@ from .errors import (
     IntegrationDiagnosticsError,
 )
 from .hypercube import (
-    STRICT,
     HypercubeSpec,
     build_hamiltonian,
     build_jump_operators,
@@ -77,7 +75,7 @@ from .hypercube import (
     popcount,
     vertex_index,
 )
-from .numerics import hermiticity_residual, taylor_degree
+from .numerics import finite_real, hermiticity_residual, taylor_degree
 
 __all__ = [
     "WalkParams",
@@ -98,7 +96,9 @@ class WalkParams:
     """Strengths and integration horizon of one walk run.
 
     kappa weighs the coherent commutator, gamma the dissipator; they may
-    not both vanish. Times (t_max, dt, sample_every) are in 1/gamma units.
+    not both vanish, and for gamma > 0 kappa/gamma must be finite too.
+    Times (t_max, dt, sample_every) are in 1/gamma units. Every field is
+    stored as a float.
     """
 
     kappa: float
@@ -109,19 +109,17 @@ class WalkParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise ConfigurationError(f"{name} must be a finite number")
+            object.__setattr__(self, name, finite_real(name, value))
         for name, value in (("kappa", self.kappa), ("gamma", self.gamma)):
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.kappa == 0 and self.gamma == 0:
             raise ConfigurationError("kappa/gamma: may not both be zero")
+        # The walk runs on the ratio (see evolve_batch), which may overflow.
+        if self.gamma > 0 and not math.isfinite(self.kappa / self.gamma):
+            raise ConfigurationError(
+                f"kappa/gamma: the ratio {self.kappa:g}/{self.gamma:g} is beyond the float range"
+            )
         if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
         if not 0 < self.dt <= MAX_DT:
@@ -158,10 +156,8 @@ def basis_density(v: int, dim: int) -> np.ndarray:
 
 
 def density_from_pattern(pattern: str, n: int) -> np.ndarray:
-    """Pure density matrix sitting on one firing pattern."""
-    if len(pattern) != n:
-        raise ConfigurationError(f"pattern {pattern!r} does not have length {n}")
-    return basis_density(vertex_index(pattern), 1 << n)
+    """Pure density matrix sitting on one firing pattern, a bit string of length n."""
+    return basis_density(vertex_index(pattern, n), 1 << n)
 
 
 def _split(dim: int, sinks) -> tuple[np.ndarray, np.ndarray]:
@@ -438,16 +434,12 @@ def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, int]
     return steps_per_sample, n_samples
 
 
-def evolve_batch(
-    rho0,
-    spec: HypercubeSpec,
-    params_seq,
-    rule: str = STRICT,
-) -> list:
+def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     """Integrate the walk from ``rho0`` for each params, stacked.
 
-    The runs that take one Taylor step per sample form one stack, and
-    those that fall back to RK4 steps of dt another.
+    Every run uses ``spec``'s graph and jump rule. The runs that take one
+    Taylor step per sample form one stack, and those that fall back to
+    RK4 steps of dt another.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -481,8 +473,8 @@ def evolve_batch(
     distinct = list(dict.fromkeys(strengths))
     slot = {pair: b for b, pair in enumerate(distinct)}
 
-    h = build_hamiltonian(spec, rule)
-    gain, out_degree = jump_gain(build_jump_operators(spec, rule), dim)
+    h = build_hamiltonian(spec)
+    gain, out_degree = jump_gain(build_jump_operators(spec), dim)
     kappa, gamma = np.array(distinct).T[..., None, None]
     r, m = _framed(
         np.broadcast_to(rho, (len(distinct), dim, dim)), h, out_degree,
@@ -518,13 +510,8 @@ def evolve_batch(
     return results
 
 
-def evolve(
-    rho0,
-    spec: HypercubeSpec,
-    params: WalkParams,
-    rule: str = STRICT,
-) -> Trajectory:
-    """Integrate the walk and sample its populations.
+def evolve(rho0, spec: HypercubeSpec, params: WalkParams) -> Trajectory:
+    """Integrate the walk on ``spec`` (its graph and jump rule) and sample its populations.
 
     The sampling stride is rounded to a whole number of steps of dt and
     the run extends to the first sample at or past ``t_max``. Each stride
@@ -537,7 +524,7 @@ def evolve(
     ConfigurationError names the sink).
     This is the batch of one of ``evolve_batch``.
     """
-    (outcome,) = evolve_batch(rho0, spec, [params], rule)
+    (outcome,) = evolve_batch(rho0, spec, [params])
     if isinstance(outcome, IntegrationDiagnosticsError):
         raise outcome
     return outcome

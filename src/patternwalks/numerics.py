@@ -3,17 +3,34 @@
 Operators are plain ``numpy.ndarray``s, float64 or complex128; the
 helpers here add dimension checks, a Hermiticity residual, the Taylor
 degree rule that ``expm`` and the walk's step share, and ``expm``, each
-a pure function of its inputs.
+a pure function of its inputs. ``finite_real`` is the package's one
+check of a real scalar, used by ``WalkParams`` and ``make_spec``.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
 from .constants import TAYLOR_THETA
 from .errors import ConfigurationError
 
-__all__ = ["hermiticity_residual", "taylor_degree", "expm"]
+__all__ = ["finite_real", "hermiticity_residual", "taylor_degree", "expm"]
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real other than a bool, else a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _square(a) -> np.ndarray:

@@ -109,6 +109,22 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _svg_open(title: str, axes: list, x_label: str, x_label_y: int, y_label: str) -> list:
+    """A plot's opening: svg tag, white background, title, ``axes``, x label, rotated y label."""
+    mid_y = (_H - _MB + _MT) / 2
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="16">{title}</text>',
+        *axes,
+        f'<text x="{(_W - _MR + _ML) / 2:.1f}" y="{x_label_y}" text-anchor="middle" '
+        f'font-size="13">{x_label}</text>',
+        f'<text x="18" y="{mid_y:.1f}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 18 {mid_y:.1f})">{y_label}</text>',
+    ]
+
+
 def svg_line_plot(path: str, x, series: dict, title: str, x_label: str, y_label: str) -> None:
     """One polyline per labeled series over a shared x axis."""
     x = np.asarray(x, dtype=float)
@@ -124,18 +140,11 @@ def svg_line_plot(path: str, x, series: dict, title: str, x_label: str, y_label:
     def sy(v):
         return _H - _MB - (v - y_min) / (y_max - y_min) * (_H - _MT - _MB)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="16">{title}</text>',
+    axes = [
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
-        f'<text x="{(_W - _MR + _ML) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-size="13">{x_label}</text>',
-        f'<text x="18" y="{(_H - _MB + _MT) / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 18 {(_H - _MB + _MT) / 2:.1f})">{y_label}</text>',
     ]
+    parts = _svg_open(title, axes, x_label, _H - 12, y_label)
     for tick in _ticks(x_min, x_max):
         parts.append(
             f'<text x="{sx(tick):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
@@ -191,16 +200,7 @@ def svg_heatmap(path: str, x_values, y_values, grid, title: str, x_label: str, y
     top = float(np.max(finite)) if finite.size else 1.0
     top = top if top > 0 else 1.0
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="16">{title}</text>',
-        f'<text x="{(_W - _MR + _ML) / 2:.1f}" y="{_H - 10}" text-anchor="middle" '
-        f'font-size="13">{x_label}</text>',
-        f'<text x="18" y="{(_H - _MB + _MT) / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 18 {(_H - _MB + _MT) / 2:.1f})">{y_label}</text>',
-    ]
+    parts = _svg_open(title, [], x_label, _H - 10, y_label)
     for iy in range(ny):
         for ix in range(nx):
             value = grid[iy, ix]

@@ -95,6 +95,9 @@ class TestConfigParsing:
             ({"n": 2, "sinks": ["11"], "initial": "00", "edge_weights": [["00", "11", 2.0]]},
              "edge_weights"),
             ({"edge_weights": [["0", "0", -1.0]]}, "edge_weights"),
+            pytest.param({"kappa": 10**400}, "kappa", id="kappa-huge-int"),
+            pytest.param({"edge_weights": [["0", "1", 10**400]]}, "edge_weights", id="weight-huge-int"),
+            pytest.param({"kappa": 1e300, "gamma": 1e-300}, "kappa/gamma: ", id="ratio-overflow"),
         ],
     )
     def test_field_errors_name_the_field(self, overrides, fragment):
@@ -114,6 +117,11 @@ class TestConfigParsing:
             ({"t_max": 0.0}, "t_max"),
             ({"dt": 0.02}, "dt"),
             ({"sinks": ["1", "1"]}, "sinks"),
+            pytest.param(
+                {"kappa_values": [1.0, 10**400]},
+                f"kappa_values/gamma_values: point ({10**400}, 1): kappa must be a finite number",
+                id="kappa-huge-int",
+            ),
         ],
     )
     def test_sweep_field_errors_name_the_field(self, overrides, fragment):
@@ -143,6 +151,10 @@ class TestConfigParsing:
             ({"dt": 0.02}, lambda: WalkParams(kappa=0.0, gamma=1.0, dt=0.02)),
             ({"dt": 0.01, "sample_every": 0.005},
              lambda: WalkParams(kappa=0.0, gamma=1.0, dt=0.01, sample_every=0.005)),
+            pytest.param({"equidistant_rule": "loose"}, lambda: make_spec(1, ["1"], rule="loose"),
+                         id="rule"),
+            pytest.param({"kappa": 1e300, "gamma": 1e-300},
+                         lambda: WalkParams(kappa=1e300, gamma=1e-300), id="ratio-overflow"),
         ],
     )
     def test_parser_reports_the_library_check_verbatim(self, overrides, direct):
@@ -151,6 +163,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError) as called:
             direct()
         assert str(parsed.value) == str(called.value)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("threshold_sense", "upside-down"), ("order", "shuffled"), ("max_sweeps", 0),
+         ("max_sweeps", 2.5), ("max_sweeps", True), ("seed", -1), ("seed", "5")],
+    )
+    def test_hopfield_options_report_the_run_check_verbatim(self, key, value):
+        with pytest.raises(ConfigurationError) as parsed:
+            parse_hopfield({"n": 3, "stored": ["101"], "inputs": ["001"], key: value})
+        argument = "sense" if key == "threshold_sense" else key
+        with pytest.raises(ConfigurationError) as called:
+            hopfield.run_async([0, 0, 1], np.zeros((3, 3)), np.zeros(3), **{argument: value})
+        assert str(parsed.value) == str(called.value)
+        assert str(parsed.value).startswith(f"{key}: ")
+
+    def test_rule_reaches_the_walk_through_the_spec(self, tmp_path):
+        data = scenario_mapping(n=3, sinks=["101", "111"], initial="000", kappa=1.0, t_max=3.0)
+        final = {}
+        for rule in ("strict", "lte"):
+            cfg = parse_scenario(data | {"equidistant_rule": rule})
+            assert cfg.spec.rule == rule
+            final[rule] = run_simulate(cfg, out_dir=str(tmp_path / rule)).trajectory.populations[-1]
+        # coherence crosses the watershed only under "lte", feeding the far sink 111
+        assert final["strict"][7] == 0.0 and final["lte"][7] > 0.1
 
     def test_type_fault_and_unknown_key_come_before_a_value_fault(self):
         # distinct sinks fail in make_spec, which runs only once the JSON is well formed
@@ -489,7 +525,7 @@ class TestSweepRunner:
         for kappa, gamma, t_mix, diag in result.rows:
             params = dataclasses.replace(cfg.params, kappa=kappa, gamma=gamma)
             try:
-                lone = evolve(rho0, cfg.spec, params, rule=cfg.equidistant_rule)
+                lone = evolve(rho0, cfg.spec, params)
             except IntegrationDiagnosticsError as exc:
                 assert (t_mix, diag) == (-1.0, str(exc).replace(",", ";"))
                 assert (kappa, gamma) not in result.trajectories
@@ -591,7 +627,7 @@ class TestRunnersRunTheParsedObjects:
         calls = self.spy(monkeypatch, experiments, "build_jump_operators")
         cfg = parse_scenario(scenario_mapping(t_max=1.0))
         run_classical(cfg, out_dir=str(tmp_path))
-        ((spec, _),) = calls
+        ((spec,),) = calls
         assert spec is cfg.spec
 
     def test_one_simulate_command_builds_one_spec(self, tmp_path, monkeypatch, capsys):
@@ -725,12 +761,54 @@ class TestCli:
                           "edge_weights": [["00", "01", float("inf")]]}),
             ("sweep", {"kappa_values": [1.0, float("nan")], "gamma_values": [1.0]}),
             ("sweep", {"kappa_values": [1.0], "gamma_values": [float("inf")]}),
+            ("simulate", {"kappa": 10**400}),
+            ("simulate", {"n": 2, "sinks": ["11"], "initial": "00",
+                          "edge_weights": [["00", "01", 10**400]]}),
+            ("sweep", {"kappa_values": [1.0, 10**400], "gamma_values": [1.0]}),
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, scenario_mapping(**overrides))
         assert main([command, path, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, strengths",
+        [
+            ("simulate", {"kappa": 1e300, "gamma": 1e-300}),
+            ("classical", {"kappa": 1e300, "gamma": 1e-300}),
+            ("sweep", {"kappa_values": [1.0, 1e300], "gamma_values": [1e-300]}),
+        ],
+    )
+    def test_ratio_beyond_the_float_range_exits_2_before_the_output_directory(
+        self, tmp_path, capsys, command, strengths
+    ):
+        data = {"n": 2, "sinks": ["11"], "initial": "00", "t_max": 1.0} | strengths
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kappa")
+        assert "kappa/gamma: the ratio 1e+300/1e-300 is beyond the float range" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_numbers_write_the_bytes_of_their_float_twins(self, tmp_path):
+        walk = {"n": 3, "sinks": ["101", "111"], "initial": "000"}
+        ints = walk | {"kappa": 1, "gamma": 1, "t_max": 10}
+        floats = walk | {"kappa": 1.0, "gamma": 1.0, "t_max": 10.0}
+        grid_ints = walk | {"kappa_values": [1, 2], "gamma_values": [1], "t_max": 10}
+        grid_floats = walk | {"kappa_values": [1.0, 2.0], "gamma_values": [1.0], "t_max": 10.0}
+        runs = [("simulate", ints, floats), ("classical", ints, floats), ("sweep", grid_ints, grid_floats)]
+        for command, a, b in runs:
+            for name, data in (("int", a), ("float", b)):
+                path = write_config(tmp_path, data, name=f"{command}-{name}.json")
+                assert main([command, path, "--out", str(tmp_path / f"{command}-{name}")]) == 0
+            csv = "sweep.csv" if command == "sweep" else f"{command}.csv"
+            written = [(tmp_path / f"{command}-{name}" / csv).read_bytes() for name in ("int", "float")]
+            assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "command, flags",

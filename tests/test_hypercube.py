@@ -19,10 +19,10 @@ from patternwalks.hypercube import (
 from oracles import brute_force_adjacency, brute_force_jumps
 
 
-def reachable(spec, rule=STRICT):
+def reachable(spec):
     """True when every non-sink vertex has a directed jump path to a sink."""
     reverse = {}
-    for op in build_jump_operators(spec, rule):
+    for op in build_jump_operators(spec):
         reverse.setdefault(op.dst, []).append(op.src)
     frontier = list(spec.sinks)
     seen = set(spec.sinks)
@@ -60,6 +60,14 @@ class TestVertexIndex:
     def test_rejects_anything_but_a_bit_string(self, pattern):
         with pytest.raises(ConfigurationError, match="invalid pattern"):
             vertex_index(pattern)
+
+    @pytest.mark.parametrize("pattern", ["10", "1010", "1a1", None])
+    def test_length_and_key_are_checked_together(self, pattern):
+        with pytest.raises(ConfigurationError) as err:
+            vertex_index(pattern, 3, "initial")
+        assert str(err.value) == (
+            f"initial: invalid pattern {pattern!r}, expected a bit string of length 3"
+        )
 
 
 class TestMinSinkDistance:
@@ -129,6 +137,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="^edge_weights: "):
             make_spec(3, ["111"], [(vertex, "000", 2.0)])
 
+    def test_rule_is_checked_and_kept(self):
+        assert make_spec(1, ["1"]).rule == STRICT
+        assert make_spec(1, ["1"], rule=LTE).rule == LTE
+        for rule in ("loose", None, ["lte"]):
+            with pytest.raises(ConfigurationError, match="^equidistant_rule: "):
+                make_spec(1, ["1"], rule=rule)
+
     def test_numpy_integer_is_an_index(self):
         assert make_spec(3, [np.int64(5), np.int8(1)]).sinks == (1, 5)
 
@@ -155,9 +170,8 @@ class TestHamiltonian:
         assert h[0, 3] == 0.0  # two bit flips apart
 
     def test_watershed_edges_dropped_under_strict_rule(self):
-        spec = make_spec(3, ["101", "111"])
-        strict = build_hamiltonian(spec, STRICT)
-        relaxed = build_hamiltonian(spec, LTE)
+        strict = build_hamiltonian(make_spec(3, ["101", "111"], rule=STRICT))
+        relaxed = build_hamiltonian(make_spec(3, ["101", "111"], rule=LTE))
         # vertices 0 and 2 are equidistant from the sink set
         assert strict[0, 2] == 0.0
         assert relaxed[0, 2] == 1.0
@@ -174,13 +188,13 @@ class TestHamiltonian:
         for _ in range(30):
             spec = random_spec(rng)
             for rule in (STRICT, LTE):
-                h = build_hamiltonian(spec, rule)
+                h = build_hamiltonian(make_spec(spec.n, spec.sinks, spec.edge_weights, rule))
                 assert np.allclose(h, h.T)
                 assert np.all(h.imag == 0.0)
                 for s in spec.sinks:
                     assert np.all(h[s] == 0) and np.all(h[:, s] == 0)
             # relaxed rule keeps the full sink-isolated adjacency
-            h = build_hamiltonian(spec, LTE)
+            h = build_hamiltonian(make_spec(spec.n, spec.sinks, spec.edge_weights, LTE))
             expected = brute_force_adjacency(spec.n, spec.sinks)
             assert np.allclose(h.real, expected)
 
@@ -206,8 +220,8 @@ class TestJumpOperators:
         assert got == brute_force_jumps(3, [3, 5])
 
     def test_relaxed_rule_emits_both_directions_on_ties(self):
-        spec = make_spec(3, ["101", "111"])
-        got = {(op.src, op.dst) for op in build_jump_operators(spec, LTE)}
+        spec = make_spec(3, ["101", "111"], rule=LTE)
+        got = {(op.src, op.dst) for op in build_jump_operators(spec)}
         assert (0, 2) in got and (2, 0) in got
         assert got == brute_force_jumps(3, [5, 7], strict=False) - {(5, 7), (7, 5)}
 
@@ -265,7 +279,7 @@ class TestReachability:
                 if size >= 1 << n:
                     continue
                 for sinks in itertools.combinations(range(1 << n), size):
-                    spec = make_spec(n, list(sinks))
-                    assert reachable(spec, STRICT) and reachable(spec, LTE)
+                    assert reachable(make_spec(n, list(sinks), rule=STRICT))
+                    assert reachable(make_spec(n, list(sinks), rule=LTE))
                     checked += 1
         assert checked == 804

@@ -415,7 +415,7 @@ class TestFrame:
             live, sinks = _split(spec.dim, spec.sinks)
             rho0 = basis_density(int(live[0]), spec.dim)
             for rule in RULES:
-                h = build_hamiltonian(spec, rule)
+                h = build_hamiltonian(replace(spec, rule=rule))
                 # M = K at kappa = 1, gamma = 0
                 _, k = _framed(rho0, h, np.zeros(spec.dim), live, 1.0, 0.0)
                 assert k.dtype == np.float64
@@ -553,10 +553,9 @@ class TestEvolve:
     def test_relaxed_rule_lets_coherence_cross_the_watershed(self):
         # comparison mode: with equidistant edges kept, probability leaks
         # into the farther sink's basin and retrieval degrades sharply
-        spec = make_spec(3, ["101", "111"])
         params = WalkParams(kappa=1.0, gamma=1.0, t_max=10.0)
-        strict = evolve(basis_density(0, 8), spec, params, rule="strict")
-        relaxed = evolve(basis_density(0, 8), spec, params, rule="lte")
+        strict = evolve(basis_density(0, 8), make_spec(3, ["101", "111"], rule="strict"), params)
+        relaxed = evolve(basis_density(0, 8), make_spec(3, ["101", "111"], rule="lte"), params)
         assert strict.populations[-1, 7] < 0.1
         assert relaxed.populations[-1, 7] > 0.3
 
