@@ -97,7 +97,8 @@ def _load_mapping(path: str, overrides: dict | None) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError and the integer-digit limit's error are all ValueErrors.
+    except ValueError as exc:
         raise ConfigurationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path!r} must hold a JSON object")

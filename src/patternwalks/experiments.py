@@ -90,9 +90,8 @@ def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult
     pi0[vertex_index(cfg.initial)] = 1.0
 
     # The chain steps once per sample, for at least one interval.
-    _, steps = sample_grid(stride, stride, cfg.params.t_max)
-    times = np.arange(steps + 1) * stride
-    dists = markov.ctmc_samples(q, pi0, stride, steps)
+    _, times = sample_grid(stride, stride, cfg.params.t_max)
+    dists = markov.ctmc_samples(q, pi0, stride, times.size - 1)
 
     csv_path = os.path.join(target, "classical.csv")
     output.write_classical_csv(csv_path, times, dists, spec.n)

@@ -24,13 +24,19 @@ zero. The integrator requires an initial state with no coherence that
 involves a sink and keeps each such coherence at exactly 0.0, so the
 positivity check reads the non-sink block and the sink populations.
 The equation is linear with a constant generator L, so each sample is
-exp(s L) applied to the one before, for the sample stride s. ``rk4_step``
-evaluates the degree-m Taylor polynomial of exp(hL) in place, in nested
-form, with m stages; m = 4 is RK4. With the bound ||L||_1 <= 2 ||M||_1 +
-gamma ||G||_1, a run takes one step h = s per sample, of the smallest
-degree m that the bound makes exact to double precision (the rule of
-``numerics.taylor_degree``, which ``expm`` shares), if m is below the
-4 s/dt stages of RK4 at dt. Otherwise it takes s/dt RK4 steps of h = dt.
+exp(s L) applied to the one before, for the sample stride s. One frozen
+record, ``_Generator``, holds L for a stack of strength pairs: M per
+pair, the gamma stack, G, and the non-sink and sink index arrays. Its
+builder ``_generator`` takes H, G, the out-degrees and the sinks, and
+no state; it is the only code that frames H and forms M. The record
+bounds ||L||_1 <= 2 ||M||_1 + gamma ||G||_1 per pair. ``evolve_batch``
+builds it once per call, then frames the state, the one step that reads
+it. ``rk4_step`` evaluates the degree-m Taylor polynomial of exp(hL) in
+place, in nested form, with m stages; m = 4 is RK4. A run takes one
+step h = s per sample, of the smallest degree m that the bound makes
+exact to double precision (the rule of ``numerics.taylor_degree``,
+which ``expm`` shares), if m is below the 4 s/dt stages of RK4 at dt.
+Otherwise it takes s/dt RK4 steps of h = dt.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -259,22 +265,48 @@ def _parity_phases(dim: int) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[(ones - ones[:, None]) % 4]
 
 
-def _framed(rho, h, out_degree, live, kappa, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """A new C-ordered ``R = Q^dag rho Q`` and ``M``, per slice for (B, 1, 1) strengths.
+@dataclass(frozen=True)
+class _Generator:
+    """The walk's generator L in the parity frame, one slice per strength pair.
 
-    ``D`` on the non-sink vertices (index array ``live``) is taken
-    relative to the first one. Both are float64 if ``D`` and ``Im R`` are 0.
+    ``m`` is the (B, dim, dim) stack of M, float64 unless D is nonzero,
+    and ``gamma`` the (B, 1, 1) dissipator strengths; the pairs share G =
+    ``gain``. ``live`` and ``sinks`` index the non-sink vertices and the
+    sinks. The record holds no state.
     """
-    phases = _parity_phases(h.shape[-1])
-    framed, r = h * phases, rho * phases
+
+    m: np.ndarray
+    gamma: np.ndarray
+    gain: np.ndarray
+    live: np.ndarray
+    sinks: np.ndarray
+
+    def bound(self) -> np.ndarray:
+        """Per slice, ``2 ||M||_1 + gamma ||G||_1``, which bounds ||L||_1 on the walk's states.
+
+        ``||M R||_1`` and ``||R M^dag||_1`` are at most ``||M||_1 ||R||_1``
+        each, and the feed at most ``gamma ||G||_1 ||R||_1``, in the
+        entrywise 1-norm of R.
+        """
+        return 2 * np.abs(self.m).sum(axis=-2).max(axis=-1) + self.gamma[:, 0, 0] * np.abs(self.gain).sum(axis=0).max()
+
+
+def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
+    """The walk's generator from H, G, the out-degrees and the sinks, one slice per ``(kappa, gamma)``.
+
+    ``M = kappa K - i kappa D - (gamma/2) diag(out)`` from ``Q^dag H Q =
+    D + iK``, with D on the non-sink vertices taken relative to the first
+    one; M is complex128 only where that leaves D nonzero.
+    """
+    live, sinks = _split(h.shape[-1], sinks)
+    kappa, gamma = np.array(pairs, dtype=float).T[..., None, None]
+    framed = h * _parity_phases(h.shape[-1])
     d = framed.real
     d[live, live] -= d[live[0], live[0]]
     m = kappa * framed.imag - gamma * np.diag(0.5 * out_degree)
     if d.any():
         m = m - 1j * kappa * d
-    if np.iscomplexobj(m) or r.imag.any():
-        return r, m.astype(np.complex128)
-    return r.real.copy(), m
+    return _Generator(m, gamma, gain, live, sinks)
 
 
 def _stage(r, m, feed, gain, out, product):
@@ -338,17 +370,18 @@ def _taylor_stages(m, gamma, h, degrees) -> list:
     return stages
 
 
-def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
+def _integrate(r, stages, gen: _Generator, steps: int, times, dt: float):
     """Step a (B, dim, dim) stack of framed states in place, health-checking every sample.
 
     Each sample after ``times[0]`` is ``steps`` calls of ``rk4_step`` with
-    ``stages``, which hold each slice's ``c M`` and ``c gamma``; G =
-    ``gain`` is shared. M's rows and columns, G's columns and each
-    coherence of the Hermitian ``r`` with a sink are zero at the
-    ``sinks``; the health check then reads eigenvalues of the non-sink
-    block. A slice that fails it at a sample is dropped, and the others
-    go on unchanged. Returns per slice its ``Trajectory`` fields or its
-    ``IntegrationDiagnosticsError``, which reports ``dt``.
+    ``stages``, which hold each slice's ``c M`` and ``c gamma``; G, the
+    sinks and the non-sink block come from the generator record ``gen``.
+    M's rows and columns, G's columns and each coherence of the Hermitian
+    ``r`` with a sink are zero at the sinks; the health check then reads
+    eigenvalues of the non-sink block. A slice that fails it at a sample
+    is dropped, and the others go on unchanged. Returns per slice its
+    ``Trajectory`` fields or its ``IntegrationDiagnosticsError``, which
+    reports ``dt``.
 
     The steps allocate no state-sized array: the stages and two scratch
     stacks are made once, and compacted with the states when a slice
@@ -362,7 +395,6 @@ def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
     herm = np.empty((batch, times.size))
     errors = {}
     live = np.arange(batch)
-    block, sinks = _split(dim, sinks)
     product, work = np.empty_like(r), np.empty_like(r)
 
     for k in range(times.size):
@@ -372,8 +404,8 @@ def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
             # precede that message.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(steps):
-                    r = rk4_step(r, stages, gain, work, product)
-        drift, smallest = _health(r, block, sinks)
+                    r = rk4_step(r, stages, gen.gain, work, product)
+        drift, smallest = _health(r, gen.live, gen.sinks)
         ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
         if not ok.all():
             for i in np.flatnonzero(~ok):
@@ -408,14 +440,15 @@ def _integrate(r, stages, gain, sinks, steps: int, times, dt: float):
     ]
 
 
-def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, int]:
-    """``(steps_per_sample, n_samples)`` of a run in steps of ``dt``.
+def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, np.ndarray]:
+    """``(steps_per_sample, times)`` of a run in steps of ``dt``.
 
     The stride rounds ``sample_every`` to whole steps, at least one, and
-    the run extends to the first sample at or past ``t_max``. A run of
-    more than MAX_SAMPLES samples or MAX_STEPS steps is a
-    ConfigurationError naming ``t_max`` or ``dt``. The walk takes these
-    steps with RK4, or one Taylor step per stride where that costs less.
+    the sample ``times`` run from 0 in strides to the first sample at or
+    past ``t_max``. A run of more than MAX_SAMPLES samples or MAX_STEPS
+    steps is a ConfigurationError naming ``t_max`` or ``dt``. The walk
+    takes these steps with RK4, or one Taylor step per stride where that
+    costs less; the classical chain takes one step per sample.
     """
     # Checked first, so that round() never meets an infinite ratio.
     if not sample_every / dt < MAX_STEPS + 1:
@@ -431,15 +464,18 @@ def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, int]
         raise ConfigurationError(
             f"dt: {dt:g} asks for {steps_per_sample * n_samples:g} steps, more than {MAX_STEPS}"
         )
-    return steps_per_sample, n_samples
+    return steps_per_sample, np.arange(n_samples + 1) * stride
 
 
 def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     """Integrate the walk from ``rho0`` for each params, stacked.
 
-    Every run uses ``spec``'s graph and jump rule. The runs that take one
-    Taylor step per sample form one stack, and those that fall back to
-    RK4 steps of dt another.
+    Every run uses ``spec``'s graph and jump rule. The generator record
+    (one M slice per distinct strength pair) is built once per call,
+    before and without the state; only the framing of ``rho0`` reads the
+    state. Each pair's Taylor degree comes from the record's norm bound.
+    The runs that take one Taylor step per sample form one stack, and
+    those that fall back to RK4 steps of dt another.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -449,8 +485,7 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     no coherence that involves a sink (a ConfigurationError names the sink).
     """
     params_seq = list(params_seq)
-    dim = spec.dim
-    if np.shape(rho0) != (dim, dim):
+    if np.shape(rho0) != (spec.dim, spec.dim):
         raise ConfigurationError(
             f"density matrix shape {np.shape(rho0)} does not match 2^{spec.n}"
         )
@@ -459,12 +494,9 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     if not params_seq:
         return []
     first = params_seq[0]
-    if any(
-        (p.dt, p.sample_every, p.t_max) != (first.dt, first.sample_every, first.t_max)
-        for p in params_seq
-    ):
+    if len({(p.dt, p.sample_every, p.t_max) for p in params_seq}) > 1:
         raise ConfigurationError("a batch of runs must share dt, sample_every and t_max")
-    steps_per_sample, n_samples = sample_grid(first.dt, first.sample_every, first.t_max)
+    steps_per_sample, times = sample_grid(first.dt, first.sample_every, first.t_max)
 
     # Rescale to 1/gamma time units; gamma = 0 runs in plain time. A run
     # depends on its params only through these strengths, so each distinct
@@ -473,19 +505,14 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     distinct = list(dict.fromkeys(strengths))
     slot = {pair: b for b, pair in enumerate(distinct)}
 
-    h = build_hamiltonian(spec)
-    gain, out_degree = jump_gain(build_jump_operators(spec), dim)
-    kappa, gamma = np.array(distinct).T[..., None, None]
-    r, m = _framed(
-        np.broadcast_to(rho, (len(distinct), dim, dim)), h, out_degree,
-        _split(dim, spec.sinks)[0], kappa, gamma,
-    )
+    gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+    gen = _generator(build_hamiltonian(spec), gain, out_degree, spec.sinks, distinct)
+    # Framing reads the state: R = Q^dag rho Q stays real while M and Im R
+    # are, and each stack's M is cast to R's dtype.
+    r = rho * _parity_phases(spec.dim)
+    r = r if np.iscomplexobj(gen.m) or r.imag.any() else r.real
     stride = steps_per_sample * first.dt
-    times = np.arange(n_samples + 1) * stride
-    # ||M R||_1 and ||R M^dag||_1 are at most ||M||_1 ||R||_1 each, and the
-    # feed at most gamma ||G||_1 ||R||_1, in the entrywise 1-norm of R.
-    bound = 2 * np.abs(m).sum(axis=-2).max(axis=-1) + gamma[:, 0, 0] * np.abs(gain).sum(axis=0).max()
-    degrees = [taylor_degree(x * stride, 4 * steps_per_sample) for x in bound]
+    degrees = [taylor_degree(x * stride, 4 * steps_per_sample) for x in gen.bound()]
     # The Taylor slices run highest degree first, so that each stage acts
     # on a leading run of their stack; the others take RK4 steps of dt.
     taylor = sorted((b for b, d in enumerate(degrees) if d), key=lambda b: -degrees[b])
@@ -493,8 +520,9 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     outcomes = {}
     for group, step, steps in ((taylor, stride, 1), (fallback, first.dt, steps_per_sample)):
         if group:
-            stages = _taylor_stages(m[group], gamma[group], step, [degrees[b] or 4 for b in group])
-            outcomes.update(zip(group, _integrate(r[group], stages, gain, spec.sinks, steps, times, first.dt)))
+            m = gen.m[group].astype(r.dtype)
+            stages = _taylor_stages(m, gen.gamma[group], step, [degrees[b] or 4 for b in group])
+            outcomes.update(zip(group, _integrate(np.stack([r] * len(group)), stages, gen, steps, times, first.dt)))
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
         outcome = outcomes[slot[pair]]

@@ -310,10 +310,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="^edge_weights"):
             parse_sweep(grid | {"kappa_values": [1.0], "gamma_values": [1.0]})
 
-    def test_load_rejects_bad_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"{not json", id="not-json"),
+            # beyond Python's integer-string conversion limit of 4 300 digits
+            pytest.param(b'{"n": 1, "kappa": 1' + b"0" * 5000 + b"}", id="5001-digit-int"),
+            pytest.param(b"\xff\xfe{}", id="not-utf-8"),
+        ],
+    )
+    def test_load_rejects_bad_json(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match="is not valid JSON"):
             load_scenario(str(path))
 
 
@@ -771,6 +780,17 @@ class TestCli:
         path = write_config(tmp_path, scenario_mapping(**overrides))
         assert main([command, path, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "classical", "sweep", "hopfield"])
+    @pytest.mark.parametrize(
+        "content", [b'{"n": 1, "kappa": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"], ids=["5001-digit-int", "not-utf-8"]
+    )
+    def test_unreadable_config_file_exits_2_before_the_output_directory(self, tmp_path, capsys, command, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {str(path)!r} is not valid JSON")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, strengths",

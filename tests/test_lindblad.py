@@ -25,7 +25,7 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
-    _framed,
+    _generator,
     _health,
     _integrate,
     _parity_phases,
@@ -60,12 +60,22 @@ def unframed(r):
     return r * _parity_phases(r.shape[-1]).conj()
 
 
+def framed(rho, gen):
+    """``(R, M)`` as evolve_batch frames ``rho`` for the record ``gen``.
+
+    ``R = Q^dag rho Q`` stays real while M and Im R are, and M takes R's dtype.
+    """
+    r = rho * _parity_phases(rho.shape[-1])
+    if not (np.iscomplexobj(gen.m) or r.imag.any()):
+        r = r.real.copy()
+    return r, gen.m.astype(r.dtype)
+
+
 def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
     """``(R, M, G)``: the state and generator evolve derives from ``rho``, ``h`` and ``jumps``."""
-    dim = rho.shape[-1]
-    gain, out_degree = jump_gain(jumps, dim)
-    r, m = _framed(rho, h, out_degree, _split(dim, sinks)[0], kappa, gamma)
-    return r, m, gain
+    gain, out_degree = jump_gain(jumps, rho.shape[-1])
+    r, m = framed(rho, _generator(h, gain, out_degree, sinks, [(kappa, gamma)]))
+    return r, m[0], gain
 
 
 def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
@@ -79,11 +89,11 @@ def rk4_stages(m, gamma, dt, degree=4):
     return _taylor_stages(m[None], np.full((1, 1, 1), gamma), dt, [degree])
 
 
-def framed_stack(rho, h, out_degree, strengths, sinks=()):
-    """``(R, M, gamma)`` as evolve_batch frames them: one ``(kappa, gamma)`` per slice of ``rho``."""
-    kappa, gamma = np.array(strengths, dtype=float).T[..., None, None]
-    r, m = _framed(rho, h, out_degree, _split(rho.shape[-1], sinks)[0], kappa, gamma)
-    return r, m, gamma
+def framed_stack(rho, h, gain, out_degree, strengths, sinks=()):
+    """``(R, M, gen)`` as evolve_batch frames them: one ``(kappa, gamma)`` per slice of ``rho``."""
+    gen = _generator(h, gain, out_degree, sinks, strengths)
+    r, m = framed(rho, gen)
+    return r, m, gen
 
 
 def stepped(r, stages, gain, steps=1):
@@ -264,17 +274,14 @@ class TestRhs:
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         gain, out_degree = jump_gain(jumps, 8)
-        kappa = np.array([0.0, 1.3, 2.5])[:, None, None]
-        gamma = np.array([1.0, 0.7, 0.0])[:, None, None]
+        strengths = [(0.0, 1.0), (1.3, 0.7), (2.5, 0.0)]
         rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
-        live = _split(8, spec.sinks)[0]
-        r, m = _framed(rho, h, out_degree, live, kappa, gamma)
+        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
         assert r.dtype == m.dtype == np.float64
-        out = _stage(r, 0.25 * m, 0.25 * gamma, gain, np.empty_like(r), np.empty_like(r))
+        out = _stage(r, 0.25 * m, 0.25 * gen.gamma, gain, np.empty_like(r), np.empty_like(r))
         assert np.array_equal(out, out.swapaxes(-1, -2))
         mats = dense_jump_matrices(jumps, 8)
-        for b in range(3):
-            k, g = kappa[b, 0, 0], gamma[b, 0, 0]
+        for b, (k, g) in enumerate(strengths):
             dense = dense_master_rhs(rho[b], h, mats, k, g)
             assert np.max(np.abs(unframed(out[b]) - 0.25 * dense)) < 1e-12
             assert np.array_equal(out[b], walk_rhs(rho[b], h, jumps, k, g, spec.sinks, c=0.25))
@@ -344,14 +351,14 @@ class TestRk4Step:
         gain, out_degree = jump_gain(jumps, 8)
         strengths = [(0.4, 1.0), (1.3, 1.0), (2.5, 0.0)]
         rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
-        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gamma, 0.1, [3, 3, 1])
+        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gen.gamma, 0.1, [3, 3, 1])
         assert [len(cm) for cm, _ in stages] == [2, 2, 3]
-        assert np.array_equal(stages[0][0], 0.1 / 3 * m[:2]) and np.array_equal(stages[2][1], 0.1 * gamma)
+        assert np.array_equal(stages[0][0], 0.1 / 3 * m[:2]) and np.array_equal(stages[2][1], 0.1 * gen.gamma)
         after = r.copy()
         lindblad.rk4_step(after, stages, gain, np.empty_like(r), np.empty_like(r))
         for b, degree in enumerate([3, 3, 1]):
-            lone = stepped(r[b], _taylor_stages(m[b : b + 1], gamma[b : b + 1], 0.1, [degree]), gain)
+            lone = stepped(r[b], _taylor_stages(m[b : b + 1], gen.gamma[b : b + 1], 0.1, [degree]), gain)
             assert np.array_equal(after[b], lone)
 
     @pytest.mark.parametrize(
@@ -412,12 +419,12 @@ class TestFrame:
             edges = [(u, u | 1 << b) for u in range(1 << n) for b in range(n) if not u >> b & 1]
             weights = rng.uniform(0.2, 3.0, size=len(edges))
             spec = make_spec(n, list(random_spec(rng, n).sinks), [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
-            live, sinks = _split(spec.dim, spec.sinks)
-            rho0 = basis_density(int(live[0]), spec.dim)
+            sinks = _split(spec.dim, spec.sinks)[1]
+            no_jumps = (np.zeros((spec.dim, spec.dim)), np.zeros(spec.dim))
             for rule in RULES:
                 h = build_hamiltonian(replace(spec, rule=rule))
-                # M = K at kappa = 1, gamma = 0
-                _, k = _framed(rho0, h, np.zeros(spec.dim), live, 1.0, 0.0)
+                # M = K at kappa = 1, gamma = 0; the record is built without a state
+                (k,) = _generator(h, *no_jumps, spec.sinks, [(1.0, 0.0)]).m
                 assert k.dtype == np.float64
                 assert np.array_equal(k, -k.T)
                 assert np.array_equal(np.abs(k), h - np.diag(np.diag(h)))
@@ -450,6 +457,36 @@ class TestFrame:
             dtypes.clear()
             evolve(rho0, walk_spec, params)
             assert set(dtypes) == {np.dtype(dtype)}
+
+
+class TestGenerator:
+    def test_bound_covers_the_liouvillian_on_the_walks_states(self):
+        # the record's bound is at least the largest column sum of |L| over
+        # the states the walk steps: the non-sink block and the sink
+        # diagonal; it reaches equality, so the check allows rounding
+        rng = np.random.default_rng(157)
+        pairs = [(0.0, 1.0), (0.5, 1.0), (3.0, 1.0), (20.0, 1.0), (1.0, 0.0)]
+        for trial in range(40):
+            spec = random_spec(rng, int(rng.integers(2, 5)))
+            live, sinks = _split(spec.dim, spec.sinks)
+            if trial % 2 and live.size >= 2:
+                # two unequal non-sink self-loops leave D nonzero, so M is complex
+                loops = rng.choice(live, size=2, replace=False)
+                weights = rng.uniform(0.2, 3.0, size=2)
+                spec = make_spec(spec.n, list(spec.sinks), [(int(v), int(v), float(w)) for v, w in zip(loops, weights)])
+            h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
+            gen = _generator(h, *jump_gain(jumps, spec.dim), spec.sinks, pairs)
+            assert np.iscomplexobj(gen.m) == (spec.edge_weights != ())
+            # Fortran vec order: rho[i, j] is entry i + dim * j
+            columns = np.concatenate([(live[:, None] + spec.dim * live).ravel(), sinks * (spec.dim + 1)])
+            # L is linear in the strengths, so two oracle calls give every pair's columns
+            mats = dense_jump_matrices(jumps, spec.dim)
+            coherent = liouvillian_matrix(h, mats, 1.0, 0.0)[:, columns]
+            dissipator = liouvillian_matrix(h, mats, 0.0, 1.0)[:, columns]
+            bound = gen.bound()
+            for b, (kappa, gamma) in enumerate(pairs):
+                column_sums = np.abs(kappa * coherent + gamma * dissipator).sum(axis=0)
+                assert bound[b] >= (1 - 1e-12) * column_sums.max()
 
 
 class TestEvolve:
@@ -564,7 +601,9 @@ class TestEvolve:
         params = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0, dt=0.004, sample_every=0.01)
         traj = evolve(basis_density(0, 4), spec, params)
         # stride rounds to a whole number of 0.004 steps (0.008 here)
-        assert sample_grid(params.dt, params.sample_every, params.t_max) == (2, 125)
+        steps, times = sample_grid(params.dt, params.sample_every, params.t_max)
+        assert (steps, times.size - 1) == (2, 125)
+        assert np.array_equal(traj.times, times)
         assert traj.times.size == 126
         assert traj.times[0] == 0.0
         assert traj.times[1] == pytest.approx(0.008)
@@ -634,10 +673,10 @@ class TestEvolveBatch:
         gain, out_degree = np.zeros((2, 2)), np.array([1.0, 0.0])
         strengths = [(1e200, 0.0), (1.0, 0.0), (1.0, -8e-6)]
         rho = np.repeat(basis_density(0, 2)[None], len(slices), axis=0)
-        r, m, gamma = framed_stack(rho, x, out_degree, [strengths[b] for b in slices])
-        stages = _taylor_stages(m, gamma, step, [degrees[b] for b in slices])
+        r, m, gen = framed_stack(rho, x, gain, out_degree, [strengths[b] for b in slices])
+        stages = _taylor_stages(m, gen.gamma, step, [degrees[b] for b in slices])
         times = np.arange(41) * 0.05
-        return times, _integrate(r, stages, gain, (), steps, times, 0.01)
+        return times, _integrate(r, stages, gen, steps, times, 0.01)
 
     def test_slices_failing_at_different_samples(self):
         # RK4 steps of dt = 0.01; slice 1 runs as if alone
@@ -674,8 +713,8 @@ class TestEvolveBatch:
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gamma, 0.005, [4] * 8)
+        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gen.gamma, 0.005, [4] * 8)
         step, calls, marks = lindblad.rk4_step, [], {}
 
         def measured(r, *rest):
@@ -690,7 +729,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            outcomes = _integrate(r, stages, gain, spec.sinks, 200, np.array([0.0, 1.0]), 0.005)
+            outcomes = _integrate(r, stages, gen, 200, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
         assert len(calls) == 200
@@ -705,8 +744,8 @@ class TestEvolveBatch:
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gamma, 0.005, [4] * 8)
+        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gen.gamma, 0.005, [4] * 8)
         step, peaks = lindblad.rk4_step, []
 
         def measured(r, *rest):
@@ -719,7 +758,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            _integrate(r, stages, gain, spec.sinks, 200, np.array([0.0, 1.0]), 0.005)
+            _integrate(r, stages, gen, 200, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 200
@@ -733,8 +772,8 @@ class TestEvolveBatch:
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         strengths = [(k, 1.0) for k in np.linspace(3.0, 0.2, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, m, gamma = framed_stack(rho, h, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gamma, 0.05, [30, 26, 22, 19, 19, 15, 12, 12])
+        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
+        stages = _taylor_stages(m, gen.gamma, 0.05, [30, 26, 22, 19, 19, 15, 12, 12])
         step, peaks = lindblad.rk4_step, []
 
         def measured(r, *rest):
@@ -747,7 +786,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            outcomes = _integrate(r, stages, gain, spec.sinks, 1, np.arange(201) * 0.05, 0.005)
+            outcomes = _integrate(r, stages, gen, 1, np.arange(201) * 0.05, 0.005)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 200
@@ -778,6 +817,36 @@ class TestEvolveBatch:
             evolve(rho0, spec, points[1])
         assert str(lone_failure.value) == str(failed)
         for traj, params in ((first, points[0]), (last, points[2])):
+            lone = evolve(rho0, spec, params)
+            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
+                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+
+    def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self, monkeypatch):
+        # at kappa/gamma = 20 no tabled degree covers the bound times the
+        # stride within RK4's 40 stages, so each sample is 10 RK4 steps of
+        # dt = 0.005; the run completes, within RK4's error of the oracle
+        step, calls = lindblad.rk4_step, []
+
+        def recorded(r, stages, *rest):
+            calls.append([len(cm) for cm, _ in stages])
+            return step(r, stages, *rest)
+
+        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        spec = make_spec(4, ["1011", "1111"])
+        rho0 = basis_density(vertex_index("0000"), spec.dim)
+        stiff = WalkParams(kappa=20.0, gamma=1.0, t_max=2.0)
+        traj = evolve(rho0, spec, stiff)
+        assert calls == [[1, 1, 1, 1]] * 10 * 40
+        mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
+        oracle = superoperator_populations(build_hamiltonian(spec), mats, 20.0, 1.0, rho0, traj.times, expm)
+        assert np.max(np.abs(traj.populations - oracle)) < 2e-3
+        # batched with kappa/gamma = 1, which takes one Taylor step per
+        # sample, both outcomes equal their lone runs bit for bit
+        calls.clear()
+        mild = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
+        batched = evolve_batch(rho0, spec, [stiff, mild])
+        assert calls[40:] == [[1, 1, 1, 1]] * 10 * 40
+        for traj, params in zip(batched, (stiff, mild)):
             lone = evolve(rho0, spec, params)
             for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
                 assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
