@@ -26,10 +26,11 @@ DEFAULT_SAMPLE_EVERY = 0.05
 # at n = 6 that many samples of the populations take 51 MB.
 MAX_SAMPLES = 10**5
 
-# ... and at most this many steps of dt, t_max / dt. A run spends at most
-# 4 stages per step, the cost of RK4 at dt. One n = 6 RK4 step took
-# 0.105-0.125 ms of wall and of CPU time on a 2-core x86-64 machine (numpy 2.4.6,
-# OpenBLAS 0.3.31), so the cap is about 20 minutes of integration.
+# ... and at most this many steps of dt, t_max / dt. A run spends fewer
+# stages per block of strides than RK4 at dt would on them, so at most 4
+# stages per step of dt. One n = 6 RK4 step took 0.105-0.125 ms of wall
+# and of CPU time on a 2-core x86-64 machine (numpy 2.4.6, OpenBLAS
+# 0.3.31), so the cap is about 20 minutes of integration.
 MAX_STEPS = 10**7
 
 # theta_m: the largest ||h L||_1 for which the degree-m Taylor polynomial
@@ -47,6 +48,25 @@ TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
+
+# The walk advances in blocks of k sample strides, k the largest of
+# MAX_BLOCK_STRIDES, ..., 2, 1 (halving) whose Taylor degree fits the RK4
+# budget of k strides: one expansion per block, and its k samples from one
+# product. On the n = 6 benchmark walk (kappa = gamma = 1, stride 0.05,
+# t_max 20) an evolve took 0.211 s of CPU with k <= 1 (degree 19), 0.153 s
+# with k <= 2, 0.131 s with k <= 4 (degree 40) and 0.106 s with k <= 8
+# (degree 55), all on one thread; but the 56 terms of k = 8 raised a
+# simulate process's peak RSS by 1.9 MB over k <= 1's 32.2 MB, against
+# 1.0 MB for k = 4, and an unchunked (8 x 56) @ (56 x 4096) product ran on
+# two OpenBLAS threads. 2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31.
+MAX_BLOCK_STRIDES = 4
+
+# The block's samples are formed in column chunks this wide, of the
+# float64 view of the terms. A (4 x 41) @ (41 x 4096) product ran on one
+# OpenBLAS thread, but a (4 x 41) @ (41 x 8192) one (a complex n = 6
+# block) on two, at twice the CPU time; in chunks of 1024 columns it took
+# 106 us of CPU against 183 us.
+BLOCK_COLUMNS = 1024
 
 # evolve() aborts with a diagnostics error once a sampled state drifts
 # past these; the (tighter) invariants above are what healthy runs meet.

@@ -12,9 +12,11 @@ class ContractViolationError(ValueError):
 class IntegrationDiagnosticsError(RuntimeError):
     """Integration produced an unphysical state.
 
-    The advice to rerun with a smaller dt is for a run that took RK4 steps
-    of dt, the fallback where a Taylor step per sample would cost more;
-    a smaller dt gives it finer steps, or a budget the Taylor step fits.
+    ``t`` is the time of the first sample that breached an invariant, also
+    inside a block of several samples. The advice to rerun with a smaller
+    dt is for a run that took RK4 steps of dt, the fallback where a Taylor
+    expansion per block of strides would cost more; a smaller dt gives it
+    finer steps, or a budget a block fits.
     """
 
     def __init__(self, t: float, dt: float, trace_drift: float, min_eigenvalue: float, largest_entry: float):

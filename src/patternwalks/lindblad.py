@@ -31,12 +31,16 @@ builder ``_generator`` takes H, G, the out-degrees and the sinks, and
 no state; it is the only code that frames H and forms M. The record
 bounds ||L||_1 <= 2 ||M||_1 + gamma ||G||_1 per pair. ``evolve_batch``
 builds it once per call, then frames the state, the one step that reads
-it. ``rk4_step`` evaluates the degree-m Taylor polynomial of exp(hL) in
-place, in nested form, with m stages; m = 4 is RK4. A run takes one
-step h = s per sample, of the smallest degree m that the bound makes
-exact to double precision (the rule of ``numerics.taylor_degree``,
-which ``expm`` shares), if m is below the 4 s/dt stages of RK4 at dt.
-Otherwise it takes s/dt RK4 steps of h = dt.
+it. A pair advances in blocks of k sample strides s, k the largest of
+MAX_BLOCK_STRIDES, ..., 2, 1 for which the smallest degree m that the
+bound makes exact to double precision over k s (the rule of
+``numerics.taylor_degree``, which ``expm`` shares) is below the 4 k s/dt
+stages of RK4 at dt. ``rk4_step`` runs one block: it stores the terms
+(s L)^j R, j = 0..m, one stage each, and forms the block's k samples
+sum_j q^j / j! (s L)^j R, q = 1..k, as one product of those weights with
+the stacked terms. A pair for which no k qualifies takes s/dt RK4 steps
+of h = dt, each the same block with k = 1 and m = 4. A stack of B states
+holds (m+1) x B terms and k x B samples, in buffers made once per run.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -52,11 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
+    BLOCK_COLUMNS,
     DEFAULT_DT,
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_T_MAX,
     EIGENVALUE_ABORT,
     HERMITICITY_TOL,
+    MAX_BLOCK_STRIDES,
     MAX_DT,
     MAX_SAMPLES,
     MAX_STEPS,
@@ -334,58 +340,85 @@ def _stage(r, m, feed, gain, out, product):
     return out
 
 
-def rk4_step(r, stages, gain, work, product):
-    """Advance the (B, dim, dim) stack ``r`` in place by one Taylor step; return ``r``.
+def _coefficients(k: int, degree: int) -> np.ndarray:
+    """The real (k, degree + 1) matrix ``[q^j / j!]``, q = 1..k; int / int division rounds each entry correctly."""
+    return np.array([[q**j / math.factorial(j) for j in range(degree + 1)] for q in range(1, k + 1)])
 
-    Slice b takes the degree-m_b Taylor polynomial of exp(h L) in nested
-    form, ``r + h L(r + h/2 L(... (r + h/m_b L(r))))``. ``stages[i] = (c M,
-    c gamma)`` for c = h/m_0, ..., h/2, h (m_0 the largest degree), each a
-    stack over the leading slices whose degree is at least h/c. ``work``
-    starts as ``r``, and a stage sets its slices of it to ``r + c L(work)``,
-    so a slice whose polynomial starts late starts from its own state.
-    The scratch ``work`` and ``product`` are contiguous and shaped like
-    ``r``. For a constant generator every m-stage explicit Runge-Kutta
-    method of order m is this polynomial, so m = 4, with c = dt/4, dt/3,
-    dt/2 and dt, is one RK4 step.
+
+def rk4_step(terms, samples, m, feed, degrees, coefficients, gain):
+    """One block: the k samples ``exp(q h L) R``, q = 1..k, of the (B, dim, dim) stack R = ``terms[0]``.
+
+    Slice b sums the degree-d_b Taylor series of each sample from one
+    expansion: ``terms[j] = (h L)^j R`` for j = 1..d_b, each one
+    ``_stage`` with ``m`` = h M and ``feed`` = h gamma, and then sample q
+    is ``sum_j q^j / j! terms[j]``, one product of the rows of
+    ``coefficients`` (``_coefficients(k, d_0)``) with the stacked terms.
+    ``degrees`` (d_b, a list) must not increase with b, so each stage acts
+    on a leading run of the slices and a slice's bits do not depend on the
+    stack. The product reads the float64 view of the terms in
+    BLOCK_COLUMNS-wide chunks. ``samples`` is (k, B, dim, dim), and
+    ``samples[0]`` is the stages' scratch until the product; R is then set
+    to the last sample, and ``samples`` is returned. ``terms[j]`` and
+    ``samples[0]`` are contiguous (B, dim, dim) stacks. k = 1 at
+    degree 4 is one RK4 step of h: for a constant generator every 4-stage
+    explicit Runge-Kutta method of order 4 is this polynomial.
     """
-    np.copyto(work, r)
-    for m, feed in stages:
-        w = work[: len(m)]
-        _stage(w, m, feed, gain, w, product[: len(m)])
-        w += r[: len(m)]
-    np.copyto(r, work)
-    return r
+    count, product = len(degrees), samples[0]
+    for j in range(1, degrees[0] + 1):
+        while degrees[count - 1] < j:
+            count -= 1
+        _stage(terms[j - 1, :count], m[:count], feed[:count], gain, terms[j, :count], product[:count])
+    for b, degree in enumerate(degrees):
+        weights = coefficients[:, : degree + 1]
+        series = terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
+        out = samples[:, b].view(np.float64).reshape(len(samples), -1)
+        for i in range(0, series.shape[1], BLOCK_COLUMNS):
+            columns = slice(i, i + BLOCK_COLUMNS)
+            np.matmul(weights, series[:, columns], out=out[:, columns])
+    np.copyto(terms[0], samples[-1])
+    return samples
 
 
-def _taylor_stages(m, gamma, h, degrees) -> list:
-    """``rk4_step``'s stages for a (B, dim, dim) ``M``, (B, 1, 1) ``gamma`` and step ``h``.
+def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
+    """``(k, m)`` for a pair whose 1-norm bound times the sample stride is ``x``.
 
-    ``degrees`` gives slice b's degree and must not increase with b.
+    k is the largest of MAX_BLOCK_STRIDES, ..., 2, 1 (halving) for which
+    m = ``taylor_degree(k x)`` is below the ``4 k steps_per_sample``
+    stages of RK4 at dt over k strides; the pair then advances in blocks
+    of k strides, one degree-m expansion each. ``(0, 4)`` if no k
+    qualifies: the pair takes RK4 steps of dt.
     """
-    degrees = np.asarray(degrees)
-    stages = []
-    for j in range(degrees[0], 0, -1):
-        c, count = h / j, np.count_nonzero(degrees >= j)
-        stages.append((c * m[:count], c * gamma[:count]))
-    return stages
+    k = MAX_BLOCK_STRIDES
+    while k:
+        m = taylor_degree(k * x, 4 * k * steps_per_sample)
+        if m:
+            return k, m
+        k //= 2
+    return 0, 4
 
 
-def _integrate(r, stages, gen: _Generator, steps: int, times, dt: float):
-    """Step a (B, dim, dim) stack of framed states in place, health-checking every sample.
+def _integrate(r, ops, degrees, k: int, steps: int, gen: _Generator, times, dt: float):
+    """Step a (B, dim, dim) stack of framed states, health-checking every sample.
 
-    Each sample after ``times[0]`` is ``steps`` calls of ``rk4_step`` with
-    ``stages``, which hold each slice's ``c M`` and ``c gamma``; G, the
-    sinks and the non-sink block come from the generator record ``gen``.
-    M's rows and columns, G's columns and each coherence of the Hermitian
-    ``r`` with a sink are zero at the sinks; the health check then reads
-    eigenvalues of the non-sink block. A slice that fails it at a sample
-    is dropped, and the others go on unchanged. Returns per slice its
-    ``Trajectory`` fields or its ``IntegrationDiagnosticsError``, which
-    reports ``dt``.
+    Each sample after ``times[0]`` comes from ``rk4_step`` blocks of
+    ``k`` outputs at stride h, on ``ops = (h M, h gamma)`` with slice b at
+    degree ``degrees[b]`` (not increasing with b): one block per k samples
+    (``steps`` = 1), or ``steps`` blocks of k = 1 per sample, the RK4
+    fallback. G, the sinks and the non-sink block come from the generator
+    record ``gen``. M's rows and columns, G's columns and each coherence
+    of the Hermitian ``r`` with a sink are zero at the sinks; the health
+    check then reads eigenvalues of the non-sink block. It takes a block's
+    samples as one stack, in sample order. A slice that fails it at the
+    q-th sample of a block keeps its earlier samples, reports the q-th's
+    time and is dropped, and the others go on unchanged. Returns per
+    slice its ``Trajectory`` fields or its ``IntegrationDiagnosticsError``,
+    which reports ``dt``.
 
-    The steps allocate no state-sized array: the stages and two scratch
-    stacks are made once, and compacted with the states when a slice
-    drops.
+    The blocks allocate no state-sized array. The buffers are made once:
+    ``(d_0 + 1) x B`` terms (a slice writes only its first d_b + 1, so a
+    lower degree leaves its pages of the rest untouched) and ``k x B``
+    samples. When a slice drops, the survivors' states and operands are
+    compacted, and the buffers are viewed at the new size.
     """
     batch, dim = r.shape[0], r.shape[-1]
     pops = np.empty((batch, times.size, dim))
@@ -395,40 +428,64 @@ def _integrate(r, stages, gen: _Generator, steps: int, times, dt: float):
     herm = np.empty((batch, times.size))
     errors = {}
     live = np.arange(batch)
-    product, work = np.empty_like(r), np.empty_like(r)
+    m, feed = ops
+    degrees = list(degrees)
+    coefficients = _coefficients(k, degrees[0])
+    depth = degrees[0] + 1
+    terms_buffer = np.empty(depth * batch * dim * dim, dtype=r.dtype)
+    samples_buffer = np.empty(k * batch * dim * dim, dtype=r.dtype)
 
-    for k in range(times.size):
-        if k > 0:
-            # An overflowing state is reported by the health check below as
-            # a diagnostics error; numpy's warnings about it would only
-            # precede that message.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(steps):
-                    r = rk4_step(r, stages, gen.gain, work, product)
-        drift, smallest = _health(r, gen.live, gen.sinks)
-        ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
+    def views(count):
+        """The buffers' leading parts as (depth or k, count, dim, dim) stacks."""
+        return (
+            terms_buffer[: depth * count * dim * dim].reshape(depth, count, dim, dim),
+            samples_buffer[: k * count * dim * dim].reshape(k, count, dim, dim),
+        )
+
+    terms, samples = views(batch)
+    np.copyto(terms[0], r)
+    start, block = 0, terms[:1]
+    while True:
+        count = len(block)
+        drift, smallest = _health(block.reshape(-1, dim, dim), gen.live, gen.sinks)
+        drift, smallest = drift.reshape(count, -1), smallest.reshape(count, -1)
+        # A slice keeps the samples before its first failing one.
+        kept = np.logical_and.accumulate((drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT), axis=0)
+        q, b = np.nonzero(kept)
+        checked = block.reshape(-1, dim, dim) if kept.all() else block[kept]
+        rows, cols = live[b], start + q
+        trace_drift[rows, cols] = drift[kept]
+        min_eig[rows, cols] = smallest[kept]
+        pur[rows, cols] = [purity(x) for x in checked]
+        herm[rows, cols] = hermiticity_residual(checked)
+        pops[rows, cols] = populations(checked)
+        ok = kept[-1]
         if not ok.all():
             for i in np.flatnonzero(~ok):
+                first = np.count_nonzero(kept[:, i])
+                bad = block[first, i]
                 errors[live[i]] = IntegrationDiagnosticsError(
-                    times[k], dt, drift[i], smallest[i],
-                    np.where(np.isfinite(r[i]), np.abs(r[i]), np.inf).max(),
+                    times[start + first], dt, drift[first, i], smallest[first, i],
+                    np.where(np.isfinite(bad), np.abs(bad), np.inf).max(),
                 )
-            r, live = r[ok], live[ok]
-            # Each stage covers a leading run of the slices, which stays one.
-            # Each pair's old operands are freed once its new ones exist.
-            for i, stage in enumerate(stages):
-                stages[i] = tuple(x[ok[: len(x)]] for x in stage)
-            # The scratch stacks' contents are dead here; their leading
-            # slices are contiguous stacks of the new size.
-            product, work = product[: live.size], work[: live.size]
-            drift, smallest = drift[ok], smallest[ok]
+            live, states = live[ok], terms[0][ok]
             if live.size == 0:
                 break
-        trace_drift[live, k] = drift
-        min_eig[live, k] = smallest
-        pur[live, k] = [purity(x) for x in r]
-        herm[live, k] = hermiticity_residual(r)
-        pops[live, k] = populations(r)
+            # Each pair's old operands are freed once its new ones exist.
+            m, feed = m[ok], feed[ok]
+            degrees = [d for d, keep in zip(degrees, ok) if keep]
+            terms, samples = views(live.size)
+            np.copyto(terms[0], states)
+        start += count
+        if start == times.size:
+            break
+        # An overflowing state is reported by the health check above as a
+        # diagnostics error; numpy's warnings about it would only precede
+        # that message.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                rk4_step(terms, samples, m, feed, degrees, coefficients, gen.gain)
+        block = samples[: min(k, times.size - start)]
 
     return [
         errors[b] if b in errors
@@ -447,8 +504,9 @@ def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, np.n
     the sample ``times`` run from 0 in strides to the first sample at or
     past ``t_max``. A run of more than MAX_SAMPLES samples or MAX_STEPS
     steps is a ConfigurationError naming ``t_max`` or ``dt``. The walk
-    takes these steps with RK4, or one Taylor step per stride where that
-    costs less; the classical chain takes one step per sample.
+    takes these steps with RK4, or one Taylor expansion per block of up
+    to MAX_BLOCK_STRIDES strides where that costs less; the classical
+    chain takes one step per sample.
     """
     # Checked first, so that round() never meets an infinite ratio.
     if not sample_every / dt < MAX_STEPS + 1:
@@ -473,9 +531,10 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     Every run uses ``spec``'s graph and jump rule. The generator record
     (one M slice per distinct strength pair) is built once per call,
     before and without the state; only the framing of ``rho0`` reads the
-    state. Each pair's Taylor degree comes from the record's norm bound.
-    The runs that take one Taylor step per sample form one stack, and
-    those that fall back to RK4 steps of dt another.
+    state. Each pair's block size and Taylor degree come from the
+    record's norm bound (see ``_block``). The runs form one stack per
+    block size, highest degree first, plus one of those that fall back to
+    RK4 steps of dt.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -512,17 +571,18 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     r = rho * _parity_phases(spec.dim)
     r = r if np.iscomplexobj(gen.m) or r.imag.any() else r.real
     stride = steps_per_sample * first.dt
-    degrees = [taylor_degree(x * stride, 4 * steps_per_sample) for x in gen.bound()]
-    # The Taylor slices run highest degree first, so that each stage acts
-    # on a leading run of their stack; the others take RK4 steps of dt.
-    taylor = sorted((b for b, d in enumerate(degrees) if d), key=lambda b: -degrees[b])
-    fallback = [b for b, d in enumerate(degrees) if not d]
+    blocks = [_block(x * stride, steps_per_sample) for x in gen.bound()]
     outcomes = {}
-    for group, step, steps in ((taylor, stride, 1), (fallback, first.dt, steps_per_sample)):
-        if group:
-            m = gen.m[group].astype(r.dtype)
-            stages = _taylor_stages(m, gen.gamma[group], step, [degrees[b] or 4 for b in group])
-            outcomes.update(zip(group, _integrate(np.stack([r] * len(group)), stages, gen, steps, times, first.dt)))
+    # One stack per block size, highest degree first, so that each stage
+    # acts on a leading run of it; k = 0 is the RK4 fallback, blocks of
+    # one step of dt.
+    for k in sorted({k for k, _ in blocks}, reverse=True):
+        group = sorted((b for b, block in enumerate(blocks) if block[0] == k), key=lambda b: -blocks[b][1])
+        h, size, steps = (stride, k, 1) if k else (first.dt, 1, steps_per_sample)
+        ops = ((h * gen.m[group]).astype(r.dtype, copy=False), h * gen.gamma[group])
+        stack = np.broadcast_to(r, (len(group), *r.shape))
+        degrees = [blocks[b][1] for b in group]
+        outcomes.update(zip(group, _integrate(stack, ops, degrees, size, steps, gen, times, first.dt)))
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
         outcome = outcomes[slot[pair]]
@@ -542,14 +602,15 @@ def evolve(rho0, spec: HypercubeSpec, params: WalkParams) -> Trajectory:
     """Integrate the walk on ``spec`` (its graph and jump rule) and sample its populations.
 
     The sampling stride is rounded to a whole number of steps of dt and
-    the run extends to the first sample at or past ``t_max``. Each stride
-    is one Taylor step whose degree comes from a norm bound, or, where
-    that costs more, RK4 steps of dt (see the module docstring). Every
-    sampled state is health-checked; a non-finite entry, a trace drift
-    beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
-    diagnostics error, whose advice of a smaller dt is for RK4 steps.
-    ``rho0`` may have no coherence that involves a sink (a
-    ConfigurationError names the sink).
+    the run extends to the first sample at or past ``t_max``. Each block
+    of up to four strides is one Taylor expansion whose degree comes from
+    a norm bound and yields each of its samples, or, where that costs
+    more, each stride is RK4 steps of dt (see the module docstring).
+    Every sampled state is health-checked; a non-finite entry, a trace
+    drift beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
+    diagnostics error at that sample's time, whose advice of a smaller dt
+    is for RK4 steps. ``rho0`` may have no coherence that involves a sink
+    (a ConfigurationError names the sink).
     This is the batch of one of ``evolve_batch``.
     """
     (outcome,) = evolve_batch(rho0, spec, [params])

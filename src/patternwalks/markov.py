@@ -24,9 +24,12 @@ __all__ = [
 
 
 def as_probability_vector(v) -> np.ndarray:
+    """Validate a distribution: finite entries in [0, 1] that sum to 1."""
     p = np.asarray(v, dtype=float).ravel()
     if p.size == 0:
         raise ConfigurationError("probability vector must be non-empty")
+    if not np.isfinite(p).all():
+        raise ConfigurationError("probability vector entries must be finite numbers")
     if np.any(p < -ROW_SUM_TOL) or np.any(p > 1.0 + ROW_SUM_TOL):
         raise ConfigurationError("probability vector entries must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > ROW_SUM_TOL:
@@ -76,8 +79,8 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
     p = as_probability_vector(pi0)
     if p.size != a.shape[0]:
         raise ConfigurationError(f"vector length {p.size} does not match {a.shape}")
-    if delta < 0:
-        raise ConfigurationError("evolution time must be >= 0")
+    if not delta >= 0:  # NaN fails it too
+        raise ConfigurationError(f"evolution time must be >= 0, got {delta:g}")
     step = expm(a * delta)
     out = np.empty((steps + 1, p.size))
     out[0] = p
@@ -85,7 +88,7 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
         row = out[k]
         np.matmul(step, out[k - 1], out=row)
         drift = abs(float(np.add.reduce(row)) - 1.0)
-        if drift > 1e-9:
+        if not drift <= 1e-9:  # NaN fails it too
             raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")
         # np.clip(row, 0.0, None) is this ufunc call, operands in this
         # order: -0.0 becomes +0.0 and NaN propagates.

@@ -25,13 +25,14 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
+    _block,
+    _coefficients,
     _generator,
     _health,
     _integrate,
     _parity_phases,
     _split,
     _stage,
-    _taylor_stages,
     basis_density,
     density_from_pattern,
     evolve,
@@ -84,9 +85,24 @@ def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
     return _stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
 
 
-def rk4_stages(m, gamma, dt, degree=4):
-    """The ``stages`` of ``lindblad.rk4_step`` for one ``M`` and ``gamma``: ``(c M, c gamma)`` per coefficient."""
-    return _taylor_stages(m[None], np.full((1, 1, 1), gamma), dt, [degree])
+def blocks(r, m, gamma, h, gain, degree=4, k=1, count=1):
+    """The k samples of the last of ``count`` ``lindblad.rk4_step`` blocks on ``r``, a stack of one.
+
+    Each block is one degree-``degree`` expansion of stride ``h`` for one
+    ``M`` and ``gamma``; k = 1 at degree 4 is one RK4 step.
+    """
+    terms = np.empty((degree + 1, 1, *r.shape), dtype=r.dtype)
+    terms[0, 0] = r
+    samples = np.empty((k, 1, *r.shape), dtype=r.dtype)
+    ops = (h * m[None], np.full((1, 1, 1), h * gamma))
+    for _ in range(count):
+        lindblad.rk4_step(terms, samples, *ops, [degree], _coefficients(k, degree), gain)
+    return samples[:, 0]
+
+
+def stepped(r, m, gamma, h, gain, degree=4, steps=1):
+    """``r`` after ``steps`` degree-``degree`` blocks of one stride ``h`` (RK4 steps at degree 4)."""
+    return blocks(r, m, gamma, h, gain, degree, count=steps)[-1]
 
 
 def framed_stack(rho, h, gain, out_degree, strengths, sinks=()):
@@ -96,13 +112,16 @@ def framed_stack(rho, h, gain, out_degree, strengths, sinks=()):
     return r, m, gen
 
 
-def stepped(r, stages, gain, steps=1):
-    """``r`` as a stack of one, after ``steps`` calls of ``lindblad.rk4_step``."""
-    r = r[None].copy()
-    work, product = np.empty_like(r), np.empty_like(r)
-    for _ in range(steps):
-        lindblad.rk4_step(r, stages, gain, work, product)
-    return r[0]
+def recorded_blocks(monkeypatch):
+    """``(k, degrees)`` of each ``lindblad.rk4_step`` call from here on."""
+    step, calls = lindblad.rk4_step, []
+
+    def recorded(terms, samples, m, feed, degrees, *rest):
+        calls.append((len(samples), list(degrees)))
+        return step(terms, samples, m, feed, degrees, *rest)
+
+    monkeypatch.setattr(lindblad, "rk4_step", recorded)
+    return calls
 
 
 def random_framed_state(spec, rng, real):
@@ -306,13 +325,18 @@ class TestRk4Step:
     SELF_PAIRS = {"real": (), "complex": [("000", "000", 2.0), ("010", "010", 0.5)]}
 
     def test_zero_generator_keeps_state(self):
+        # every term past the state is zero, so each sample is the state
         rng = np.random.default_rng(137)
         r = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         start = r.copy()
-        stages = [(np.zeros((2, 4, 4), dtype=complex), 0.0)] * 4
-        out = lindblad.rk4_step(r, stages, np.zeros((4, 4)), np.empty_like(r), np.empty_like(r))
-        assert out is r
-        assert np.array_equal(r, start)
+        terms = np.empty((5, 2, 4, 4), dtype=complex)
+        terms[0] = r
+        samples = np.empty((2, 2, 4, 4), dtype=complex)
+        zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 1, 1)))
+        out = lindblad.rk4_step(terms, samples, *zeros, [4, 4], _coefficients(2, 4), np.zeros((4, 4)))
+        assert out is samples
+        assert np.array_equal(samples, np.stack([start, start]))
+        assert np.array_equal(terms[0], start)
 
     @pytest.mark.parametrize("dt", [0.01, 0.005])
     def test_two_level_decay_is_the_quartic_taylor_polynomial(self, dt):
@@ -323,28 +347,47 @@ class TestRk4Step:
         r, m, gain = walk_operands(
             basis_density(0, 2), build_hamiltonian(spec), build_jump_operators(spec), 0.0, 1.0, spec.sinks
         )
-        after = stepped(r, rk4_stages(m, 1.0, dt), gain)
+        after = stepped(r, m, 1.0, dt, gain)
         assert after[0, 0] == pytest.approx(1 - dt + dt**2 / 2 - dt**3 / 6 + dt**4 / 24, rel=1e-15, abs=0.0)
         assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("degree", [1, 7, 19, 55])
     @pytest.mark.parametrize("h", [0.05, 0.5])
     def test_two_level_decay_is_the_truncated_series(self, degree, h):
-        # the same decay: one degree-m step multiplies the population on 0
-        # by sum_{k <= m} (-h)^k / k!, as if summed exactly
+        # the same decay: output q of a degree-m block of k = 1, 2 or 4
+        # strides h multiplies the population on 0 by
+        # sum_{j <= m} (-q h)^j / j!, as if summed exactly
         spec = make_spec(1, ["1"])
         r, m, gain = walk_operands(
             basis_density(0, 2), build_hamiltonian(spec), build_jump_operators(spec), 0.0, 1.0, spec.sinks
         )
-        after = stepped(r, rk4_stages(m, 1.0, h, degree), gain)
-        series = float(sum(Fraction(-h) ** k / math.factorial(k) for k in range(degree + 1)))
-        assert after[0, 0] == pytest.approx(series, rel=1e-15, abs=0.0)
-        assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        for k in (1, 2, 4):
+            outputs = blocks(r, m, 1.0, h, gain, degree, k)
+            assert len(outputs) == k
+            for q, after in enumerate(outputs, start=1):
+                series = float(sum(Fraction(-q * h) ** j / math.factorial(j) for j in range(degree + 1)))
+                assert after[0, 0] == pytest.approx(series, rel=1e-15, abs=0.0)
+                assert after[0, 0] + after[1, 1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
-    def test_stages_of_a_mixed_stack(self):
-        # degrees 3, 3 and 1: stage c = h/3 and h/2 act on the two leading
-        # slices and c = h on all three; a slice whose polynomial starts
-        # late equals its lone step bit for bit
+    def test_coefficients_are_the_scaled_taylor_weights(self):
+        c = _coefficients(4, 55)
+        assert c.shape == (4, 56)
+        for q in range(1, 5):
+            for j in (0, 1, 7, 55):
+                assert c[q - 1, j] == float(Fraction(q**j, math.factorial(j)))
+
+    def test_terms_of_a_mixed_stack(self, monkeypatch):
+        # degrees 3, 3 and 1: term 1 is one stage over all three slices and
+        # terms 2 and 3 one over the two leading ones, each on the one h M
+        # operand; each slice's samples and state equal its lone block's
+        # bit for bit
+        stage, calls = lindblad._stage, []
+
+        def recorded(r, m, *rest):
+            calls.append((len(r), m))
+            return stage(r, m, *rest)
+
+        monkeypatch.setattr(lindblad, "_stage", recorded)
         rng = np.random.default_rng(149)
         spec = make_spec(3, ["101", "111"])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
@@ -352,14 +395,17 @@ class TestRk4Step:
         strengths = [(0.4, 1.0), (1.3, 1.0), (2.5, 0.0)]
         rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gen.gamma, 0.1, [3, 3, 1])
-        assert [len(cm) for cm, _ in stages] == [2, 2, 3]
-        assert np.array_equal(stages[0][0], 0.1 / 3 * m[:2]) and np.array_equal(stages[2][1], 0.1 * gen.gamma)
-        after = r.copy()
-        lindblad.rk4_step(after, stages, gain, np.empty_like(r), np.empty_like(r))
+        terms = np.empty((4, 3, 8, 8))
+        terms[0] = r
+        samples = np.empty((2, 3, 8, 8))
+        ops = (0.1 * m, 0.1 * gen.gamma)
+        lindblad.rk4_step(terms, samples, *ops, [3, 3, 1], _coefficients(2, 3), gain)
+        assert [size for size, _ in calls] == [3, 2, 2]
+        assert all(np.shares_memory(operand, ops[0]) for _, operand in calls)
+        assert np.array_equal(terms[0], samples[-1])
         for b, degree in enumerate([3, 3, 1]):
-            lone = stepped(r[b], _taylor_stages(m[b : b + 1], gen.gamma[b : b + 1], 0.1, [degree]), gain)
-            assert np.array_equal(after[b], lone)
+            lone = blocks(r[b], m[b], gen.gamma[b, 0, 0], 0.1, gain, degree, k=2)
+            assert np.array_equal(samples[:, b], lone)
 
     @pytest.mark.parametrize(
         "norm, budget, degree",
@@ -371,6 +417,21 @@ class TestRk4Step:
         # budget of 4 stages per step of dt
         assert taylor_degree(norm, budget) == degree
 
+    @pytest.mark.parametrize(
+        "x, steps_per_sample, block",
+        [(1.2, 10, (4, 40)), (0.0, 10, (4, 1)), (0.16, 1, (4, 15)), (0.18, 1, (0, 4)),
+         (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)), (10.0, 10**6, (0, 4))],
+    )
+    def test_block_is_the_largest_that_fits_rk4s_budget(self, x, steps_per_sample, block):
+        # x is the norm bound times the stride. n = 6 at kappa = gamma = 1
+        # takes 4 strides at degree 40. At one step of dt per stride, 4 x
+        # 0.16 needs degree 15, below RK4's 16 stages, but 4 x 0.18 needs
+        # 16, and 2 or 1 strides need more than their 8 or 4: the pair falls
+        # back. 4 x 2.5 is beyond the table, but 2 x 2.5 needs 40 of 80;
+        # 6.0 needs 40, below 80 at 20 steps per stride but not below 40
+        # at 10
+        assert _block(x, steps_per_sample) == block
+
     @pytest.mark.parametrize("path", ["real", "complex"])
     def test_single_step_matches_liouvillian_exponential_to_fifth_order(self, path):
         spec = make_spec(3, ["101", "111"], self.SELF_PAIRS[path])
@@ -380,25 +441,25 @@ class TestRk4Step:
         r, m, gain = walk_operands(rho0, h, jumps, 1.0, 1.0, spec.sinks)
         assert r.dtype == (np.float64 if path == "real" else np.complex128)
         for dt in (0.01, 0.005):
-            after = unframed(stepped(r, rk4_stages(m, 1.0, dt), gain))
+            after = unframed(stepped(r, m, 1.0, dt, gain))
             exact = (expm(dt * sup) @ rho0.reshape(-1, order="F")).reshape(8, 8, order="F")
             assert np.max(np.abs(after - exact)) < 10 * dt**5
 
     @pytest.mark.parametrize("path", ["real", "complex"])
-    def test_nested_form_matches_staged_oracle(self, path):
-        # the nested polynomial and the four general stages are the same
-        # map for a linear generator; only the rounding differs
+    def test_degree_4_blocks_match_staged_oracle(self, path):
+        # the summed series and the four general stages are the same map
+        # for a linear generator; only the rounding differs
         rng = np.random.default_rng(139)
         spec = make_spec(3, ["101", "111"], self.SELF_PAIRS[path])
         h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         mats = dense_jump_matrices(jumps, 8)
         rho = unframed(random_framed_state(spec, rng, real=path == "real"))
         r, m, gain = walk_operands(rho, h, jumps, 1.3, 0.7, spec.sinks)
-        nested = unframed(stepped(r, rk4_stages(m, 0.7, 0.01), gain, steps=100))
+        summed = unframed(stepped(r, m, 0.7, 0.01, gain, steps=100))
         staged = rho
         for _ in range(100):
             staged = rk4_staged_step(lambda x: dense_master_rhs(x, h, mats, 1.3, 0.7), staged, 0.01)
-        assert np.max(np.abs(nested - staged)) / np.max(np.abs(staged)) < 1e-13
+        assert np.max(np.abs(summed - staged)) / np.max(np.abs(staged)) < 1e-13
 
 
 class TestFrame:
@@ -435,9 +496,9 @@ class TestFrame:
         # self-loop weights make it complex128
         step, dtypes = lindblad.rk4_step, []
 
-        def recorded(r, *rest):
-            dtypes.append(r.dtype)
-            return step(r, *rest)
+        def recorded(terms, *rest):
+            dtypes.append(terms.dtype)
+            return step(terms, *rest)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
@@ -548,7 +609,7 @@ class TestEvolve:
         # evolve validates via populations; check off-diagonals via rhs invariance
         h = build_hamiltonian(spec)
         r, m, gain = walk_operands(basis_density(0, 8), h, build_jump_operators(spec), 0.0, 1.0, spec.sinks)
-        r = stepped(r, rk4_stages(m, 1.0, 0.005), gain, steps=600)
+        r = stepped(r, m, 1.0, 0.005, gain, steps=600)
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -660,53 +721,73 @@ class TestEvolveBatch:
                 evolve_batch(basis_density(0, 4), spec, [base, other])
 
     @staticmethod
-    def failing_slices(slices, step, degrees, steps):
+    def failing_slices(slices, h, degrees, k, steps):
         """``_integrate``'s outcomes for the ``slices`` of a three-run stack with two bad runs.
 
         Slice 0 overflows at the first sample. Slice 2 gains trace at a
         rate of about 8e-6 through a negative decay on |0> (M's diagonal
-        gets +4e-6), so it breaches the trace check two samples after
-        slice 0 is gone. Slice b takes ``steps`` degree-``degrees[b]``
-        steps of ``step`` per sample, of stride 0.05.
+        gets +4e-6), so it breaches the trace check at the third sample
+        (t = 0.15), two samples after slice 0 is gone. Slice b takes
+        degree-``degrees[b]`` blocks of ``k`` outputs at stride ``h``, and
+        ``steps`` of them per sample of stride 0.05.
         """
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         gain, out_degree = np.zeros((2, 2)), np.array([1.0, 0.0])
         strengths = [(1e200, 0.0), (1.0, 0.0), (1.0, -8e-6)]
         rho = np.repeat(basis_density(0, 2)[None], len(slices), axis=0)
         r, m, gen = framed_stack(rho, x, gain, out_degree, [strengths[b] for b in slices])
-        stages = _taylor_stages(m, gen.gamma, step, [degrees[b] for b in slices])
         times = np.arange(41) * 0.05
-        return times, _integrate(r, stages, gen, steps, times, 0.01)
+        return times, _integrate(r, (h * m, h * gen.gamma), [degrees[b] for b in slices], k, steps, gen, times, 0.01)
 
-    def test_slices_failing_at_different_samples(self):
-        # RK4 steps of dt = 0.01; slice 1 runs as if alone
-        times, outcomes = self.failing_slices([0, 1, 2], 0.01, (4, 4, 4), 5)
+    @pytest.mark.parametrize(
+        "h, degrees, k, steps",
+        [(0.01, (4, 4, 4), 1, 5), (0.05, (10, 8, 6), 1, 1), (0.05, (24, 20, 16), 4, 1)],
+        ids=["rk4", "taylor", "block"],
+    )
+    def test_slices_failing_at_different_samples(self, h, degrees, k, steps):
+        # RK4 steps of dt = 0.01, one Taylor expansion per sample of degrees
+        # 10, 8 and 6, or blocks of four samples: slice 0 alone has the
+        # leading terms, which empty out when it drops; slice 2 fails at
+        # the third sample (the third of the first block); slice 1 runs as
+        # if alone
+        times, outcomes = self.failing_slices([0, 1, 2], h, degrees, k, steps)
         early, kept, late = outcomes
         assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
-        assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
-        assert late.trace_drift > 1e-6
-        _, (lone,) = self.failing_slices([1], 0.01, (4, 4, 4), 5)
-        assert kept.keys() == lone.keys()
-        for name in kept:
-            assert np.array_equal(kept[name], lone[name]), name
-
-    def test_taylor_slices_failing_at_different_samples(self):
-        # one step per sample, of degrees 10, 8 and 6: slice 0 alone has
-        # the two leading stages, which empty out when it drops; slice 1
-        # runs as if alone
-        times, outcomes = self.failing_slices([0, 1, 2], 0.05, (10, 8, 6), 1)
-        early, kept, late = outcomes
-        assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
-        assert isinstance(late, IntegrationDiagnosticsError) and late.t > times[1]
+        assert isinstance(late, IntegrationDiagnosticsError) and late.t == times[3]
         assert late.trace_drift > 1e-6 and late.dt == 0.01
-        _, (lone,) = self.failing_slices([1], 0.05, (10, 8, 6), 1)
+        _, (lone,) = self.failing_slices([1], h, degrees, k, steps)
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
 
-    def test_steps_allocate_no_state_stack(self, monkeypatch):
-        # 200 steps of an n = 4 stack of 8 states: the step's stage stacks
-        # are _integrate's own, so the traced peak over the steps stays
+    def test_slice_failing_inside_a_block_keeps_its_earlier_samples(self, monkeypatch):
+        # in the first block of four samples slice 0 fails at the first and
+        # slice 2 at the third: the block's check takes every sample, and
+        # the diagnostics are recorded for the 4 samples of slice 1 and the
+        # 2 of slice 2 before its failure; then for slice 1 alone
+        check, recorded = lindblad.populations, []
+
+        def counted(x):
+            recorded.append(len(x))
+            return check(x)
+
+        monkeypatch.setattr(lindblad, "populations", counted)
+        health, checked = lindblad._health, []
+
+        def seen(m, *rest):
+            checked.append(len(m))
+            return health(m, *rest)
+
+        monkeypatch.setattr(lindblad, "_health", seen)
+        times, (early, _, late) = self.failing_slices([0, 1, 2], 0.05, (24, 20, 16), 4, 1)
+        assert (early.t, late.t) == (times[1], times[3])
+        assert checked[:3] == [3, 12, 4] and recorded[:3] == [3, 6, 4]
+        assert len(checked) == len(recorded) == 1 + 10
+
+    def test_blocks_allocate_no_state_stack(self, monkeypatch):
+        # 200 RK4 blocks of an n = 4 stack of 8 states: the terms and
+        # samples, whose first row is the stages' scratch, are _integrate's
+        # own, made once per run, so the traced peak over the blocks stays
         # below the size of one state stack
         spec = make_spec(4, ["0110", "1111"])
         h = build_hamiltonian(spec)
@@ -714,142 +795,125 @@ class TestEvolveBatch:
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gen.gamma, 0.005, [4] * 8)
-        step, calls, marks = lindblad.rk4_step, [], {}
+        step, buffers, marks = lindblad.rk4_step, [], {}
 
-        def measured(r, *rest):
-            if not calls:
+        def measured(terms, samples, *rest):
+            if not buffers:
                 tracemalloc.reset_peak()
                 marks["start"] = tracemalloc.get_traced_memory()[0]
-            calls.append(None)
-            r = step(r, *rest)
+            buffers.append((terms, samples))
+            out = step(terms, samples, *rest)
             marks["peak"] = tracemalloc.get_traced_memory()[1]
-            return r
+            return out
 
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            outcomes = _integrate(r, stages, gen, 200, np.array([0.0, 1.0]), 0.005)
+            outcomes = _integrate(r, (0.005 * m, 0.005 * gen.gamma), [4] * 8, 1, 200, gen, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
-        assert len(calls) == 200
+        assert len(buffers) == 200
         assert all(isinstance(o, dict) for o in outcomes)
         assert marks["peak"] - marks["start"] < rho.nbytes
+        assert all(all(x is y for x, y in zip(b, buffers[0])) for b in buffers)
 
-    def test_steps_allocate_no_real_state_stack(self, monkeypatch):
-        # the steps run on the real Y, half the size of the complex input
-        # stack that bounds the test above; no step allocates one Y either
+    @pytest.mark.parametrize(
+        "h, degrees, k, steps, samples",
+        [(0.005, [4] * 8, 1, 200, 1), (0.05, [50, 45, 40, 35, 35, 29, 25, 25], 4, 1, 200)],
+        ids=["rk4", "block"],
+    )
+    def test_blocks_allocate_no_real_state_stack(self, monkeypatch, h, degrees, k, steps, samples):
+        # the blocks run on the real R, half the size of the complex input
+        # stack that bounds the test above; no block allocates one R
+        # either, whether it is one RK4 step or four samples at degrees 50
+        # down to 25
         spec = make_spec(4, ["0110", "1111"])
-        h = build_hamiltonian(spec)
+        hamiltonian = build_hamiltonian(spec)
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
+        strengths = [(x, 1.0) for x in np.linspace(4.0, 0.2, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gen.gamma, 0.005, [4] * 8)
+        r, m, gen = framed_stack(rho, hamiltonian, gain, out_degree, strengths, spec.sinks)
         step, peaks = lindblad.rk4_step, []
 
-        def measured(r, *rest):
+        def measured(*args):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            r = step(r, *rest)
+            out = step(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            return r
+            return out
 
         monkeypatch.setattr(lindblad, "rk4_step", measured)
+        times = np.arange(samples + 1) * h * steps
         tracemalloc.start()
         try:
-            _integrate(r, stages, gen, 200, np.array([0.0, 1.0]), 0.005)
+            outcomes = _integrate(r, (h * m, h * gen.gamma), degrees, k, steps, gen, times, 0.005)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 200
-        assert max(peaks) < rho.real.nbytes
-
-    def test_taylor_steps_allocate_no_real_state_stack(self, monkeypatch):
-        # one step per sample, of degrees 30 down to 12, on the stack of 8
-        # real states above: no step allocates one state stack either
-        spec = make_spec(4, ["0110", "1111"])
-        h = build_hamiltonian(spec)
-        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        strengths = [(k, 1.0) for k in np.linspace(3.0, 0.2, 8)]
-        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        stages = _taylor_stages(m, gen.gamma, 0.05, [30, 26, 22, 19, 19, 15, 12, 12])
-        step, peaks = lindblad.rk4_step, []
-
-        def measured(r, *rest):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            r = step(r, *rest)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            return r
-
-        monkeypatch.setattr(lindblad, "rk4_step", measured)
-        tracemalloc.start()
-        try:
-            outcomes = _integrate(r, stages, gen, 1, np.arange(201) * 0.05, 0.005)
-        finally:
-            tracemalloc.stop()
-        assert len(peaks) == 200
+        assert len(peaks) == samples * steps // k
         assert all(isinstance(o, dict) for o in outcomes)
         assert max(peaks) < rho.real.nbytes
 
-    def test_mixed_degrees_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
-        # at a stride of 0.05, kappa/gamma = 0.5 and 4 take one Taylor step
-        # per sample, of two degrees, in one stack; kappa/gamma = 150 would
-        # need more than RK4's 40 stages per stride, so it takes RK4 steps
-        # of dt = 0.005 and goes unphysical at the first sample
-        step, calls = lindblad.rk4_step, []
-
-        def recorded(r, stages, *rest):
-            calls.append([len(cm) for cm, _ in stages])
-            return step(r, stages, *rest)
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+    def test_every_block_size_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
+        # at a stride of 0.05, kappa/gamma = 0.5 and 4 take blocks of four
+        # strides (degrees 25 and 50) in one stack, and 6 and 10 blocks of
+        # two (degrees 40 and 55) in another; kappa/gamma = 150 would need
+        # more than RK4's stages, so it takes RK4 steps of dt = 0.005 and
+        # goes unphysical at the first sample. Each point equals its lone
+        # run bit for bit
+        calls = recorded_blocks(monkeypatch)
         spec = make_spec(4, ["0110", "1111"])
         rho0 = basis_density(0, spec.dim)
-        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 150.0, 4.0)]
-        first, failed, last = evolve_batch(rho0, spec, points)
-        taylor, rk4 = calls[:40], calls[40:]
-        assert all(c == taylor[0] for c in taylor) and set(taylor[0]) == {1, 2}
-        assert rk4 == [[1, 1, 1, 1]] * 10
+        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 6.0, 150.0, 4.0, 10.0)]
+        outcomes = evolve_batch(rho0, spec, points)
+        assert calls == [(4, [50, 25])] * 10 + [(2, [55, 40])] * 20 + [(1, [4])] * 10
+        failed = outcomes[2]
         assert isinstance(failed, IntegrationDiagnosticsError) and failed.t == 0.05
         with pytest.raises(IntegrationDiagnosticsError) as lone_failure:
-            evolve(rho0, spec, points[1])
+            evolve(rho0, spec, points[2])
         assert str(lone_failure.value) == str(failed)
-        for traj, params in ((first, points[0]), (last, points[2])):
+        for traj, params in zip(outcomes, points):
+            if params.kappa == 150.0:
+                continue
             lone = evolve(rho0, spec, params)
             for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
                 assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
 
     def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self, monkeypatch):
-        # at kappa/gamma = 20 no tabled degree covers the bound times the
-        # stride within RK4's 40 stages, so each sample is 10 RK4 steps of
-        # dt = 0.005; the run completes, within RK4's error of the oracle
-        step, calls = lindblad.rk4_step, []
-
-        def recorded(r, stages, *rest):
-            calls.append([len(cm) for cm, _ in stages])
-            return step(r, stages, *rest)
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        # at kappa/gamma = 20 no tabled degree covers the bound times one,
+        # two or four strides within RK4's stages, so each sample is 10 RK4
+        # steps of dt = 0.005; the run completes, within RK4's error of the
+        # oracle
+        calls = recorded_blocks(monkeypatch)
         spec = make_spec(4, ["1011", "1111"])
         rho0 = basis_density(vertex_index("0000"), spec.dim)
         stiff = WalkParams(kappa=20.0, gamma=1.0, t_max=2.0)
         traj = evolve(rho0, spec, stiff)
-        assert calls == [[1, 1, 1, 1]] * 10 * 40
+        assert calls == [(1, [4])] * 10 * 40
         mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
         oracle = superoperator_populations(build_hamiltonian(spec), mats, 20.0, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 2e-3
-        # batched with kappa/gamma = 1, which takes one Taylor step per
-        # sample, both outcomes equal their lone runs bit for bit
+        # batched with kappa/gamma = 1, which takes blocks of four strides,
+        # both outcomes equal their lone runs bit for bit
         calls.clear()
         mild = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
         batched = evolve_batch(rho0, spec, [stiff, mild])
-        assert calls[40:] == [[1, 1, 1, 1]] * 10 * 40
+        assert calls[10:] == [(1, [4])] * 10 * 40 and {k for k, _ in calls[:10]} == {4}
         for traj, params in zip(batched, (stiff, mild)):
             lone = evolve(rho0, spec, params)
             for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
                 assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+
+    def test_partial_last_block_ends_on_the_horizon(self, monkeypatch):
+        # t_max = 0.3 is 6 samples: one block of four and one of which only
+        # two outputs are samples; the populations match the oracle
+        calls = recorded_blocks(monkeypatch)
+        spec = make_spec(3, ["101", "111"])
+        rho0 = basis_density(0, 8)
+        traj = evolve(rho0, spec, WalkParams(kappa=1.0, gamma=1.0, t_max=0.3))
+        assert [k for k, _ in calls] == [4, 4] and traj.times.size == 7
+        mats = dense_jump_matrices(build_jump_operators(spec), 8)
+        oracle = superoperator_populations(build_hamiltonian(spec), mats, 1.0, 1.0, rho0, traj.times, expm)
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
     def test_dropped_point_leaves_the_survivors_bits(self):
         # kappa = 150 goes unphysical under RK4 at dt = 0.005 and is dropped
@@ -873,9 +937,9 @@ class TestEvolveBatch:
         stack_sizes = set()
         step = lindblad.rk4_step
 
-        def recorded(r, *rest):
-            stack_sizes.add(r.shape[0])
-            return step(r, *rest)
+        def recorded(terms, *rest):
+            stack_sizes.add(terms.shape[1])
+            return step(terms, *rest)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
@@ -936,10 +1000,10 @@ class TestSinkBlock:
         rho0 = np.outer(amplitudes, amplitudes.conj())
         step, states = lindblad.rk4_step, []
 
-        def recorded(r, *rest):
-            r = step(r, *rest)
-            states.append(r.copy())
-            return r
+        def recorded(*args):
+            samples = step(*args)
+            states.append(samples[-1].copy())
+            return samples
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]
@@ -968,8 +1032,8 @@ class TestAtFourNeurons:
             build_hamiltonian(spec), mats, 1.3 / 0.7, 1.0, rho0, traj.times, expm
         )
         assert np.max(np.abs(traj.populations - oracle)) < 1e-6
-        # one Taylor step per sample, exact to double precision: the gap
-        # was 9.7e-15 (real) and 2.8e-15 (complex), against RK4's 1.4e-8
+        # blocks of Taylor expansions, exact to double precision: the gap
+        # was 3.8e-15 (real) and 2.0e-15 (complex), against RK4's 1.4e-8
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
 
@@ -979,24 +1043,18 @@ class TestAtSixNeurons:
     spec = make_spec(6, ["011010", "110111"])
     start = vertex_index("100001")
 
-    def test_a_sample_is_one_degree_19_step(self, monkeypatch):
+    def test_a_4_stride_block_is_one_degree_40_expansion(self, monkeypatch):
         # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound ||L||_1 by
-        # 24, so a stride of 0.05 needs theta_m >= 1.2: m = 19, against the
-        # 40 stages of RK4 at dt = 0.005
-        step, calls = lindblad.rk4_step, []
-
-        def recorded(r, stages, *rest):
-            calls.append(len(stages))
-            return step(r, stages, *rest)
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        # 24, so four strides of 0.05 need theta_m >= 4.8: m = 40, against
+        # the 160 stages of RK4 at dt = 0.005; t_max = 1 is 20 samples
+        calls = recorded_blocks(monkeypatch)
         evolve(basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=1.0, t_max=1.0))
-        assert calls == [19] * 20
+        assert calls == [(4, [40])] * 5
 
     def test_coherent_limit_matches_the_unitary(self):
         # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
         # eigh of the real H, so the populations are |U[:, start]|^2; the
-        # gap was 6.0e-13 with one Taylor step per sample, where RK4 at
+        # gap was 6.0e-13 with blocks of four strides, where RK4 at
         # dt = 0.005 is off by 4e-8 (||H|| = 6.8)
         h = build_hamiltonian(self.spec)
         traj = evolve(
@@ -1010,7 +1068,7 @@ class TestAtSixNeurons:
 
     def test_dissipative_limit_matches_the_chain(self):
         # kappa = 0: the populations follow the classical chain sample by
-        # sample; the gap was 2.6e-15 with one Taylor step per sample, where
+        # sample; the gap was 4.4e-16 with blocks of four strides, where
         # RK4 at dt = 0.005 is off by about 2e-10
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
         traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)

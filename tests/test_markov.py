@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from patternwalks.errors import ConfigurationError
+from patternwalks import markov
+from patternwalks.errors import ConfigurationError, ContractViolationError
 from patternwalks.hypercube import build_jump_operators, make_spec, vertex_index
 from patternwalks.markov import (
     as_probability_vector,
@@ -47,10 +48,15 @@ class TestValidation:
         "q", [[[np.nan, 0.0], [0.0, 0.0]], [[-np.inf, np.inf], [np.inf, -np.inf]]], ids=["nan", "inf"]
     )
     def test_rate_matrix_with_a_non_finite_entry(self, q):
-        # a NaN passes every sign and column-sum test, and ctmc_samples
-        # would return NaN rows: its drift guard is false for NaN
+        # a NaN passes every sign and column-sum test, which are false for it
         with pytest.raises(ConfigurationError, match="finite"):
             as_rate_matrix(q)
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.nan, np.nan]], ids=["nan-and-one", "all-nan"])
+    def test_probability_vector_with_a_nan_entry(self, v):
+        # NaN passes the range and sum tests, which are false for it
+        with pytest.raises(ConfigurationError, match="finite"):
+            as_probability_vector(v)
 
 
 class TestCtmcEvolve:
@@ -82,6 +88,26 @@ class TestCtmcEvolve:
         q = np.zeros((2, 2))
         with pytest.raises(ConfigurationError):
             ctmc_evolve(q, [1.0, 0.0], -1.0)
+
+    def test_nan_distribution_rejected(self):
+        # NaN passes the vector's range and sum tests, and would evolve
+        # into [nan, nan]
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ConfigurationError, match="probability vector"):
+            ctmc_evolve(q, [np.nan, 1.0], 1.0)
+
+    def test_nan_time_rejected_by_name(self):
+        # NaN passes a `delta < 0` test, and expm would report a 1-norm of nan
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ConfigurationError, match="evolution time must be >= 0, got nan"):
+            ctmc_samples(q, [1.0, 0.0], np.nan, 3)
+
+    def test_nan_propagator_is_a_drift(self, monkeypatch):
+        # a NaN row fails the drift guard instead of passing through it
+        monkeypatch.setattr(markov, "expm", lambda a: np.full(a.shape, np.nan))
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ContractViolationError, match="drifted by nan"):
+            ctmc_samples(q, [1.0, 0.0], 0.5, 3)
 
 
 class TestCtmcSamples:
