@@ -33,12 +33,16 @@ MAX_SAMPLES = 10**5
 # 0.3.31), so the cap is about 20 minutes of integration.
 MAX_STEPS = 10**7
 
-# theta_m: the largest ||h L||_1 for which the degree-m Taylor polynomial
-# of exp(h L) equals exp(h L + E) with ||E|| <= 2^-53 ||h L||, i.e. is exact
-# to double precision in backward error. Degrees 1-30 are from Higham and
-# Al-Mohy, "Computing matrix functions", Acta Numerica 19, 159 (2010),
-# Table A.3; 35-55 from Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488
-# (2011), Table 3.1. Read only by numerics.taylor_degree, for the walk's step and expm.
+# theta_m: the largest ||h L|| for which the degree-m Taylor polynomial of
+# exp(h L) equals exp(h L + E) with ||E|| <= 2^-53 ||h L||, i.e. is exact
+# to double precision in backward error. The bound rests only on
+# submultiplicativity, so it holds in any operator norm induced by a norm
+# on the vectors: expm reads the 1-norm, and the walk's step the smaller
+# of its 1-norm and 2-norm bounds (lindblad._Generator.bound). Degrees
+# 1-30 are from Higham and Al-Mohy, "Computing matrix functions", Acta
+# Numerica 19, 159 (2010), Table A.3; 35-55 from Al-Mohy and Higham, SIAM
+# J. Sci. Comput. 33, 488 (2011), Table 3.1. Read only by
+# numerics.taylor_degree, for the walk's step and expm.
 TAYLOR_THETA = {
     1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
     6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
@@ -53,12 +57,13 @@ TAYLOR_THETA = {
 # MAX_BLOCK_STRIDES, ..., 2, 1 (halving) whose Taylor degree fits the RK4
 # budget of k strides: one expansion per block, and its k samples from one
 # product. On the n = 6 benchmark walk (kappa = gamma = 1, stride 0.05,
-# t_max 20) an evolve took 0.211 s of CPU with k <= 1 (degree 19), 0.153 s
-# with k <= 2, 0.131 s with k <= 4 (degree 40) and 0.106 s with k <= 8
-# (degree 55), all on one thread; but the 56 terms of k = 8 raised a
-# simulate process's peak RSS by 1.9 MB over k <= 1's 32.2 MB, against
-# 1.0 MB for k = 4, and an unchunked (8 x 56) @ (56 x 4096) product ran on
-# two OpenBLAS threads. 2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31.
+# t_max 20, norm bound 16.5) an evolve took 0.169 s of CPU with k <= 1
+# (degree 17), 0.125 s with k <= 2 (degree 22), 0.095 s with k <= 4
+# (degree 29) and 0.084 s with k <= 8 (degree 45), all on one thread; but
+# the 46 terms of k = 8 raised a simulate process's peak RSS by 1.8 MB
+# over k <= 1's 32.3 MB, against 0.9 MB for k = 4, and an unchunked
+# (8 x 46) @ (46 x 4096) product ran on two OpenBLAS threads. 2-core
+# x86-64, Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31.
 MAX_BLOCK_STRIDES = 4
 
 # The block's samples are formed in column chunks this wide, of the

@@ -29,18 +29,20 @@ record, ``_Generator``, holds L for a stack of strength pairs: M per
 pair, the gamma stack, G, and the non-sink and sink index arrays. Its
 builder ``_generator`` takes H, G, the out-degrees and the sinks, and
 no state; it is the only code that frames H and forms M. The record
-bounds ||L||_1 <= 2 ||M||_1 + gamma ||G||_1 per pair. ``evolve_batch``
-builds it once per call, then frames the state, the one step that reads
-it. A pair advances in blocks of k sample strides s, k the largest of
-MAX_BLOCK_STRIDES, ..., 2, 1 for which the smallest degree m that the
-bound makes exact to double precision over k s (the rule of
-``numerics.taylor_degree``, which ``expm`` shares) is below the 4 k s/dt
-stages of RK4 at dt. ``rk4_step`` runs one block: it stores the terms
-(s L)^j R, j = 0..m, one stage each, and forms the block's k samples
-sum_j q^j / j! (s L)^j R, q = 1..k, as one product of those weights with
-the stacked terms. A pair for which no k qualifies takes s/dt RK4 steps
-of h = dt, each the same block with k = 1 and m = 4. A stack of B states
-holds (m+1) x B terms and k x B samples, in buffers made once per run.
+bounds L per pair by the smaller of the 1-norm and 2-norm bounds,
+2 ||M||_1 + gamma ||G||_1 and 2 ||M||_2 + gamma ||G||_2, each an induced
+norm of L in one norm of R. ``evolve_batch`` builds it once per call,
+then frames the state, the one step that reads it. A pair advances in
+blocks of k sample strides s, k the largest of MAX_BLOCK_STRIDES, ...,
+2, 1 for which the smallest degree m that the bound makes exact to
+double precision over k s (the rule of ``numerics.taylor_degree``,
+which ``expm`` shares) is below the 4 k s/dt stages of RK4 at dt.
+``rk4_step`` runs one block: it stores the terms (s L)^j R, j = 0..m,
+one stage each, and forms the block's k samples sum_j q^j / j! (s L)^j
+R, q = 1..k, as one product of those weights with the stacked terms. A
+pair for which no k qualifies takes s/dt RK4 steps of h = dt, each the
+same block with k = 1 and m = 4. A stack of B states holds (m+1) x B
+terms and k x B samples, in buffers made once per run.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -288,13 +290,32 @@ class _Generator:
     sinks: np.ndarray
 
     def bound(self) -> np.ndarray:
-        """Per slice, ``2 ||M||_1 + gamma ||G||_1``, which bounds ||L||_1 on the walk's states.
+        """Per slice, the smaller of the 1-norm and 2-norm bounds on L over the walk's states.
 
-        ``||M R||_1`` and ``||R M^dag||_1`` are at most ``||M||_1 ||R||_1``
-        each, and the feed at most ``gamma ||G||_1 ||R||_1``, in the
-        entrywise 1-norm of R.
+        ``2 ||M||_1 + gamma ||G||_1`` bounds L in the entrywise 1-norm of
+        R: ``||M R||_1`` and ``||R M^dag||_1`` are at most ``||M||_1
+        ||R||_1`` each, and the feed at most ``gamma ||G||_1 ||R||_1``.
+        ``2 ||M||_2 + gamma ||G||_2`` bounds it in the Frobenius norm of R:
+        ``||M R + R M^dag||_F <= 2 ||M||_2 ||R||_F``, and the feed at most
+        ``gamma ||G||_2 ||R||_F``. The ``theta_m`` guarantee rests only on
+        submultiplicativity, so it holds in either induced norm, and each
+        slice takes the smaller whole bound. Each 2-norm is the square root
+        of the largest eigenvalue of a Gram matrix, ``M^dag M`` or ``G^T
+        G``; M's sink rows and columns and G's sink columns are zero, so
+        the non-sink blocks give the same norms. A Gram matrix that
+        overflows gives an infinite 2-norm bound.
         """
-        return 2 * np.abs(self.m).sum(axis=-2).max(axis=-1) + self.gamma[:, 0, 0] * np.abs(self.gain).sum(axis=0).max()
+        gamma = self.gamma[:, 0, 0]
+        one_norm = 2 * np.abs(self.m).sum(axis=-2).max(axis=-1) + gamma * np.abs(self.gain).sum(axis=0).max()
+        m = self.m[:, self.live[:, None], self.live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m.conj().swapaxes(-1, -2) @ m
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        largest = np.full(len(gram), np.inf)
+        largest[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
+        g = self.gain[:, self.live]
+        two_norm = 2 * np.sqrt(largest) + gamma * np.sqrt(np.linalg.eigvalsh(g.T @ g)[-1])
+        return np.minimum(one_norm, two_norm)
 
 
 def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
@@ -380,7 +401,10 @@ def rk4_step(terms, samples, m, feed, degrees, coefficients, gain):
 
 
 def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
-    """``(k, m)`` for a pair whose 1-norm bound times the sample stride is ``x``.
+    """``(k, m)`` for a pair whose norm bound times the sample stride is ``x``.
+
+    The bound is the smaller of the 1-norm and 2-norm bounds of
+    ``_Generator.bound``.
 
     k is the largest of MAX_BLOCK_STRIDES, ..., 2, 1 (halving) for which
     m = ``taylor_degree(k x)`` is below the ``4 k steps_per_sample``

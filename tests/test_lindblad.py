@@ -419,17 +419,19 @@ class TestRk4Step:
 
     @pytest.mark.parametrize(
         "x, steps_per_sample, block",
-        [(1.2, 10, (4, 40)), (0.0, 10, (4, 1)), (0.16, 1, (4, 15)), (0.18, 1, (0, 4)),
-         (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)), (10.0, 10**6, (0, 4))],
+        [(1.2, 10, (4, 40)), (0.82, 10, (4, 29)), (0.0, 10, (4, 1)), (0.16, 1, (4, 15)),
+         (0.18, 1, (0, 4)), (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)),
+         (10.0, 10**6, (0, 4))],
     )
     def test_block_is_the_largest_that_fits_rk4s_budget(self, x, steps_per_sample, block):
         # x is the norm bound times the stride. n = 6 at kappa = gamma = 1
-        # takes 4 strides at degree 40. At one step of dt per stride, 4 x
-        # 0.16 needs degree 15, below RK4's 16 stages, but 4 x 0.18 needs
-        # 16, and 2 or 1 strides need more than their 8 or 4: the pair falls
-        # back. 4 x 2.5 is beyond the table, but 2 x 2.5 needs 40 of 80;
-        # 6.0 needs 40, below 80 at 20 steps per stride but not below 40
-        # at 10
+        # takes 4 strides at degree 40 on its 1-norm bound (1.2) and at
+        # degree 29 on its 2-norm bound (0.82). At one step of dt per
+        # stride, 4 x 0.16 needs degree 15, below RK4's 16 stages, but
+        # 4 x 0.18 needs 16, and 2 or 1 strides need more than their 8 or
+        # 4: the pair falls back. 4 x 2.5 is beyond the table, but 2 x 2.5
+        # needs 40 of 80; 6.0 needs 40, below 80 at 20 steps per stride but
+        # not below 40 at 10
         assert _block(x, steps_per_sample) == block
 
     @pytest.mark.parametrize("path", ["real", "complex"])
@@ -522,11 +524,16 @@ class TestFrame:
 
 class TestGenerator:
     def test_bound_covers_the_liouvillian_on_the_walks_states(self):
-        # the record's bound is at least the largest column sum of |L| over
-        # the states the walk steps: the non-sink block and the sink
-        # diagonal; it reaches equality, so the check allows rounding
+        # the record's bound is the smaller of 2 ||M||_1 + gamma ||G||_1 and
+        # 2 ||M||_2 + gamma ||G||_2, and it is at least the 1-norm or the
+        # 2-norm of L over the states the walk steps (the non-sink block and
+        # the sink diagonal): the largest column sum or the largest singular
+        # value of the oracle superoperator restricted to them. Each may
+        # reach equality, so the check allows rounding; each of the two
+        # bounds is the smaller one somewhere
         rng = np.random.default_rng(157)
         pairs = [(0.0, 1.0), (0.5, 1.0), (3.0, 1.0), (20.0, 1.0), (1.0, 0.0)]
+        smaller = set()
         for trial in range(40):
             spec = random_spec(rng, int(rng.integers(2, 5)))
             live, sinks = _split(spec.dim, spec.sinks)
@@ -546,8 +553,28 @@ class TestGenerator:
             dissipator = liouvillian_matrix(h, mats, 0.0, 1.0)[:, columns]
             bound = gen.bound()
             for b, (kappa, gamma) in enumerate(pairs):
-                column_sums = np.abs(kappa * coherent + gamma * dissipator).sum(axis=0)
-                assert bound[b] >= (1 - 1e-12) * column_sums.max()
+                restricted = kappa * coherent + gamma * dissipator
+                col_norm = np.abs(restricted).sum(axis=0).max()
+                spec_norm = np.linalg.svd(restricted, compute_uv=False)[0]
+                assert bound[b] >= (1 - 1e-12) * min(col_norm, spec_norm)
+                b1 = 2 * np.linalg.norm(gen.m[b], 1) + gamma * np.linalg.norm(gen.gain, 1)
+                b2 = 2 * np.linalg.norm(gen.m[b], 2) + gamma * np.linalg.norm(gen.gain, 2)
+                assert bound[b] == pytest.approx(min(b1, b2), rel=1e-12)
+                smaller.add(b1 < b2)
+        assert smaller == {True, False}
+
+    def test_bound_is_one_whole_bound_not_a_mix_of_the_two(self):
+        # n = 5 with antipodal sinks: ||G||_1 = 1 < ||G||_2 = 1.73 while
+        # ||M||_2 < ||M||_1, so the two norms mixed term by term would
+        # read 4.76 and 8.35, below the bound 5.4 (1-norm, kappa = 0.3) and
+        # 9.18 (2-norm, kappa = 1)
+        spec = make_spec(5, ["11110", "00001"])
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        gen = _generator(build_hamiltonian(spec), gain, out_degree, spec.sinks, [(0.3, 1.0), (1.0, 1.0)])
+        one_norm = [2 * np.linalg.norm(m, 1) + np.linalg.norm(gain, 1) for m in gen.m]
+        two_norm = [2 * np.linalg.norm(m, 2) + np.linalg.norm(gain, 2) for m in gen.m]
+        assert one_norm[0] < two_norm[0] and two_norm[1] < one_norm[1]
+        assert gen.bound() == pytest.approx([one_norm[0], two_norm[1]], rel=1e-12)
 
 
 class TestEvolve:
@@ -855,17 +882,17 @@ class TestEvolveBatch:
 
     def test_every_block_size_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
         # at a stride of 0.05, kappa/gamma = 0.5 and 4 take blocks of four
-        # strides (degrees 25 and 50) in one stack, and 6 and 10 blocks of
-        # two (degrees 40 and 55) in another; kappa/gamma = 150 would need
+        # strides (degrees 21 and 45) in one stack, and 10 and 12 blocks of
+        # two (degrees 50 and 55) in another; kappa/gamma = 150 would need
         # more than RK4's stages, so it takes RK4 steps of dt = 0.005 and
         # goes unphysical at the first sample. Each point equals its lone
         # run bit for bit
         calls = recorded_blocks(monkeypatch)
         spec = make_spec(4, ["0110", "1111"])
         rho0 = basis_density(0, spec.dim)
-        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 6.0, 150.0, 4.0, 10.0)]
+        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 12.0, 150.0, 4.0, 10.0)]
         outcomes = evolve_batch(rho0, spec, points)
-        assert calls == [(4, [50, 25])] * 10 + [(2, [55, 40])] * 20 + [(1, [4])] * 10
+        assert calls == [(4, [45, 21])] * 10 + [(2, [55, 50])] * 20 + [(1, [4])] * 10
         failed = outcomes[2]
         assert isinstance(failed, IntegrationDiagnosticsError) and failed.t == 0.05
         with pytest.raises(IntegrationDiagnosticsError) as lone_failure:
@@ -902,6 +929,21 @@ class TestEvolveBatch:
             lone = evolve(rho0, spec, params)
             for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
                 assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+
+    @pytest.mark.parametrize("sinks, kappa", [(["0110", "1111"], 12.0), (["1011", "1111"], 17.0)])
+    def test_pair_below_the_2_norm_edge_takes_exact_blocks(self, monkeypatch, sinks, kappa):
+        # on their 1-norm bounds alone these pairs would take RK4 steps of
+        # dt = 0.005 (gaps 1.4e-4 and 5.2e-4 to the oracle), but their
+        # 2-norm bounds (88.6 and 92.0) fit two strides at degree 55: the
+        # gaps were 6.3e-15 and 4.3e-14
+        calls = recorded_blocks(monkeypatch)
+        spec = make_spec(4, sinks)
+        rho0 = basis_density(vertex_index("0000"), spec.dim)
+        traj = evolve(rho0, spec, WalkParams(kappa=kappa, gamma=1.0, t_max=2.0))
+        assert calls == [(2, [55])] * 20
+        mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
+        oracle = superoperator_populations(build_hamiltonian(spec), mats, kappa, 1.0, rho0, traj.times, expm)
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
     def test_partial_last_block_ends_on_the_horizon(self, monkeypatch):
         # t_max = 0.3 is 6 samples: one block of four and one of which only
@@ -991,9 +1033,10 @@ class TestSinkBlock:
         assert isinstance(traj, Trajectory)
 
     def test_steps_keep_sink_coherences_zero(self, monkeypatch):
-        # 200 steps from a superposition of non-sink patterns: the sinks
-        # fill up, and their rows and columns stay exactly zero off the
-        # diagonal
+        # one degree-50 block of one stride (kappa/gamma = 0.5) and 200 RK4
+        # steps (kappa/gamma = 2) from a superposition of non-sink
+        # patterns: the sinks fill up, and their rows and columns stay
+        # exactly zero off the diagonal
         spec = make_spec(4, ["0110", "1111"])
         amplitudes = np.zeros(spec.dim, dtype=complex)
         amplitudes[[0, 1, 3, 8]] = [0.5, 0.5j, -0.5, 0.5]
@@ -1008,7 +1051,7 @@ class TestSinkBlock:
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]
         evolve_batch(rho0, spec, params)
-        assert len(states) == 200
+        assert len(states) == 1 + 200
         for rho in states:
             for s in spec.sinks:
                 assert np.all(np.delete(rho[:, s], s, axis=-1) == 0.0)
@@ -1033,7 +1076,8 @@ class TestAtFourNeurons:
         )
         assert np.max(np.abs(traj.populations - oracle)) < 1e-6
         # blocks of Taylor expansions, exact to double precision: the gap
-        # was 3.8e-15 (real) and 2.0e-15 (complex), against RK4's 1.4e-8
+        # was 3.8e-15 (real, degree 29) and 2.0e-15 (complex, degree 35),
+        # against RK4's 1.4e-8
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
 
@@ -1043,19 +1087,22 @@ class TestAtSixNeurons:
     spec = make_spec(6, ["011010", "110111"])
     start = vertex_index("100001")
 
-    def test_a_4_stride_block_is_one_degree_40_expansion(self, monkeypatch):
-        # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound ||L||_1 by
-        # 24, so four strides of 0.05 need theta_m >= 4.8: m = 40, against
-        # the 160 stages of RK4 at dt = 0.005; t_max = 1 is 20 samples
+    def test_a_4_stride_block_is_one_degree_29_expansion(self, monkeypatch):
+        # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound L by 24 in
+        # the 1-norm, but ||M||_2 = 6.22 and ||G||_2 = 4.04 bound it by 16.49
+        # in the 2-norm, so four strides of 0.05 need theta_m >= 3.30: m = 29,
+        # against the 160 stages of RK4 at dt = 0.005; t_max = 1 is 20
+        # samples
         calls = recorded_blocks(monkeypatch)
         evolve(basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=1.0, t_max=1.0))
-        assert calls == [(4, [40])] * 5
+        assert calls == [(4, [29])] * 5
 
     def test_coherent_limit_matches_the_unitary(self):
         # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
         # eigh of the real H, so the populations are |U[:, start]|^2; the
-        # gap was 6.0e-13 with blocks of four strides, where RK4 at
-        # dt = 0.005 is off by 4e-8 (||H|| = 6.8)
+        # gap was 6.0e-13 with blocks of four strides at degree 25 (bound
+        # 11.7 in the 2-norm, 12 in the 1-norm), where RK4 at dt = 0.005 is
+        # off by 4e-8 (||H|| = 6.8)
         h = build_hamiltonian(self.spec)
         traj = evolve(
             basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=0.0, t_max=5.0)
@@ -1068,8 +1115,9 @@ class TestAtSixNeurons:
 
     def test_dissipative_limit_matches_the_chain(self):
         # kappa = 0: the populations follow the classical chain sample by
-        # sample; the gap was 4.4e-16 with blocks of four strides, where
-        # RK4 at dt = 0.005 is off by about 2e-10
+        # sample; the gap was 4.4e-16 with blocks of four strides at degree
+        # 23 (bound 10.0 in the 2-norm, 12 in the 1-norm), where RK4 at
+        # dt = 0.005 is off by about 2e-10
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
         traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
         q = rate_matrix_from_jumps(build_jump_operators(self.spec), self.spec.dim)

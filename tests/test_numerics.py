@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,23 @@ class TestHermiticityResidual:
             max(np.abs(m[i, j] - np.conj(m[j, i])) for i in range(5) for j in range(5)) for m in a
         ]
         assert np.array_equal(hermiticity_residual(a), expected)
+
+    def test_stack_allocates_one_copy(self):
+        # the walk checks a block's samples as one real stack: the residual
+        # holds one copy of it, not a copy and its absolute value (1.2x
+        # leaves room for tracemalloc's own bookkeeping)
+        rng = np.random.default_rng(67)
+        a = rng.normal(size=(4, 64, 64))
+        expected = np.max(np.abs(a - a.swapaxes(-1, -2)), axis=(-2, -1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            residual = hermiticity_residual(a)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(residual, expected)
+        assert peak < 1.2 * a.nbytes
 
     def test_fortran_ordered_input_is_read_not_written(self):
         # the transpose of a Fortran-ordered matrix is C-contiguous, so a
