@@ -56,14 +56,17 @@ TAYLOR_THETA = {
 # The walk advances in blocks of k sample strides, k the largest of
 # MAX_BLOCK_STRIDES, ..., 2, 1 (halving) whose Taylor degree fits the RK4
 # budget of k strides: one expansion per block, and its k samples from one
-# product. On the n = 6 benchmark walk (kappa = gamma = 1, stride 0.05,
-# t_max 20, norm bound 16.5) an evolve took 0.169 s of CPU with k <= 1
-# (degree 17), 0.125 s with k <= 2 (degree 22), 0.095 s with k <= 4
-# (degree 29) and 0.084 s with k <= 8 (degree 45), all on one thread; but
-# the 46 terms of k = 8 raised a simulate process's peak RSS by 1.8 MB
-# over k <= 1's 32.3 MB, against 0.9 MB for k = 4, and an unchunked
-# (8 x 46) @ (46 x 4096) product ran on two OpenBLAS threads. 2-core
-# x86-64, Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31.
+# product. A sweep's stack runs in periods of its largest k, in which the
+# pairs of every block size share their stage calls, so MAX_BLOCK_STRIDES
+# also bounds the samples of a period. On the n = 6 benchmark walk
+# (kappa = gamma = 1, stride 0.05, t_max 20, norm bound 16.5) an evolve
+# took 0.169 s of CPU with k <= 1 (degree 17), 0.125 s with k <= 2
+# (degree 22), 0.095 s with k <= 4 (degree 29) and 0.084 s with k <= 8
+# (degree 45), all on one thread; but the 46 terms of k = 8 raised a
+# simulate process's peak RSS by 1.8 MB over k <= 1's 32.3 MB, against
+# 0.9 MB for k = 4, and an unchunked (8 x 46) @ (46 x 4096) product ran on
+# two OpenBLAS threads. 2-core x86-64, Python 3.11.7, numpy 2.4.6,
+# OpenBLAS 0.3.31.
 MAX_BLOCK_STRIDES = 4
 
 # The block's samples are formed in column chunks this wide, of the
@@ -72,6 +75,19 @@ MAX_BLOCK_STRIDES = 4
 # block) on two, at twice the CPU time; in chunks of 1024 columns it took
 # 106 us of CPU against 183 us.
 BLOCK_COLUMNS = 1024
+
+# The walk health-checks a period's samples in chunks of at most this many
+# bytes of states, which bounds the check's temporaries. Only a period of
+# more than 512 KB of states splits: a stack of many points at n >= 6
+# (32 KB a real state). No benchmark workload has one (a sweep-n4 period
+# is 168 KB, a simulate-n6 one 128 KB), so the value rests on one run
+# that has: an n = 6 sweep over sweep-n4's 25 finite points (t_max 2),
+# whose 80-state periods split into chunks of 16. It took 0.235 s of CPU
+# unchunked with 79.3 MB peak RSS, 0.219 s / 75.0 MB in 1 MB chunks,
+# 0.219 s / 73.5 MB in 512 KB ones and 0.221 s / 72.7 MB in 256 KB ones;
+# one stack per block size took 0.218 s / 71.9 MB. One thread, 2-core
+# x86-64, Python 3.11.7, numpy 2.4.6.
+HEALTH_CHUNK_BYTES = 512 * 1024
 
 # evolve() aborts with a diagnostics error once a sampled state drifts
 # past these; the (tighter) invariants above are what healthy runs meet.

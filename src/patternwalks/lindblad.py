@@ -36,13 +36,18 @@ then frames the state, the one step that reads it. A pair advances in
 blocks of k sample strides s, k the largest of MAX_BLOCK_STRIDES, ...,
 2, 1 for which the smallest degree m that the bound makes exact to
 double precision over k s (the rule of ``numerics.taylor_degree``,
-which ``expm`` shares) is below the 4 k s/dt stages of RK4 at dt.
-``rk4_step`` runs one block: it stores the terms (s L)^j R, j = 0..m,
-one stage each, and forms the block's k samples sum_j q^j / j! (s L)^j
-R, q = 1..k, as one product of those weights with the stacked terms. A
-pair for which no k qualifies takes s/dt RK4 steps of h = dt, each the
-same block with k = 1 and m = 4. A stack of B states holds (m+1) x B
-terms and k x B samples, in buffers made once per run.
+which ``expm`` shares) is below the 4 k s/dt stages of RK4 at dt. One
+expansion stores the terms (s L)^j R, j = 0..m, one stage each, and
+forms its k samples sum_j q^j / j! (s L)^j R, q = 1..k, as one product
+of those weights with the stacked terms. The pairs for which some k
+qualifies form one stack, whose block sizes share their stages: a period
+is K strides, K the stack's largest k, and ``rk4_step`` runs one round
+of it, the next expansion of every pair that has one, so a pair of block
+size k takes K/k rounds per period and each stage acts on all the pairs
+whose expansions reach its term. The pairs for which no k qualifies form
+a second stack and take s/dt RK4 steps of h = dt, each a round with
+k = K = 1 and m = 4. A stack of B states holds (m+1) x B terms, m its
+highest degree, and K x B samples, in buffers made once per run.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from .constants import (
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_T_MAX,
     EIGENVALUE_ABORT,
+    HEALTH_CHUNK_BYTES,
     HERMITICITY_TOL,
     MAX_BLOCK_STRIDES,
     MAX_DT,
@@ -262,9 +269,19 @@ def populations(rho) -> np.ndarray:
     return p / total
 
 
-def purity(rho) -> float:
-    """trace(rho^2); 1 for pure states, 1/dim for the maximally mixed one."""
-    return float(np.real(np.vdot(rho, rho)))
+def purity(rho):
+    """trace(rho^2); 1 for pure states, 1/dim for the maximally mixed one.
+
+    A (B, dim, dim) stack gives one value per matrix, a single matrix a
+    float. Each is one (1 x N) @ (N x 1) product of the flattened matrix,
+    its left factor conjugated when complex; all of a stack's come from
+    one stacked product.
+    """
+    m = np.asarray(rho)
+    flat = m.reshape(-1, 1, m.shape[-2] * m.shape[-1])
+    left = np.conjugate(flat) if flat.dtype.kind == "c" else flat
+    values = np.matmul(left, flat.swapaxes(-1, -2))[:, 0, 0].real
+    return float(values[0]) if m.ndim == 2 else values
 
 
 def _parity_phases(dim: int) -> np.ndarray:
@@ -347,16 +364,16 @@ def _stage(r, m, feed, gain, out, product):
     np.matmul(m, r, out=product)
     # Read r before out, which may be r, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
-    fed = np.matmul(gain, np.diagonal(r, axis1=-2, axis2=-1).real[..., None])
+    fed = np.matmul(gain, r.diagonal(0, -2, -1).real[..., None])
     fed *= feed
     # A ufunc reading the transposed view would buffer a state-sized copy.
     np.copyto(out, product.swapaxes(-1, -2))
-    if np.iscomplexobj(out):
+    if out.dtype.kind == "c":
         np.conjugate(out, out=out)
     out += product
     # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
     # diagonal entry: a strided view, cheaper than fancy indexing.
-    diagonal = out.reshape(*out.shape[:-2], dim * dim)[..., :: dim + 1]
+    diagonal = out.reshape(-1, dim * dim)[:, :: dim + 1]
     diagonal += fed[..., 0]
     return out
 
@@ -366,37 +383,47 @@ def _coefficients(k: int, degree: int) -> np.ndarray:
     return np.array([[q**j / math.factorial(j) for j in range(degree + 1)] for q in range(1, k + 1)])
 
 
-def rk4_step(terms, samples, m, feed, degrees, coefficients, gain):
-    """One block: the k samples ``exp(q h L) R``, q = 1..k, of the (B, dim, dim) stack R = ``terms[0]``.
+def rk4_step(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
+    """Round ``r`` of a period: one expansion per slice of the (B, dim, dim) stack R = ``terms[0]``.
 
-    Slice b sums the degree-d_b Taylor series of each sample from one
-    expansion: ``terms[j] = (h L)^j R`` for j = 1..d_b, each one
-    ``_stage`` with ``m`` = h M and ``feed`` = h gamma, and then sample q
-    is ``sum_j q^j / j! terms[j]``, one product of the rows of
-    ``coefficients`` (``_coefficients(k, d_0)``) with the stacked terms.
-    ``degrees`` (d_b, a list) must not increase with b, so each stage acts
-    on a leading run of the slices and a slice's bits do not depend on the
-    stack. The product reads the float64 view of the terms in
-    BLOCK_COLUMNS-wide chunks. ``samples`` is (k, B, dim, dim), and
-    ``samples[0]`` is the stages' scratch until the product; R is then set
-    to the last sample, and ``samples`` is returned. ``terms[j]`` and
-    ``samples[0]`` are contiguous (B, dim, dim) stacks. k = 1 at
-    degree 4 is one RK4 step of h: for a constant generator every 4-stage
-    explicit Runge-Kutta method of order 4 is this polynomial.
+    Slice b, of block size k_b = ``strides[b]`` and degree d_b =
+    ``degrees[b]``, sums the degree-d_b Taylor series of its k_b samples
+    ``exp(q h L) R``, q = 1..k_b, from one expansion: ``terms[j] = (h L)^j
+    R`` for j = 1..d_b, each one ``_stage`` with ``m`` = h M and ``feed`` =
+    h gamma, and then sample q is ``sum_j q^j / j! terms[j]``, one product
+    of the first k_b rows of ``coefficients`` (``_coefficients(K, d)``, d
+    at least every d_b) with the stacked terms. It writes them to rows ``r
+    k_b .. (r+1) k_b - 1`` of ``samples`` and sets R to the last. Stage j
+    acts on the leading run of the slices up to the last one whose degree
+    reaches j, so a slice's bits do not depend on the stack; a slice in
+    that run past its own degree computes a term that nothing reads. The
+    product reads the float64 view of the terms in BLOCK_COLUMNS-wide
+    chunks. ``samples`` is (K, B, dim, dim) and returned; ``samples[-1]``
+    is the stages' scratch, which a slice's product overwrites only in its
+    last round of the K strides. ``terms[j]`` and ``samples[-1]`` are
+    contiguous (B, dim, dim) stacks. k = 1 at degree 4 is one RK4 step of
+    h: for a constant generator every 4-stage explicit Runge-Kutta method
+    of order 4 is this polynomial.
     """
-    count, product = len(degrees), samples[0]
-    for j in range(1, degrees[0] + 1):
+    count, product = len(degrees), samples[-1]
+    for j in range(1, max(degrees) + 1):
+        # Stage j's run ends at the last slice whose degree reaches j.
         while degrees[count - 1] < j:
             count -= 1
         _stage(terms[j - 1, :count], m[:count], feed[:count], gain, terms[j, :count], product[:count])
-    for b, degree in enumerate(degrees):
-        weights = coefficients[:, : degree + 1]
+    for b, (degree, k) in enumerate(zip(degrees, strides)):
+        weights = coefficients[:k, : degree + 1]
         series = terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
-        out = samples[:, b].view(np.float64).reshape(len(samples), -1)
+        out = samples[r * k : (r + 1) * k, b].view(np.float64).reshape(k, -1)
         for i in range(0, series.shape[1], BLOCK_COLUMNS):
             columns = slice(i, i + BLOCK_COLUMNS)
             np.matmul(weights, series[:, columns], out=out[:, columns])
-    np.copyto(terms[0], samples[-1])
+    # The slices of one block size are a run, and share their last row.
+    start = 0
+    for k, run in groupby(strides):
+        stop = start + len(list(run))
+        np.copyto(terms[0, start:stop], samples[(r + 1) * k - 1, start:stop])
+        start = stop
     return samples
 
 
@@ -421,27 +448,39 @@ def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
     return 0, 4
 
 
-def _integrate(r, ops, degrees, k: int, steps: int, gen: _Generator, times, dt: float):
+def _chunks(count: int, nbytes: int):
+    """Slices of ``range(count)`` of at most HEALTH_CHUNK_BYTES of ``nbytes``-byte matrices each, at least one."""
+    size = max(1, HEALTH_CHUNK_BYTES // nbytes)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt: float):
     """Step a (B, dim, dim) stack of framed states, health-checking every sample.
 
-    Each sample after ``times[0]`` comes from ``rk4_step`` blocks of
-    ``k`` outputs at stride h, on ``ops = (h M, h gamma)`` with slice b at
-    degree ``degrees[b]`` (not increasing with b): one block per k samples
-    (``steps`` = 1), or ``steps`` blocks of k = 1 per sample, the RK4
-    fallback. G, the sinks and the non-sink block come from the generator
-    record ``gen``. M's rows and columns, G's columns and each coherence
-    of the Hermitian ``r`` with a sink are zero at the sinks; the health
-    check then reads eigenvalues of the non-sink block. It takes a block's
-    samples as one stack, in sample order. A slice that fails it at the
-    q-th sample of a block keeps its earlier samples, reports the q-th's
-    time and is dropped, and the others go on unchanged. Returns per
-    slice its ``Trajectory`` fields or its ``IntegrationDiagnosticsError``,
-    which reports ``dt``.
+    Slice b advances on ``ops = (h M, h gamma)`` in expansions of
+    ``strides[b]`` = k_b outputs at stride h and degree ``degrees[b]``;
+    the slices are ordered by k ascending, then by degree descending. A
+    period is K sample strides, K the largest k_b, and each of its samples
+    after ``times[0]`` comes from rounds of ``rk4_step``: round r runs the
+    r-th expansion of every slice with one, a leading run of the stack, so
+    slice b runs K / k_b rounds (``steps`` = 1). The RK4 fallback is
+    ``steps`` rounds of k = 1 per sample at degree 4. A period cut short
+    by the horizon runs only the rounds that reach its samples. G, the
+    sinks and the non-sink block come from the generator record ``gen``.
+    M's rows and columns, G's columns and each coherence of the Hermitian
+    ``r`` with a sink are zero at the sinks; the health check then reads
+    eigenvalues of the non-sink block. It takes a period's samples in
+    sample order, in chunks of at most HEALTH_CHUNK_BYTES. A slice that
+    fails it at the q-th sample of a period keeps its earlier samples,
+    reports the q-th's time and is dropped, and the others go on
+    unchanged. Returns per slice its ``Trajectory`` fields or its
+    ``IntegrationDiagnosticsError``, which reports ``dt``.
 
-    The blocks allocate no state-sized array. The buffers are made once:
-    ``(d_0 + 1) x B`` terms (a slice writes only its first d_b + 1, so a
-    lower degree leaves its pages of the rest untouched) and ``k x B``
-    samples. When a slice drops, the survivors' states and operands are
+    The rounds allocate no state-sized array. The buffers are made once:
+    ``(d + 1) x B`` terms, d the highest degree, and ``K x B`` samples.
+    They are left uninitialized: a stage's run is never longer than the
+    one before it, so each stage reads only terms written earlier in its
+    round. When a slice drops, the survivors' states and operands are
     compacted, and the buffers are viewed at the new size.
     """
     batch, dim = r.shape[0], r.shape[-1]
@@ -453,36 +492,42 @@ def _integrate(r, ops, degrees, k: int, steps: int, gen: _Generator, times, dt: 
     errors = {}
     live = np.arange(batch)
     m, feed = ops
-    degrees = list(degrees)
-    coefficients = _coefficients(k, degrees[0])
-    depth = degrees[0] + 1
+    degrees, strides = list(degrees), list(strides)
+    period, depth = max(strides), max(degrees) + 1
+    coefficients = _coefficients(period, depth - 1)
     terms_buffer = np.empty(depth * batch * dim * dim, dtype=r.dtype)
-    samples_buffer = np.empty(k * batch * dim * dim, dtype=r.dtype)
+    samples_buffer = np.empty(period * batch * dim * dim, dtype=r.dtype)
 
     def views(count):
-        """The buffers' leading parts as (depth or k, count, dim, dim) stacks."""
+        """The buffers' leading parts as (depth or K, count, dim, dim) stacks."""
         return (
             terms_buffer[: depth * count * dim * dim].reshape(depth, count, dim, dim),
-            samples_buffer[: k * count * dim * dim].reshape(k, count, dim, dim),
+            samples_buffer[: period * count * dim * dim].reshape(period, count, dim, dim),
         )
 
     terms, samples = views(batch)
     np.copyto(terms[0], r)
     start, block = 0, terms[:1]
     while True:
-        count = len(block)
-        drift, smallest = _health(block.reshape(-1, dim, dim), gen.live, gen.sinks)
-        drift, smallest = drift.reshape(count, -1), smallest.reshape(count, -1)
+        count = block.shape[1]
+        flat = block.reshape(-1, dim, dim)
+        drift, smallest = np.empty(len(flat)), np.empty(len(flat))
+        for chunk in _chunks(len(flat), flat[0].nbytes):
+            drift[chunk], smallest[chunk] = _health(flat[chunk], gen.live, gen.sinks)
+        drift, smallest = drift.reshape(-1, count), smallest.reshape(-1, count)
         # A slice keeps the samples before its first failing one.
         kept = np.logical_and.accumulate((drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT), axis=0)
         q, b = np.nonzero(kept)
-        checked = block.reshape(-1, dim, dim) if kept.all() else block[kept]
         rows, cols = live[b], start + q
         trace_drift[rows, cols] = drift[kept]
         min_eig[rows, cols] = smallest[kept]
-        pur[rows, cols] = [purity(x) for x in checked]
-        herm[rows, cols] = hermiticity_residual(checked)
-        pops[rows, cols] = populations(checked)
+        # The kept samples in sample order, read in chunks of the flat stack.
+        index = None if kept.all() else np.flatnonzero(kept)
+        for chunk in _chunks(len(q), flat[0].nbytes):
+            checked = flat[chunk] if index is None else flat[index[chunk]]
+            pur[rows[chunk], cols[chunk]] = purity(checked)
+            herm[rows[chunk], cols[chunk]] = hermiticity_residual(checked)
+            pops[rows[chunk], cols[chunk]] = populations(checked)
         ok = kept[-1]
         if not ok.all():
             for i in np.flatnonzero(~ok):
@@ -498,18 +543,28 @@ def _integrate(r, ops, degrees, k: int, steps: int, gen: _Generator, times, dt: 
             # Each pair's old operands are freed once its new ones exist.
             m, feed = m[ok], feed[ok]
             degrees = [d for d, keep in zip(degrees, ok) if keep]
+            strides = [k for k, keep in zip(strides, ok) if keep]
             terms, samples = views(live.size)
             np.copyto(terms[0], states)
-        start += count
+        start += len(block)
         if start == times.size:
             break
+        left = min(period, times.size - start)
         # An overflowing state is reported by the health check above as a
         # diagnostics error; numpy's warnings about it would only precede
         # that message.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                rk4_step(terms, samples, m, feed, degrees, coefficients, gen.gain)
-        block = samples[: min(k, times.size - start)]
+                for round_ in range(period):
+                    # The slices whose expansion in this round reaches a sample.
+                    active = sum(round_ * k < left for k in strides)
+                    if not active:
+                        break
+                    rk4_step(
+                        terms[:, :active], samples[:, :active], m[:active], feed[:active],
+                        degrees[:active], strides[:active], round_, coefficients, gen.gain,
+                    )
+        block = samples[:left]
 
     return [
         errors[b] if b in errors
@@ -556,9 +611,10 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     (one M slice per distinct strength pair) is built once per call,
     before and without the state; only the framing of ``rho0`` reads the
     state. Each pair's block size and Taylor degree come from the
-    record's norm bound (see ``_block``). The runs form one stack per
-    block size, highest degree first, plus one of those that fall back to
-    RK4 steps of dt.
+    record's norm bound (see ``_block``). The runs form at most two
+    stacks: one of the pairs that take Taylor expansions, whose block
+    sizes share their stage calls (see ``_integrate``), and one of those
+    that fall back to RK4 steps of dt.
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -596,17 +652,21 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     r = r if np.iscomplexobj(gen.m) or r.imag.any() else r.real
     stride = steps_per_sample * first.dt
     blocks = [_block(x * stride, steps_per_sample) for x in gen.bound()]
+    # One stack of the exact pairs, by block size ascending and then degree
+    # descending, so that each round's pairs and each stage's are leading
+    # runs of it; one of the RK4 fallback pairs (k = 0), rounds of one step
+    # of dt.
+    exact = sorted((b for b, (k, _) in enumerate(blocks) if k), key=lambda b: (blocks[b][0], -blocks[b][1]))
+    fallback = [b for b, (k, _) in enumerate(blocks) if not k]
     outcomes = {}
-    # One stack per block size, highest degree first, so that each stage
-    # acts on a leading run of it; k = 0 is the RK4 fallback, blocks of
-    # one step of dt.
-    for k in sorted({k for k, _ in blocks}, reverse=True):
-        group = sorted((b for b, block in enumerate(blocks) if block[0] == k), key=lambda b: -blocks[b][1])
-        h, size, steps = (stride, k, 1) if k else (first.dt, 1, steps_per_sample)
+    for group, h, steps in ((exact, stride, 1), (fallback, first.dt, steps_per_sample)):
+        if not group:
+            continue
         ops = ((h * gen.m[group]).astype(r.dtype, copy=False), h * gen.gamma[group])
         stack = np.broadcast_to(r, (len(group), *r.shape))
         degrees = [blocks[b][1] for b in group]
-        outcomes.update(zip(group, _integrate(stack, ops, degrees, size, steps, gen, times, first.dt)))
+        strides = [blocks[b][0] or 1 for b in group]
+        outcomes.update(zip(group, _integrate(stack, ops, degrees, strides, steps, gen, times, first.dt)))
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
         outcome = outcomes[slot[pair]]
