@@ -28,9 +28,11 @@ MAX_SAMPLES = 10**5
 
 # ... and at most this many steps of dt, t_max / dt. A run spends fewer
 # stages per block of strides than RK4 at dt would on them, so at most 4
-# stages per step of dt. One n = 6 RK4 step took 0.105-0.125 ms of wall
-# and of CPU time on a 2-core x86-64 machine (numpy 2.4.6, OpenBLAS
-# 0.3.31), so the cap is about 20 minutes of integration.
+# stages per step of dt. One n = 6 RK4 step (a fallback round, kappa/gamma
+# = 10) took 0.049-0.050 ms of wall time, and of CPU time on one OpenBLAS
+# thread (0.105 ms of CPU on the default two), on a 2-core x86-64 machine
+# (Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31), so the cap is about 8
+# minutes of integration.
 MAX_STEPS = 10**7
 
 # theta_m: the largest ||h L|| for which the degree-m Taylor polynomial of
@@ -68,13 +70,6 @@ TAYLOR_THETA = {
 # two OpenBLAS threads. 2-core x86-64, Python 3.11.7, numpy 2.4.6,
 # OpenBLAS 0.3.31.
 MAX_BLOCK_STRIDES = 4
-
-# The block's samples are formed in column chunks this wide, of the
-# float64 view of the terms. A (4 x 41) @ (41 x 4096) product ran on one
-# OpenBLAS thread, but a (4 x 41) @ (41 x 8192) one (a complex n = 6
-# block) on two, at twice the CPU time; in chunks of 1024 columns it took
-# 106 us of CPU against 183 us.
-BLOCK_COLUMNS = 1024
 
 # The walk health-checks a period's samples in chunks of at most this many
 # bytes of states, which bounds the check's temporaries. Only a period of

@@ -47,7 +47,10 @@ size k takes K/k rounds per period and each stage acts on all the pairs
 whose expansions reach its term. The pairs for which no k qualifies form
 a second stack and take s/dt RK4 steps of h = dt, each a round with
 k = K = 1 and m = 4. A stack of B states holds (m+1) x B terms, m its
-highest degree, and K x B samples, in buffers made once per run.
+highest degree, and K x B samples, in buffers made once per run. The
+views of them that a round reads are bound once per stack size
+(``_round``), so that a call of ``rk4_step`` or ``_stage`` runs only
+numpy kernels.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -60,11 +63,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import (
-    BLOCK_COLUMNS,
     DEFAULT_DT,
     DEFAULT_SAMPLE_EVERY,
     DEFAULT_T_MAX,
@@ -353,28 +356,48 @@ def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
     return _Generator(m, gamma, gain, live, sinks)
 
 
-def _stage(r, m, feed, gain, out, product):
-    """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
+def _shared_views(m, feed, gain, product, fed):
+    """The ``_stage`` operands that the stages on one run of slices share.
 
     ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
-    dim) stack ``r``, which shares ``gain`` = G. The scratch ``product``
-    and ``out`` are contiguous and shaped like ``r``; ``out`` may be ``r``.
+    dim) stack, which shares ``gain`` = G. ``product`` is a contiguous
+    (B, dim, dim) scratch and ``fed`` a (B, dim, 1) float64 one. Also
+    their transposed product and the feed's (B, dim) view.
+    """
+    return m, product, gain, fed, feed, product.swapaxes(-1, -2), fed[..., 0]
+
+
+def _stage_views(r, out, shared):
+    """The operands of one ``_stage`` call, which writes ``c L(r)`` into ``out``.
+
+    ``out`` is contiguous and shaped like ``r``, and may be ``r``;
+    ``shared`` is ``_shared_views`` of the same slices. The views are taken
+    here, once, so that a stage runs only its kernels.
     """
     dim = r.shape[-1]
+    # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
+    # diagonal entry: a strided view, cheaper than fancy indexing.
+    return r, r.diagonal(0, -2, -1).real[..., None], out, out.reshape(-1, dim * dim)[:, :: dim + 1], shared
+
+
+def _stage(r, column, out, diagonal, shared):
+    """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
+
+    The operands are the views of ``_stage_views``: ``column`` is r's
+    diagonal as a column and ``diagonal`` out's diagonal.
+    """
+    m, product, gain, fed, feed, transposed, fed_diagonal = shared
     np.matmul(m, r, out=product)
     # Read r before out, which may be r, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
-    fed = np.matmul(gain, r.diagonal(0, -2, -1).real[..., None])
+    np.matmul(gain, column, out=fed)
     fed *= feed
     # A ufunc reading the transposed view would buffer a state-sized copy.
-    np.copyto(out, product.swapaxes(-1, -2))
+    np.copyto(out, transposed)
     if out.dtype.kind == "c":
         np.conjugate(out, out=out)
     out += product
-    # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
-    # diagonal entry: a strided view, cheaper than fancy indexing.
-    diagonal = out.reshape(-1, dim * dim)[:, :: dim + 1]
-    diagonal += fed[..., 0]
+    diagonal += fed_diagonal
     return out
 
 
@@ -383,8 +406,27 @@ def _coefficients(k: int, degree: int) -> np.ndarray:
     return np.array([[q**j / math.factorial(j) for j in range(degree + 1)] for q in range(1, k + 1)])
 
 
-def rk4_step(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
-    """Round ``r`` of a period: one expansion per slice of the (B, dim, dim) stack R = ``terms[0]``.
+class _Round(NamedTuple):
+    """One round of a period with its operands bound: the views ``rk4_step`` reads.
+
+    ``stages`` holds the ``_stage`` operands of terms 1..d, ``products``
+    the ``(weights, series, out)`` of each slice's sample product, and
+    ``copies`` the ``(R, last sample)`` pair of each run of one block
+    size. ``samples`` is the stack's sample buffer, and ``strides`` and
+    ``degrees`` the block size and degree of each slice. A named tuple,
+    since a dataclass took 0.45 ms more to define at import.
+    """
+
+    stages: list
+    products: list
+    copies: list
+    samples: np.ndarray
+    strides: list
+    degrees: list
+
+
+def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain) -> _Round:
+    """Round ``r`` of a period on the (B, dim, dim) stack R = ``terms[0]``, its views bound.
 
     Slice b, of block size k_b = ``strides[b]`` and degree d_b =
     ``degrees[b]``, sums the degree-d_b Taylor series of its k_b samples
@@ -392,39 +434,59 @@ def rk4_step(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
     R`` for j = 1..d_b, each one ``_stage`` with ``m`` = h M and ``feed`` =
     h gamma, and then sample q is ``sum_j q^j / j! terms[j]``, one product
     of the first k_b rows of ``coefficients`` (``_coefficients(K, d)``, d
-    at least every d_b) with the stacked terms. It writes them to rows ``r
-    k_b .. (r+1) k_b - 1`` of ``samples`` and sets R to the last. Stage j
-    acts on the leading run of the slices up to the last one whose degree
-    reaches j, so a slice's bits do not depend on the stack; a slice in
-    that run past its own degree computes a term that nothing reads. The
-    product reads the float64 view of the terms in BLOCK_COLUMNS-wide
-    chunks. ``samples`` is (K, B, dim, dim) and returned; ``samples[-1]``
+    at least every d_b) with the float64 view of the stacked terms. It
+    writes them to rows ``r k_b .. (r+1) k_b - 1`` of ``samples`` and sets
+    R to the last. Stage j acts on the leading run of the slices up to the
+    last one whose degree reaches j, so a slice's bits do not depend on
+    the stack; a slice in that run past its own degree computes a term
+    that nothing reads. ``samples`` is (K, B, dim, dim); ``samples[-1]``
     is the stages' scratch, which a slice's product overwrites only in its
     last round of the K strides. ``terms[j]`` and ``samples[-1]`` are
-    contiguous (B, dim, dim) stacks. k = 1 at degree 4 is one RK4 step of
-    h: for a constant generator every 4-stage explicit Runge-Kutta method
-    of order 4 is this polynomial.
+    contiguous (B, dim, dim) stacks. The stages share one (B, dim, 1) feed
+    scratch, the round's only allocation.
     """
     count, product = len(degrees), samples[-1]
+    fed = np.empty((count, terms.shape[-1], 1))
+    stages, shared_count = [], 0
     for j in range(1, max(degrees) + 1):
         # Stage j's run ends at the last slice whose degree reaches j.
         while degrees[count - 1] < j:
             count -= 1
-        _stage(terms[j - 1, :count], m[:count], feed[:count], gain, terms[j, :count], product[:count])
-    for b, (degree, k) in enumerate(zip(degrees, strides)):
-        weights = coefficients[:k, : degree + 1]
-        series = terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
-        out = samples[r * k : (r + 1) * k, b].view(np.float64).reshape(k, -1)
-        for i in range(0, series.shape[1], BLOCK_COLUMNS):
-            columns = slice(i, i + BLOCK_COLUMNS)
-            np.matmul(weights, series[:, columns], out=out[:, columns])
+        if shared_count != count:
+            shared_count, shared = count, _shared_views(m[:count], feed[:count], gain, product[:count], fed[:count])
+        stages.append(_stage_views(terms[j - 1, :count], terms[j, :count], shared))
+    products = [
+        (
+            coefficients[:k, : degree + 1],
+            terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1),
+            samples[r * k : (r + 1) * k, b].view(np.float64).reshape(k, -1),
+        )
+        for b, (degree, k) in enumerate(zip(degrees, strides))
+    ]
     # The slices of one block size are a run, and share their last row.
-    start = 0
+    copies, start = [], 0
     for k, run in groupby(strides):
         stop = start + len(list(run))
-        np.copyto(terms[0, start:stop], samples[(r + 1) * k - 1, start:stop])
+        copies.append((terms[0, start:stop], samples[(r + 1) * k - 1, start:stop]))
         start = stop
-    return samples
+    return _Round(stages, products, copies, samples, list(strides), list(degrees))
+
+
+def rk4_step(round_: _Round) -> np.ndarray:
+    """Run one bound round (see ``_round``): its stages, its sample products and R's update.
+
+    Each call runs only numpy kernels on views bound once per stack.
+    Returns the round's ``samples``. k = 1 at degree 4 is one RK4 step of
+    h: for a constant generator every 4-stage explicit Runge-Kutta method
+    of order 4 is this polynomial.
+    """
+    for operands in round_.stages:
+        _stage(*operands)
+    for weights, series, out in round_.products:
+        np.matmul(weights, series, out=out)
+    for state, last in round_.copies:
+        np.copyto(state, last)
+    return round_.samples
 
 
 def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
@@ -482,6 +544,10 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     one before it, so each stage reads only terms written earlier in its
     round. When a slice drops, the survivors' states and operands are
     compacted, and the buffers are viewed at the new size.
+
+    A round's views are bound by ``_round`` once per stack size and key
+    ``(active, round)``, since a period cut short by the horizon runs
+    fewer slices; a slice that drops clears them.
     """
     batch, dim = r.shape[0], r.shape[-1]
     pops = np.empty((batch, times.size, dim))
@@ -505,7 +571,18 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
             samples_buffer[: period * count * dim * dim].reshape(period, count, dim, dim),
         )
 
+    def bound(active, round_):
+        """Round ``round_`` of the leading ``active`` slices, bound once per stack size."""
+        key = (active, round_)
+        if key not in rounds:
+            rounds[key] = _round(
+                terms[:, :active], samples[:, :active], m[:active], feed[:active],
+                degrees[:active], strides[:active], round_, coefficients, gen.gain,
+            )
+        return rounds[key]
+
     terms, samples = views(batch)
+    rounds = {}
     np.copyto(terms[0], r)
     start, block = 0, terms[:1]
     while True:
@@ -545,25 +622,22 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
             degrees = [d for d, keep in zip(degrees, ok) if keep]
             strides = [k for k, keep in zip(strides, ok) if keep]
             terms, samples = views(live.size)
+            rounds.clear()
             np.copyto(terms[0], states)
         start += len(block)
         if start == times.size:
             break
         left = min(period, times.size - start)
+        # Each round takes the slices whose expansion in it reaches a sample.
+        actives = (sum(round_ * k < left for k in strides) for round_ in range(period))
+        plan = [bound(active, round_) for round_, active in enumerate(actives) if active]
         # An overflowing state is reported by the health check above as a
         # diagnostics error; numpy's warnings about it would only precede
         # that message.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                for round_ in range(period):
-                    # The slices whose expansion in this round reaches a sample.
-                    active = sum(round_ * k < left for k in strides)
-                    if not active:
-                        break
-                    rk4_step(
-                        terms[:, :active], samples[:, :active], m[:active], feed[:active],
-                        degrees[:active], strides[:active], round_, coefficients, gen.gain,
-                    )
+                for round_ in plan:
+                    rk4_step(round_)
         block = samples[:left]
 
     return [
@@ -592,11 +666,13 @@ def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, np.n
         raise ConfigurationError(f"dt: {dt:g} asks for more than {MAX_STEPS} steps per sample")
     steps_per_sample = max(1, int(round(sample_every / dt)))
     stride = steps_per_sample * dt
-    n_samples = max(1, int(np.ceil(t_max / stride - 1e-12)))
-    if n_samples > MAX_SAMPLES:
+    # Checked before ceil(), which cannot take an infinite ratio either.
+    ratio = t_max / stride - 1e-12
+    if not ratio <= MAX_SAMPLES:
         raise ConfigurationError(
-            f"t_max: {t_max:g} asks for {n_samples:g} samples of stride {stride:g}, more than {MAX_SAMPLES}"
+            f"t_max: {t_max:g} asks for more than {MAX_SAMPLES} samples of stride {stride:g}"
         )
+    n_samples = max(1, int(np.ceil(ratio)))
     if steps_per_sample * n_samples > MAX_STEPS:
         raise ConfigurationError(
             f"dt: {dt:g} asks for {steps_per_sample * n_samples:g} steps, more than {MAX_STEPS}"

@@ -815,6 +815,21 @@ class TestCli:
         assert "kappa/gamma: the ratio 1e+300/1e-300 is beyond the float range" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "classical", "sweep"])
+    def test_horizon_beyond_the_float_range_exits_2_before_the_output_directory(self, tmp_path, capsys, command):
+        # t_max / stride overflows to inf, which is beyond the sample cap
+        data = {"n": 3, "sinks": ["101", "111"], "initial": "000", "t_max": 1e308}
+        if command == "sweep":
+            data |= {"kappa_values": [1.0], "gamma_values": [1.0]}
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err.startswith("config error: t_max: 1e+308 asks for more than 100000 samples")
+        assert not (tmp_path / "out").exists()
+
     def test_integer_numbers_write_the_bytes_of_their_float_twins(self, tmp_path):
         walk = {"n": 3, "sinks": ["101", "111"], "initial": "000"}
         ints = walk | {"kappa": 1, "gamma": 1, "t_max": 10}

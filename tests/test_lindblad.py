@@ -31,8 +31,11 @@ from patternwalks.lindblad import (
     _health,
     _integrate,
     _parity_phases,
+    _round,
+    _shared_views,
     _split,
     _stage,
+    _stage_views,
     basis_density,
     density_from_pattern,
     evolve,
@@ -54,6 +57,7 @@ from oracles import (
     rk4_staged_step,
     superoperator_populations,
 )
+import reference_step
 
 
 def unframed(r):
@@ -79,24 +83,37 @@ def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
     return r, m[0], gain
 
 
+def stage(r, m, feed, gain, out, product):
+    """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``feed`` into ``out``, on views bound for it."""
+    shared = _shared_views(m, feed, gain, product, np.empty((*r.shape[:-1], 1)))
+    return _stage(*_stage_views(r, out, shared))
+
+
+def run_round(*args):
+    """``lindblad.rk4_step`` on the round that ``_round`` binds from ``args``."""
+    return lindblad.rk4_step(_round(*args))
+
+
 def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
     """``c`` times the stage evolve integrates, on the framed ``rho``, as a new array."""
     r, m, gain = walk_operands(rho, h, jumps, kappa, gamma, sinks)
-    return _stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
+    return stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
 
 
 def blocks(r, m, gamma, h, gain, degree=4, k=1, count=1):
     """The k samples of the last of ``count`` ``lindblad.rk4_step`` blocks on ``r``, a stack of one.
 
     Each block is one degree-``degree`` expansion of stride ``h`` for one
-    ``M`` and ``gamma``; k = 1 at degree 4 is one RK4 step.
+    ``M`` and ``gamma``; k = 1 at degree 4 is one RK4 step. The blocks
+    rerun one bound round.
     """
     terms = np.empty((degree + 1, 1, *r.shape), dtype=r.dtype)
     terms[0, 0] = r
     samples = np.empty((k, 1, *r.shape), dtype=r.dtype)
     ops = (h * m[None], np.full((1, 1, 1), h * gamma))
+    bound = _round(terms, samples, *ops, [degree], [k], 0, _coefficients(k, degree), gain)
     for _ in range(count):
-        lindblad.rk4_step(terms, samples, *ops, [degree], [k], 0, _coefficients(k, degree), gain)
+        lindblad.rk4_step(bound)
     return samples[:, 0]
 
 
@@ -116,9 +133,9 @@ def recorded_blocks(monkeypatch):
     """``(strides, degrees)`` of each ``lindblad.rk4_step`` call (one round) from here on."""
     step, calls = lindblad.rk4_step, []
 
-    def recorded(terms, samples, m, feed, degrees, strides, *rest):
-        calls.append((list(strides), list(degrees)))
-        return step(terms, samples, m, feed, degrees, strides, *rest)
+    def recorded(round_):
+        calls.append((list(round_.strides), list(round_.degrees)))
+        return step(round_)
 
     monkeypatch.setattr(lindblad, "rk4_step", recorded)
     return calls
@@ -308,7 +325,7 @@ class TestRhs:
         rho = unframed(random_framed_state(spec, rng, real=True))
         apart = walk_rhs(rho, h, jumps, 1.3, 0.7, spec.sinks, c=0.25)
         inplace, m, gain = walk_operands(rho, h, jumps, 1.3, 0.7, spec.sinks)
-        assert _stage(inplace, 0.25 * m, 0.25 * 0.7, gain, inplace, np.empty_like(inplace)) is inplace
+        assert stage(inplace, 0.25 * m, 0.25 * 0.7, gain, inplace, np.empty_like(inplace)) is inplace
         assert np.array_equal(inplace, apart)
         dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
         assert np.max(np.abs(unframed(apart) - 0.25 * dense)) < 1e-12
@@ -325,7 +342,7 @@ class TestRhs:
         rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
         assert r.dtype == m.dtype == np.float64
-        out = _stage(r, 0.25 * m, 0.25 * gen.gamma, gain, np.empty_like(r), np.empty_like(r))
+        out = stage(r, 0.25 * m, 0.25 * gen.gamma, gain, np.empty_like(r), np.empty_like(r))
         assert np.array_equal(out, out.swapaxes(-1, -2))
         mats = dense_jump_matrices(jumps, 8)
         for b, (k, g) in enumerate(strengths):
@@ -361,7 +378,7 @@ class TestRk4Step:
         terms[0] = r
         samples = np.empty((2, 2, 4, 4), dtype=complex)
         zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 1, 1)))
-        out = lindblad.rk4_step(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4), np.zeros((4, 4)))
+        out = run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4), np.zeros((4, 4)))
         assert out is samples
         assert np.array_equal(samples, np.stack([start, start]))
         assert np.array_equal(terms[0], start)
@@ -411,9 +428,9 @@ class TestRk4Step:
         # bit for bit
         stage, calls = lindblad._stage, []
 
-        def recorded(r, m, *rest):
-            calls.append((len(r), m))
-            return stage(r, m, *rest)
+        def recorded(r, column, out, diagonal, shared):
+            calls.append((len(r), shared[0]))
+            return stage(r, column, out, diagonal, shared)
 
         monkeypatch.setattr(lindblad, "_stage", recorded)
         rng = np.random.default_rng(149)
@@ -427,7 +444,7 @@ class TestRk4Step:
         terms[0] = r
         samples = np.empty((2, 3, 8, 8))
         ops = (0.1 * m, 0.1 * gen.gamma)
-        lindblad.rk4_step(terms, samples, *ops, [3, 3, 1], [2, 2, 2], 0, _coefficients(2, 3), gain)
+        run_round(terms, samples, *ops, [3, 3, 1], [2, 2, 2], 0, _coefficients(2, 3), gain)
         assert [size for size, _ in calls] == [3, 2, 2]
         assert all(np.shares_memory(operand, ops[0]) for _, operand in calls)
         assert np.array_equal(terms[0], samples[-1])
@@ -458,12 +475,12 @@ class TestRk4Step:
         samples = np.full((4, 5, 16, 16), np.nan)
         ops = (0.05 * m, 0.05 * gen.gamma)
         coefficients = _coefficients(4, 50)
-        lindblad.rk4_step(terms, samples, *ops, degrees, strides, 0, coefficients, gain)
+        run_round(terms, samples, *ops, degrees, strides, 0, coefficients, gain)
         assert np.isfinite(terms[:, :3]).all() and np.isfinite(terms[:36, 3]).all() and np.isfinite(terms[:21, 4]).all()
         assert np.isnan(terms[36:, 3]).all() and np.isnan(terms[21:, 4]).all()
         assert np.isfinite(samples[:2, :2]).all() and np.isfinite(samples[:, 2:]).all()
         after_round_0 = samples[:, 2:].copy()
-        lindblad.rk4_step(terms[:, :2], samples[:, :2], *(x[:2] for x in ops), degrees[:2], strides[:2], 1, coefficients, gain)
+        run_round(terms[:, :2], samples[:, :2], *(x[:2] for x in ops), degrees[:2], strides[:2], 1, coefficients, gain)
         assert np.array_equal(samples[:, 2:], after_round_0)
         for b, (degree, k) in enumerate(zip(degrees, strides)):
             lone = np.concatenate([
@@ -530,6 +547,64 @@ class TestRk4Step:
         assert np.max(np.abs(summed - staged)) / np.max(np.abs(staged)) < 1e-13
 
 
+class TestBoundRounds:
+    # self-pairs of unequal weight on non-sink vertices make M complex
+    SELF_PAIRS = {"real": (), "complex": [("00000", "00000", 2.0), ("01000", "01000", 0.5)]}
+
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_bound_rounds_write_the_per_call_bits(self, monkeypatch, path):
+        # an n = 5 stack of blocks of one, two and four strides at degrees
+        # 40, 45 and 30, and 50, 35 and 20, and a stack of two RK4 fallback
+        # pairs, ten steps of dt per sample. The slice of degree 30 gains
+        # trace through a diagonal +3e-6 in M and drops at the second
+        # sample of the second period, and the horizon cuts the last period
+        # to two samples, so the exact stack binds its rounds for six
+        # slices, then for five, and the cut period's second round for one.
+        # Every trajectory array and the error equal those of the per-call
+        # reference step bit for bit; a complex R's terms are 2 048 float64
+        # columns, two chunks of the reference's sample product
+        spec = make_spec(5, ["01101", "11111"], self.SELF_PAIRS[path])
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        strengths = [(0.4, 1.0), (0.3, 1.0), (0.9, 1.0), (0.2, 1.0), (0.6, 1.0), (1.1, 1.0), (1.7, 1.0), (2.3, 1.0)]
+        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        r, m, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, strengths, spec.sinks)
+        assert r.dtype == (np.float64 if path == "real" else np.complex128)
+        m[2, 0, 0] += 3e-6
+        times = np.arange(15) * 0.05
+        stacks = [
+            (slice(0, 6), 0.05, [40, 45, 30, 50, 35, 20], [1, 2, 2, 4, 4, 4], 1),
+            (slice(6, 8), 0.005, [4, 4], [1, 1], 10),
+        ]
+
+        def run():
+            return [
+                outcome
+                for b, h, degrees, strides, steps in stacks
+                for outcome in _integrate(r[b], (h * m[b], h * gen.gamma[b]), degrees, strides, steps, gen, times, 0.005)
+            ]
+
+        keys, bind = [], lindblad._round
+
+        def recorded(terms, samples, m, feed, degrees, strides, round_, *rest):
+            keys.append((len(degrees), round_))
+            return bind(terms, samples, m, feed, degrees, strides, round_, *rest)
+
+        monkeypatch.setattr(lindblad, "_round", recorded)
+        bound = run()
+        assert keys == [(6, 0), (3, 1), (1, 2), (1, 3), (5, 0), (2, 1), (1, 2), (1, 3), (1, 1), (2, 0)]
+        monkeypatch.setattr(lindblad, "_round", lambda *operands: operands)
+        monkeypatch.setattr(lindblad, "rk4_step", lambda operands: reference_step.rk4_step(*operands))
+        reference = run()
+        assert isinstance(bound[2], IntegrationDiagnosticsError) and bound[2].t == times[6]
+        assert str(bound[2]) == str(reference[2])
+        for b, (outcome, expected) in enumerate(zip(bound, reference)):
+            if b == 2:
+                continue
+            assert outcome.keys() == expected.keys()
+            for name in outcome:
+                assert np.array_equal(outcome[name], expected[name]), (b, name)
+
+
 class TestFrame:
     def test_phases_conjugate_by_parity(self):
         for n in (1, 3, 4):
@@ -564,9 +639,9 @@ class TestFrame:
         # self-loop weights make it complex128
         step, dtypes = lindblad.rk4_step, []
 
-        def recorded(terms, *rest):
-            dtypes.append(terms.dtype)
-            return step(terms, *rest)
+        def recorded(round_):
+            dtypes.append(round_.samples.dtype)
+            return step(round_)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
@@ -937,9 +1012,10 @@ class TestEvolveBatch:
     def test_blocks_allocate_no_state_stack(self, monkeypatch):
         # 200 RK4 blocks of an n = 4 stack of 8 states: the terms and
         # samples, whose last row is the stages' scratch, are _integrate's
-        # own, made once per run (each call gets them at the same address,
-        # shape and strides), so the traced peak over the blocks stays
-        # below the size of one state stack
+        # own, made once per run, and each call gets one round bound once
+        # on them (its R and samples at the same address, shape and
+        # strides), so the traced peak over the blocks stays below the size
+        # of one state stack
         spec = make_spec(4, ["0110", "1111"])
         h = build_hamiltonian(spec)
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
@@ -948,15 +1024,16 @@ class TestEvolveBatch:
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
         step, buffers, marks = lindblad.rk4_step, [], {}
 
-        def measured(terms, samples, *rest):
+        def measured(round_):
             if not buffers:
                 tracemalloc.reset_peak()
                 marks["start"] = tracemalloc.get_traced_memory()[0]
-            # Whether the layout is the first call's: holding 200 views
-            # would itself count towards the peak.
-            layout = [(x.__array_interface__["data"][0], x.shape, x.strides) for x in (terms, samples)]
-            buffers.append(layout == marks.setdefault("layout", layout))
-            out = step(terms, samples, *rest)
+            # Whether the round and its layout are the first call's: holding
+            # 200 views would itself count towards the peak.
+            state = round_.stages[0][0]
+            layout = [(x.__array_interface__["data"][0], x.shape, x.strides) for x in (state, round_.samples)]
+            buffers.append(round_ is marks.setdefault("round", round_) and layout == marks.setdefault("layout", layout))
+            out = step(round_)
             marks["peak"] = tracemalloc.get_traced_memory()[1]
             return out
 
@@ -1109,9 +1186,9 @@ class TestEvolveBatch:
         stack_sizes = set()
         step = lindblad.rk4_step
 
-        def recorded(terms, *rest):
-            stack_sizes.add(terms.shape[1])
-            return step(terms, *rest)
+        def recorded(round_):
+            stack_sizes.add(round_.samples.shape[1])
+            return step(round_)
 
         monkeypatch.setattr(lindblad, "rk4_step", recorded)
         spec = make_spec(3, ["101", "111"])
