@@ -48,9 +48,9 @@ whose expansions reach its term. The pairs for which no k qualifies form
 a second stack and take s/dt RK4 steps of h = dt, each a round with
 k = K = 1 and m = 4. A stack of B states holds (m+1) x B terms, m its
 highest degree, and K x B samples, in buffers made once per run. The
-views of them that a round reads are bound once per stack size
-(``_round``), so that a call of ``rk4_step`` or ``_stage`` runs only
-numpy kernels.
+rounds of one period, with every view of those buffers they read, are
+bound once per stack size (``_round``), so that a call of ``rk4_step``
+or ``_stage`` runs only numpy kernels; every period runs them all.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -323,18 +322,20 @@ class _Generator:
         of the largest eigenvalue of a Gram matrix, ``M^dag M`` or ``G^T
         G``; M's sink rows and columns and G's sink columns are zero, so
         the non-sink blocks give the same norms. A Gram matrix that
-        overflows gives an infinite 2-norm bound.
+        overflows gives an infinite 2-norm bound, and a 1-norm that
+        overflows an infinite 1-norm bound: such a pair takes RK4 steps,
+        and the health check reports its state (see ``_integrate``).
         """
         gamma = self.gamma[:, 0, 0]
-        one_norm = 2 * np.abs(self.m).sum(axis=-2).max(axis=-1) + gamma * np.abs(self.gain).sum(axis=0).max()
         m = self.m[:, self.live[:, None], self.live]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = m.conj().swapaxes(-1, -2) @ m
-        finite = np.isfinite(gram).all(axis=(-2, -1))
-        largest = np.full(len(gram), np.inf)
-        largest[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
         g = self.gain[:, self.live]
-        two_norm = 2 * np.sqrt(largest) + gamma * np.sqrt(np.linalg.eigvalsh(g.T @ g)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_norm = 2 * np.abs(self.m).sum(axis=-2).max(axis=-1) + gamma * np.abs(self.gain).sum(axis=0).max()
+            gram = m.conj().swapaxes(-1, -2) @ m
+            finite = np.isfinite(gram).all(axis=(-2, -1))
+            largest = np.full(len(gram), np.inf)
+            largest[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
+            two_norm = 2 * np.sqrt(largest) + gamma * np.sqrt(np.linalg.eigvalsh(g.T @ g)[-1])
         return np.minimum(one_norm, two_norm)
 
 
@@ -343,50 +344,32 @@ def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
 
     ``M = kappa K - i kappa D - (gamma/2) diag(out)`` from ``Q^dag H Q =
     D + iK``, with D on the non-sink vertices taken relative to the first
-    one; M is complex128 only where that leaves D nonzero.
+    one; M is complex128 only where that leaves D nonzero. An entry of M
+    that overflows is left to the health check, as in ``_integrate``.
     """
     live, sinks = _split(h.shape[-1], sinks)
     kappa, gamma = np.array(pairs, dtype=float).T[..., None, None]
     framed = h * _parity_phases(h.shape[-1])
     d = framed.real
     d[live, live] -= d[live[0], live[0]]
-    m = kappa * framed.imag - gamma * np.diag(0.5 * out_degree)
-    if d.any():
-        m = m - 1j * kappa * d
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = kappa * framed.imag - gamma * np.diag(0.5 * out_degree)
+        if d.any():
+            m = m - 1j * kappa * d
     return _Generator(m, gamma, gain, live, sinks)
 
 
-def _shared_views(m, feed, gain, product, fed):
-    """The ``_stage`` operands that the stages on one run of slices share.
-
-    ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
-    dim) stack, which shares ``gain`` = G. ``product`` is a contiguous
-    (B, dim, dim) scratch and ``fed`` a (B, dim, 1) float64 one. Also
-    their transposed product and the feed's (B, dim) view.
-    """
-    return m, product, gain, fed, feed, product.swapaxes(-1, -2), fed[..., 0]
-
-
-def _stage_views(r, out, shared):
-    """The operands of one ``_stage`` call, which writes ``c L(r)`` into ``out``.
-
-    ``out`` is contiguous and shaped like ``r``, and may be ``r``;
-    ``shared`` is ``_shared_views`` of the same slices. The views are taken
-    here, once, so that a stage runs only its kernels.
-    """
-    dim = r.shape[-1]
-    # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
-    # diagonal entry: a strided view, cheaper than fancy indexing.
-    return r, r.diagonal(0, -2, -1).real[..., None], out, out.reshape(-1, dim * dim)[:, :: dim + 1], shared
-
-
-def _stage(r, column, out, diagonal, shared):
+def _stage(m, r, product, gain, column, fed, feed, out, transposed, diagonal, fed_diagonal):
     """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
 
-    The operands are the views of ``_stage_views``: ``column`` is r's
-    diagonal as a column and ``diagonal`` out's diagonal.
+    ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
+    dim) stack ``r``, which shares ``gain`` = G. ``product`` and ``out``
+    are contiguous (B, dim, dim) stacks, and ``out`` may be ``r``; ``fed``
+    is a (B, dim, 1) float64 scratch. The other operands are views bound
+    once (see ``_round``): ``column`` is r's diagonal as a column,
+    ``transposed`` the product's transpose, ``diagonal`` out's diagonal and
+    ``fed_diagonal`` the feed's (B, dim) view.
     """
-    m, product, gain, fed, feed, transposed, fed_diagonal = shared
     np.matmul(m, r, out=product)
     # Read r before out, which may be r, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
@@ -406,27 +389,8 @@ def _coefficients(k: int, degree: int) -> np.ndarray:
     return np.array([[q**j / math.factorial(j) for j in range(degree + 1)] for q in range(1, k + 1)])
 
 
-class _Round(NamedTuple):
-    """One round of a period with its operands bound: the views ``rk4_step`` reads.
-
-    ``stages`` holds the ``_stage`` operands of terms 1..d, ``products``
-    the ``(weights, series, out)`` of each slice's sample product, and
-    ``copies`` the ``(R, last sample)`` pair of each run of one block
-    size. ``samples`` is the stack's sample buffer, and ``strides`` and
-    ``degrees`` the block size and degree of each slice. A named tuple,
-    since a dataclass took 0.45 ms more to define at import.
-    """
-
-    stages: list
-    products: list
-    copies: list
-    samples: np.ndarray
-    strides: list
-    degrees: list
-
-
-def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain) -> _Round:
-    """Round ``r`` of a period on the (B, dim, dim) stack R = ``terms[0]``, its views bound.
+def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
+    """Round ``r`` of a period on the (B, dim, dim) stack R = ``terms[0]``, as ``(stages, products, copies)``.
 
     Slice b, of block size k_b = ``strides[b]`` and degree d_b =
     ``degrees[b]``, sums the degree-d_b Taylor series of its k_b samples
@@ -442,19 +406,29 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain) -> 
     that nothing reads. ``samples`` is (K, B, dim, dim); ``samples[-1]``
     is the stages' scratch, which a slice's product overwrites only in its
     last round of the K strides. ``terms[j]`` and ``samples[-1]`` are
-    contiguous (B, dim, dim) stacks. The stages share one (B, dim, 1) feed
-    scratch, the round's only allocation.
+    contiguous (B, dim, dim) stacks.
+
+    The round is returned with every view it reads taken here, once:
+    ``stages`` holds the ``_stage`` operands of terms 1..d, ``products``
+    the ``(weights, series, out)`` of each slice's sample product, and
+    ``copies`` the ``(R, last sample)`` pair of each run of one block
+    size. The stages share one (B, dim, 1) feed scratch, the round's only
+    allocation.
     """
-    count, product = len(degrees), samples[-1]
-    fed = np.empty((count, terms.shape[-1], 1))
-    stages, shared_count = [], 0
+    count, dim = len(degrees), terms.shape[-1]
+    product, fed = samples[-1], np.empty((count, dim, 1))
+    stages = []
     for j in range(1, max(degrees) + 1):
         # Stage j's run ends at the last slice whose degree reaches j.
         while degrees[count - 1] < j:
             count -= 1
-        if shared_count != count:
-            shared_count, shared = count, _shared_views(m[:count], feed[:count], gain, product[:count], fed[:count])
-        stages.append(_stage_views(terms[j - 1, :count], terms[j, :count], shared))
+        state, out, scratch = terms[j - 1, :count], terms[j, :count], product[:count]
+        # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
+        # diagonal entry: a strided view, cheaper than fancy indexing.
+        stages.append((
+            m[:count], state, scratch, gain, state.diagonal(0, -2, -1).real[..., None], fed[:count], feed[:count],
+            out, scratch.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[:count, :, 0],
+        ))
     products = [
         (
             coefficients[:k, : degree + 1],
@@ -469,24 +443,23 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain) -> 
         stop = start + len(list(run))
         copies.append((terms[0, start:stop], samples[(r + 1) * k - 1, start:stop]))
         start = stop
-    return _Round(stages, products, copies, samples, list(strides), list(degrees))
+    return stages, products, copies
 
 
-def rk4_step(round_: _Round) -> np.ndarray:
-    """Run one bound round (see ``_round``): its stages, its sample products and R's update.
+def rk4_step(round_) -> None:
+    """Run one round bound by ``_round``: its stages, its sample products and R's update.
 
-    Each call runs only numpy kernels on views bound once per stack.
-    Returns the round's ``samples``. k = 1 at degree 4 is one RK4 step of
-    h: for a constant generator every 4-stage explicit Runge-Kutta method
-    of order 4 is this polynomial.
+    k = 1 at degree 4 is one RK4 step of h: for a constant generator
+    every 4-stage explicit Runge-Kutta method of order 4 is this
+    polynomial.
     """
-    for operands in round_.stages:
+    stages, products, copies = round_
+    for operands in stages:
         _stage(*operands)
-    for weights, series, out in round_.products:
+    for weights, series, out in products:
         np.matmul(weights, series, out=out)
-    for state, last in round_.copies:
+    for state, last in copies:
         np.copyto(state, last)
-    return round_.samples
 
 
 def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
@@ -526,28 +499,26 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     after ``times[0]`` comes from rounds of ``rk4_step``: round r runs the
     r-th expansion of every slice with one, a leading run of the stack, so
     slice b runs K / k_b rounds (``steps`` = 1). The RK4 fallback is
-    ``steps`` rounds of k = 1 per sample at degree 4. A period cut short
-    by the horizon runs only the rounds that reach its samples. G, the
-    sinks and the non-sink block come from the generator record ``gen``.
-    M's rows and columns, G's columns and each coherence of the Hermitian
-    ``r`` with a sink are zero at the sinks; the health check then reads
-    eigenvalues of the non-sink block. It takes a period's samples in
-    sample order, in chunks of at most HEALTH_CHUNK_BYTES. A slice that
-    fails it at the q-th sample of a period keeps its earlier samples,
-    reports the q-th's time and is dropped, and the others go on
-    unchanged. Returns per slice its ``Trajectory`` fields or its
-    ``IntegrationDiagnosticsError``, which reports ``dt``.
+    ``steps`` rounds of k = 1 per sample at degree 4. Every period runs
+    all of its rounds: one cut short by the horizon computes samples past
+    it, which nothing reads. G, the sinks and the non-sink block come from
+    the generator record ``gen``. M's rows and columns, G's columns and
+    each coherence of the Hermitian ``r`` with a sink are zero at the
+    sinks; the health check then reads eigenvalues of the non-sink block.
+    It takes a period's samples in sample order, in chunks of at most
+    HEALTH_CHUNK_BYTES. A slice that fails it at the q-th sample of a
+    period keeps its earlier samples, reports the q-th's time and is
+    dropped, and the others go on unchanged. Returns per slice its
+    ``Trajectory`` fields or its ``IntegrationDiagnosticsError``, which
+    reports ``dt``.
 
     The rounds allocate no state-sized array. The buffers are made once:
     ``(d + 1) x B`` terms, d the highest degree, and ``K x B`` samples.
     They are left uninitialized: a stage's run is never longer than the
     one before it, so each stage reads only terms written earlier in its
-    round. When a slice drops, the survivors' states and operands are
+    round. The rounds of a period are bound (``_round``) at the start and
+    again when a slice drops: the survivors' states and operands are then
     compacted, and the buffers are viewed at the new size.
-
-    A round's views are bound by ``_round`` once per stack size and key
-    ``(active, round)``, since a period cut short by the horizon runs
-    fewer slices; a slice that drops clears them.
     """
     batch, dim = r.shape[0], r.shape[-1]
     pops = np.empty((batch, times.size, dim))
@@ -564,25 +535,21 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     terms_buffer = np.empty(depth * batch * dim * dim, dtype=r.dtype)
     samples_buffer = np.empty(period * batch * dim * dim, dtype=r.dtype)
 
-    def views(count):
-        """The buffers' leading parts as (depth or K, count, dim, dim) stacks."""
-        return (
-            terms_buffer[: depth * count * dim * dim].reshape(depth, count, dim, dim),
-            samples_buffer[: period * count * dim * dim].reshape(period, count, dim, dim),
-        )
-
-    def bound(active, round_):
-        """Round ``round_`` of the leading ``active`` slices, bound once per stack size."""
-        key = (active, round_)
-        if key not in rounds:
-            rounds[key] = _round(
+    def bind(count):
+        """The buffers' leading parts as (depth or K, count, dim, dim) stacks, and a period's rounds on them."""
+        terms = terms_buffer[: depth * count * dim * dim].reshape(depth, count, dim, dim)
+        samples = samples_buffer[: period * count * dim * dim].reshape(period, count, dim, dim)
+        rounds = []
+        # Round r takes the leading slices whose blocks it reaches, r k < K.
+        for round_ in range(period // strides[0]):
+            active = sum(round_ * k < period for k in strides)
+            rounds.append(_round(
                 terms[:, :active], samples[:, :active], m[:active], feed[:active],
                 degrees[:active], strides[:active], round_, coefficients, gen.gain,
-            )
-        return rounds[key]
+            ))
+        return terms, samples, rounds
 
-    terms, samples = views(batch)
-    rounds = {}
+    terms, samples, rounds = bind(batch)
     np.copyto(terms[0], r)
     start, block = 0, terms[:1]
     while True:
@@ -621,24 +588,19 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
             m, feed = m[ok], feed[ok]
             degrees = [d for d, keep in zip(degrees, ok) if keep]
             strides = [k for k, keep in zip(strides, ok) if keep]
-            terms, samples = views(live.size)
-            rounds.clear()
+            terms, samples, rounds = bind(live.size)
             np.copyto(terms[0], states)
         start += len(block)
         if start == times.size:
             break
-        left = min(period, times.size - start)
-        # Each round takes the slices whose expansion in it reaches a sample.
-        actives = (sum(round_ * k < left for k in strides) for round_ in range(period))
-        plan = [bound(active, round_) for round_, active in enumerate(actives) if active]
         # An overflowing state is reported by the health check above as a
         # diagnostics error; numpy's warnings about it would only precede
         # that message.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                for round_ in plan:
+                for round_ in rounds:
                     rk4_step(round_)
-        block = samples[:left]
+        block = samples[: times.size - start]
 
     return [
         errors[b] if b in errors

@@ -742,6 +742,21 @@ class TestCli:
         assert code == 3
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_huge_edge_weight_is_reported_by_the_health_check_alone(self, tmp_path, capsys):
+        # a weight of 1e308 overflows M at kappa/gamma = 2 and the norm bound
+        # of every pair; the pairs take RK4 steps and go unphysical at the
+        # first sample, with no numpy warning before the diagnostics
+        data = {"n": 3, "sinks": ["101", "111"], "initial": "000", "t_max": 1,
+                "edge_weights": [["000", "001", 1e308]]}
+        assert main(["simulate", write_config(tmp_path, data), "--out", str(tmp_path / "walk")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integration diagnostics: state invariants breached at t = 0.05") and "Warning" not in err
+        grid = data | {"kappa_values": [1.0, 2.0], "gamma_values": [1.0]}
+        assert main(["sweep", write_config(tmp_path, grid), "--out", str(tmp_path / "grid")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "grid" / "sweep.csv")
+        assert [row[:3] for row in rows] == [["1", "1", "-1"], ["2", "1", "-1"]]
+
     @pytest.mark.parametrize(
         "command, data, flags, key",
         [

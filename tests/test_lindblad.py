@@ -1,7 +1,9 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +34,8 @@ from patternwalks.lindblad import (
     _integrate,
     _parity_phases,
     _round,
-    _shared_views,
     _split,
     _stage,
-    _stage_views,
     basis_density,
     density_from_pattern,
     evolve,
@@ -84,14 +84,38 @@ def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
 
 
 def stage(r, m, feed, gain, out, product):
-    """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``feed`` into ``out``, on views bound for it."""
-    shared = _shared_views(m, feed, gain, product, np.empty((*r.shape[:-1], 1)))
-    return _stage(*_stage_views(r, out, shared))
+    """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``feed`` into ``out``, on views taken for it."""
+    dim, fed = r.shape[-1], np.empty((*r.shape[:-1], 1))
+    return _stage(
+        m, r, product, gain, r.diagonal(0, -2, -1).real[..., None], fed, feed,
+        out, product.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[..., 0],
+    )
 
 
 def run_round(*args):
     """``lindblad.rk4_step`` on the round that ``_round`` binds from ``args``."""
     return lindblad.rk4_step(_round(*args))
+
+
+def recorded_rounds(monkeypatch, record):
+    """``record(args)`` after each ``lindblad.rk4_step`` call (one round) from here on.
+
+    ``args`` holds, by name, the arguments of the ``_round`` call that
+    bound the round; each bound round travels with them to ``rk4_step``.
+    """
+    bind, step, calls = lindblad._round, lindblad.rk4_step, []
+
+    def bound(*args):
+        return bind(*args), SimpleNamespace(**inspect.signature(bind).bind(*args).arguments)
+
+    def recorded(round_):
+        operands, args = round_
+        step(operands)
+        calls.append(record(args))
+
+    monkeypatch.setattr(lindblad, "_round", bound)
+    monkeypatch.setattr(lindblad, "rk4_step", recorded)
+    return calls
 
 
 def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
@@ -131,14 +155,7 @@ def framed_stack(rho, h, gain, out_degree, strengths, sinks=()):
 
 def recorded_blocks(monkeypatch):
     """``(strides, degrees)`` of each ``lindblad.rk4_step`` call (one round) from here on."""
-    step, calls = lindblad.rk4_step, []
-
-    def recorded(round_):
-        calls.append((list(round_.strides), list(round_.degrees)))
-        return step(round_)
-
-    monkeypatch.setattr(lindblad, "rk4_step", recorded)
-    return calls
+    return recorded_rounds(monkeypatch, lambda args: (list(args.strides), list(args.degrees)))
 
 
 def checked_chunks(monkeypatch, chunk_bytes=None):
@@ -378,8 +395,7 @@ class TestRk4Step:
         terms[0] = r
         samples = np.empty((2, 2, 4, 4), dtype=complex)
         zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 1, 1)))
-        out = run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4), np.zeros((4, 4)))
-        assert out is samples
+        assert run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4), np.zeros((4, 4))) is None
         assert np.array_equal(samples, np.stack([start, start]))
         assert np.array_equal(terms[0], start)
 
@@ -428,9 +444,9 @@ class TestRk4Step:
         # bit for bit
         stage, calls = lindblad._stage, []
 
-        def recorded(r, column, out, diagonal, shared):
-            calls.append((len(r), shared[0]))
-            return stage(r, column, out, diagonal, shared)
+        def recorded(m, r, *rest):
+            calls.append((len(r), m))
+            return stage(m, r, *rest)
 
         monkeypatch.setattr(lindblad, "_stage", recorded)
         rng = np.random.default_rng(149)
@@ -558,8 +574,8 @@ class TestBoundRounds:
         # pairs, ten steps of dt per sample. The slice of degree 30 gains
         # trace through a diagonal +3e-6 in M and drops at the second
         # sample of the second period, and the horizon cuts the last period
-        # to two samples, so the exact stack binds its rounds for six
-        # slices, then for five, and the cut period's second round for one.
+        # to two samples, so the exact stack binds a period's rounds for six
+        # slices, then for five, and the cut period runs them all.
         # Every trajectory array and the error equal those of the per-call
         # reference step bit for bit; a complex R's terms are 2 048 float64
         # columns, two chunks of the reference's sample product
@@ -591,7 +607,7 @@ class TestBoundRounds:
 
         monkeypatch.setattr(lindblad, "_round", recorded)
         bound = run()
-        assert keys == [(6, 0), (3, 1), (1, 2), (1, 3), (5, 0), (2, 1), (1, 2), (1, 3), (1, 1), (2, 0)]
+        assert keys == [(6, 0), (3, 1), (1, 2), (1, 3), (5, 0), (2, 1), (1, 2), (1, 3), (2, 0)]
         monkeypatch.setattr(lindblad, "_round", lambda *operands: operands)
         monkeypatch.setattr(lindblad, "rk4_step", lambda operands: reference_step.rk4_step(*operands))
         reference = run()
@@ -603,6 +619,53 @@ class TestBoundRounds:
             assert outcome.keys() == expected.keys()
             for name in outcome:
                 assert np.array_equal(outcome[name], expected[name]), (b, name)
+
+    @pytest.mark.parametrize("left", [1, 2, 3])
+    def test_samples_do_not_depend_on_the_horizon(self, monkeypatch, left):
+        # an n = 4 stack of blocks of one, two and four strides and a stack
+        # of two RK4 fallback pairs, to a horizon that leaves ``left``
+        # samples in the last period and to one two periods longer. A cut
+        # period runs all of its rounds, so on the short run the blocks of
+        # one and two strides compute samples past the horizon, which
+        # nothing may read. The slice of degree 30 gains trace and
+        # fails at the first sample of the second period, so both runs bind
+        # a period's rounds again on five slices before the third. Each
+        # outcome equals the leading rows of the longer run's bit for bit,
+        # and the error is the same
+        calls = recorded_rounds(monkeypatch, lambda args: len(args.degrees))
+        spec = make_spec(4, ["0110", "1111"])
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        strengths = [(0.4, 1.0), (0.3, 1.0), (0.9, 1.0), (0.2, 1.0), (0.6, 1.0), (1.1, 1.0), (1.7, 1.0), (2.3, 1.0)]
+        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
+        r, m, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, strengths, spec.sinks)
+        m[2, 0, 0] += 3e-6
+        stacks = [
+            (slice(0, 6), 0.05, [40, 45, 30, 50, 35, 20], [1, 2, 2, 4, 4, 4], 1),
+            (slice(6, 8), 0.005, [4, 4], [1, 1], 10),
+        ]
+
+        def run(periods):
+            times = np.arange(4 * periods + left + 1) * 0.05
+            return times, [
+                outcome
+                for b, h, degrees, strides, steps in stacks
+                for outcome in _integrate(r[b], (h * m[b], h * gen.gamma[b]), degrees, strides, steps, gen, times, 0.005)
+            ]
+
+        times, short = run(2)
+        # Three periods of the exact stack, each of 4 rounds, then the
+        # fallback stack's 10 steps for each of its samples.
+        assert calls == [6, 3, 1, 1] * 2 + [5, 2, 1, 1] + [2] * 10 * (times.size - 1)
+        _, longer = run(4)
+        assert isinstance(short[2], IntegrationDiagnosticsError) and short[2].t == times[5]
+        assert str(short[2]) == str(longer[2])
+        for b, (outcome, expected) in enumerate(zip(short, longer)):
+            if b == 2:
+                continue
+            assert outcome.keys() == expected.keys()
+            for name in outcome:
+                assert len(outcome[name]) == times.size
+                assert np.array_equal(outcome[name], expected[name][: times.size]), (b, name)
 
 
 class TestFrame:
@@ -637,13 +700,7 @@ class TestFrame:
     def test_state_dtype_follows_the_data(self, monkeypatch):
         # a basis start keeps R float64; a complex rho0 or unequal non-sink
         # self-loop weights make it complex128
-        step, dtypes = lindblad.rk4_step, []
-
-        def recorded(round_):
-            dtypes.append(round_.samples.dtype)
-            return step(round_)
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        dtypes = recorded_rounds(monkeypatch, lambda args: args.samples.dtype)
         spec = make_spec(3, ["101", "111"])
         params = WalkParams(kappa=1.0, gamma=1.0, t_max=0.01)
         # (|000> + |010>) / sqrt 2 is real, but its coherence joins two
@@ -1022,7 +1079,10 @@ class TestEvolveBatch:
         strengths = [(k, 1.0) for k in np.linspace(0.2, 3.0, 8)]
         rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        step, buffers, marks = lindblad.rk4_step, [], {}
+        bind, step, buffers, marks = lindblad._round, lindblad.rk4_step, [], {}
+
+        def bound(terms, samples, *rest):
+            return bind(terms, samples, *rest), terms[0], samples
 
         def measured(round_):
             if not buffers:
@@ -1030,13 +1090,13 @@ class TestEvolveBatch:
                 marks["start"] = tracemalloc.get_traced_memory()[0]
             # Whether the round and its layout are the first call's: holding
             # 200 views would itself count towards the peak.
-            state = round_.stages[0][0]
-            layout = [(x.__array_interface__["data"][0], x.shape, x.strides) for x in (state, round_.samples)]
+            operands, state, samples = round_
+            layout = [(x.__array_interface__["data"][0], x.shape, x.strides) for x in (state, samples)]
             buffers.append(round_ is marks.setdefault("round", round_) and layout == marks.setdefault("layout", layout))
-            out = step(round_)
+            step(operands)
             marks["peak"] = tracemalloc.get_traced_memory()[1]
-            return out
 
+        monkeypatch.setattr(lindblad, "_round", bound)
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
@@ -1070,9 +1130,8 @@ class TestEvolveBatch:
         def measured(*args):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            out = step(*args)
+            step(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            return out
 
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         times = np.arange(samples + 1) * h * steps
@@ -1183,20 +1242,13 @@ class TestEvolveBatch:
 
     def test_equal_strength_ratios_share_one_integration(self, monkeypatch):
         # kappa/gamma = 0.5 twice; in 1/gamma units the two runs are one walk
-        stack_sizes = set()
-        step = lindblad.rk4_step
-
-        def recorded(round_):
-            stack_sizes.add(round_.samples.shape[1])
-            return step(round_)
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        stack_sizes = recorded_rounds(monkeypatch, lambda args: args.samples.shape[1])
         spec = make_spec(3, ["101", "111"])
         first = WalkParams(kappa=0.5, gamma=1.0, t_max=2.0)
         other = WalkParams(kappa=1.0, gamma=2.0, t_max=2.0)
         distinct = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
         a, b, c = evolve_batch(basis_density(0, 8), spec, [first, distinct, other])
-        assert stack_sizes == {2}
+        assert set(stack_sizes) == {2}
         assert (a.params, b.params, c.params) == (first, distinct, other)
         assert np.array_equal(a.populations, c.populations)
         assert not np.shares_memory(a.populations, c.populations)
@@ -1248,14 +1300,7 @@ class TestSinkBlock:
         amplitudes = np.zeros(spec.dim, dtype=complex)
         amplitudes[[0, 1, 3, 8]] = [0.5, 0.5j, -0.5, 0.5]
         rho0 = np.outer(amplitudes, amplitudes.conj())
-        step, states = lindblad.rk4_step, []
-
-        def recorded(*args):
-            samples = step(*args)
-            states.append(samples[-1].copy())
-            return samples
-
-        monkeypatch.setattr(lindblad, "rk4_step", recorded)
+        states = recorded_rounds(monkeypatch, lambda args: args.samples[-1].copy())
         params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]
         evolve_batch(rho0, spec, params)
         assert len(states) == 1 + 200
