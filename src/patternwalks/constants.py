@@ -29,10 +29,9 @@ MAX_SAMPLES = 10**5
 # ... and at most this many steps of dt, t_max / dt. A run spends fewer
 # stages per block of strides than RK4 at dt would on them, so at most 4
 # stages per step of dt. One n = 6 RK4 step (a fallback round, kappa/gamma
-# = 10) took 0.049-0.050 ms of wall time, and of CPU time on one OpenBLAS
-# thread (0.105 ms of CPU on the default two), on a 2-core x86-64 machine
-# (Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31), so the cap is about 8
-# minutes of integration.
+# = 10) took 0.049 ms of wall time and as much CPU time, on the default
+# OpenBLAS threads, on a 2-core x86-64 machine (Python 3.11.7, numpy 2.4.6,
+# OpenBLAS 0.3.31), so the cap is about 8 minutes of integration.
 MAX_STEPS = 10**7
 
 # theta_m: the largest ||h L|| for which the degree-m Taylor polynomial of
@@ -62,26 +61,40 @@ TAYLOR_THETA = {
 # pairs of every block size share their stage calls, so MAX_BLOCK_STRIDES
 # also bounds the samples of a period. On the n = 6 benchmark walk
 # (kappa = gamma = 1, stride 0.05, t_max 20, norm bound 16.5) an evolve
-# took 0.169 s of CPU with k <= 1 (degree 17), 0.125 s with k <= 2
-# (degree 22), 0.095 s with k <= 4 (degree 29) and 0.084 s with k <= 8
-# (degree 45), all on one thread; but the 46 terms of k = 8 raised a
-# simulate process's peak RSS by 1.8 MB over k <= 1's 32.3 MB, against
-# 0.9 MB for k = 4, and an unchunked (8 x 46) @ (46 x 4096) product ran on
-# two OpenBLAS threads. 2-core x86-64, Python 3.11.7, numpy 2.4.6,
-# OpenBLAS 0.3.31.
-MAX_BLOCK_STRIDES = 4
+# took 0.148 s of CPU with k <= 1 (degree 17), 0.110 s with k <= 2
+# (degree 22), 0.086 s with k <= 4 (degree 29) and 0.077 s with k <= 8
+# (degree 45), each at CPU/wall 1.0 on the default OpenBLAS threads, its
+# sample products split (SAMPLE_PRODUCT_MADDS). The 46 terms of k = 8
+# raise a simulate process's peak RSS to 35.2 MB after 40 runs, against
+# 34.2 MB for k <= 4 and 33.2 MB for k <= 1. 2-core x86-64, Python 3.11.7,
+# numpy 2.4.6, OpenBLAS 0.3.31.
+MAX_BLOCK_STRIDES = 8
+
+# A block's samples are the (k x (m+1)) weights times the (m+1) terms, each
+# term N float64 columns (N = 4 096 for a real R at n = 6, 8 192 for a
+# complex one). The product runs in column chunks, N halved until a chunk
+# is at most this many multiply-adds (k (m+1) columns), so that OpenBLAS
+# runs each on one thread: in a tight loop of (8 x m) @ (m x N) products,
+# begun 0.5 s after import (OpenBLAS's threads spin at first), one thread
+# ran every product of up to 999 424 multiply-adds and two ran those of
+# 1 015 808 and more. So at n = 6 a k = 8 block's 4 096-column product
+# (8 x 46 x 4 096, about 1.5 million) runs as four of 1 024 columns, and
+# an RK4 step's (1 x 5 x 4 096) whole. Unsplit, the benchmark's n = 6
+# simulate took 0.185 s of CPU in 0.094 s of wall time; split, 0.092 s in
+# 0.093 s, with the same bits. Same machine as above.
+SAMPLE_PRODUCT_MADDS = 2**19
 
 # The walk health-checks a period's samples in chunks of at most this many
 # bytes of states, which bounds the check's temporaries. Only a period of
 # more than 512 KB of states splits: a stack of many points at n >= 6
 # (32 KB a real state). No benchmark workload has one (a sweep-n4 period
-# is 168 KB, a simulate-n6 one 128 KB), so the value rests on one run
+# is 336 KB, a simulate-n6 one 256 KB), so the value rests on one run
 # that has: an n = 6 sweep over sweep-n4's 25 finite points (t_max 2),
-# whose 80-state periods split into chunks of 16. It took 0.235 s of CPU
-# unchunked with 79.3 MB peak RSS, 0.219 s / 75.0 MB in 1 MB chunks,
-# 0.219 s / 73.5 MB in 512 KB ones and 0.221 s / 72.7 MB in 256 KB ones;
-# one stack per block size took 0.218 s / 71.9 MB. One thread, 2-core
-# x86-64, Python 3.11.7, numpy 2.4.6.
+# whose 160-state periods (20 exact points, blocks of up to eight strides)
+# split into chunks of 16. It took 0.215 s of CPU unchunked with 89.3 MB
+# peak RSS, 0.203 s / 77.8 MB in 1 MB chunks, 0.200 s / 76.3 MB in 512 KB
+# ones and 0.202 s / 75.5 MB in 256 KB ones. Default OpenBLAS threads at
+# CPU/wall 1.0, 2-core x86-64, Python 3.11.7, numpy 2.4.6.
 HEALTH_CHUNK_BYTES = 512 * 1024
 
 # evolve() aborts with a diagnostics error once a sampled state drifts

@@ -39,18 +39,20 @@ double precision over k s (the rule of ``numerics.taylor_degree``,
 which ``expm`` shares) is below the 4 k s/dt stages of RK4 at dt. One
 expansion stores the terms (s L)^j R, j = 0..m, one stage each, and
 forms its k samples sum_j q^j / j! (s L)^j R, q = 1..k, as one product
-of those weights with the stacked terms. The pairs for which some k
-qualifies form one stack, whose block sizes share their stages: a period
-is K strides, K the stack's largest k, and ``rk4_step`` runs one round
-of it, the next expansion of every pair that has one, so a pair of block
-size k takes K/k rounds per period and each stage acts on all the pairs
-whose expansions reach its term. The pairs for which no k qualifies form
-a second stack and take s/dt RK4 steps of h = dt, each a round with
-k = K = 1 and m = 4. A stack of B states holds (m+1) x B terms, m its
-highest degree, and K x B samples, in buffers made once per run. The
-rounds of one period, with every view of those buffers they read, are
-bound once per stack size (``_round``), so that a call of ``rk4_step``
-or ``_stage`` runs only numpy kernels; every period runs them all.
+of those weights with the stacked terms, run in column chunks that
+OpenBLAS keeps on one thread each (SAMPLE_PRODUCT_MADDS). The pairs for
+which some k qualifies form one stack, whose block sizes share their
+stages: a period is K strides, K the stack's largest k, and
+``rk4_step`` runs one round of it, the next expansion of every pair that
+has one, so a pair of block size k takes K/k rounds per period and each
+stage acts on all the pairs whose expansions reach its term. The pairs
+for which no k qualifies form a second stack and take s/dt RK4 steps of
+h = dt, each a round with k = K = 1 and m = 4. A stack of B states holds
+(m+1) x B terms, m its highest degree, and K x B samples, in buffers
+made once per run. The rounds of one period, with every view of those
+buffers they read, are bound once per stack size (``_round``), so that
+a call of ``rk4_step`` or ``_stage`` runs only numpy kernels; every
+period runs them all.
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -80,6 +82,7 @@ from .constants import (
     MIXING_EPS,
     POPULATION_DUST,
     POSITIVITY_FLOOR,
+    SAMPLE_PRODUCT_MADDS,
     SINK_THRESHOLD,
     TRACE_ABORT,
     TRACE_TOL,
@@ -400,7 +403,9 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
     of the first k_b rows of ``coefficients`` (``_coefficients(K, d)``, d
     at least every d_b) with the float64 view of the stacked terms. It
     writes them to rows ``r k_b .. (r+1) k_b - 1`` of ``samples`` and sets
-    R to the last. Stage j acts on the leading run of the slices up to the
+    R to the last. The product runs in column chunks of at most
+    SAMPLE_PRODUCT_MADDS multiply-adds, so that OpenBLAS runs each on one
+    thread. Stage j acts on the leading run of the slices up to the
     last one whose degree reaches j, so a slice's bits do not depend on
     the stack; a slice in that run past its own degree computes a term
     that nothing reads. ``samples`` is (K, B, dim, dim); ``samples[-1]``
@@ -410,10 +415,10 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
 
     The round is returned with every view it reads taken here, once:
     ``stages`` holds the ``_stage`` operands of terms 1..d, ``products``
-    the ``(weights, series, out)`` of each slice's sample product, and
-    ``copies`` the ``(R, last sample)`` pair of each run of one block
-    size. The stages share one (B, dim, 1) feed scratch, the round's only
-    allocation.
+    the ``(weights, series, out)`` of each column chunk of each slice's
+    sample product, and ``copies`` the ``(R, last sample)`` pair of each
+    run of one block size. The stages share one (B, dim, 1) feed scratch,
+    the round's only allocation.
     """
     count, dim = len(degrees), terms.shape[-1]
     product, fed = samples[-1], np.empty((count, dim, 1))
@@ -429,14 +434,19 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
             m[:count], state, scratch, gain, state.diagonal(0, -2, -1).real[..., None], fed[:count], feed[:count],
             out, scratch.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[:count, :, 0],
         ))
-    products = [
-        (
-            coefficients[:k, : degree + 1],
-            terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1),
-            samples[r * k : (r + 1) * k, b].view(np.float64).reshape(k, -1),
-        )
-        for b, (degree, k) in enumerate(zip(degrees, strides))
-    ]
+    products = []
+    for b, (degree, k) in enumerate(zip(degrees, strides)):
+        weights = coefficients[:k, : degree + 1]
+        series = terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
+        out = samples[r * k : (r + 1) * k, b].view(np.float64).reshape(k, -1)
+        # Halved, the chunks stay equal and divide the 2^p columns, so each
+        # column's bits are those of the whole product.
+        width = series.shape[1]
+        while width > 1 and weights.size * width > SAMPLE_PRODUCT_MADDS:
+            width //= 2
+        products += [
+            (weights, series[:, i : i + width], out[:, i : i + width]) for i in range(0, series.shape[1], width)
+        ]
     # The slices of one block size are a run, and share their last row.
     copies, start = [], 0
     for k, run in groupby(strides):
@@ -447,7 +457,7 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
 
 
 def rk4_step(round_) -> None:
-    """Run one round bound by ``_round``: its stages, its sample products and R's update.
+    """Run one round bound by ``_round``: its stages, its sample products (in column chunks) and R's update.
 
     k = 1 at degree 4 is one RK4 step of h: for a constant generator
     every 4-stage explicit Runge-Kutta method of order 4 is this
@@ -725,9 +735,10 @@ def evolve(rho0, spec: HypercubeSpec, params: WalkParams) -> Trajectory:
 
     The sampling stride is rounded to a whole number of steps of dt and
     the run extends to the first sample at or past ``t_max``. Each block
-    of up to four strides is one Taylor expansion whose degree comes from
-    a norm bound and yields each of its samples, or, where that costs
-    more, each stride is RK4 steps of dt (see the module docstring).
+    of up to MAX_BLOCK_STRIDES (eight) strides is one Taylor expansion
+    whose degree comes from a norm bound and yields each of its samples,
+    or, where that costs more, each stride is RK4 steps of dt (see the
+    module docstring).
     Every sampled state is health-checked; a non-finite entry, a trace
     drift beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
     diagnostics error at that sample's time, whose advice of a smaller dt

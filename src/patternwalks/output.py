@@ -160,12 +160,11 @@ def svg_line_plot(path: str, x, series: dict, title: str, x_label: str, y_label:
             f'stroke="#dddddd"/>'
         )
     # sx and sy take whole arrays; "%.2f" formats each float as f"{v:.2f}" does.
-    # Each x is formatted once per plot, into a template for its points' y.
-    xs = ["%.2f," % v + "%.2f" for v in sx(x).tolist()]
+    # The x are formatted once per plot, into one template for a series' y.
+    template = " ".join(["%.2f," % v + "%.2f" for v in sx(x).tolist()])
     for idx, (label, values) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        ys = sy(np.asarray(values, dtype=float)).tolist()
-        points = " ".join(map(str.__mod__, xs, ys))
+        points = template % tuple(sy(np.asarray(values, dtype=float)).tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

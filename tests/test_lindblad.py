@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from patternwalks import lindblad
-from patternwalks.constants import HERMITICITY_TOL
+from patternwalks.constants import HERMITICITY_TOL, SAMPLE_PRODUCT_MADDS
 from patternwalks.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -518,19 +518,20 @@ class TestRk4Step:
 
     @pytest.mark.parametrize(
         "x, steps_per_sample, block",
-        [(1.2, 10, (4, 40)), (0.82, 10, (4, 29)), (0.0, 10, (4, 1)), (0.16, 1, (4, 15)),
-         (0.18, 1, (0, 4)), (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)),
-         (10.0, 10**6, (0, 4))],
+        [(1.2, 10, (8, 55)), (0.82, 10, (8, 45)), (0.0, 10, (8, 1)), (0.44, 1, (8, 30)),
+         (0.45, 1, (0, 4)), (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)),
+         (10.0, 10**6, (0, 4)), (2.0, 10, (4, 50))],
     )
     def test_block_is_the_largest_that_fits_rk4s_budget(self, x, steps_per_sample, block):
         # x is the norm bound times the stride. n = 6 at kappa = gamma = 1
-        # takes 4 strides at degree 40 on its 1-norm bound (1.2) and at
-        # degree 29 on its 2-norm bound (0.82). At one step of dt per
-        # stride, 4 x 0.16 needs degree 15, below RK4's 16 stages, but
-        # 4 x 0.18 needs 16, and 2 or 1 strides need more than their 8 or
-        # 4: the pair falls back. 4 x 2.5 is beyond the table, but 2 x 2.5
-        # needs 40 of 80; 6.0 needs 40, below 80 at 20 steps per stride but
-        # not below 40 at 10
+        # takes 8 strides at degree 55 on its 1-norm bound (1.2) and at
+        # degree 45 on its 2-norm bound (0.82). At one step of dt per
+        # stride, 8 x 0.44 needs degree 30, below RK4's 32 stages, but
+        # 8 x 0.45 needs 35, and 4, 2 or 1 strides need more than their 16,
+        # 8 or 4: the pair falls back. 4 x 2.5 is beyond the table, but
+        # 2 x 2.5 needs 40 of 80; 6.0 needs 40, below 80 at 20 steps per
+        # stride but not below 40 at 10. 8 x 2.0 is beyond the table too,
+        # but 4 x 2.0 needs 50 of 160
         assert _block(x, steps_per_sample) == block
 
     @pytest.mark.parametrize("path", ["real", "complex"])
@@ -666,6 +667,43 @@ class TestBoundRounds:
             for name in outcome:
                 assert len(outcome[name]) == times.size
                 assert np.array_equal(outcome[name], expected[name][: times.size]), (b, name)
+
+
+    @pytest.mark.parametrize("path", ["real", "complex"])
+    def test_sample_products_of_8_stride_blocks_are_split(self, path):
+        # an n = 6 stack of blocks of eight strides, kappa/gamma = 1 and 0
+        # at degrees 45 and 35 (50 and 35 for the complex R of unequal
+        # self-loops). Whole, a slice's (8 x 46) @ (46 x 4 096) sample
+        # product (8 192 columns for a complex R) ran on two OpenBLAS
+        # threads; bound, it is column chunks of at most SAMPLE_PRODUCT_MADDS
+        # multiply-adds each, and the samples equal those of one unsplit
+        # product bit for bit
+        overrides = {"real": (), "complex": [("000000", "000000", 2.0), ("010000", "010000", 0.5)]}[path]
+        spec = make_spec(6, ["011010", "110111"], overrides)
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        rho = np.repeat(basis_density(vertex_index("100001"), spec.dim)[None], 2, axis=0)
+        r, m, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, [(1.0, 1.0), (0.0, 1.0)], spec.sinks)
+        assert r.dtype == (np.float64 if path == "real" else np.complex128)
+        blocks = [_block(x * 0.05, 10) for x in gen.bound()]
+        assert blocks == ([(8, 45), (8, 35)] if path == "real" else [(8, 50), (8, 35)])
+        degrees = [degree for _, degree in blocks]
+        terms = np.empty((degrees[0] + 1, *r.shape), dtype=r.dtype)
+        terms[0] = r
+        samples = np.empty((8, *r.shape), dtype=r.dtype)
+        ops = (0.05 * m, 0.05 * gen.gamma)
+        round_ = _round(terms, samples, *ops, degrees, [8, 8], 0, _coefficients(8, degrees[0]), gain)
+        columns = r[0].view(np.float64).size
+        _, products, _ = round_
+        assert len(products) > 2
+        for weights, series, out in products:
+            assert weights.size * series.shape[1] <= SAMPLE_PRODUCT_MADDS
+            assert series.shape[1] < columns and out.shape == (8, series.shape[1])
+        lindblad.rk4_step(round_)
+        # R is set to the last sample; the terms are otherwise as the products read them.
+        terms[0] = r
+        for b, degree in enumerate(degrees):
+            whole = _coefficients(8, degree) @ terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
+            assert np.array_equal(samples[:, b].view(np.float64).reshape(8, -1), whole)
 
 
 class TestFrame:
@@ -1019,8 +1057,8 @@ class TestEvolveBatch:
     @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks"])
     @pytest.mark.parametrize("failing", [False, True], ids=["healthy", "failing"])
     def test_block_sizes_share_their_stage_calls(self, monkeypatch, failing, chunked):
-        # the sweep-n4 shape: blocks of two strides at degrees 50 and 40 and
-        # of four at 50, 35 and 20, in one stack. A period of four strides
+        # blocks of two strides at degrees 50 and 40 and of four at 50, 35
+        # and 20, in one stack. A period of four strides
         # is round 0 (every slice, 50 stages) and round 1 (the two of
         # k = 2, 50 stages): 100 stage calls, not the 50 + 2 x 50 of one
         # stack per block size. With ``failing``, the slice of degree 35
@@ -1146,19 +1184,20 @@ class TestEvolveBatch:
 
     def test_every_block_size_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
         # at a stride of 0.05, kappa/gamma = 12 and 10 take blocks of two
-        # strides (degrees 55 and 50) and 4 and 0.5 blocks of four (degrees
-        # 45 and 21), in one stack: a period of four strides is one round
-        # of all four and one of the two of k = 2. kappa/gamma = 150 would
-        # need more than RK4's stages, so it takes RK4 steps of dt = 0.005
-        # in a stack of its own and goes unphysical at the first sample.
-        # Each point equals its lone run bit for bit
+        # strides (degrees 55 and 50), 4 blocks of four (degree 45) and 0.5
+        # blocks of eight (degree 29), in one stack: a period of eight
+        # strides is one round of all four, one of the three of k <= 4 and
+        # two of the two of k = 2. kappa/gamma = 150 would need more than
+        # RK4's stages, so it takes RK4 steps of dt = 0.005 in a stack of
+        # its own and goes unphysical at the first sample. Each point equals
+        # its lone run bit for bit
         calls = recorded_blocks(monkeypatch)
         spec = make_spec(4, ["0110", "1111"])
         rho0 = basis_density(0, spec.dim)
         points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 12.0, 150.0, 4.0, 10.0)]
         outcomes = evolve_batch(rho0, spec, points)
-        period = [([2, 2, 4, 4], [55, 50, 45, 21]), ([2, 2], [55, 50])]
-        assert calls == period * 10 + [([1], [4])] * 10
+        period = [([2, 2, 4, 8], [55, 50, 45, 29]), ([2, 2, 4], [55, 50, 45])] + [([2, 2], [55, 50])] * 2
+        assert calls == period * 5 + [([1], [4])] * 10
         failed = outcomes[2]
         assert isinstance(failed, IntegrationDiagnosticsError) and failed.t == 0.05
         with pytest.raises(IntegrationDiagnosticsError) as lone_failure:
@@ -1173,9 +1212,9 @@ class TestEvolveBatch:
 
     def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self, monkeypatch):
         # at kappa/gamma = 20 no tabled degree covers the bound times one,
-        # two or four strides within RK4's stages, so each sample is 10 RK4
-        # steps of dt = 0.005; the run completes, within RK4's error of the
-        # oracle
+        # two, four or eight strides within RK4's stages, so each sample is
+        # 10 RK4 steps of dt = 0.005; the run completes, within RK4's error
+        # of the oracle
         calls = recorded_blocks(monkeypatch)
         spec = make_spec(4, ["1011", "1111"])
         rho0 = basis_density(vertex_index("0000"), spec.dim)
@@ -1185,12 +1224,12 @@ class TestEvolveBatch:
         mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
         oracle = superoperator_populations(build_hamiltonian(spec), mats, 20.0, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 2e-3
-        # batched with kappa/gamma = 1, which takes blocks of four strides,
+        # batched with kappa/gamma = 1, which takes blocks of eight strides,
         # both outcomes equal their lone runs bit for bit
         calls.clear()
         mild = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
         batched = evolve_batch(rho0, spec, [stiff, mild])
-        assert calls[10:] == [([1], [4])] * 10 * 40 and [k for k, _ in calls[:10]] == [[4]] * 10
+        assert calls[5:] == [([1], [4])] * 10 * 40 and [k for k, _ in calls[:5]] == [[8]] * 5
         for traj, params in zip(batched, (stiff, mild)):
             lone = evolve(rho0, spec, params)
             for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
@@ -1212,13 +1251,13 @@ class TestEvolveBatch:
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
     def test_partial_last_block_ends_on_the_horizon(self, monkeypatch):
-        # t_max = 0.3 is 6 samples: one block of four and one of which only
+        # t_max = 0.5 is 10 samples: one block of eight and one of which only
         # two outputs are samples; the populations match the oracle
         calls = recorded_blocks(monkeypatch)
         spec = make_spec(3, ["101", "111"])
         rho0 = basis_density(0, 8)
-        traj = evolve(rho0, spec, WalkParams(kappa=1.0, gamma=1.0, t_max=0.3))
-        assert [k for k, _ in calls] == [[4], [4]] and traj.times.size == 7
+        traj = evolve(rho0, spec, WalkParams(kappa=1.0, gamma=1.0, t_max=0.5))
+        assert [k for k, _ in calls] == [[8], [8]] and traj.times.size == 11
         mats = dense_jump_matrices(build_jump_operators(spec), 8)
         oracle = superoperator_populations(build_hamiltonian(spec), mats, 1.0, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
@@ -1328,8 +1367,9 @@ class TestAtFourNeurons:
         )
         assert np.max(np.abs(traj.populations - oracle)) < 1e-6
         # blocks of Taylor expansions, exact to double precision: the gap
-        # was 3.8e-15 (real, degree 29) and 2.0e-15 (complex, degree 35),
-        # against RK4's 1.4e-8
+        # was 3.8e-15 (real, eight strides at degree 45) and 2.0e-15
+        # (complex, eight at degree 50), as with four strides at degrees 29
+        # and 35, against RK4's 1.4e-8
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
 
@@ -1339,39 +1379,50 @@ class TestAtSixNeurons:
     spec = make_spec(6, ["011010", "110111"])
     start = vertex_index("100001")
 
-    def test_a_4_stride_block_is_one_degree_29_expansion(self, monkeypatch):
+    def test_an_8_stride_block_is_one_degree_45_expansion(self, monkeypatch):
         # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound L by 24 in
         # the 1-norm, but ||M||_2 = 6.22 and ||G||_2 = 4.04 bound it by 16.49
-        # in the 2-norm, so four strides of 0.05 need theta_m >= 3.30: m = 29,
-        # against the 160 stages of RK4 at dt = 0.005; t_max = 1 is 20
-        # samples
+        # in the 2-norm, so eight strides of 0.05 need theta_m >= 6.60:
+        # m = 45, against the 320 stages of RK4 at dt = 0.005; t_max = 1 is
+        # 20 samples, two blocks and a cut third. The populations match
+        # blocks of one stride (degree 17) to 3.3e-16
         calls = recorded_blocks(monkeypatch)
-        evolve(basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=1.0, t_max=1.0))
-        assert calls == [([4], [29])] * 5
+        params = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0)
+        traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
+        assert calls == [([8], [45])] * 3
+        calls.clear()
+        monkeypatch.setattr(lindblad, "MAX_BLOCK_STRIDES", 1)
+        single = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
+        assert calls == [([1], [17])] * 20
+        assert np.max(np.abs(traj.populations - single.populations)) < 1e-14
 
-    def test_coherent_limit_matches_the_unitary(self):
+    def test_coherent_limit_matches_the_unitary(self, monkeypatch):
         # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
         # eigh of the real H, so the populations are |U[:, start]|^2; the
-        # gap was 6.0e-13 with blocks of four strides at degree 25 (bound
-        # 11.7 in the 2-norm, 12 in the 1-norm), where RK4 at dt = 0.005 is
-        # off by 4e-8 (||H|| = 6.8)
+        # gap was 6.0e-13 with blocks of eight strides at degree 35 (bound
+        # 11.7 in the 2-norm, 12 in the 1-norm), as with blocks of four at
+        # degree 25, where RK4 at dt = 0.005 is off by 4e-8 (||H|| = 6.8)
+        calls = recorded_blocks(monkeypatch)
         h = build_hamiltonian(self.spec)
         traj = evolve(
             basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=0.0, t_max=5.0)
         )
+        assert calls == [([8], [35])] * 13
         w, v = np.linalg.eigh(h)
         amplitudes = (v * np.exp(-1j * np.outer(traj.times, w))[:, None, :]) @ v[self.start]
         assert traj.times[-1] == pytest.approx(5.0)
         assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-7
         assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-11
 
-    def test_dissipative_limit_matches_the_chain(self):
+    def test_dissipative_limit_matches_the_chain(self, monkeypatch):
         # kappa = 0: the populations follow the classical chain sample by
-        # sample; the gap was 4.4e-16 with blocks of four strides at degree
-        # 23 (bound 10.0 in the 2-norm, 12 in the 1-norm), where RK4 at
-        # dt = 0.005 is off by about 2e-10
+        # sample; the gap was 4.4e-16 with blocks of eight strides at degree
+        # 35 (bound 10.0 in the 2-norm, 12 in the 1-norm), as with blocks of
+        # four at degree 23, where RK4 at dt = 0.005 is off by about 2e-10
+        calls = recorded_blocks(monkeypatch)
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
         traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
+        assert calls == [([8], [35])] * 13
         q = rate_matrix_from_jumps(build_jump_operators(self.spec), self.spec.dim)
         pi0 = np.zeros(self.spec.dim)
         pi0[self.start] = 1.0
