@@ -17,18 +17,20 @@ part on the non-sink vertices commutes with the state and is dropped,
 so D is zero unless non-sink self-loops differ. M is then real, and a
 real R (every basis pattern) stays real symmetric float64; otherwise R
 is complex128 on the same code. A stage is one product P = M R, the sum
-P + P^dag, Hermitian to the bit, and the feed. R has rho's diagonal,
-spectrum and purity, so each sample reads them off R. A sink has no
-coherent edge and no outgoing jump, so its rows and columns of M are
-zero. The integrator requires an initial state with no coherence that
-involves a sink and keeps each such coherence at exactly 0.0, so the
-positivity check reads the non-sink block and the sink populations.
-The equation is linear with a constant generator L, so each sample is
-exp(s L) applied to the one before, for the sample stride s. One frozen
-record, ``_Generator``, holds L for a stack of strength pairs: M per
-pair, the gamma stack, G, and the non-sink and sink index arrays. Its
-builder ``_generator`` takes H, G, the out-degrees and the sinks, and
-no state; it is the only code that frames H and forms M. The record
+P + P^dag, Hermitian to the bit, and the feed, one product of the
+pair's own gain gamma G, scaled by the step as M is, with R's diagonal.
+R has rho's diagonal, spectrum and purity, so each sample reads them
+off R. A sink has no coherent edge and no outgoing jump, so its rows
+and columns of M are zero. The integrator requires an initial state
+with no coherence that involves a sink and keeps each such coherence at
+exactly 0.0, so the positivity check reads the non-sink block and the
+sink populations. The equation is linear with a constant generator L,
+so each sample is exp(s L) applied to the one before, for the sample
+stride s. One frozen record, ``_Generator``, holds L for a stack of
+strength pairs: M per pair, the gamma stack, G, the non-sink and sink
+index arrays and the non-sink block's flat index. Its builder
+``_generator`` takes H, G, the out-degrees and the sinks, and no state;
+it is the only code that frames H and forms M. The record
 bounds L per pair by the smaller of the 1-norm and 2-norm bounds,
 2 ||M||_1 + gamma ||G||_1 and 2 ||M||_2 + gamma ||G||_2, each an induced
 norm of L in one norm of R. ``evolve_batch`` builds it once per call,
@@ -49,7 +51,8 @@ stage acts on all the pairs whose expansions reach its term. The pairs
 for which no k qualifies form a second stack and take s/dt RK4 steps of
 h = dt, each a round with k = K = 1 and m = 4. A stack of B states holds
 (m+1) x B terms, m its highest degree, and K x B samples, in buffers
-made once per run. The rounds of one period, with every view of those
+made once per run, and its operands h M and h gamma G, one slice per
+pair, made once too and compacted when a pair drops. The rounds of one period, with every view of those
 buffers they read, are bound once per stack size (``_round``), so that
 a call of ``rk4_step`` or ``_stage`` runs only numpy kernels; every
 period runs them all.
@@ -193,26 +196,31 @@ def _split(dim: int, sinks) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(live), np.flatnonzero(~live)
 
 
-def _health(m, live, sinks) -> tuple[np.ndarray, np.ndarray]:
+def _flat_block(live, dim: int) -> np.ndarray:
+    """The (L, L) indices of the non-sink block (index array ``live``) in a flattened (dim, dim) matrix."""
+    return (live * dim)[:, None] + live
+
+
+def _health(m, block, sinks) -> tuple[np.ndarray, np.ndarray]:
     """Trace drift and smallest eigenvalue of each matrix in a (B, dim, dim) stack.
 
     Each matrix must be Hermitian, with its sink rows and columns (index
     array ``sinks``) zero off the diagonal. It is then block diagonal,
     and its smallest eigenvalue is the smaller of the non-sink block's
-    (index array ``live``) and the smallest sink population. It is NaN
-    for a matrix with a non-finite entry, which eigvalsh cannot take; a
-    NaN fails every threshold comparison.
+    (flat indices ``block``, from ``_flat_block``) and the smallest sink
+    population. It is NaN for a matrix with a non-finite entry, which
+    eigvalsh cannot take; a NaN fails every threshold comparison.
     """
     drift = np.abs(np.trace(m, axis1=1, axis2=2).real - 1.0)
     smallest = np.full(m.shape[0], np.nan)
     finite = np.isfinite(m).all(axis=(1, 2))
     if finite.any():
         ok = m if finite.all() else m[finite]
-        # Each slice's block is contiguous, as a lone matrix's is.
-        block = np.take(ok[:, live], live, axis=2)
+        # One copy gathers every slice's block, contiguous as a lone matrix's is.
+        blocks = np.take(ok.reshape(len(ok), -1), block, axis=1)
         sink_populations = np.diagonal(ok, axis1=1, axis2=2).real[:, sinks]
         smallest[finite] = np.minimum(
-            np.linalg.eigvalsh(block).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
+            np.linalg.eigvalsh(blocks).min(axis=1), sink_populations.min(axis=1, initial=np.inf)
         )
     return drift, smallest
 
@@ -248,7 +256,8 @@ def validate_density(rho, sinks=()) -> np.ndarray:
             "the walk needs every sink row and column zero off the diagonal"
         )
     # A real state takes the real eigensolver, as its walk's samples do.
-    (drift,), (smallest,) = _health((herm if herm.imag.any() else herm.real)[None], live, sinks)
+    block = _flat_block(live, m.shape[0])
+    (drift,), (smallest,) = _health((herm if herm.imag.any() else herm.real)[None], block, sinks)
     if not drift <= TRACE_TOL:
         raise ContractViolationError(f"density matrix trace drifts by {drift:.3g}")
     if not smallest >= POSITIVITY_FLOOR:
@@ -302,7 +311,8 @@ class _Generator:
     ``m`` is the (B, dim, dim) stack of M, float64 unless D is nonzero,
     and ``gamma`` the (B, 1, 1) dissipator strengths; the pairs share G =
     ``gain``. ``live`` and ``sinks`` index the non-sink vertices and the
-    sinks. The record holds no state.
+    sinks, and ``block`` is the non-sink block's flat index (``_flat_block``).
+    The record holds no state.
     """
 
     m: np.ndarray
@@ -310,6 +320,7 @@ class _Generator:
     gain: np.ndarray
     live: np.ndarray
     sinks: np.ndarray
+    block: np.ndarray
 
     def bound(self) -> np.ndarray:
         """Per slice, the smaller of the 1-norm and 2-norm bounds on L over the walk's states.
@@ -359,25 +370,24 @@ def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
         m = kappa * framed.imag - gamma * np.diag(0.5 * out_degree)
         if d.any():
             m = m - 1j * kappa * d
-    return _Generator(m, gamma, gain, live, sinks)
+    return _Generator(m, gamma, gain, live, sinks, _flat_block(live, h.shape[-1]))
 
 
-def _stage(m, r, product, gain, column, fed, feed, out, transposed, diagonal, fed_diagonal):
+def _stage(m, r, product, gain, column, fed, out, transposed, diagonal, fed_diagonal):
     """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
 
-    ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
-    dim) stack ``r``, which shares ``gain`` = G. ``product`` and ``out``
-    are contiguous (B, dim, dim) stacks, and ``out`` may be ``r``; ``fed``
-    is a (B, dim, 1) float64 scratch. The other operands are views bound
-    once (see ``_round``): ``column`` is r's diagonal as a column,
-    ``transposed`` the product's transpose, ``diagonal`` out's diagonal and
+    ``m`` is ``c M`` and ``gain`` is ``c gamma G``, per slice of a (B,
+    dim, dim) stack ``r``. ``product`` and ``out`` are contiguous (B, dim,
+    dim) stacks, and ``out`` may be ``r``; ``fed`` is a (B, dim, 1)
+    float64 scratch. The other operands are views bound once (see
+    ``_round``): ``column`` is r's diagonal as a column, ``transposed``
+    the product's transpose, ``diagonal`` out's diagonal and
     ``fed_diagonal`` the feed's (B, dim) view.
     """
     np.matmul(m, r, out=product)
     # Read r before out, which may be r, is written. The feed is one
     # product per slice, so a slice's bits do not depend on the stack.
     np.matmul(gain, column, out=fed)
-    fed *= feed
     # A ufunc reading the transposed view would buffer a state-sized copy.
     np.copyto(out, transposed)
     if out.dtype.kind == "c":
@@ -392,14 +402,14 @@ def _coefficients(k: int, degree: int) -> np.ndarray:
     return np.array([[q**j / math.factorial(j) for j in range(degree + 1)] for q in range(1, k + 1)])
 
 
-def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
+def _round(terms, samples, m, gain, degrees, strides, r, coefficients):
     """Round ``r`` of a period on the (B, dim, dim) stack R = ``terms[0]``, as ``(stages, products, copies)``.
 
     Slice b, of block size k_b = ``strides[b]`` and degree d_b =
     ``degrees[b]``, sums the degree-d_b Taylor series of its k_b samples
     ``exp(q h L) R``, q = 1..k_b, from one expansion: ``terms[j] = (h L)^j
-    R`` for j = 1..d_b, each one ``_stage`` with ``m`` = h M and ``feed`` =
-    h gamma, and then sample q is ``sum_j q^j / j! terms[j]``, one product
+    R`` for j = 1..d_b, each one ``_stage`` with ``m`` = h M and ``gain`` =
+    h gamma G, and then sample q is ``sum_j q^j / j! terms[j]``, one product
     of the first k_b rows of ``coefficients`` (``_coefficients(K, d)``, d
     at least every d_b) with the float64 view of the stacked terms. It
     writes them to rows ``r k_b .. (r+1) k_b - 1`` of ``samples`` and sets
@@ -431,7 +441,7 @@ def _round(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
         # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
         # diagonal entry: a strided view, cheaper than fancy indexing.
         stages.append((
-            m[:count], state, scratch, gain, state.diagonal(0, -2, -1).real[..., None], fed[:count], feed[:count],
+            m[:count], state, scratch, gain[:count], state.diagonal(0, -2, -1).real[..., None], fed[:count],
             out, scratch.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[:count, :, 0],
         ))
     products = []
@@ -502,7 +512,7 @@ def _chunks(count: int, nbytes: int):
 def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt: float):
     """Step a (B, dim, dim) stack of framed states, health-checking every sample.
 
-    Slice b advances on ``ops = (h M, h gamma)`` in expansions of
+    Slice b advances on ``ops = (h M, h gamma G)`` in expansions of
     ``strides[b]`` = k_b outputs at stride h and degree ``degrees[b]``;
     the slices are ordered by k ascending, then by degree descending. A
     period is K sample strides, K the largest k_b, and each of its samples
@@ -538,7 +548,7 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     herm = np.empty((batch, times.size))
     errors = {}
     live = np.arange(batch)
-    m, feed = ops
+    m, gain = ops
     degrees, strides = list(degrees), list(strides)
     period, depth = max(strides), max(degrees) + 1
     coefficients = _coefficients(period, depth - 1)
@@ -554,8 +564,8 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
         for round_ in range(period // strides[0]):
             active = sum(round_ * k < period for k in strides)
             rounds.append(_round(
-                terms[:, :active], samples[:, :active], m[:active], feed[:active],
-                degrees[:active], strides[:active], round_, coefficients, gen.gain,
+                terms[:, :active], samples[:, :active], m[:active], gain[:active],
+                degrees[:active], strides[:active], round_, coefficients,
             ))
         return terms, samples, rounds
 
@@ -567,7 +577,7 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
         flat = block.reshape(-1, dim, dim)
         drift, smallest = np.empty(len(flat)), np.empty(len(flat))
         for chunk in _chunks(len(flat), flat[0].nbytes):
-            drift[chunk], smallest[chunk] = _health(flat[chunk], gen.live, gen.sinks)
+            drift[chunk], smallest[chunk] = _health(flat[chunk], gen.block, gen.sinks)
         drift, smallest = drift.reshape(-1, count), smallest.reshape(-1, count)
         # A slice keeps the samples before its first failing one.
         kept = np.logical_and.accumulate((drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT), axis=0)
@@ -595,7 +605,7 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
             if live.size == 0:
                 break
             # Each pair's old operands are freed once its new ones exist.
-            m, feed = m[ok], feed[ok]
+            m, gain = m[ok], gain[ok]
             degrees = [d for d, keep in zip(degrees, ok) if keep]
             strides = [k for k, keep in zip(strides, ok) if keep]
             terms, samples, rounds = bind(live.size)
@@ -710,7 +720,8 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     for group, h, steps in ((exact, stride, 1), (fallback, first.dt, steps_per_sample)):
         if not group:
             continue
-        ops = ((h * gen.m[group]).astype(r.dtype, copy=False), h * gen.gamma[group])
+        # Each pair's feed strength is folded into a gain of its own, h gamma G.
+        ops = ((h * gen.m[group]).astype(r.dtype, copy=False), h * gen.gamma[group] * gen.gain)
         stack = np.broadcast_to(r, (len(group), *r.shape))
         degrees = [blocks[b][1] for b in group]
         strides = [blocks[b][0] or 1 for b in group]

@@ -50,10 +50,13 @@ def hermiticity_residual(a):
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ConfigurationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     # Copy (m may be the caller's): a ufunc would buffer the transposed view.
-    # The copy is the one temporary: the absolute value is taken in place,
-    # and of a complex copy read off its real part.
+    # The copy is the one temporary: it is conjugated only when complex, the
+    # absolute value is taken in place, and of a complex copy read off its
+    # real part.
     diff = m.swapaxes(-1, -2).copy()
-    np.subtract(m, np.conjugate(diff, out=diff), out=diff)
+    if diff.dtype.kind == "c":
+        np.conjugate(diff, out=diff)
+    np.subtract(m, diff, out=diff)
     return np.max(np.abs(diff, out=diff).real, axis=(-2, -1), initial=0.0)
 
 

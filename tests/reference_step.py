@@ -18,17 +18,16 @@ import numpy as np
 COLUMNS = 1024
 
 
-def stage(r, m, feed, gain, out, product):
+def stage(r, m, gain, out, product):
     """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
 
-    ``m`` is ``c M`` and ``feed`` is ``c gamma``, per slice of a (B, dim,
-    dim) stack ``r``, which shares ``gain`` = G. The scratch ``product``
-    and ``out`` are contiguous and shaped like ``r``; ``out`` may be ``r``.
+    ``m`` is ``c M`` and ``gain`` is ``c gamma G``, per slice of a (B,
+    dim, dim) stack ``r``. The scratch ``product`` and ``out`` are
+    contiguous and shaped like ``r``; ``out`` may be ``r``.
     """
     dim = r.shape[-1]
     np.matmul(m, r, out=product)
     fed = np.matmul(gain, r.diagonal(0, -2, -1).real[..., None])
-    fed *= feed
     np.copyto(out, product.swapaxes(-1, -2))
     if out.dtype.kind == "c":
         np.conjugate(out, out=out)
@@ -38,7 +37,7 @@ def stage(r, m, feed, gain, out, product):
     return out
 
 
-def rk4_step(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
+def rk4_step(terms, samples, m, gain, degrees, strides, r, coefficients):
     """Round ``r`` of a period on the (B, dim, dim) stack R = ``terms[0]``, slicing every operand per call.
 
     The arguments are those of ``lindblad._round``: stage j runs on the
@@ -50,7 +49,7 @@ def rk4_step(terms, samples, m, feed, degrees, strides, r, coefficients, gain):
     for j in range(1, max(degrees) + 1):
         while degrees[count - 1] < j:
             count -= 1
-        stage(terms[j - 1, :count], m[:count], feed[:count], gain, terms[j, :count], product[:count])
+        stage(terms[j - 1, :count], m[:count], gain[:count], terms[j, :count], product[:count])
     for b, (degree, k) in enumerate(zip(degrees, strides)):
         weights = coefficients[:k, : degree + 1]
         series = terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)

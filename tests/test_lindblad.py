@@ -29,6 +29,7 @@ from patternwalks.lindblad import (
     WalkParams,
     _block,
     _coefficients,
+    _flat_block,
     _generator,
     _health,
     _integrate,
@@ -83,13 +84,18 @@ def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
     return r, m[0], gain
 
 
-def stage(r, m, feed, gain, out, product):
-    """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``feed`` into ``out``, on views taken for it."""
+def stage(r, m, gain, out, product):
+    """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``gain`` into ``out``, on views taken for it."""
     dim, fed = r.shape[-1], np.empty((*r.shape[:-1], 1))
     return _stage(
-        m, r, product, gain, r.diagonal(0, -2, -1).real[..., None], fed, feed,
+        m, r, product, gain, r.diagonal(0, -2, -1).real[..., None], fed,
         out, product.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[..., 0],
     )
+
+
+def walk_ops(h, m, gamma, gain):
+    """``(h M, h gamma G)``, the operands ``evolve_batch`` gives ``_integrate`` for the stride ``h``."""
+    return h * m, h * gamma * gain
 
 
 def run_round(*args):
@@ -121,7 +127,7 @@ def recorded_rounds(monkeypatch, record):
 def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
     """``c`` times the stage evolve integrates, on the framed ``rho``, as a new array."""
     r, m, gain = walk_operands(rho, h, jumps, kappa, gamma, sinks)
-    return stage(r, c * m, c * gamma, gain, np.empty_like(r), np.empty_like(r))
+    return stage(r, c * m, c * gamma * gain, np.empty_like(r), np.empty_like(r))
 
 
 def blocks(r, m, gamma, h, gain, degree=4, k=1, count=1):
@@ -134,8 +140,8 @@ def blocks(r, m, gamma, h, gain, degree=4, k=1, count=1):
     terms = np.empty((degree + 1, 1, *r.shape), dtype=r.dtype)
     terms[0, 0] = r
     samples = np.empty((k, 1, *r.shape), dtype=r.dtype)
-    ops = (h * m[None], np.full((1, 1, 1), h * gamma))
-    bound = _round(terms, samples, *ops, [degree], [k], 0, _coefficients(k, degree), gain)
+    ops = walk_ops(h, m[None], gamma, gain[None])
+    bound = _round(terms, samples, *ops, [degree], [k], 0, _coefficients(k, degree))
     for _ in range(count):
         lindblad.rk4_step(bound)
     return samples[:, 0]
@@ -342,7 +348,7 @@ class TestRhs:
         rho = unframed(random_framed_state(spec, rng, real=True))
         apart = walk_rhs(rho, h, jumps, 1.3, 0.7, spec.sinks, c=0.25)
         inplace, m, gain = walk_operands(rho, h, jumps, 1.3, 0.7, spec.sinks)
-        assert stage(inplace, 0.25 * m, 0.25 * 0.7, gain, inplace, np.empty_like(inplace)) is inplace
+        assert stage(inplace, 0.25 * m, 0.25 * 0.7 * gain, inplace, np.empty_like(inplace)) is inplace
         assert np.array_equal(inplace, apart)
         dense = dense_master_rhs(rho, h, dense_jump_matrices(jumps, 8), 1.3, 0.7)
         assert np.max(np.abs(unframed(apart) - 0.25 * dense)) < 1e-12
@@ -359,7 +365,7 @@ class TestRhs:
         rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
         r, m, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
         assert r.dtype == m.dtype == np.float64
-        out = stage(r, 0.25 * m, 0.25 * gen.gamma, gain, np.empty_like(r), np.empty_like(r))
+        out = stage(r, 0.25 * m, 0.25 * gen.gamma * gain, np.empty_like(r), np.empty_like(r))
         assert np.array_equal(out, out.swapaxes(-1, -2))
         mats = dense_jump_matrices(jumps, 8)
         for b, (k, g) in enumerate(strengths):
@@ -394,8 +400,8 @@ class TestRk4Step:
         terms = np.empty((5, 2, 4, 4), dtype=complex)
         terms[0] = r
         samples = np.empty((2, 2, 4, 4), dtype=complex)
-        zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 1, 1)))
-        assert run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4), np.zeros((4, 4))) is None
+        zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 4, 4)))
+        assert run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4)) is None
         assert np.array_equal(samples, np.stack([start, start]))
         assert np.array_equal(terms[0], start)
 
@@ -459,8 +465,8 @@ class TestRk4Step:
         terms = np.empty((4, 3, 8, 8))
         terms[0] = r
         samples = np.empty((2, 3, 8, 8))
-        ops = (0.1 * m, 0.1 * gen.gamma)
-        run_round(terms, samples, *ops, [3, 3, 1], [2, 2, 2], 0, _coefficients(2, 3), gain)
+        ops = walk_ops(0.1, m, gen.gamma, gain)
+        run_round(terms, samples, *ops, [3, 3, 1], [2, 2, 2], 0, _coefficients(2, 3))
         assert [size for size, _ in calls] == [3, 2, 2]
         assert all(np.shares_memory(operand, ops[0]) for _, operand in calls)
         assert np.array_equal(terms[0], samples[-1])
@@ -489,14 +495,14 @@ class TestRk4Step:
         terms = np.full((51, 5, 16, 16), np.nan)
         terms[0] = r
         samples = np.full((4, 5, 16, 16), np.nan)
-        ops = (0.05 * m, 0.05 * gen.gamma)
+        ops = walk_ops(0.05, m, gen.gamma, gain)
         coefficients = _coefficients(4, 50)
-        run_round(terms, samples, *ops, degrees, strides, 0, coefficients, gain)
+        run_round(terms, samples, *ops, degrees, strides, 0, coefficients)
         assert np.isfinite(terms[:, :3]).all() and np.isfinite(terms[:36, 3]).all() and np.isfinite(terms[:21, 4]).all()
         assert np.isnan(terms[36:, 3]).all() and np.isnan(terms[21:, 4]).all()
         assert np.isfinite(samples[:2, :2]).all() and np.isfinite(samples[:, 2:]).all()
         after_round_0 = samples[:, 2:].copy()
-        run_round(terms[:, :2], samples[:, :2], *(x[:2] for x in ops), degrees[:2], strides[:2], 1, coefficients, gain)
+        run_round(terms[:, :2], samples[:, :2], *(x[:2] for x in ops), degrees[:2], strides[:2], 1, coefficients)
         assert np.array_equal(samples[:, 2:], after_round_0)
         for b, (degree, k) in enumerate(zip(degrees, strides)):
             lone = np.concatenate([
@@ -597,14 +603,14 @@ class TestBoundRounds:
             return [
                 outcome
                 for b, h, degrees, strides, steps in stacks
-                for outcome in _integrate(r[b], (h * m[b], h * gen.gamma[b]), degrees, strides, steps, gen, times, 0.005)
+                for outcome in _integrate(r[b], walk_ops(h, m[b], gen.gamma[b], gain), degrees, strides, steps, gen, times, 0.005)
             ]
 
         keys, bind = [], lindblad._round
 
-        def recorded(terms, samples, m, feed, degrees, strides, round_, *rest):
+        def recorded(terms, samples, m, gain, degrees, strides, round_, *rest):
             keys.append((len(degrees), round_))
-            return bind(terms, samples, m, feed, degrees, strides, round_, *rest)
+            return bind(terms, samples, m, gain, degrees, strides, round_, *rest)
 
         monkeypatch.setattr(lindblad, "_round", recorded)
         bound = run()
@@ -650,7 +656,7 @@ class TestBoundRounds:
             return times, [
                 outcome
                 for b, h, degrees, strides, steps in stacks
-                for outcome in _integrate(r[b], (h * m[b], h * gen.gamma[b]), degrees, strides, steps, gen, times, 0.005)
+                for outcome in _integrate(r[b], walk_ops(h, m[b], gen.gamma[b], gain), degrees, strides, steps, gen, times, 0.005)
             ]
 
         times, short = run(2)
@@ -690,8 +696,8 @@ class TestBoundRounds:
         terms = np.empty((degrees[0] + 1, *r.shape), dtype=r.dtype)
         terms[0] = r
         samples = np.empty((8, *r.shape), dtype=r.dtype)
-        ops = (0.05 * m, 0.05 * gen.gamma)
-        round_ = _round(terms, samples, *ops, degrees, [8, 8], 0, _coefficients(8, degrees[0]), gain)
+        ops = walk_ops(0.05, m, gen.gamma, gain)
+        round_ = _round(terms, samples, *ops, degrees, [8, 8], 0, _coefficients(8, degrees[0]))
         columns = r[0].view(np.float64).size
         _, products, _ = round_
         assert len(products) > 2
@@ -1000,7 +1006,7 @@ class TestEvolveBatch:
         rho = np.repeat(basis_density(0, 2)[None], len(slices), axis=0)
         r, m, gen = framed_stack(rho, x, gain, out_degree, [strengths[b] for b in slices])
         times = np.arange(41) * 0.05
-        ops, strides = (h * m, h * gen.gamma), [k] * len(slices)
+        ops, strides = walk_ops(h, m, gen.gamma, gain), [k] * len(slices)
         return times, _integrate(r, ops, [degrees[b] for b in slices], strides, steps, gen, times, 0.01)
 
     @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks"])
@@ -1084,7 +1090,7 @@ class TestEvolveBatch:
         if failing:
             m[3, 0, 0] += 2.5e-6
         times = np.arange(13) * 0.05
-        ops = (0.05 * m, 0.05 * gen.gamma)
+        ops = walk_ops(0.05, m, gen.gamma, gain)
         monkeypatch.setattr(lindblad, "_stage", counted)
         checked = checked_chunks(monkeypatch, 3 * r[0].nbytes if chunked else None)
         outcomes = _integrate(r, ops, degrees, strides, 1, gen, times, 0.005)
@@ -1138,7 +1144,7 @@ class TestEvolveBatch:
         monkeypatch.setattr(lindblad, "rk4_step", measured)
         tracemalloc.start()
         try:
-            ops = (0.005 * m, 0.005 * gen.gamma)
+            ops = walk_ops(0.005, m, gen.gamma, gain)
             outcomes = _integrate(r, ops, [4] * 8, [1] * 8, 200, gen, np.array([0.0, 1.0]), 0.005)
         finally:
             tracemalloc.stop()
@@ -1175,7 +1181,7 @@ class TestEvolveBatch:
         times = np.arange(samples + 1) * h * steps
         tracemalloc.start()
         try:
-            outcomes = _integrate(r, (h * m, h * gen.gamma), degrees, [k] * 8, steps, gen, times, 0.005)
+            outcomes = _integrate(r, walk_ops(h, m, gen.gamma, gain), degrees, [k] * 8, steps, gen, times, 0.005)
         finally:
             tracemalloc.stop()
         assert len(peaks) == samples * steps // k
@@ -1309,12 +1315,49 @@ class TestSinkBlock:
             for r, w in zip(rho, weights):
                 r[np.ix_(live, live)] = w[0] * random_density(live.size, rng)
                 r[sinks, sinks] = w[1:]
-            _, smallest = _health(rho, live, sinks)
+            _, smallest = _health(rho, _flat_block(live, spec.dim), sinks)
             full = np.linalg.eigvalsh(rho).min(axis=1)
             assert np.max(np.abs(smallest - full)) < 1e-15
             sink_held_minimum += list(weights[:, 1:].min(axis=1) == smallest)
         # both the block and the sink populations held the minimum somewhere
         assert 0 < sum(sink_held_minimum) < len(sink_held_minimum)
+
+    @pytest.mark.parametrize("case", ["contiguous", "non-finite", "validate"])
+    def test_one_copy_gather_is_the_two_step_take(self, monkeypatch, case):
+        # the non-sink blocks that reach eigvalsh, gathered with one take of
+        # the flat index, equal np.take(m[:, live], live, axis=2) bit for bit:
+        # on a contiguous n = 6 stack of 8 states, on one whose third slice
+        # holds a NaN (the finite slices are gathered from m[finite]), and on
+        # validate_density's strided view herm.real[None] of one state. The
+        # smallest eigenvalues are those of the two-step blocks
+        rng = np.random.default_rng(157)
+        spec = make_spec(6, ["011010", "110111"])
+        live, sinks = _split(spec.dim, spec.sinks)
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def recorded(a):
+            seen.append(a.copy())
+            return eigvalsh(a)
+
+        stack = np.stack([random_framed_state(spec, rng, real=True) for _ in range(8)])
+        if case == "non-finite":
+            stack[2, 5, 9] = np.nan
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        if case == "validate":
+            rho = stack[0]
+            validate_density(rho, spec.sinks)
+            stack = (0.5 * (rho + rho.T))[None]
+        else:
+            _, smallest = _health(stack, _flat_block(live, spec.dim), sinks)
+        monkeypatch.undo()
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        expected = np.take(stack[finite][:, live], live, axis=2)
+        (block,) = seen
+        assert block.shape == expected.shape and np.array_equal(block, expected)
+        if case != "validate":
+            sink_populations = np.diagonal(stack[finite], axis1=1, axis2=2)[:, sinks].min(axis=1)
+            assert np.array_equal(smallest[finite], np.minimum(eigvalsh(expected).min(axis=1), sink_populations))
+            assert np.isnan(smallest[~finite]).all() and finite.sum() == (7 if case == "non-finite" else 8)
 
     def test_sink_coherence_rejected(self):
         spec = make_spec(3, ["101", "111"])
