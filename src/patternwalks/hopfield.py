@@ -8,13 +8,13 @@ an ASCII bit string with neuron 1 first, e.g. ``"101"``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hypercube import vertex_index
+from .numerics import check_count
 
 __all__ = [
     "STANDARD",
@@ -93,11 +93,6 @@ def _check_state(state, n: int) -> np.ndarray:
     return s.astype(np.int8)
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigurationError(f"{name}: must be an integer >= {minimum}, got {value!r}")
-
-
 def check_options(sense, order, max_sweeps, seed) -> None:
     """Check the options of ``run_async``; each message starts with its config key."""
     if sense not in SENSES:
@@ -106,8 +101,8 @@ def check_options(sense, order, max_sweeps, seed) -> None:
         )
     if order not in ORDERS:
         raise ConfigurationError(f"order: unknown update order {order!r}, expected one of {ORDERS}")
-    _check_count("max_sweeps", max_sweeps, 1)
-    _check_count("seed", seed, 0)
+    check_count("max_sweeps", max_sweeps, 1)
+    check_count("seed", seed, 0)
 
 
 def _check_theta(theta, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from .constants import ROW_SUM_TOL
 from .errors import ConfigurationError, ContractViolationError
 from .hypercube import jump_gain
-from .numerics import expm
+from .numerics import check_count, expm
 
 __all__ = [
     "as_probability_vector",
@@ -42,6 +42,8 @@ def as_rate_matrix(q) -> np.ndarray:
     a = np.asarray(q, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"rate matrix must be square, got {a.shape}")
+    if a.size == 0:
+        raise ConfigurationError("rate matrix must be non-empty")
     if not np.isfinite(a).all():
         raise ConfigurationError("rate matrix entries must be finite numbers")
     off = a.copy()
@@ -71,8 +73,12 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
 
     One propagator ``expm(q delta)`` is computed and applied sample to
     sample. After each product the distribution must still sum to 1
-    within 1e-9; it is then clipped at 0 and renormalized, so roundoff
-    cannot accumulate into negative or unnormalized rows. Each step
+    within 1e-9; it is then divided by that sum unless the sum is
+    exactly 1. Only when the propagator or ``pi0`` has a sign bit can a
+    product be negative or -0.0: then each row is instead clipped at 0
+    and divided by its clipped sum, so roundoff cannot accumulate into
+    negative or unnormalized rows. Without a sign bit every product is
+    +0.0 or positive and the clip could not change a bit. Each step
     writes its row of the result in place and creates no array.
     """
     a = as_rate_matrix(q)
@@ -81,20 +87,31 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
         raise ConfigurationError(f"vector length {p.size} does not match {a.shape}")
     if not delta >= 0:  # NaN fails it too
         raise ConfigurationError(f"evolution time must be >= 0, got {delta:g}")
+    check_count("steps", steps, 0)
     step = expm(a * delta)
+    clip = bool(np.signbit(step).any() or np.signbit(p).any())
     out = np.empty((steps + 1, p.size))
     out[0] = p
     for k in range(1, steps + 1):
         row = out[k]
         np.matmul(step, out[k - 1], out=row)
-        drift = abs(float(np.add.reduce(row)) - 1.0)
+        total = float(np.add.reduce(row))
+        drift = abs(total - 1.0)
         if not drift <= 1e-9:  # NaN fails it too
             raise ContractViolationError(f"generator evolution drifted by {drift:.3g}")
-        # np.clip(row, 0.0, None) is this ufunc call, operands in this
-        # order: -0.0 becomes +0.0 and NaN propagates.
-        np.maximum(row, 0.0, out=row)
-        row /= np.add.reduce(row)
+        if clip:
+            total = _clip(row)
+        if total != 1.0:  # x / 1.0 is x
+            row /= total
     return out
+
+
+def _clip(row: np.ndarray) -> float:
+    """Clip ``row`` at 0 in place and return its new sum."""
+    # np.clip(row, 0.0, None) is this ufunc call, operands in this
+    # order: -0.0 becomes +0.0 and NaN propagates.
+    np.maximum(row, 0.0, out=row)
+    return float(np.add.reduce(row))
 
 
 def ctmc_evolve(q, pi0, t: float) -> np.ndarray:

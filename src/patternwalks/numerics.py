@@ -4,7 +4,8 @@ Operators are plain ``numpy.ndarray``s, float64 or complex128; the
 helpers here add dimension checks, a Hermiticity residual, the Taylor
 degree rule that ``expm`` and the walk's step share, and ``expm``, each
 a pure function of its inputs. ``finite_real`` is the package's one
-check of a real scalar, used by ``WalkParams`` and ``make_spec``.
+check of a real scalar, used by ``WalkParams`` and ``make_spec``, and
+``check_count`` its one check of an integer count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .constants import TAYLOR_THETA
 from .errors import ConfigurationError
 
-__all__ = ["finite_real", "hermiticity_residual", "taylor_degree", "expm"]
+__all__ = ["finite_real", "check_count", "hermiticity_residual", "taylor_degree", "expm"]
 
 
 def finite_real(name: str, value) -> float:
@@ -31,6 +32,12 @@ def finite_real(name: str, value) -> float:
     if not math.isfinite(number):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """A ConfigurationError unless ``value`` is an integer >= ``minimum`` other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name}: must be an integer >= {minimum}, got {value!r}")
 
 
 def _square(a) -> np.ndarray:

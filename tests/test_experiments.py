@@ -1020,6 +1020,43 @@ class TestRealFormatting:
         header = (tmp_path / "simulate.csv").read_text().splitlines()[0]
         assert (tmp_path / "simulate.csv").read_bytes() == self._cell_by_cell(header, table)
 
+    @staticmethod
+    def _per_row(header, table):
+        """The CSV text of the row-at-a-time writer: ``row_format % tuple(row)`` per line."""
+        empty = ((table == 0) & ~np.signbit(table)).all(axis=0)
+        row_format = ",".join(["0" if e else "%.12g" for e in empty.tolist()])
+        lines = [header] + [row_format % tuple(row) for row in table[:, ~empty].tolist()]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @staticmethod
+    def _block_table(rows, columns):
+        """Random cells with an all-+0.0 column, a -0.0 column and one NaN cell."""
+        table = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, columns))
+        table[:, 2] = 0.0
+        table[:, 3] = -0.0
+        table[rows // 2, -1] = np.nan
+        return table
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 64, 65])
+    def test_blocks_write_the_per_row_bytes(self, tmp_path, rows):
+        table = self._block_table(rows, 5)
+        path = tmp_path / "classical.csv"
+        output.write_classical_csv(str(path), table[:, 0], table[:, 1:], 2)
+        header = "t,pattern_00,pattern_01,pattern_10,pattern_11"
+        assert path.read_bytes() == self._per_row(header, table)
+        assert path.read_text().splitlines()[1].split(",")[2:4] == ["0", "-0"]
+
+        table = self._block_table(rows, 6)
+        traj = Trajectory(
+            times=table[:, 0], populations=table[:, 1:3], trace_drift=table[:, 3],
+            min_eigenvalue=table[:, 4], purity=table[:, 5], hermiticity=np.zeros(rows),
+            sink_indices=(1,), params=WalkParams(kappa=1.0, gamma=1.0),
+        )
+        path = tmp_path / "simulate.csv"
+        output.write_trajectory_csv(str(path), traj, 1)
+        header = "t,pattern_0,pattern_1,trace_drift,min_eig,purity"
+        assert path.read_bytes() == self._per_row(header, table)
+
 
 class TestSvg:
     def test_polylines_are_the_per_point_text(self, tmp_path):

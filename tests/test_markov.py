@@ -52,6 +52,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="finite"):
             as_rate_matrix(q)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_rate_matrix(np.zeros((0, 0))),
+            lambda: ctmc_samples(np.zeros((0, 0)), [1.0], 0.1, 2),
+            lambda: ctmc_evolve(np.empty((0, 0)), [1.0], 0.1),
+        ],
+        ids=["as_rate_matrix", "ctmc_samples", "ctmc_evolve"],
+    )
+    def test_empty_rate_matrix(self, call):
+        # np.max of a 0 x 0 matrix would raise a bare ValueError
+        with pytest.raises(ConfigurationError, match="rate matrix must be non-empty"):
+            call()
+
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.nan, np.nan]], ids=["nan-and-one", "all-nan"])
     def test_probability_vector_with_a_nan_entry(self, v):
         # NaN passes the range and sum tests, which are false for it
@@ -101,6 +115,18 @@ class TestCtmcEvolve:
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(ConfigurationError, match="evolution time must be >= 0, got nan"):
             ctmc_samples(q, [1.0, 0.0], np.nan, 3)
+
+    @pytest.mark.parametrize("steps", [-1, -5, 2.0, True, None, "3"])
+    def test_steps_must_be_a_non_negative_integer(self, steps):
+        # -1 raised IndexError, -5 ValueError, 2.0 TypeError, and True ran one step
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ConfigurationError, match=r"^steps: must be an integer >= 0"):
+            ctmc_samples(q, [1.0, 0.0], 0.5, steps)
+
+    def test_numpy_integer_steps(self):
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(ctmc_samples(q, [1.0, 0.0], 0.5, np.int64(3)),
+                              ctmc_samples(q, [1.0, 0.0], 0.5, 3))
 
     def test_nan_propagator_is_a_drift(self, monkeypatch):
         # a NaN row fails the drift guard instead of passing through it
@@ -187,6 +213,46 @@ class TestCtmcSamples:
             clipped += self._assert_pinned(rate_matrix(random_stochastic(n, rng)),
                                            rng.dirichlet(np.ones(n)), 0.05, 400)
         assert clipped > 0
+
+    @staticmethod
+    def _spy_clip(monkeypatch):
+        calls = []
+        clip = markov._clip
+
+        def spy(row):
+            calls.append(1)
+            return clip(row)
+
+        monkeypatch.setattr(markov, "_clip", spy)
+        return calls
+
+    def test_unsigned_chain_runs_no_clip(self, monkeypatch):
+        # the n = 6 scenario of the classical benchmark's seed 1: its
+        # propagator has no sign bit, so no product can be negative or -0.0
+        spec = make_spec(6, ["110111", "000111"])
+        q = rate_matrix_from_jumps(build_jump_operators(spec), spec.dim)
+        assert not np.signbit(expm(q * 0.05)).any()
+        pi0 = np.zeros(spec.dim)
+        pi0[vertex_index("000000")] = 1.0
+        calls = self._spy_clip(monkeypatch)
+        assert self._assert_pinned(q, pi0, 0.05, 400) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("start", [[-0.0, 0.3, 0.7], [-1e-12, 0.3, 0.7 + 1e-12]],
+                             ids=["minus-zero", "negative"])
+    def test_signed_start_takes_the_clip_path(self, monkeypatch, start):
+        calls = self._spy_clip(monkeypatch)
+        self._assert_pinned(rate_matrix(WEIGHTED_CHAIN), start, 0.05, 40)
+        assert len(calls) == 40
+
+    def test_signed_propagator_takes_the_clip_path(self, monkeypatch):
+        # an off-diagonal rate just inside the validation tolerance gives
+        # the propagator a negative entry
+        q = np.array([[-1.0, -5e-13, 0.0], [1.0, 5e-13, 0.0], [0.0, 0.0, 0.0]])
+        assert np.signbit(expm(q * 0.05)).any()
+        calls = self._spy_clip(monkeypatch)
+        assert self._assert_pinned(q, [0.0, 1.0, 0.0], 0.05, 40) > 0
+        assert len(calls) == 40
 
     def test_zero_steps_is_the_initial_distribution(self):
         q = rate_matrix(WEIGHTED_CHAIN)
