@@ -70,8 +70,6 @@ def _parse_grid(text: str | None):
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(f"--grid: {p} outside [0, 1]")
         values.append(p)
-    if not values:
-        raise ConfigurationError("--grid: at least one value required")
     return values
 
 
