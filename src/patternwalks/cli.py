@@ -75,7 +75,10 @@ def _parse_grid(text: str | None):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # the command's own usage names it and the flags it takes
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     # --dt and --seed replace the file's value before parsing, so the file's checks cover them.
     options = vars(args)
     overrides = {key: options[key] for key in ("dt", "seed") if options.get(key) is not None}

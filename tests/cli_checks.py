@@ -97,6 +97,8 @@ CHECKS = [
           lines={"simulate.csv": 22, "simulate.svg": 87}),
     Check("n6-classical", "the n = 6 chain populates only the patterns that jumps reach", "classical", N6_WALK,
           lines={"classical.csv": 22}),
+    Check("n3-classical-cut-block", "37 steps of the n = 3 chain end in a block cut short of the width 8",
+          "classical", N3 | {"t_max": 1.85, "sample_every": 0.05}, lines={"classical.csv": 39}),
     Check("n6-self-loop", "a self-loop steps a complex state where the health pass gathers 62x62 blocks",
           "simulate", N6_WALK | SELF_LOOP, lines={"simulate.csv": 22}),
     Check("n3-self-loop", "a self-loop steps a complex state at n = 3", "simulate",
@@ -157,7 +159,7 @@ CHECKS = [
     # the rest of a usage message is argparse's wording, not this program's
     *(
         Check(f"usage-{command}", "a flag the command does not read is a usage error", command, config, flags,
-              exit=2, stderr="usage: patternwalks ")
+              exit=2, stderr=f"usage: patternwalks {command} ")
         for command, config, flags in (
             ("classical", N1, ("--svg",)), ("simulate", N1, ("--seed", "1")), ("hopfield", HOPFIELD, ("--dt", "0.001"))
         )

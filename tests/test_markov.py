@@ -167,34 +167,77 @@ class TestCtmcSamples:
             assert np.array_equal(out, single / single.sum())
 
     @staticmethod
-    def _per_step_formula(q, pi0, delta, steps):
-        """The stepping ``ctmc_samples`` replaced: new arrays at every step."""
-        step = expm(np.asarray(q, dtype=float) * delta)
-        p = np.asarray(pi0, dtype=float)
-        rows, clipped = [p], 0
-        for _ in range(steps):
-            p = step @ p
-            clipped += int(np.count_nonzero(p < 0))
-            p = np.clip(p, 0, None)
-            p = p / p.sum()
-            rows.append(p)
-        return np.array(rows), clipped
+    def _doubling_formula(step, pi0, steps):
+        """The doubling ``ctmc_samples`` runs, with new arrays for each block.
+
+        Rows [done, done + w) are rows [done - w, done) times the transposed
+        ``step^w``; w doubles by squaring while it stays within the dimension.
+        Returns the rows, the count of negative entries clipped, and the row
+        at which each block starts.
+        """
+        rows = [np.asarray(pi0, dtype=float)]
+        power, width, clipped, starts = step.T, 1, 0, []
+        while len(rows) <= steps:
+            done = len(rows)
+            if 2 * width <= min(done, step.shape[0]):
+                power, width = power @ power, 2 * width
+            block = np.array(rows[done - width:done - width + min(width, steps + 1 - done)]) @ power
+            clipped += int(np.count_nonzero(block < 0))
+            block = np.clip(block, 0, None)
+            rows.extend(block / block.sum(axis=1, keepdims=True))
+            starts.append(done)
+        return np.array(rows), clipped, starts
 
     def _assert_pinned(self, q, pi0, delta, steps):
-        expected, clipped = self._per_step_formula(q, pi0, delta, steps)
+        expected, clipped, starts = self._doubling_formula(expm(np.asarray(q, dtype=float) * delta), pi0, steps)
         got = ctmc_samples(q, pi0, delta, steps)
         # the bytes pin every bit, sign bits of zeros included
         assert got.tobytes() == expected.tobytes()
-        return clipped
+        return clipped, starts
+
+    @staticmethod
+    def _oracle(q, pi0, delta, steps):
+        """One exponential per row: ``expm(q k delta) pi0``."""
+        return np.array([expm(q * (k * delta)) @ pi0 for k in range(steps + 1)])
+
+    @staticmethod
+    def _n6_chain(sinks, start):
+        spec = make_spec(6, sinks)
+        q = rate_matrix_from_jumps(build_jump_operators(spec), spec.dim)
+        pi0 = np.zeros(spec.dim)
+        pi0[vertex_index(start)] = 1.0
+        return q, pi0
 
     def test_in_place_steps_equal_the_per_step_formula_on_the_n6_chain(self):
         # the n = 6 scenario of the classical benchmark's seed 3: jumps reach
-        # 4 of the 64 vertices from the start, and 400 steps of 0.05
-        spec = make_spec(6, ["100110", "101010"])
+        # 4 of the 64 vertices from the start, and 400 steps of 0.05 take 12
+        # products, the width doubling from 1 to 64
+        q, pi0 = self._n6_chain(["100110", "101010"], "110100")
+        _, starts = self._assert_pinned(q, pi0, 0.05, 400)
+        assert starts == [1, 2, 4, 8, 16, 32, 64, 128, 192, 256, 320, 384]
+
+    @pytest.mark.parametrize("sinks, start", [(["110111", "000111"], "000000"), (["100110", "101010"], "110100")],
+                             ids=["seed-1", "seed-3"])
+    def test_every_row_matches_one_exponential_per_row(self, sinks, start):
+        # the n = 6 scenarios of the classical benchmark's seeds 1 and 3
+        q, pi0 = self._n6_chain(sinks, start)
+        got = ctmc_samples(q, pi0, 0.05, 400)
+        assert np.max(np.abs(got - self._oracle(q, pi0, 0.05, 400))) < 1e-13
+
+    @pytest.mark.parametrize("n", [3, 6], ids=["d8", "d64"])
+    def test_widths_at_the_edges_of_a_block(self, n):
+        # step counts one below, at and above the widest block, and a last
+        # block cut short
+        spec = make_spec(n, ["0" * (n - 2) + "11", "1" * n])
         q = rate_matrix_from_jumps(build_jump_operators(spec), spec.dim)
-        pi0 = np.zeros(spec.dim)
-        pi0[vertex_index("110100")] = 1.0
-        self._assert_pinned(q, pi0, 0.05, 400)
+        pi0 = np.eye(spec.dim)[0]
+        oracle = self._oracle(q, pi0, 0.05, 400)
+        d = spec.dim
+        for steps in (0, 1, 2, d - 1, d, d + 1, 2 * d + 3, 400):
+            self._assert_pinned(q, pi0, 0.05, steps)
+            got = ctmc_samples(q, pi0, 0.05, steps)
+            assert got.shape == (steps + 1, d)
+            assert np.max(np.abs(got - oracle[:steps + 1])) < 1e-13, steps
 
     def test_in_place_steps_equal_the_per_step_formula_on_random_chains(self):
         rng = np.random.default_rng(5)
@@ -209,41 +252,54 @@ class TestCtmcSamples:
             q = w - np.diag(w.sum(axis=0))
             pi0 = np.zeros(n)
             pi0[int(rng.integers(n))] = 1.0
-            clipped += self._assert_pinned(q, pi0, 0.05, 400)
+            clipped += self._assert_pinned(q, pi0, 0.05, 400)[0]
             clipped += self._assert_pinned(rate_matrix(random_stochastic(n, rng)),
-                                           rng.dirichlet(np.ones(n)), 0.05, 400)
+                                           rng.dirichlet(np.ones(n)), 0.05, 400)[0]
         assert clipped > 0
+
+    def test_drift_in_the_middle_of_a_block_names_its_row(self, monkeypatch):
+        # column 1 of this propagator sums to 1 + e, e = 4.5e-10, so a row's
+        # drift grows with its source row's weight on state 1, which grows
+        # along a block. Rows 4-7 are one block, P^4 times rows 0-3: they
+        # drift by 2.125e (passes), 3.0625e, 3.53e and 3.77e, and the row
+        # reported is the first that fails, not the block's first or worst
+        step = np.eye(4)
+        step[:2, :2] = [[0.5, 0.0], [0.5, 1.0 + 4.5e-10]]
+        monkeypatch.setattr(markov, "expm", lambda a: step)
+        q, pi0 = np.zeros((4, 4)), [1.0, 0.0, 0.0, 0.0]
+        assert ctmc_samples(q, pi0, 0.5, 4).shape == (5, 4)
+        with pytest.raises(ContractViolationError, match=r"drifted by 1\.38e-09$"):
+            ctmc_samples(q, pi0, 0.5, 7)
 
     @staticmethod
     def _spy_clip(monkeypatch):
         calls = []
         clip = markov._clip
 
-        def spy(row):
+        def spy(block):
             calls.append(1)
-            return clip(row)
+            return clip(block)
 
         monkeypatch.setattr(markov, "_clip", spy)
         return calls
 
     def test_unsigned_chain_runs_no_clip(self, monkeypatch):
         # the n = 6 scenario of the classical benchmark's seed 1: its
-        # propagator has no sign bit, so no product can be negative or -0.0
-        spec = make_spec(6, ["110111", "000111"])
-        q = rate_matrix_from_jumps(build_jump_operators(spec), spec.dim)
+        # propagator has no sign bit, so no power of it has one, and no
+        # product can be negative or -0.0
+        q, pi0 = self._n6_chain(["110111", "000111"], "000000")
         assert not np.signbit(expm(q * 0.05)).any()
-        pi0 = np.zeros(spec.dim)
-        pi0[vertex_index("000000")] = 1.0
         calls = self._spy_clip(monkeypatch)
-        assert self._assert_pinned(q, pi0, 0.05, 400) == 0
+        assert self._assert_pinned(q, pi0, 0.05, 400)[0] == 0
         assert calls == []
 
     @pytest.mark.parametrize("start", [[-0.0, 0.3, 0.7], [-1e-12, 0.3, 0.7 + 1e-12]],
                              ids=["minus-zero", "negative"])
     def test_signed_start_takes_the_clip_path(self, monkeypatch, start):
+        # one clip per product: width 1, then blocks of 2 (capped by d = 3)
         calls = self._spy_clip(monkeypatch)
-        self._assert_pinned(rate_matrix(WEIGHTED_CHAIN), start, 0.05, 40)
-        assert len(calls) == 40
+        _, starts = self._assert_pinned(rate_matrix(WEIGHTED_CHAIN), start, 0.05, 40)
+        assert len(calls) == len(starts) == 21
 
     def test_signed_propagator_takes_the_clip_path(self, monkeypatch):
         # an off-diagonal rate just inside the validation tolerance gives
@@ -251,8 +307,9 @@ class TestCtmcSamples:
         q = np.array([[-1.0, -5e-13, 0.0], [1.0, 5e-13, 0.0], [0.0, 0.0, 0.0]])
         assert np.signbit(expm(q * 0.05)).any()
         calls = self._spy_clip(monkeypatch)
-        assert self._assert_pinned(q, [0.0, 1.0, 0.0], 0.05, 40) > 0
-        assert len(calls) == 40
+        clipped, starts = self._assert_pinned(q, [0.0, 1.0, 0.0], 0.05, 40)
+        assert clipped > 0
+        assert len(calls) == len(starts) == 21
 
     def test_zero_steps_is_the_initial_distribution(self):
         q = rate_matrix(WEIGHTED_CHAIN)
