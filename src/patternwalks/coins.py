@@ -15,6 +15,7 @@ import numpy as np
 
 from .constants import UNITARITY_TOL
 from .errors import ConfigurationError
+from .numerics import finite_real
 
 __all__ = [
     "biased_coin",
@@ -25,7 +26,8 @@ __all__ = [
 
 
 def _check_probability(p: float) -> float:
-    p = float(p)
+    """``p`` as a float if it is a real number in [0, 1], else a ConfigurationError."""
+    p = finite_real("coin bias", p)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"coin bias {p!r} outside [0, 1]")
     return p

@@ -13,6 +13,14 @@ POSITIVITY_FLOOR = -1e-8
 # Stochastic objects: rate-matrix column sums and probability-vector sums.
 ROW_SUM_TOL = 1e-12
 
+# Each row the classical chain computes must sum to 1 within this before it
+# is renormalized (markov.ctmc_samples); a larger drift is an error.
+CHAIN_DRIFT_TOL = 1e-9
+
+# Slack of a Hopfield weight matrix's symmetry and of its [-1, 1] bound
+# (hopfield.validate_weights).
+WEIGHT_TOL = 1e-12
+
 # Walk step defaults. All times are expressed in 1/gamma units. dt is the
 # work budget of a sample stride and the step of its RK4 fallback: a stride
 # of s steps of dt takes one Taylor polynomial only if that costs fewer than
@@ -74,14 +82,20 @@ MAX_BLOCK_STRIDES = 8
 # term N float64 columns (N = 4 096 for a real R at n = 6, 8 192 for a
 # complex one). The product runs in column chunks, N halved until a chunk
 # is at most this many multiply-adds (k (m+1) columns), so that OpenBLAS
-# runs each on one thread: in a tight loop of (8 x m) @ (m x N) products,
-# begun 0.5 s after import (OpenBLAS's threads spin at first), one thread
-# ran every product of up to 999 424 multiply-adds and two ran those of
-# 1 015 808 and more. So at n = 6 a k = 8 block's 4 096-column product
-# (8 x 46 x 4 096, about 1.5 million) runs as four of 1 024 columns, and
-# an RK4 step's (1 x 5 x 4 096) whole. Unsplit, the benchmark's n = 6
-# simulate took 0.185 s of CPU in 0.094 s of wall time; split, 0.092 s in
-# 0.093 s, with the same bits. Same machine as above.
+# runs each on one thread. The threshold was measured only on this shape:
+# in a tight loop of (8 x m) @ (m x N) products, begun 0.5 s after import
+# (OpenBLAS's threads spin at first), one thread ran every product of up
+# to 999 424 multiply-adds and two ran those of 1 015 808 and more. So at
+# n = 6 a k = 8 block's 4 096-column product (8 x 46 x 4 096, about 1.5
+# million) runs as four of 1 024 columns, and an RK4 step's (1 x 5 x
+# 4 096) whole. Unsplit, the benchmark's n = 6 simulate took 0.185 s of CPU
+# in 0.094 s of wall time; split, 0.092 s in 0.093 s, with the same bits.
+# Same machine as above. Other shapes wake the second thread sooner: in a
+# loop of 5 000 (rows x 64) @ (64 x 64) products begun 1 s after import,
+# 64 and 96 rows ran on one thread and 128 and 192 rows on two (CPU/wall
+# 1.98 and 1.97), and 128 rows is exactly 2^19 multiply-adds. The
+# classical chain's products have that shape, so markov.ctmc_samples does
+# not read this value: it caps its blocks at d rows (64 at n = 6) instead.
 SAMPLE_PRODUCT_MADDS = 2**19
 
 # The walk health-checks a period's samples in chunks of at most this many

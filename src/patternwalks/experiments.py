@@ -63,7 +63,7 @@ def run_simulate(cfg: WalkConfig, out_dir: str | None = None, svg: bool = False)
     traj = evolve(rho0, spec, params)
 
     csv_path = os.path.join(target, "simulate.csv")
-    output.write_trajectory_csv(csv_path, traj, spec.n)
+    output.write_trajectory_csv(csv_path, traj)
     paths = [csv_path]
     if svg:
         svg_path = os.path.join(target, "simulate.svg")
@@ -94,7 +94,7 @@ def run_classical(cfg: WalkConfig, out_dir: str | None = None) -> SimulateResult
     dists = markov.ctmc_samples(q, pi0, stride, times.size - 1)
 
     csv_path = os.path.join(target, "classical.csv")
-    output.write_classical_csv(csv_path, times, dists, spec.n)
+    output.write_classical_csv(csv_path, times, dists)
     return SimulateResult(trajectory=None, paths=[csv_path])
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import WEIGHT_TOL
 from .errors import ConfigurationError
 from .hypercube import vertex_index
 from .numerics import check_count
@@ -71,11 +72,11 @@ def validate_weights(w) -> np.ndarray:
         raise ConfigurationError(f"weight matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ConfigurationError("weights must be finite numbers")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+    if not np.allclose(m, m.T, rtol=0.0, atol=WEIGHT_TOL):
         raise ConfigurationError("weight matrix must be symmetric")
     if np.any(np.abs(np.diag(m)) > 0.0):
         raise ConfigurationError("weight matrix must have a zero diagonal")
-    if np.any(np.abs(m) > 1.0 + 1e-12):
+    if np.any(np.abs(m) > 1.0 + WEIGHT_TOL):
         raise ConfigurationError("weights must lie in [-1, 1]")
     return m
 

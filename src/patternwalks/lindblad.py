@@ -30,11 +30,12 @@ stride s. One frozen record, ``_Generator``, holds L for a stack of
 strength pairs: M per pair, the gamma stack, G, the non-sink and sink
 index arrays and the non-sink block's flat index. Its builder
 ``_generator`` takes H, G, the out-degrees and the sinks, and no state;
-it is the only code that frames H and forms M. The record
-bounds L per pair by the smaller of the 1-norm and 2-norm bounds,
-2 ||M||_1 + gamma ||G||_1 and 2 ||M||_2 + gamma ||G||_2, each an induced
-norm of L in one norm of R. ``evolve_batch`` builds it once per call,
-then frames the state, the one step that reads it. A pair advances in
+it is the only code that frames H and forms M. The record bounds L per
+pair by the smaller of the 1-norm and 2-norm bounds, 2 ||M||_1 + gamma
+||G||_1 and 2 ||M||_2 + gamma ||G||_2, each an induced norm of L in one
+norm of R. ``evolve_batch`` builds it once per call, frames the state
+(``frame``), the one step that reads it, and scales each stack's
+operands (``operands``). A pair advances in
 blocks of k sample strides s, k the largest of MAX_BLOCK_STRIDES, ...,
 2, 1 for which the smallest degree m that the bound makes exact to
 double precision over k s (the rule of ``numerics.taylor_degree``,
@@ -352,6 +353,15 @@ class _Generator:
             two_norm = 2 * np.sqrt(largest) + gamma * np.sqrt(np.linalg.eigvalsh(g.T @ g)[-1])
         return np.minimum(one_norm, two_norm)
 
+    def frame(self, rho) -> np.ndarray:
+        """``R = Q^dag rho Q`` of a state or a stack of them, float64 unless M or Im R is complex."""
+        r = rho * _parity_phases(rho.shape[-1])
+        return r if np.iscomplexobj(self.m) or r.imag.any() else r.real
+
+    def operands(self, pairs, h: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """``(h M, h gamma G)`` of the slices ``pairs``, h M in R's ``dtype``; each pair's gain folds in its gamma."""
+        return (h * self.m[pairs]).astype(dtype, copy=False), h * self.gamma[pairs] * self.gain
+
 
 def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
     """The walk's generator from H, G, the out-degrees and the sinks, one slice per ``(kappa, gamma)``.
@@ -376,13 +386,9 @@ def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
 def _stage(m, r, product, gain, column, fed, out, transposed, diagonal, fed_diagonal):
     """Write ``c L(r) = c M r + (c M r)^dag + diag(c gamma G diag r)`` into ``out``; return it.
 
-    ``m`` is ``c M`` and ``gain`` is ``c gamma G``, per slice of a (B,
-    dim, dim) stack ``r``. ``product`` and ``out`` are contiguous (B, dim,
-    dim) stacks, and ``out`` may be ``r``; ``fed`` is a (B, dim, 1)
-    float64 scratch. The other operands are views bound once (see
-    ``_round``): ``column`` is r's diagonal as a column, ``transposed``
-    the product's transpose, ``diagonal`` out's diagonal and
-    ``fed_diagonal`` the feed's (B, dim) view.
+    ``m`` is ``c M`` and ``gain`` is ``c gamma G``, per slice of ``r``;
+    ``out`` may be ``r``. The other arguments are the scratch and the
+    views that ``_stage_operands`` takes.
     """
     np.matmul(m, r, out=product)
     # Read r before out, which may be r, is written. The feed is one
@@ -395,6 +401,21 @@ def _stage(m, r, product, gain, column, fed, out, transposed, diagonal, fed_diag
     out += product
     diagonal += fed_diagonal
     return out
+
+
+def _stage_operands(m, r, product, gain, fed, out):
+    """``_stage``'s arguments on ``r``, one matrix or a (B, dim, dim) stack, with every view taken here, once.
+
+    ``product`` and ``out`` are contiguous and shaped like ``r``, and
+    ``fed`` is a float64 scratch shaped like ``r[..., :1]``. Out's
+    diagonal is every (dim + 1)-th entry of its flat view: a strided
+    view, cheaper than fancy indexing.
+    """
+    dim = r.shape[-1]
+    return (
+        m, r, product, gain, r.diagonal(0, -2, -1).real[..., None], fed,
+        out, product.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[..., 0],
+    )
 
 
 def _coefficients(k: int, degree: int) -> np.ndarray:
@@ -430,19 +451,14 @@ def _round(terms, samples, m, gain, degrees, strides, r, coefficients):
     run of one block size. The stages share one (B, dim, 1) feed scratch,
     the round's only allocation.
     """
-    count, dim = len(degrees), terms.shape[-1]
-    product, fed = samples[-1], np.empty((count, dim, 1))
-    stages = []
+    product, fed = samples[-1], np.empty((len(degrees), terms.shape[-1], 1))
+    count, stages = len(degrees), []
     for j in range(1, max(degrees) + 1):
         # Stage j's run ends at the last slice whose degree reaches j.
         while degrees[count - 1] < j:
             count -= 1
-        state, out, scratch = terms[j - 1, :count], terms[j, :count], product[:count]
-        # Every (dim + 1)-th entry of the flattened, contiguous ``out`` is a
-        # diagonal entry: a strided view, cheaper than fancy indexing.
-        stages.append((
-            m[:count], state, scratch, gain[:count], state.diagonal(0, -2, -1).real[..., None], fed[:count],
-            out, scratch.swapaxes(-1, -2), out.reshape(-1, dim * dim)[:, :: dim + 1], fed[:count, :, 0],
+        stages.append(_stage_operands(
+            m[:count], terms[j - 1, :count], product[:count], gain[:count], fed[:count], terms[j, :count]
         ))
     products = []
     for b, (degree, k) in enumerate(zip(degrees, strides)):
@@ -704,10 +720,7 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
 
     gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
     gen = _generator(build_hamiltonian(spec), gain, out_degree, spec.sinks, distinct)
-    # Framing reads the state: R = Q^dag rho Q stays real while M and Im R
-    # are, and each stack's M is cast to R's dtype.
-    r = rho * _parity_phases(spec.dim)
-    r = r if np.iscomplexobj(gen.m) or r.imag.any() else r.real
+    r = gen.frame(rho)
     stride = steps_per_sample * first.dt
     blocks = [_block(x * stride, steps_per_sample) for x in gen.bound()]
     # One stack of the exact pairs, by block size ascending and then degree
@@ -720,8 +733,7 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     for group, h, steps in ((exact, stride, 1), (fallback, first.dt, steps_per_sample)):
         if not group:
             continue
-        # Each pair's feed strength is folded into a gain of its own, h gamma G.
-        ops = ((h * gen.m[group]).astype(r.dtype, copy=False), h * gen.gamma[group] * gen.gain)
+        ops = gen.operands(group, h, r.dtype)
         stack = np.broadcast_to(r, (len(group), *r.shape))
         degrees = [blocks[b][1] for b in group]
         strides = [blocks[b][0] or 1 for b in group]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import ROW_SUM_TOL
+from .constants import CHAIN_DRIFT_TOL, ROW_SUM_TOL
 from .errors import ConfigurationError, ContractViolationError
 from .hypercube import jump_gain
 from .numerics import check_count, expm
@@ -79,15 +79,15 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
     d^3 multiply-adds, the size of one squaring, which keeps it on one
     BLAS thread. 400 steps at d = 64 take 12 products and 6 squarings.
 
-    Every row of a product must still sum to 1 within 1e-9, else the
-    drift of the first row that fails is reported; each row is then
-    divided by its sum. Only when the propagator or ``pi0`` has a sign
-    bit can a product be negative or -0.0: then the rows are instead
-    clipped at 0 and divided by their clipped sums, so roundoff cannot
-    accumulate into negative or unnormalized rows. Without a sign bit no
-    power of ``P`` has one, every product is +0.0 or positive, and the
-    clip could not change a bit. Each product writes its rows of the
-    result in place.
+    Every row of a product must still sum to 1 within CHAIN_DRIFT_TOL
+    (1e-9), else the drift of the first row that fails is reported; each
+    row is then divided by its sum. Only when the propagator or ``pi0``
+    has a sign bit can a product be negative or -0.0: then the rows are
+    instead clipped at 0 and divided by their clipped sums, so roundoff
+    cannot accumulate into negative or unnormalized rows. Without a sign
+    bit no power of ``P`` has one, every product is +0.0 or positive,
+    and the clip could not change a bit. Each product writes its rows of
+    the result in place.
     """
     a = as_rate_matrix(q)
     p = as_probability_vector(pi0)
@@ -111,7 +111,7 @@ def ctmc_samples(q, pi0, delta: float, steps: int) -> np.ndarray:
         np.matmul(out[done - width:done - width + rows], power, out=block)
         totals = np.add.reduce(block, axis=1)
         drift = np.abs(totals - 1.0)
-        failed = ~(drift <= 1e-9)  # NaN fails it too
+        failed = ~(drift <= CHAIN_DRIFT_TOL)  # NaN fails it too
         if failed.any():
             raise ContractViolationError(f"generator evolution drifted by {drift[failed.argmax()]:.3g}")
         if clip:

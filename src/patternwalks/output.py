@@ -66,19 +66,21 @@ def _write_real_table(path: str, header: str, table) -> None:
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _pattern_header(dim: int, n: int) -> str:
+def _pattern_header(dim: int) -> str:
+    """``t,pattern_<bits>...`` for the 2^n patterns of a table ``dim`` = 2^n columns wide."""
+    n = dim.bit_length() - 1
     return "t," + ",".join(f"pattern_{index_pattern(v, n)}" for v in range(dim))
 
 
-def write_trajectory_csv(path: str, traj: Trajectory, n: int) -> None:
+def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Header ``t,pattern_<bits>...,trace_drift,min_eig,purity``."""
     columns = [traj.times, traj.populations, traj.trace_drift, traj.min_eigenvalue, traj.purity]
-    header = _pattern_header(traj.populations.shape[1], n) + ",trace_drift,min_eig,purity"
+    header = _pattern_header(traj.populations.shape[1]) + ",trace_drift,min_eig,purity"
     _write_real_table(path, header, np.column_stack(columns))
 
 
-def write_classical_csv(path: str, times, distributions, n: int) -> None:
-    header = _pattern_header(distributions.shape[1], n)
+def write_classical_csv(path: str, times, distributions) -> None:
+    header = _pattern_header(distributions.shape[1])
     _write_real_table(path, header, np.column_stack([times, distributions]))
 
 

@@ -745,7 +745,7 @@ class TestRealFormatting:
             sink_indices=(1,), params=WalkParams(kappa=1.0, gamma=1.0),
         )
         path = str(tmp_path / "simulate.csv")
-        output.write_trajectory_csv(path, traj, 1)
+        output.write_trajectory_csv(path, traj)
         header, rows = read_csv(path)
         assert header == ["t", "pattern_0", "pattern_1", "trace_drift", "min_eig", "purity"]
         expected = np.column_stack([table, -table[:, 0]])
@@ -761,7 +761,7 @@ class TestRealFormatting:
     def _assert_classical_bytes(self, tmp_path, patterns, times=None):
         times = np.arange(patterns.shape[0]) * 0.05 if times is None else times
         path = tmp_path / "classical.csv"
-        output.write_classical_csv(str(path), times, patterns, 2)
+        output.write_classical_csv(str(path), times, patterns)
         header = "t,pattern_00,pattern_01,pattern_10,pattern_11"
         assert path.read_bytes() == self._cell_by_cell(header, np.column_stack([times, patterns]))
         return path.read_text()
@@ -829,7 +829,7 @@ class TestRealFormatting:
     def test_blocks_write_the_per_row_bytes(self, tmp_path, rows):
         table = self._block_table(rows, 5)
         path = tmp_path / "classical.csv"
-        output.write_classical_csv(str(path), table[:, 0], table[:, 1:], 2)
+        output.write_classical_csv(str(path), table[:, 0], table[:, 1:])
         header = "t,pattern_00,pattern_01,pattern_10,pattern_11"
         assert path.read_bytes() == self._per_row(header, table)
         assert path.read_text().splitlines()[1].split(",")[2:4] == ["0", "-0"]
@@ -841,7 +841,7 @@ class TestRealFormatting:
             sink_indices=(1,), params=WalkParams(kappa=1.0, gamma=1.0),
         )
         path = tmp_path / "simulate.csv"
-        output.write_trajectory_csv(str(path), traj, 1)
+        output.write_trajectory_csv(str(path), traj)
         header = "t,pattern_0,pattern_1,trace_drift,min_eig,purity"
         assert path.read_bytes() == self._per_row(header, table)
 

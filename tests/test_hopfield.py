@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -206,24 +204,3 @@ class TestRunAsync:
         # NaN != NaN would otherwise fail the symmetry test first
         with pytest.raises(ConfigurationError, match="weights must be finite numbers"):
             validate_weights([[0.0, bad], [bad, 0.0]])
-
-
-def test_single_stored_pattern_basin_for_all_small_networks():
-    # Every pattern with at least two active neurons is retrieved exactly
-    # from any input within Hamming distance one (the storable population;
-    # sparser patterns are not stable under the tie-fires rule).
-    for n in range(2, 6):
-        for bits in itertools.product((0, 1), repeat=n):
-            if sum(bits) < 2:
-                continue
-            stored = np.array(bits, dtype=np.int8)
-            w = hebbian_store([stored])
-            inputs = [stored]
-            for flip in range(n):
-                corrupted = stored.copy()
-                corrupted[flip] ^= 1
-                inputs.append(corrupted)
-            for state in inputs:
-                run = run_async(state, w, zero_thresholds(n))
-                assert run.converged
-                assert np.array_equal(run.final, stored)

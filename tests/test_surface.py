@@ -1,5 +1,6 @@
-"""Every public package name is reached from outside the unit tests, and a
-command imports no numpy module it does not use.
+"""Every public package name is reached from outside the unit tests, every
+name the benchmark tracer wraps exists, and a command imports no numpy
+module it does not use.
 
 Public means listed in a module's ``__all__`` or defined at its top
 level without a leading underscore. A name is reached when a command, a
@@ -11,6 +12,7 @@ spelling count as one, which can only make the check more lenient.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -91,6 +93,19 @@ def test_every_public_name_is_reached_outside_the_unit_tests(path):
     exports, defs, _ = _parse(path)
     public = set(exports) | {name for name in defs if not name.startswith("_")}
     assert sorted(public - REACHED) == []
+
+
+def test_every_wrap_site_of_the_benchmark_tracer_resolves():
+    # the offline twin of a traced run's ``missing_wraps == []``: the tracer
+    # skips a (module, attribute) site that does not resolve, and its spans
+    # and counts then go missing
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    (sites,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAP_SITES"]
+    ]
+    missing = [f"{module}.{attr}" for module, attr, *_ in sites if getattr(importlib.import_module(module), attr, None) is None]
+    assert sites and missing == []
 
 
 def test_simulate_does_not_import_numpy_ma(tmp_path):
