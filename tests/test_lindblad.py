@@ -1,15 +1,14 @@
-import inspect
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from patternwalks import lindblad
-from patternwalks.constants import HERMITICITY_TOL, SAMPLE_PRODUCT_MADDS
+from patternwalks.config import load_scenario
+from patternwalks.constants import HERMITICITY_TOL, MAX_BLOCK_STRIDES
 from patternwalks.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -27,7 +26,6 @@ from patternwalks.hypercube import (
 from patternwalks.lindblad import (
     Trajectory,
     WalkParams,
-    _block,
     _coefficients,
     _flat_block,
     _generator,
@@ -49,8 +47,9 @@ from patternwalks.lindblad import (
     validate_density,
 )
 from patternwalks.markov import ctmc_evolve, ctmc_samples, rate_matrix_from_jumps
-from patternwalks.numerics import expm, hermiticity_residual, taylor_degree
+from patternwalks.numerics import expm, hermiticity_residual
 
+from cli_checks import CONFIGS
 from oracles import (
     dense_jump_matrices,
     dense_master_rhs,
@@ -59,7 +58,7 @@ from oracles import (
     rk4_staged_step,
     superoperator_populations,
 )
-import reference_step
+from walk_schedules import DROPS, SCHEDULE, WALKS, assert_same, lone
 
 
 def unframed(r):
@@ -76,32 +75,6 @@ def walk_operands(rho, h, jumps, kappa, gamma, sinks=()):
 def stage(r, m, gain, out, product):
     """One ``_stage`` call, which writes ``L(r)`` for ``m`` and ``gain`` into ``out``."""
     return _stage(*_stage_operands(m, r, product, gain, np.empty(r[..., :1].shape), out))
-
-
-def run_round(*args):
-    """``lindblad.rk4_step`` on the round that ``_round`` binds from ``args``."""
-    return lindblad.rk4_step(_round(*args))
-
-
-def recorded_rounds(monkeypatch, record):
-    """``record(args)`` after each ``lindblad.rk4_step`` call (one round) from here on.
-
-    ``args`` holds, by name, the arguments of the ``_round`` call that
-    bound the round; each bound round travels with them to ``rk4_step``.
-    """
-    bind, step, calls = lindblad._round, lindblad.rk4_step, []
-
-    def bound(*args):
-        return bind(*args), SimpleNamespace(**inspect.signature(bind).bind(*args).arguments)
-
-    def recorded(round_):
-        operands, args = round_
-        step(operands)
-        calls.append(record(args))
-
-    monkeypatch.setattr(lindblad, "_round", bound)
-    monkeypatch.setattr(lindblad, "rk4_step", recorded)
-    return calls
 
 
 def walk_rhs(rho, h, jumps, kappa, gamma, sinks=(), c=1.0):
@@ -136,11 +109,6 @@ def framed_stack(rho, h, gain, out_degree, strengths, sinks=()):
     """``(R, gen)`` as evolve_batch frames them: one ``(kappa, gamma)`` per slice of ``rho``."""
     gen = _generator(h, gain, out_degree, sinks, strengths)
     return gen.frame(rho), gen
-
-
-def recorded_blocks(monkeypatch):
-    """``(strides, degrees)`` of each ``lindblad.rk4_step`` call (one round) from here on."""
-    return recorded_rounds(monkeypatch, lambda args: (list(args.strides), list(args.degrees)))
 
 
 def checked_chunks(monkeypatch, chunk_bytes=None):
@@ -196,14 +164,9 @@ class TestWalkParams:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("kappa", float("nan")),
-            ("kappa", float("inf")),
-            ("gamma", float("nan")),
-            ("gamma", float("inf")),
-            ("t_max", float("inf")),
-            ("sample_every", float("inf")),
-            pytest.param("kappa", 10**400, id="kappa-huge-int"),
-            pytest.param("t_max", -(10**400), id="t_max-huge-int"),
+            ("kappa", float("nan")), ("kappa", float("inf")), ("gamma", float("nan")), ("gamma", float("inf")),
+            ("t_max", float("inf")), ("sample_every", float("inf")),
+            pytest.param("kappa", 10**400, id="kappa-huge-int"), pytest.param("t_max", -(10**400), id="t_max-huge-int"),
         ],
     )
     def test_non_finite_number_rejected(self, field, value):
@@ -211,9 +174,7 @@ class TestWalkParams:
         with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
             WalkParams(**values)
 
-    @pytest.mark.parametrize(
-        "field, value", [("kappa", None), ("kappa", "1"), ("kappa", True), ("dt", False)]
-    )
+    @pytest.mark.parametrize("field, value", [("kappa", None), ("kappa", "1"), ("kappa", True), ("dt", False)])
     def test_value_that_is_not_a_real_number_rejected(self, field, value):
         values = {"kappa": 1.0, "gamma": 1.0, field: value}
         with pytest.raises(ConfigurationError, match=f"{field} must be a real number, got {value!r}"):
@@ -381,7 +342,7 @@ class TestRk4Step:
         terms[0] = r
         samples = np.empty((2, 2, 4, 4), dtype=complex)
         zeros = (np.zeros((2, 4, 4), dtype=complex), np.zeros((2, 4, 4)))
-        assert run_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4)) is None
+        lindblad.rk4_step(_round(terms, samples, *zeros, [4, 4], [2, 2], 0, _coefficients(2, 4)))
         assert np.array_equal(samples, np.stack([start, start]))
         assert np.array_equal(terms[0], start)
 
@@ -423,103 +384,6 @@ class TestRk4Step:
             for j in (0, 1, 7, 55):
                 assert c[q - 1, j] == float(Fraction(q**j, math.factorial(j)))
 
-    def test_terms_of_a_mixed_stack(self, monkeypatch):
-        # degrees 3, 3 and 1: term 1 is one stage over all three slices and
-        # terms 2 and 3 one over the two leading ones, each on the one h M
-        # operand; each slice's samples and state equal its lone block's
-        # bit for bit
-        stage, calls = lindblad._stage, []
-
-        def recorded(m, r, *rest):
-            calls.append((len(r), m))
-            return stage(m, r, *rest)
-
-        monkeypatch.setattr(lindblad, "_stage", recorded)
-        rng = np.random.default_rng(149)
-        spec = make_spec(3, ["101", "111"])
-        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
-        gain, out_degree = jump_gain(jumps, 8)
-        strengths = [(0.4, 1.0), (1.3, 1.0), (2.5, 0.0)]
-        rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(3)])
-        r, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        terms = np.empty((4, 3, 8, 8))
-        terms[0] = r
-        samples = np.empty((2, 3, 8, 8))
-        ops = gen.operands(slice(None), 0.1, r.dtype)
-        run_round(terms, samples, *ops, [3, 3, 1], [2, 2, 2], 0, _coefficients(2, 3))
-        assert [size for size, _ in calls] == [3, 2, 2]
-        assert all(np.shares_memory(operand, ops[0]) for _, operand in calls)
-        assert np.array_equal(terms[0], samples[-1])
-        for b, degree in enumerate([3, 3, 1]):
-            lone = blocks(r[b], gen, 0.1, degree, k=2, pair=b)
-            assert np.array_equal(samples[:, b], lone)
-
-    def test_rounds_of_mixed_block_sizes(self):
-        # blocks of two strides at degrees 45 and 40 and of four at 50, 35
-        # and 20: round 0 takes every slice, and term j is one stage over
-        # the slices up to the last whose degree reaches j, so the slices
-        # of degrees 45 and 40 compute terms up to 50 that nothing reads,
-        # and the slice of degree 35 stops at 35. Terms and samples start
-        # as NaN, so a stage that read a term not written in its round
-        # would leave a NaN. Round 1 takes the two slices of k = 2 and
-        # leaves the samples of the others, scratch row included. Each
-        # slice's samples equal its lone blocks' bit for bit
-        rng = np.random.default_rng(151)
-        spec = make_spec(4, ["0110", "1111"])
-        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
-        gain, out_degree = jump_gain(jumps, spec.dim)
-        strengths = [(0.9, 1.0), (0.6, 1.0), (0.5, 1.0), (0.3, 1.0), (0.1, 1.0)]
-        strides, degrees = [2, 2, 4, 4, 4], [45, 40, 50, 35, 20]
-        rho = np.stack([unframed(random_framed_state(spec, rng, real=True)) for _ in range(5)])
-        r, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        terms = np.full((51, 5, 16, 16), np.nan)
-        terms[0] = r
-        samples = np.full((4, 5, 16, 16), np.nan)
-        ops = gen.operands(slice(None), 0.05, r.dtype)
-        coefficients = _coefficients(4, 50)
-        run_round(terms, samples, *ops, degrees, strides, 0, coefficients)
-        assert np.isfinite(terms[:, :3]).all() and np.isfinite(terms[:36, 3]).all() and np.isfinite(terms[:21, 4]).all()
-        assert np.isnan(terms[36:, 3]).all() and np.isnan(terms[21:, 4]).all()
-        assert np.isfinite(samples[:2, :2]).all() and np.isfinite(samples[:, 2:]).all()
-        after_round_0 = samples[:, 2:].copy()
-        run_round(terms[:, :2], samples[:, :2], *(x[:2] for x in ops), degrees[:2], strides[:2], 1, coefficients)
-        assert np.array_equal(samples[:, 2:], after_round_0)
-        for b, (degree, k) in enumerate(zip(degrees, strides)):
-            lone = np.concatenate([
-                blocks(r[b], gen, 0.05, degree, k, count, pair=b)
-                for count in range(1, 4 // k + 1)
-            ])
-            assert np.array_equal(samples[:, b], lone)
-        assert np.array_equal(terms[0], samples[-1])
-
-    @pytest.mark.parametrize(
-        "norm, budget, degree",
-        [(0.0, 40, 1), (1.2, 40, 19), (1.26, 40, 19), (1.27, 40, 20), (4.4, 40, 35),
-         (4.8, 40, 0), (4.4, 36, 35), (4.4, 35, 0), (9.9, 56, 55), (10.0, 10**6, 0)],
-    )
-    def test_degree_is_the_smallest_tabled_one_within_budget(self, norm, budget, degree):
-        # 0 is the RK4 fallback: no tabled degree covers the norm below the
-        # budget of 4 stages per step of dt
-        assert taylor_degree(norm, budget) == degree
-
-    @pytest.mark.parametrize(
-        "x, steps_per_sample, block",
-        [(1.2, 10, (8, 55)), (0.82, 10, (8, 45)), (0.0, 10, (8, 1)), (0.44, 1, (8, 30)),
-         (0.45, 1, (0, 4)), (2.5, 10, (2, 40)), (6.0, 20, (1, 40)), (6.0, 10, (0, 4)),
-         (10.0, 10**6, (0, 4)), (2.0, 10, (4, 50))],
-    )
-    def test_block_is_the_largest_that_fits_rk4s_budget(self, x, steps_per_sample, block):
-        # x is the norm bound times the stride. n = 6 at kappa = gamma = 1
-        # takes 8 strides at degree 55 on its 1-norm bound (1.2) and at
-        # degree 45 on its 2-norm bound (0.82). At one step of dt per
-        # stride, 8 x 0.44 needs degree 30, below RK4's 32 stages, but
-        # 8 x 0.45 needs 35, and 4, 2 or 1 strides need more than their 16,
-        # 8 or 4: the pair falls back. 4 x 2.5 is beyond the table, but
-        # 2 x 2.5 needs 40 of 80; 6.0 needs 40, below 80 at 20 steps per
-        # stride but not below 40 at 10. 8 x 2.0 is beyond the table too,
-        # but 4 x 2.0 needs 50 of 160
-        assert _block(x, steps_per_sample) == block
-
     @pytest.mark.parametrize("path", ["real", "complex"])
     def test_single_step_matches_liouvillian_exponential_to_fifth_order(self, path):
         spec = make_spec(3, ["101", "111"], self.SELF_PAIRS[path])
@@ -548,148 +412,6 @@ class TestRk4Step:
         for _ in range(100):
             staged = rk4_staged_step(lambda x: dense_master_rhs(x, h, mats, 1.3, 0.7), staged, 0.01)
         assert np.max(np.abs(summed - staged)) / np.max(np.abs(staged)) < 1e-13
-
-
-class TestBoundRounds:
-    # self-pairs of unequal weight on non-sink vertices make M complex
-    SELF_PAIRS = {"real": (), "complex": [("00000", "00000", 2.0), ("01000", "01000", 0.5)]}
-
-    @pytest.mark.parametrize("path", ["real", "complex"])
-    def test_bound_rounds_write_the_per_call_bits(self, monkeypatch, path):
-        # an n = 5 stack of blocks of one, two and four strides at degrees
-        # 40, 45 and 30, and 50, 35 and 20, and a stack of two RK4 fallback
-        # pairs, ten steps of dt per sample. The slice of degree 30 gains
-        # trace through a diagonal +3e-6 in M and drops at the second
-        # sample of the second period, and the horizon cuts the last period
-        # to two samples, so the exact stack binds a period's rounds for six
-        # slices, then for five, and the cut period runs them all.
-        # Every trajectory array and the error equal those of the per-call
-        # reference step bit for bit; a complex R's terms are 2 048 float64
-        # columns, two chunks of the reference's sample product
-        spec = make_spec(5, ["01101", "11111"], self.SELF_PAIRS[path])
-        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        strengths = [(0.4, 1.0), (0.3, 1.0), (0.9, 1.0), (0.2, 1.0), (0.6, 1.0), (1.1, 1.0), (1.7, 1.0), (2.3, 1.0)]
-        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, strengths, spec.sinks)
-        assert r.dtype == (np.float64 if path == "real" else np.complex128)
-        gen.m[2, 0, 0] += 3e-6
-        times = np.arange(15) * 0.05
-        stacks = [
-            (slice(0, 6), 0.05, [40, 45, 30, 50, 35, 20], [1, 2, 2, 4, 4, 4], 1),
-            (slice(6, 8), 0.005, [4, 4], [1, 1], 10),
-        ]
-
-        def run():
-            return [
-                outcome
-                for b, h, degrees, strides, steps in stacks
-                for outcome in _integrate(r[b], gen.operands(b, h, r.dtype), degrees, strides, steps, gen, times, 0.005)
-            ]
-
-        keys, bind = [], lindblad._round
-
-        def recorded(terms, samples, m, gain, degrees, strides, round_, *rest):
-            keys.append((len(degrees), round_))
-            return bind(terms, samples, m, gain, degrees, strides, round_, *rest)
-
-        monkeypatch.setattr(lindblad, "_round", recorded)
-        bound = run()
-        assert keys == [(6, 0), (3, 1), (1, 2), (1, 3), (5, 0), (2, 1), (1, 2), (1, 3), (2, 0)]
-        monkeypatch.setattr(lindblad, "_round", lambda *operands: operands)
-        monkeypatch.setattr(lindblad, "rk4_step", lambda operands: reference_step.rk4_step(*operands))
-        reference = run()
-        assert isinstance(bound[2], IntegrationDiagnosticsError) and bound[2].t == times[6]
-        assert str(bound[2]) == str(reference[2])
-        for b, (outcome, expected) in enumerate(zip(bound, reference)):
-            if b == 2:
-                continue
-            assert outcome.keys() == expected.keys()
-            for name in outcome:
-                assert np.array_equal(outcome[name], expected[name]), (b, name)
-
-    @pytest.mark.parametrize("left", [1, 2, 3])
-    def test_samples_do_not_depend_on_the_horizon(self, monkeypatch, left):
-        # an n = 4 stack of blocks of one, two and four strides and a stack
-        # of two RK4 fallback pairs, to a horizon that leaves ``left``
-        # samples in the last period and to one two periods longer. A cut
-        # period runs all of its rounds, so on the short run the blocks of
-        # one and two strides compute samples past the horizon, which
-        # nothing may read. The slice of degree 30 gains trace and
-        # fails at the first sample of the second period, so both runs bind
-        # a period's rounds again on five slices before the third. Each
-        # outcome equals the leading rows of the longer run's bit for bit,
-        # and the error is the same
-        calls = recorded_rounds(monkeypatch, lambda args: len(args.degrees))
-        spec = make_spec(4, ["0110", "1111"])
-        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        strengths = [(0.4, 1.0), (0.3, 1.0), (0.9, 1.0), (0.2, 1.0), (0.6, 1.0), (1.1, 1.0), (1.7, 1.0), (2.3, 1.0)]
-        rho = np.repeat(basis_density(0, spec.dim)[None], 8, axis=0)
-        r, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, strengths, spec.sinks)
-        gen.m[2, 0, 0] += 3e-6
-        stacks = [
-            (slice(0, 6), 0.05, [40, 45, 30, 50, 35, 20], [1, 2, 2, 4, 4, 4], 1),
-            (slice(6, 8), 0.005, [4, 4], [1, 1], 10),
-        ]
-
-        def run(periods):
-            times = np.arange(4 * periods + left + 1) * 0.05
-            return times, [
-                outcome
-                for b, h, degrees, strides, steps in stacks
-                for outcome in _integrate(r[b], gen.operands(b, h, r.dtype), degrees, strides, steps, gen, times, 0.005)
-            ]
-
-        times, short = run(2)
-        # Three periods of the exact stack, each of 4 rounds, then the
-        # fallback stack's 10 steps for each of its samples.
-        assert calls == [6, 3, 1, 1] * 2 + [5, 2, 1, 1] + [2] * 10 * (times.size - 1)
-        _, longer = run(4)
-        assert isinstance(short[2], IntegrationDiagnosticsError) and short[2].t == times[5]
-        assert str(short[2]) == str(longer[2])
-        for b, (outcome, expected) in enumerate(zip(short, longer)):
-            if b == 2:
-                continue
-            assert outcome.keys() == expected.keys()
-            for name in outcome:
-                assert len(outcome[name]) == times.size
-                assert np.array_equal(outcome[name], expected[name][: times.size]), (b, name)
-
-
-    @pytest.mark.parametrize("path", ["real", "complex"])
-    def test_sample_products_of_8_stride_blocks_are_split(self, path):
-        # an n = 6 stack of blocks of eight strides, kappa/gamma = 1 and 0
-        # at degrees 45 and 35 (50 and 35 for the complex R of unequal
-        # self-loops). Whole, a slice's (8 x 46) @ (46 x 4 096) sample
-        # product (8 192 columns for a complex R) ran on two OpenBLAS
-        # threads; bound, it is column chunks of at most SAMPLE_PRODUCT_MADDS
-        # multiply-adds each, and the samples equal those of one unsplit
-        # product bit for bit
-        overrides = {"real": (), "complex": [("000000", "000000", 2.0), ("010000", "010000", 0.5)]}[path]
-        spec = make_spec(6, ["011010", "110111"], overrides)
-        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        rho = np.repeat(basis_density(vertex_index("100001"), spec.dim)[None], 2, axis=0)
-        r, gen = framed_stack(rho, build_hamiltonian(spec), gain, out_degree, [(1.0, 1.0), (0.0, 1.0)], spec.sinks)
-        assert r.dtype == (np.float64 if path == "real" else np.complex128)
-        blocks = [_block(x * 0.05, 10) for x in gen.bound()]
-        assert blocks == ([(8, 45), (8, 35)] if path == "real" else [(8, 50), (8, 35)])
-        degrees = [degree for _, degree in blocks]
-        terms = np.empty((degrees[0] + 1, *r.shape), dtype=r.dtype)
-        terms[0] = r
-        samples = np.empty((8, *r.shape), dtype=r.dtype)
-        ops = gen.operands(slice(None), 0.05, r.dtype)
-        round_ = _round(terms, samples, *ops, degrees, [8, 8], 0, _coefficients(8, degrees[0]))
-        columns = r[0].view(np.float64).size
-        _, products, _ = round_
-        assert len(products) > 2
-        for weights, series, out in products:
-            assert weights.size * series.shape[1] <= SAMPLE_PRODUCT_MADDS
-            assert series.shape[1] < columns and out.shape == (8, series.shape[1])
-        lindblad.rk4_step(round_)
-        # R is set to the last sample; the terms are otherwise as the products read them.
-        terms[0] = r
-        for b, degree in enumerate(degrees):
-            whole = _coefficients(8, degree) @ terms[: degree + 1, b].view(np.float64).reshape(degree + 1, -1)
-            assert np.array_equal(samples[:, b].view(np.float64).reshape(8, -1), whole)
 
 
 class TestFrame:
@@ -721,12 +443,11 @@ class TestFrame:
                 assert np.array_equal(np.abs(k), h - np.diag(np.diag(h)))
                 assert np.all(k[sinks] == 0.0) and np.all(k[:, sinks] == 0.0)
 
-    def test_state_dtype_follows_the_data(self, monkeypatch):
+    def test_state_dtype_follows_the_data(self):
         # a basis start keeps R float64; a complex rho0 or unequal non-sink
-        # self-loop weights make it complex128
-        dtypes = recorded_rounds(monkeypatch, lambda args: args.samples.dtype)
+        # self-loop weights make it complex128. The table's walks step in
+        # the framed state's dtype (TestSchedule::test_schedule)
         spec = make_spec(3, ["101", "111"])
-        params = WalkParams(kappa=1.0, gamma=1.0, t_max=0.01)
         # (|000> + |010>) / sqrt 2 is real, but its coherence joins two
         # parities and so is imaginary in the frame
         superposed = np.zeros((8, 8))
@@ -739,9 +460,9 @@ class TestFrame:
             (basis_density(0, 8), self_pairs, np.complex128),
             (basis_density(0, 8), equal_self_pairs, np.float64),
         ):
-            dtypes.clear()
-            evolve(rho0, walk_spec, params)
-            assert set(dtypes) == {np.dtype(dtype)}
+            h, jumps = build_hamiltonian(walk_spec), build_jump_operators(walk_spec)
+            r, _ = walk_operands(validate_density(rho0, walk_spec.sinks), h, jumps, 1.0, 1.0, walk_spec.sinks)
+            assert r.dtype == dtype
 
 
 class TestGenerator:
@@ -771,14 +492,16 @@ class TestGenerator:
             columns = np.concatenate([(live[:, None] + spec.dim * live).ravel(), sinks * (spec.dim + 1)])
             # L is linear in the strengths, so two oracle calls give every pair's columns
             mats = dense_jump_matrices(jumps, spec.dim)
-            coherent = liouvillian_matrix(h, mats, 1.0, 0.0)[:, columns]
+            coherent = liouvillian_matrix(h, [], 1.0, 0.0)[:, columns]
             dissipator = liouvillian_matrix(h, mats, 0.0, 1.0)[:, columns]
             bound = gen.bound()
             for b, (kappa, gamma) in enumerate(pairs):
                 restricted = kappa * coherent + gamma * dissipator
-                col_norm = np.abs(restricted).sum(axis=0).max()
-                spec_norm = np.linalg.svd(restricted, compute_uv=False)[0]
-                assert bound[b] >= (1 - 1e-12) * min(col_norm, spec_norm)
+                # the 2-norm, from the Gram matrix, matters only where the
+                # bound is below the 1-norm
+                if bound[b] < (1 - 1e-12) * np.abs(restricted).sum(axis=0).max():
+                    spec_norm = np.sqrt(np.linalg.eigvalsh(restricted.conj().T @ restricted)[-1])
+                    assert bound[b] >= (1 - 1e-12) * spec_norm
                 b1 = 2 * np.linalg.norm(gen.m[b], 1) + gamma * np.linalg.norm(gen.gain, 1)
                 b2 = 2 * np.linalg.norm(gen.m[b], 2) + gamma * np.linalg.norm(gen.gain, 2)
                 assert bound[b] == pytest.approx(min(b1, b2), rel=1e-12)
@@ -808,7 +531,25 @@ class TestEvolve:
         oracle = superoperator_populations(
             build_hamiltonian(spec), mats, 1.0, 1.0, basis_density(0, 8), traj.times, expm
         )
-        assert np.max(np.abs(traj.populations - oracle)) < 1e-6
+        # exact blocks: the gap was 1.7e-15
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: a pair on the RK4 fallback keeps RK4's phase error, "
+        "0.307 here (0.029 at gamma = 0.02), and nothing flags it",
+    )
+    def test_rk4_fallback_pair_matches_the_oracle(self):
+        # the retrieval demo at gamma = 0.01 is kappa/gamma = 100, beyond
+        # every exact block within RK4's stages, so it takes RK4 steps of
+        # dt = 0.005; its health checks stay clean
+        cfg = load_scenario(str(CONFIGS / "retrieval_demo.json"), {"gamma": 0.01, "t_max": 1.0})
+        rho0 = density_from_pattern(cfg.initial, cfg.spec.n)
+        traj = evolve(rho0, cfg.spec, cfg.params)
+        mats = dense_jump_matrices(build_jump_operators(cfg.spec), cfg.spec.dim)
+        ratio = cfg.params.kappa / cfg.params.gamma
+        oracle = superoperator_populations(build_hamiltonian(cfg.spec), mats, ratio, 1.0, rho0, traj.times, expm)
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-9
 
     def test_symmetry_under_bit_permutation(self):
         # swapping the first two neurons maps the spec onto itself and
@@ -824,20 +565,6 @@ class TestEvolve:
             assert np.max(
                 np.abs(traj.populations[:, v] - traj.populations[:, swap12(v)])
             ) < 1e-8
-
-    def test_dissipative_limit_matches_ctmc_oracle(self):
-        rng = np.random.default_rng(97)
-        for n in (2, 3):
-            spec = random_spec(rng, n)
-            jumps = build_jump_operators(spec)
-            params = WalkParams(kappa=0.0, gamma=1.0, t_max=8.0)
-            traj = evolve(basis_density(0, spec.dim), spec, params)
-            q = rate_matrix_from_jumps(jumps, spec.dim)
-            pi0 = np.zeros(spec.dim)
-            pi0[0] = 1.0
-            for idx in range(0, traj.times.size, 20):
-                classical = ctmc_evolve(q, pi0, traj.times[idx])
-                assert np.max(np.abs(traj.populations[idx] - classical)) < 1e-6
 
     def test_dissipative_limit_keeps_state_diagonal(self):
         spec = make_spec(3, ["101", "111"])
@@ -947,11 +674,7 @@ class TestEvolveBatch:
     def test_runs_must_share_the_step_count(self):
         spec = make_spec(2, ["11"])
         base = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0, dt=0.01)
-        for other in (
-            replace(base, dt=0.005),
-            replace(base, t_max=2.0),
-            replace(base, sample_every=0.1),
-        ):
+        for other in (replace(base, dt=0.005), replace(base, t_max=2.0), replace(base, sample_every=0.1)):
             with pytest.raises(ConfigurationError, match="dt, sample_every and t_max"):
                 evolve_batch(basis_density(0, 4), spec, [base, other])
 
@@ -1001,80 +724,6 @@ class TestEvolveBatch:
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
-
-    def test_slice_failing_inside_a_block_keeps_its_earlier_samples(self, monkeypatch):
-        # in the first block of four samples slice 0 fails at the first and
-        # slice 2 at the third: the block's check takes every sample, and
-        # the diagnostics are recorded for the 4 samples of slice 1 and the
-        # 2 of slice 2 before its failure; then for slice 1 alone
-        check, recorded = lindblad.populations, []
-
-        def counted(x):
-            recorded.append(len(x))
-            return check(x)
-
-        monkeypatch.setattr(lindblad, "populations", counted)
-        health, checked = lindblad._health, []
-
-        def seen(m, *rest):
-            checked.append(len(m))
-            return health(m, *rest)
-
-        monkeypatch.setattr(lindblad, "_health", seen)
-        times, (early, _, late) = self.failing_slices([0, 1, 2], 0.05, (24, 20, 16), 4, 1)
-        assert (early.t, late.t) == (times[1], times[3])
-        assert checked[:3] == [3, 12, 4] and recorded[:3] == [3, 6, 4]
-        assert len(checked) == len(recorded) == 1 + 10
-
-    @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks"])
-    @pytest.mark.parametrize("failing", [False, True], ids=["healthy", "failing"])
-    def test_block_sizes_share_their_stage_calls(self, monkeypatch, failing, chunked):
-        # blocks of two strides at degrees 50 and 40 and of four at 50, 35
-        # and 20, in one stack. A period of four strides
-        # is round 0 (every slice, 50 stages) and round 1 (the two of
-        # k = 2, 50 stages): 100 stage calls, not the 50 + 2 x 50 of one
-        # stack per block size. With ``failing``, the slice of degree 35
-        # gains trace through a diagonal +2.5e-6 in M and fails at the
-        # second sample of the second period; it reports that sample's time
-        # and the others run on. Each slice, the one of degree 40 that
-        # computes terms nothing reads included, equals its lone run bit for
-        # bit. With ``chunked`` the health pass takes a period's 20 states
-        # at most three at a time, and the outcomes do not change
-        stage, calls = lindblad._stage, []
-
-        def counted(*args):
-            calls.append(len(args[0]))
-            return stage(*args)
-
-        spec = make_spec(4, ["0110", "1111"])
-        h = build_hamiltonian(spec)
-        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
-        strengths = [(0.5, 1.0), (1.5, 1.0), (0.3, 1.0), (0.8, 1.0), (1.1, 1.0)]
-        strides, degrees = [2, 2, 4, 4, 4], [50, 40, 50, 35, 20]
-        rho = np.repeat(basis_density(0, spec.dim)[None], 5, axis=0)
-        r, gen = framed_stack(rho, h, gain, out_degree, strengths, spec.sinks)
-        if failing:
-            gen.m[3, 0, 0] += 2.5e-6
-        times = np.arange(13) * 0.05
-        ops = gen.operands(slice(None), 0.05, r.dtype)
-        monkeypatch.setattr(lindblad, "_stage", counted)
-        checked = checked_chunks(monkeypatch, 3 * r[0].nbytes if chunked else None)
-        outcomes = _integrate(r, ops, degrees, strides, 1, gen, times, 0.005)
-        assert len(calls) == 3 * (50 + 50)
-        assert calls[:100] == [5] * 20 + [4] * 15 + [3] * 15 + [2] * 40 + [1] * 10
-        # The first sample, then three periods of four samples.
-        per_period = [5, 20, 20, 16 if failing else 20]
-        assert checked == ([min(3, c - i) for c in per_period for i in range(0, c, 3)] if chunked else per_period)
-        monkeypatch.undo()
-        for b, outcome in enumerate(outcomes):
-            (lone,) = _integrate(r[b : b + 1], (ops[0][b : b + 1], ops[1][b : b + 1]), [degrees[b]], [strides[b]], 1, gen, times, 0.005)
-            if failing and b == 3:
-                assert isinstance(outcome, IntegrationDiagnosticsError) and outcome.t == times[6]
-                assert str(outcome) == str(lone)
-                continue
-            assert outcome.keys() == lone.keys()
-            for name in outcome:
-                assert np.array_equal(outcome[name], lone[name]), (b, name)
 
     def test_blocks_allocate_no_state_stack(self, monkeypatch):
         # 200 RK4 blocks of an n = 4 stack of 8 states: the terms and
@@ -1154,117 +803,61 @@ class TestEvolveBatch:
         assert all(isinstance(o, dict) for o in outcomes)
         assert max(peaks) < rho.real.nbytes
 
-    def test_every_block_size_and_a_stiff_point_equal_their_lone_runs(self, monkeypatch):
-        # at a stride of 0.05, kappa/gamma = 12 and 10 take blocks of two
-        # strides (degrees 55 and 50), 4 blocks of four (degree 45) and 0.5
-        # blocks of eight (degree 29), in one stack: a period of eight
-        # strides is one round of all four, one of the three of k <= 4 and
-        # two of the two of k = 2. kappa/gamma = 150 would need more than
-        # RK4's stages, so it takes RK4 steps of dt = 0.005 in a stack of
-        # its own and goes unphysical at the first sample. Each point equals
-        # its lone run bit for bit
-        calls = recorded_blocks(monkeypatch)
-        spec = make_spec(4, ["0110", "1111"])
-        rho0 = basis_density(0, spec.dim)
-        points = [WalkParams(kappa=k, gamma=1.0, t_max=2.0) for k in (0.5, 12.0, 150.0, 4.0, 10.0)]
-        outcomes = evolve_batch(rho0, spec, points)
-        period = [([2, 2, 4, 8], [55, 50, 45, 29]), ([2, 2, 4], [55, 50, 45])] + [([2, 2], [55, 50])] * 2
-        assert calls == period * 5 + [([1], [4])] * 10
-        failed = outcomes[2]
-        assert isinstance(failed, IntegrationDiagnosticsError) and failed.t == 0.05
-        with pytest.raises(IntegrationDiagnosticsError) as lone_failure:
-            evolve(rho0, spec, points[2])
-        assert str(lone_failure.value) == str(failed)
-        for traj, params in zip(outcomes, points):
-            if params.kappa == 150.0:
-                continue
-            lone = evolve(rho0, spec, params)
-            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
-                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
-
-    def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self, monkeypatch):
+    def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self):
         # at kappa/gamma = 20 no tabled degree covers the bound times one,
         # two, four or eight strides within RK4's stages, so each sample is
-        # 10 RK4 steps of dt = 0.005; the run completes, within RK4's error
-        # of the oracle
-        calls = recorded_blocks(monkeypatch)
+        # 10 RK4 steps of dt = 0.005 (row "fallback" of the schedule table);
+        # the run completes, within RK4's error of the oracle
         spec = make_spec(4, ["1011", "1111"])
         rho0 = basis_density(vertex_index("0000"), spec.dim)
-        stiff = WalkParams(kappa=20.0, gamma=1.0, t_max=2.0)
-        traj = evolve(rho0, spec, stiff)
-        assert calls == [([1], [4])] * 10 * 40
+        traj = evolve(rho0, spec, WalkParams(kappa=20.0, gamma=1.0, t_max=2.0))
         mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
         oracle = superoperator_populations(build_hamiltonian(spec), mats, 20.0, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 2e-3
-        # batched with kappa/gamma = 1, which takes blocks of eight strides,
-        # both outcomes equal their lone runs bit for bit
-        calls.clear()
-        mild = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
-        batched = evolve_batch(rho0, spec, [stiff, mild])
-        assert calls[5:] == [([1], [4])] * 10 * 40 and [k for k, _ in calls[:5]] == [[8]] * 5
-        for traj, params in zip(batched, (stiff, mild)):
-            lone = evolve(rho0, spec, params)
-            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
-                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
 
     @pytest.mark.parametrize("sinks, kappa", [(["0110", "1111"], 12.0), (["1011", "1111"], 17.0)])
-    def test_pair_below_the_2_norm_edge_takes_exact_blocks(self, monkeypatch, sinks, kappa):
+    def test_pair_below_the_2_norm_edge_takes_exact_blocks(self, sinks, kappa):
         # on their 1-norm bounds alone these pairs would take RK4 steps of
         # dt = 0.005 (gaps 1.4e-4 and 5.2e-4 to the oracle), but their
-        # 2-norm bounds (88.6 and 92.0) fit two strides at degree 55: the
-        # gaps were 6.3e-15 and 4.3e-14
-        calls = recorded_blocks(monkeypatch)
+        # 2-norm bounds (88.6 and 92.0) fit two strides at degree 55 (row
+        # "fallback" pins the second): the gaps were 6.3e-15 and 4.3e-14
         spec = make_spec(4, sinks)
         rho0 = basis_density(vertex_index("0000"), spec.dim)
         traj = evolve(rho0, spec, WalkParams(kappa=kappa, gamma=1.0, t_max=2.0))
-        assert calls == [([2], [55])] * 20
         mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
         oracle = superoperator_populations(build_hamiltonian(spec), mats, kappa, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
-    def test_partial_last_block_ends_on_the_horizon(self, monkeypatch):
-        # t_max = 0.5 is 10 samples: one block of eight and one of which only
-        # two outputs are samples; the populations match the oracle
-        calls = recorded_blocks(monkeypatch)
-        spec = make_spec(3, ["101", "111"])
-        rho0 = basis_density(0, 8)
-        traj = evolve(rho0, spec, WalkParams(kappa=1.0, gamma=1.0, t_max=0.5))
-        assert [k for k, _ in calls] == [[8], [8]] and traj.times.size == 11
-        mats = dense_jump_matrices(build_jump_operators(spec), 8)
-        oracle = superoperator_populations(build_hamiltonian(spec), mats, 1.0, 1.0, rho0, traj.times, expm)
-        assert np.max(np.abs(traj.populations - oracle)) < 1e-12
-
     def test_dropped_point_leaves_the_survivors_bits(self):
-        # kappa = 150 goes unphysical under RK4 at dt = 0.005 and is dropped
-        # from between the two finite points
-        spec = make_spec(4, ["0110", "1111"])
-        rho0 = basis_density(0, spec.dim)
-        finite = [WalkParams(kappa=0.5, gamma=1.0, t_max=2.0), WalkParams(kappa=2.0, gamma=1.0, t_max=2.0)]
-        stiff = WalkParams(kappa=150.0, gamma=1.0, t_max=2.0)
-        first, failed, last = evolve_batch(rho0, spec, [finite[0], stiff, finite[1]])
-        assert isinstance(failed, IntegrationDiagnosticsError) and failed.t < 2.0
-        for traj, params in zip((first, last), finite):
-            lone = evolve(rho0, spec, params)
-            for name in ("times", "populations", "trace_drift", "min_eigenvalue", "purity", "hermiticity"):
-                assert np.array_equal(getattr(traj, name), getattr(lone, name)), name
+        # row "drops": from the maximally mixed state at one RK4 step of dt
+        # per sample, kappa/gamma = 1 000, 150 and 100 go unphysical at the
+        # first, third and sixth samples. Each keeps the samples before its
+        # failure and reports that sample's time; kappa/gamma = 80 runs on
+        # RK4 and 1 on exact blocks to the horizon. Each outcome has the
+        # bits of its lone run
+        outcomes = evolve_batch(DROPS.rho0(), DROPS.spec(), DROPS.params(DROPS.t_max))
+        failed = [o.t for o in outcomes if isinstance(o, IntegrationDiagnosticsError)]
+        assert failed == [0.005, 0.015, 0.03]
+        assert [o.times[-1] for o in outcomes if isinstance(o, Trajectory)] == [pytest.approx(0.1)] * 2
+        for outcome, params in zip(outcomes, DROPS.params(DROPS.t_max)):
+            assert_same(outcome, lone(DROPS.rho0(), DROPS.spec(), params))
 
     def test_empty_batch(self):
         assert evolve_batch(basis_density(0, 4), make_spec(2, ["11"]), []) == []
 
-    def test_equal_strength_ratios_share_one_integration(self, monkeypatch):
-        # kappa/gamma = 0.5 twice; in 1/gamma units the two runs are one walk
-        stack_sizes = recorded_rounds(monkeypatch, lambda args: args.samples.shape[1])
+    def test_equal_strength_ratios_share_one_integration(self):
+        # kappa/gamma = 0.5 twice; in 1/gamma units the two runs are one
+        # walk, integrated once (row "sweep-n4" has such pairs)
         spec = make_spec(3, ["101", "111"])
         first = WalkParams(kappa=0.5, gamma=1.0, t_max=2.0)
         other = WalkParams(kappa=1.0, gamma=2.0, t_max=2.0)
         distinct = WalkParams(kappa=1.0, gamma=1.0, t_max=2.0)
         a, b, c = evolve_batch(basis_density(0, 8), spec, [first, distinct, other])
-        assert set(stack_sizes) == {2}
         assert (a.params, b.params, c.params) == (first, distinct, other)
         assert np.array_equal(a.populations, c.populations)
         assert not np.shares_memory(a.populations, c.populations)
-        lone = evolve(basis_density(0, 8), spec, distinct)
-        assert np.array_equal(b.populations, lone.populations)
+        single = evolve(basis_density(0, 8), spec, distinct)
+        assert np.array_equal(b.populations, single.populations)
 
 
 class TestSinkBlock:
@@ -1339,24 +932,27 @@ class TestSinkBlock:
         (traj,) = evolve_batch(rho, spec, [params])
         assert isinstance(traj, Trajectory)
 
-    def test_steps_keep_sink_coherences_zero(self, monkeypatch):
-        # one degree-50 block of one stride (kappa/gamma = 0.5) and 200 RK4
-        # steps (kappa/gamma = 2) from a superposition of non-sink
-        # patterns: the sinks fill up, and their rows and columns stay
-        # exactly zero off the diagonal
+    def test_steps_keep_sink_coherences_zero(self):
+        # one degree-50 block of a stride of 1 (kappa/gamma = 0.5) and 200
+        # RK4 steps of 0.005 (kappa/gamma = 2) from a superposition of
+        # non-sink patterns: the sinks fill up, and their rows and columns
+        # stay exactly zero off the diagonal
         spec = make_spec(4, ["0110", "1111"])
+        h, jumps = build_hamiltonian(spec), build_jump_operators(spec)
         amplitudes = np.zeros(spec.dim, dtype=complex)
         amplitudes[[0, 1, 3, 8]] = [0.5, 0.5j, -0.5, 0.5]
         rho0 = np.outer(amplitudes, amplitudes.conj())
-        states = recorded_rounds(monkeypatch, lambda args: args.samples[-1].copy())
-        params = [WalkParams(kappa=k, gamma=1.0, t_max=1.0, sample_every=1.0) for k in (0.5, 2.0)]
-        evolve_batch(rho0, spec, params)
-        assert len(states) == 1 + 200
-        for rho in states:
+        states = []
+        for kappa, stride, degree, steps in ((0.5, 1.0, 50, 1), (2.0, 0.005, 4, 200)):
+            r, gen = walk_operands(rho0, h, jumps, kappa, 1.0, spec.sinks)
+            for _ in range(steps):
+                r = stepped(r, gen, stride, degree)
+                states.append(r)
+        for r in states:
             for s in spec.sinks:
-                assert np.all(np.delete(rho[:, s], s, axis=-1) == 0.0)
-                assert np.all(np.delete(rho[:, :, s], s, axis=-1) == 0.0)
-        assert np.all(states[-1][:, list(spec.sinks), list(spec.sinks)].real > 0.0)
+                assert np.all(np.delete(r[s], s) == 0.0) and np.all(np.delete(r[:, s], s) == 0.0)
+        for r in (states[0], states[-1]):
+            assert np.all(r[list(spec.sinks), list(spec.sinks)].real > 0.0)
 
 
 class TestAtFourNeurons:
@@ -1374,7 +970,6 @@ class TestAtFourNeurons:
         oracle = superoperator_populations(
             build_hamiltonian(spec), mats, 1.3 / 0.7, 1.0, rho0, traj.times, expm
         )
-        assert np.max(np.abs(traj.populations - oracle)) < 1e-6
         # blocks of Taylor expansions, exact to double precision: the gap
         # was 3.8e-15 (real, eight strides at degree 45) and 2.0e-15
         # (complex, eight at degree 50), as with four strides at degrees 29
@@ -1388,71 +983,61 @@ class TestAtSixNeurons:
     spec = make_spec(6, ["011010", "110111"])
     start = vertex_index("100001")
 
-    def test_an_8_stride_block_is_one_degree_45_expansion(self, monkeypatch):
+    def test_blocks_of_eight_strides_match_blocks_of_one(self):
         # at kappa = gamma = 1, ||M||_1 = 9 and ||G||_1 = 6 bound L by 24 in
         # the 1-norm, but ||M||_2 = 6.22 and ||G||_2 = 4.04 bound it by 16.49
-        # in the 2-norm, so eight strides of 0.05 need theta_m >= 6.60:
-        # m = 45, against the 320 stages of RK4 at dt = 0.005; t_max = 1 is
-        # 20 samples, two blocks and a cut third. The populations match
-        # blocks of one stride (degree 17) to 3.3e-16
-        calls = recorded_blocks(monkeypatch)
-        params = WalkParams(kappa=1.0, gamma=1.0, t_max=1.0)
-        traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
-        assert calls == [([8], [45])] * 3
-        calls.clear()
-        monkeypatch.setattr(lindblad, "MAX_BLOCK_STRIDES", 1)
-        single = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
-        assert calls == [([1], [17])] * 20
-        assert np.max(np.abs(traj.populations - single.populations)) < 1e-14
+        # in the 2-norm, so eight strides of 0.05 need theta_m >= 6.60: the
+        # walk takes blocks of eight strides at degree 45 (row
+        # "simulate-n6"); t_max = 1 is 20 samples, two blocks and a cut
+        # third. Its populations match those of one-stride blocks at degree
+        # 30, exact for a stride norm up to 3.54, to 3.3e-16
+        rho0 = basis_density(self.start, self.spec.dim)
+        traj = evolve(rho0, self.spec, WalkParams(kappa=1.0, gamma=1.0, t_max=1.0))
+        h, jumps = build_hamiltonian(self.spec), build_jump_operators(self.spec)
+        r, gen = walk_operands(rho0, h, jumps, 1.0, 1.0, self.spec.sinks)
+        single = [populations(r)]
+        for _ in range(20):
+            r = stepped(r, gen, 0.05, degree=30)
+            single.append(populations(r))
+        assert np.max(np.abs(traj.populations - single)) < 1e-14
 
-    def test_coherent_limit_matches_the_unitary(self, monkeypatch):
+    def test_coherent_limit_matches_the_unitary(self):
         # gamma = 0: rho(t) = U rho0 U^dag with U = V exp(-i t w) V^T from
         # eigh of the real H, so the populations are |U[:, start]|^2; the
         # gap was 6.0e-13 with blocks of eight strides at degree 35 (bound
-        # 11.7 in the 2-norm, 12 in the 1-norm), as with blocks of four at
-        # degree 25, where RK4 at dt = 0.005 is off by 4e-8 (||H|| = 6.8)
-        calls = recorded_blocks(monkeypatch)
+        # 11.7 in the 2-norm, 12 in the 1-norm; row "n6-limits"), as with
+        # blocks of four at degree 25, where RK4 at dt = 0.005 is off by 4e-8
+        # (||H|| = 6.8)
         h = build_hamiltonian(self.spec)
         traj = evolve(
             basis_density(self.start, self.spec.dim), self.spec, WalkParams(kappa=1.0, gamma=0.0, t_max=5.0)
         )
-        assert calls == [([8], [35])] * 13
         w, v = np.linalg.eigh(h)
         amplitudes = (v * np.exp(-1j * np.outer(traj.times, w))[:, None, :]) @ v[self.start]
         assert traj.times[-1] == pytest.approx(5.0)
-        assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-7
         assert np.max(np.abs(traj.populations - np.abs(amplitudes) ** 2)) < 1e-11
 
-    def test_dissipative_limit_matches_the_chain(self, monkeypatch):
+    def test_dissipative_limit_matches_the_chain(self):
         # kappa = 0: the populations follow the classical chain sample by
         # sample; the gap was 4.4e-16 with blocks of eight strides at degree
-        # 35 (bound 10.0 in the 2-norm, 12 in the 1-norm), as with blocks of
-        # four at degree 23, where RK4 at dt = 0.005 is off by about 2e-10
-        calls = recorded_blocks(monkeypatch)
+        # 35 (bound 10.0 in the 2-norm, 12 in the 1-norm; row "n6-limits"),
+        # as with blocks of four at degree 23, where RK4 at dt = 0.005 is off
+        # by about 2e-10
         params = WalkParams(kappa=0.0, gamma=1.0, t_max=5.0)
         traj = evolve(basis_density(self.start, self.spec.dim), self.spec, params)
-        assert calls == [([8], [35])] * 13
         q = rate_matrix_from_jumps(build_jump_operators(self.spec), self.spec.dim)
         pi0 = np.zeros(self.spec.dim)
         pi0[self.start] = 1.0
         chain = ctmc_samples(q, pi0, traj.times[1], traj.times.size - 1)
-        assert np.max(np.abs(traj.populations - chain)) < 1e-8
         assert np.max(np.abs(traj.populations - chain)) < 1e-13
 
 
 class TestMixingTime:
     def _constant_trajectory(self):
-        times = np.arange(5) * 0.05
-        pops = np.tile([0.0, 1.0], (5, 1))
         zeros = np.zeros(5)
         return Trajectory(
-            times=times,
-            populations=pops,
-            trace_drift=zeros,
-            min_eigenvalue=zeros,
-            purity=np.ones(5),
-            hermiticity=zeros,
-            sink_indices=(1,),
+            times=np.arange(5) * 0.05, populations=np.tile([0.0, 1.0], (5, 1)), trace_drift=zeros,
+            min_eigenvalue=zeros, purity=np.ones(5), hermiticity=zeros, sink_indices=(1,),
             params=WalkParams(kappa=0.0, gamma=1.0, t_max=0.2),
         )
 
@@ -1506,3 +1091,25 @@ class TestSinkParity:
         )
         assert np.all(dissipative == 0.0)
         assert coherent[-1] > 0.25
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("row", SCHEDULE, ids=lambda row: row.id)
+    def test_schedule(self, monkeypatch, row):
+        # every row of the table in tests/walk_schedules.py gives what it pins
+        assert row.schedule(monkeypatch) == row.pinned
+
+    @pytest.mark.parametrize("walk", WALKS, ids=lambda walk: walk.id)
+    def test_batch_matches_lone_runs(self, walk):
+        # each point of the batch has the bits of its lone evolve, and a
+        # failed point the text of its lone error (a batch of one is its
+        # lone run); so does the batch to a horizon two periods of
+        # MAX_BLOCK_STRIDES longer, on its leading samples: a cut period's
+        # samples do not depend on where it is cut
+        spec, rho0 = walk.spec(), walk.rho0()
+        batch = evolve_batch(rho0, spec, walk.params(walk.t_max))
+        alone = batch if len(batch) == 1 else [lone(rho0, spec, params) for params in walk.params(walk.t_max)]
+        longer = evolve_batch(rho0, spec, walk.params(walk.t_max + 2 * MAX_BLOCK_STRIDES * walk.sample_every))
+        for outcomes in (batch, longer):
+            for outcome, expected in zip(outcomes, alone, strict=True):
+                assert_same(outcome, expected)
