@@ -21,25 +21,39 @@ CHAIN_DRIFT_TOL = 1e-9
 # (hopfield.validate_weights).
 WEIGHT_TOL = 1e-12
 
-# Walk step defaults. All times are expressed in 1/gamma units. dt is the
-# work budget of a sample stride and the step of its RK4 fallback: a stride
-# of s steps of dt takes one Taylor polynomial only if that costs fewer than
-# the 4 s stages of RK4 at dt (see TAYLOR_THETA).
+# Walk step defaults. All times are expressed in 1/gamma units. dt is no
+# step of the walk but its work budget: 4 Taylor stages per step of dt, so
+# 4 s stages for a sample stride of s steps. A block of strides takes one
+# Taylor polynomial only if that costs fewer stages than its budget (see
+# TAYLOR_THETA); a stride that no block fits takes equal sub-steps of at
+# most STAGE_BUDGET_FACTOR times its budget.
 DEFAULT_DT = 0.005
 MAX_DT = 0.01
 DEFAULT_T_MAX = 50.0
 DEFAULT_SAMPLE_EVERY = 0.05
 
+# A strength pair for which no block of whole strides fits dt's budget takes
+# the p equal sub-steps per stride with the fewest stages, at most this many
+# times the budget; a pair that needs more fails before its first step. 3
+# admits every such pair on record, at 1.0-2.25 times the budget: the
+# retrieval demo at gamma = 0.01 (kappa/gamma = 100) takes two sub-steps of
+# degree 45 per stride, 90 stages against 40. It refuses the benchmark
+# sweep's kappa = 150 column, whose cheapest sub-steps need 165-1 540 stages
+# per stride (4.1-38.5 times).
+STAGE_BUDGET_FACTOR = 3
+
 # A walk config may ask for at most this many samples, t_max / sample_every;
 # at n = 6 that many samples of the populations take 51 MB.
 MAX_SAMPLES = 10**5
 
-# ... and at most this many steps of dt, t_max / dt. A run spends fewer
-# stages per block of strides than RK4 at dt would on them, so at most 4
-# stages per step of dt. One n = 6 RK4 step (a fallback round, kappa/gamma
-# = 10) took 0.049 ms of wall time and as much CPU time, on the default
+# ... and at most this many steps of dt, t_max / dt. A run spends at most
+# STAGE_BUDGET_FACTOR x 4 = 12 Taylor stages per step of dt, on sub-steps,
+# and fewer on blocks of whole strides. An n = 6 walk on sub-steps (the CI
+# config at kappa/gamma = 27: 100 stages per stride of 10 steps, t_max 2)
+# took 0.20 ms of CPU per step of dt, at CPU/wall 1.0 on the default
 # OpenBLAS threads, on a 2-core x86-64 machine (Python 3.11.7, numpy 2.4.6,
-# OpenBLAS 0.3.31), so the cap is about 8 minutes of integration.
+# OpenBLAS 0.3.31), so the cap is about 40 minutes of integration at the
+# full budget.
 MAX_STEPS = 10**7
 
 # theta_m: the largest ||h L|| for which the degree-m Taylor polynomial of
@@ -63,7 +77,7 @@ TAYLOR_THETA = {
 }
 
 # The walk advances in blocks of k sample strides, k the largest of
-# MAX_BLOCK_STRIDES, ..., 2, 1 (halving) whose Taylor degree fits the RK4
+# MAX_BLOCK_STRIDES, ..., 2, 1 (halving) whose Taylor degree fits dt's
 # budget of k strides: one expansion per block, and its k samples from one
 # product. A sweep's stack runs in periods of its largest k, in which the
 # pairs of every block size share their stage calls, so MAX_BLOCK_STRIDES
@@ -87,7 +101,7 @@ MAX_BLOCK_STRIDES = 8
 # (OpenBLAS's threads spin at first), one thread ran every product of up
 # to 999 424 multiply-adds and two ran those of 1 015 808 and more. So at
 # n = 6 a k = 8 block's 4 096-column product (8 x 46 x 4 096, about 1.5
-# million) runs as four of 1 024 columns, and an RK4 step's (1 x 5 x
+# million) runs as four of 1 024 columns, and a degree-4 step's (1 x 5 x
 # 4 096) whole. Unsplit, the benchmark's n = 6 simulate took 0.185 s of CPU
 # in 0.094 s of wall time; split, 0.092 s in 0.093 s, with the same bits.
 # Same machine as above. Other shapes wake the second thread sooner: in a

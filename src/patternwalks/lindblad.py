@@ -39,7 +39,7 @@ operands (``operands``). A pair advances in
 blocks of k sample strides s, k the largest of MAX_BLOCK_STRIDES, ...,
 2, 1 for which the smallest degree m that the bound makes exact to
 double precision over k s (the rule of ``numerics.taylor_degree``,
-which ``expm`` shares) is below the 4 k s/dt stages of RK4 at dt. One
+which ``expm`` shares) is below dt's budget of 4 k s/dt stages. One
 expansion stores the terms (s L)^j R, j = 0..m, one stage each, and
 forms its k samples sum_j q^j / j! (s L)^j R, q = 1..k, as one product
 of those weights with the stacked terms, run in column chunks that
@@ -48,12 +48,19 @@ which some k qualifies form one stack, whose block sizes share their
 stages: a period is K strides, K the stack's largest k, and
 ``rk4_step`` runs one round of it, the next expansion of every pair that
 has one, so a pair of block size k takes K/k rounds per period and each
-stage acts on all the pairs whose expansions reach its term. The pairs
-for which no k qualifies form a second stack and take s/dt RK4 steps of
-h = dt, each a round with k = K = 1 and m = 4. A stack of B states holds
-(m+1) x B terms, m its highest degree, and K x B samples, in buffers
-made once per run, and its operands h M and h gamma G, one slice per
-pair, made once too and compacted when a pair drops. The rounds of one period, with every view of those
+stage acts on all the pairs whose expansions reach its term. A pair for
+which no k qualifies takes p equal sub-steps of s/p per stride, one
+degree-m expansion each, with the fewest stages p m
+(``numerics.taylor_substeps``), if p m is at most STAGE_BUDGET_FACTOR
+times the budget of one stride; the pairs of one p form a stack, each
+of whose strides is p rounds with k = K = 1 (p = 1 joins the first
+stack as a block of one stride). A pair whose cheapest sub-steps need
+more fails before its first step. So dt is the work budget and no step,
+and every sample is exact to double precision. A stack of B states
+holds (m+1) x B terms, m its highest degree, and K x B samples, in
+buffers made once per run, and its operands h M and h gamma G, h its
+stride or sub-step, one slice per pair, made once too and compacted
+when a pair drops. The rounds of one period, with every view of those
 buffers they read, are bound once per stack size (``_round``), so that
 a call of ``rk4_step`` or ``_stage`` runs only numpy kernels; every
 period runs them all.
@@ -88,6 +95,7 @@ from .constants import (
     POSITIVITY_FLOOR,
     SAMPLE_PRODUCT_MADDS,
     SINK_THRESHOLD,
+    STAGE_BUDGET_FACTOR,
     TRACE_ABORT,
     TRACE_TOL,
 )
@@ -105,7 +113,7 @@ from .hypercube import (
     popcount,
     vertex_index,
 )
-from .numerics import finite_real, hermiticity_residual, taylor_degree
+from .numerics import finite_real, hermiticity_residual, taylor_degree, taylor_substeps
 
 __all__ = [
     "WalkParams",
@@ -338,8 +346,8 @@ class _Generator:
         G``; M's sink rows and columns and G's sink columns are zero, so
         the non-sink blocks give the same norms. A Gram matrix that
         overflows gives an infinite 2-norm bound, and a 1-norm that
-        overflows an infinite 1-norm bound: such a pair takes RK4 steps,
-        and the health check reports its state (see ``_integrate``).
+        overflows an infinite 1-norm bound: a pair with an infinite bound
+        has no schedule and fails before its first step (see ``_block``).
         """
         gamma = self.gamma[:, 0, 0]
         m = self.m[:, self.live[:, None], self.live]
@@ -369,7 +377,7 @@ def _generator(h, gain, out_degree, sinks, pairs) -> _Generator:
     ``M = kappa K - i kappa D - (gamma/2) diag(out)`` from ``Q^dag H Q =
     D + iK``, with D on the non-sink vertices taken relative to the first
     one; M is complex128 only where that leaves D nonzero. An entry of M
-    that overflows is left to the health check, as in ``_integrate``.
+    that overflows leaves the pair's bound infinite (see ``_Generator.bound``).
     """
     live, sinks = _split(h.shape[-1], sinks)
     kappa, gamma = np.array(pairs, dtype=float).T[..., None, None]
@@ -483,12 +491,8 @@ def _round(terms, samples, m, gain, degrees, strides, r, coefficients):
 
 
 def rk4_step(round_) -> None:
-    """Run one round bound by ``_round``: its stages, its sample products (in column chunks) and R's update.
-
-    k = 1 at degree 4 is one RK4 step of h: for a constant generator
-    every 4-stage explicit Runge-Kutta method of order 4 is this
-    polynomial.
-    """
+    """Run one round bound by ``_round``: its stages, its sample products (in column chunks) and R's update."""
+    # Named for the step it once was: bench/tracer.py wraps it under this name.
     stages, products, copies = round_
     for operands in stages:
         _stage(*operands)
@@ -498,25 +502,33 @@ def rk4_step(round_) -> None:
         np.copyto(state, last)
 
 
-def _block(x: float, steps_per_sample: int) -> tuple[int, int]:
-    """``(k, m)`` for a pair whose norm bound times the sample stride is ``x``.
+def _block(x: float, steps_per_sample: int) -> tuple[int, int, int]:
+    """``(k, p, m)`` for a pair whose norm bound times the sample stride is ``x``.
 
     The bound is the smaller of the 1-norm and 2-norm bounds of
-    ``_Generator.bound``.
+    ``_Generator.bound``, and dt's budget is 4 stages per step of dt,
+    ``4 steps_per_sample`` per stride.
 
     k is the largest of MAX_BLOCK_STRIDES, ..., 2, 1 (halving) for which
-    m = ``taylor_degree(k x)`` is below the ``4 k steps_per_sample``
-    stages of RK4 at dt over k strides; the pair then advances in blocks
-    of k strides, one degree-m expansion each. ``(0, 4)`` if no k
-    qualifies: the pair takes RK4 steps of dt.
+    m = ``taylor_degree(k x)`` is below the budget of k strides; the pair
+    then advances in blocks of k strides, one degree-m expansion each,
+    and p = 1. If no k qualifies, k = 1 and each stride is the p equal
+    sub-steps of ``numerics.taylor_substeps(x)``, one degree-m expansion
+    each, if their p m stages are at most STAGE_BUDGET_FACTOR times the
+    budget of a stride. Otherwise k = 0: the pair fails before its first
+    step, and ``(p, m)`` is that cheapest schedule, ``(0, 0)`` for an
+    ``x`` that is not finite.
     """
     k = MAX_BLOCK_STRIDES
     while k:
         m = taylor_degree(k * x, 4 * k * steps_per_sample)
         if m:
-            return k, m
+            return k, 1, m
         k //= 2
-    return 0, 4
+    p, m = taylor_substeps(x)
+    if 0 < p * m <= STAGE_BUDGET_FACTOR * 4 * steps_per_sample:
+        return 1, p, m
+    return 0, p, m
 
 
 def _chunks(count: int, nbytes: int):
@@ -531,22 +543,24 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     Slice b advances on ``ops = (h M, h gamma G)`` in expansions of
     ``strides[b]`` = k_b outputs at stride h and degree ``degrees[b]``;
     the slices are ordered by k ascending, then by degree descending. A
-    period is K sample strides, K the largest k_b, and each of its samples
-    after ``times[0]`` comes from rounds of ``rk4_step``: round r runs the
+    period is K sample strides, K the largest k_b, and its samples come
+    from ``steps`` passes of its rounds of ``rk4_step``: round r runs the
     r-th expansion of every slice with one, a leading run of the stack, so
-    slice b runs K / k_b rounds (``steps`` = 1). The RK4 fallback is
-    ``steps`` rounds of k = 1 per sample at degree 4. Every period runs
-    all of its rounds: one cut short by the horizon computes samples past
-    it, which nothing reads. G, the sinks and the non-sink block come from
-    the generator record ``gen``. M's rows and columns, G's columns and
-    each coherence of the Hermitian ``r`` with a sink are zero at the
-    sinks; the health check then reads eigenvalues of the non-sink block.
-    It takes a period's samples in sample order, in chunks of at most
+    slice b runs K / k_b rounds per pass. A stack of whole strides (h the
+    stride) has ``steps`` = 1; one of p sub-steps per stride (h the
+    stride / p) has K = 1 and ``steps`` = p. Every period runs all of its
+    rounds: one cut short by the horizon computes samples past it, which
+    nothing reads. G, the sinks and the non-sink block come from the
+    generator record ``gen``. M's rows and columns, G's columns and each
+    coherence of the Hermitian ``r`` with a sink are zero at the sinks;
+    the health check then reads eigenvalues of the non-sink block. It
+    takes a period's samples in sample order, in chunks of at most
     HEALTH_CHUNK_BYTES. A slice that fails it at the q-th sample of a
     period keeps its earlier samples, reports the q-th's time and is
-    dropped, and the others go on unchanged. Returns per slice its
-    ``Trajectory`` fields or its ``IntegrationDiagnosticsError``, which
-    reports ``dt``.
+    dropped, and the others go on unchanged; exact expansions keep a
+    physical state, so only a perturbed operand reaches this. Returns per
+    slice its ``Trajectory`` fields or its ``IntegrationDiagnosticsError``,
+    which reports ``dt``.
 
     The rounds allocate no state-sized array. The buffers are made once:
     ``(d + 1) x B`` terms, d the highest degree, and ``K x B`` samples.
@@ -649,15 +663,14 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
 
 
 def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, np.ndarray]:
-    """``(steps_per_sample, times)`` of a run in steps of ``dt``.
+    """``(steps_per_sample, times)`` of a run on a stride of whole steps of ``dt``.
 
     The stride rounds ``sample_every`` to whole steps, at least one, and
     the sample ``times`` run from 0 in strides to the first sample at or
     past ``t_max``. A run of more than MAX_SAMPLES samples or MAX_STEPS
     steps is a ConfigurationError naming ``t_max`` or ``dt``. The walk
-    takes these steps with RK4, or one Taylor expansion per block of up
-    to MAX_BLOCK_STRIDES strides where that costs less; the classical
-    chain takes one step per sample.
+    takes no step of dt: a step is its work budget, 4 Taylor stages (see
+    ``_block``). The classical chain takes one step per sample.
     """
     # Checked first, so that round() never meets an infinite ratio.
     if not sample_every / dt < MAX_STEPS + 1:
@@ -684,11 +697,11 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     Every run uses ``spec``'s graph and jump rule. The generator record
     (one M slice per distinct strength pair) is built once per call,
     before and without the state; only the framing of ``rho0`` reads the
-    state. Each pair's block size and Taylor degree come from the
-    record's norm bound (see ``_block``). The runs form at most two
-    stacks: one of the pairs that take Taylor expansions, whose block
-    sizes share their stage calls (see ``_integrate``), and one of those
-    that fall back to RK4 steps of dt.
+    state. Each pair's schedule comes from the record's norm bound (see
+    ``_block``): blocks of whole strides, p sub-steps per stride, or a
+    failure before the first step. The runs form one stack per p, with
+    p = 1 for the pairs in blocks, whose block sizes share their stage
+    calls (see ``_integrate``).
 
     Returns, in the order of ``params_seq``, each run's ``Trajectory`` or
     the ``IntegrationDiagnosticsError`` that ended it; a failed run does
@@ -722,22 +735,25 @@ def evolve_batch(rho0, spec: HypercubeSpec, params_seq) -> list:
     gen = _generator(build_hamiltonian(spec), gain, out_degree, spec.sinks, distinct)
     r = gen.frame(rho)
     stride = steps_per_sample * first.dt
-    blocks = [_block(x * stride, steps_per_sample) for x in gen.bound()]
-    # One stack of the exact pairs, by block size ascending and then degree
+    schedules = [_block(x * stride, steps_per_sample) for x in gen.bound().tolist()]
+    budget = STAGE_BUDGET_FACTOR * 4 * steps_per_sample
+    outcomes = {
+        b: IntegrationDiagnosticsError(times[0], first.dt, stages=float(p) * m if m else math.inf, budget=budget)
+        for b, (k, p, m) in enumerate(schedules) if not k
+    }
+    # One stack per sub-step count, by block size ascending and then degree
     # descending, so that each round's pairs and each stage's are leading
-    # runs of it; one of the RK4 fallback pairs (k = 0), rounds of one step
-    # of dt.
-    exact = sorted((b for b, (k, _) in enumerate(blocks) if k), key=lambda b: (blocks[b][0], -blocks[b][1]))
-    fallback = [b for b, (k, _) in enumerate(blocks) if not k]
-    outcomes = {}
-    for group, h, steps in ((exact, stride, 1), (fallback, first.dt, steps_per_sample)):
-        if not group:
-            continue
-        ops = gen.operands(group, h, r.dtype)
+    # runs of it; one sub-step is every pair in blocks of whole strides.
+    for substeps in sorted({p for k, p, _ in schedules if k}):
+        group = sorted(
+            (b for b, (k, p, _) in enumerate(schedules) if k and p == substeps),
+            key=lambda b: (schedules[b][0], -schedules[b][2]),
+        )
+        ops = gen.operands(group, stride / substeps, r.dtype)
         stack = np.broadcast_to(r, (len(group), *r.shape))
-        degrees = [blocks[b][1] for b in group]
-        strides = [blocks[b][0] or 1 for b in group]
-        outcomes.update(zip(group, _integrate(stack, ops, degrees, strides, steps, gen, times, first.dt)))
+        strides = [schedules[b][0] for b in group]
+        degrees = [schedules[b][2] for b in group]
+        outcomes.update(zip(group, _integrate(stack, ops, degrees, strides, substeps, gen, times, first.dt)))
     results, shared = [], set()
     for p, pair in zip(params_seq, strengths):
         outcome = outcomes[slot[pair]]
@@ -760,13 +776,16 @@ def evolve(rho0, spec: HypercubeSpec, params: WalkParams) -> Trajectory:
     the run extends to the first sample at or past ``t_max``. Each block
     of up to MAX_BLOCK_STRIDES (eight) strides is one Taylor expansion
     whose degree comes from a norm bound and yields each of its samples,
-    or, where that costs more, each stride is RK4 steps of dt (see the
-    module docstring).
-    Every sampled state is health-checked; a non-finite entry, a trace
-    drift beyond 1e-6 or an eigenvalue below -1e-6 aborts the run with a
-    diagnostics error at that sample's time, whose advice of a smaller dt
-    is for RK4 steps. ``rho0`` may have no coherence that involves a sink
-    (a ConfigurationError names the sink).
+    or, where no block fits dt's budget, each stride is a few equal
+    sub-steps, one expansion each (see the module docstring); every
+    sample is exact to double precision. A walk whose cheapest sub-steps
+    need more than STAGE_BUDGET_FACTOR times that budget raises a
+    diagnostics error before its first step, which names the stages it
+    needs and the budget. Every sampled state is health-checked; a
+    non-finite entry, a trace drift beyond 1e-6 or an eigenvalue below
+    -1e-6 aborts the run with a diagnostics error at that sample's time.
+    ``rho0`` may have no coherence that involves a sink (a
+    ConfigurationError names the sink).
     This is the batch of one of ``evolve_batch``.
     """
     (outcome,) = evolve_batch(rho0, spec, [params])

@@ -2,10 +2,11 @@
 
 Operators are plain ``numpy.ndarray``s, float64 or complex128; the
 helpers here add dimension checks, a Hermiticity residual, the Taylor
-degree rule that ``expm`` and the walk's step share, and ``expm``, each
-a pure function of its inputs. ``finite_real`` is the package's one
-check of a real scalar, used by ``WalkParams`` and ``make_spec``, and
-``check_count`` its one check of an integer count.
+degree rule that ``expm`` and the walk's step share, the walk's
+sub-step rule, and ``expm``, each a pure function of its inputs.
+``finite_real`` is the package's one check of a real scalar, used by
+``WalkParams`` and ``make_spec``, and ``check_count`` its one check of
+an integer count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .constants import TAYLOR_THETA
 from .errors import ConfigurationError
 
-__all__ = ["finite_real", "check_count", "hermiticity_residual", "taylor_degree", "expm"]
+__all__ = ["finite_real", "check_count", "hermiticity_residual", "taylor_degree", "taylor_substeps", "expm"]
 
 
 def finite_real(name: str, value) -> float:
@@ -73,6 +74,25 @@ def taylor_degree(norm: float, budget: float = np.inf) -> int:
         if theta >= norm:
             return m if m < budget else 0
     return 0
+
+
+def taylor_substeps(norm: float) -> tuple[int, int]:
+    """``(p, m)``: ``norm`` split into p equal sub-steps, each exact at degree m = ``taylor_degree(norm / p)``.
+
+    Of all p, the one with the fewest stages p m, then the fewest
+    sub-steps. Each m's cheapest p is ``ceil(norm / TAYLOR_THETA[m])``,
+    so only those are tried. ``(0, 0)`` if ``norm`` is not finite: no
+    schedule covers it.
+    """
+    schedules = []
+    for theta in TAYLOR_THETA.values():
+        ratio = norm / theta
+        if math.isfinite(ratio):
+            p = max(1, math.ceil(ratio))
+            m = taylor_degree(norm / p)
+            if m:
+                schedules.append((p * m, p, m))
+    return min(schedules, default=(0, 0, 0))[1:]
 
 
 def expm(a) -> np.ndarray:

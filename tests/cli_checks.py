@@ -65,8 +65,8 @@ SELF_LOOP = {"edge_weights": [["000000", "000000", 2.0]]}
 LONG_INT = b'{"n": 1, "sinks": ["1"], "initial": "0", "kappa": 1' + b"0" * 5000 + b"}"
 NOT_JSON = "config error: config file {config!r} is not valid JSON"
 OVERFLOW = (
-    "integration diagnostics: state invariants breached at t = 0.05 (trace drift nan, min eigenvalue nan,"
-    " largest entry inf); rerun with a step smaller than dt = 0.005\n"
+    "integration diagnostics: no exact schedule within the budget: a sample stride needs 1.11111e+200 Taylor"
+    " stages but dt = 0.005 allows 120; rerun with a smaller dt\n"
 )
 RATIO = "kappa/gamma: the ratio 1e+300/1e-300 is beyond the float range\n"
 
@@ -103,8 +103,8 @@ CHECKS = [
           "simulate", N6_WALK | SELF_LOOP, lines={"simulate.csv": 22}),
     Check("n3-self-loop", "a self-loop steps a complex state at n = 3", "simulate",
           N3_WALK | {"edge_weights": [["000", "000", 2.0]]}, lines={"simulate.csv": 22}),
-    Check("rk4-fallback", "at kappa/gamma = 20 no Taylor degree fits and RK4 steps of dt run to the end",
-          "simulate", N4_WALK | {"kappa": 20.0}, lines={"simulate.csv": 22}),
+    Check("sub-step-budget", "at kappa/gamma = 20 no block fits below dt's budget; one stride at degree 40 fits"
+          " the sub-step budget", "simulate", N4_WALK | {"kappa": 20.0}, lines={"simulate.csv": 22}),
     Check("two-stride-blocks", "at kappa/gamma = 17 the 2-norm bound takes blocks of two strides at degree 55",
           "simulate", N4_WALK | {"kappa": 17.0}, lines={"simulate.csv": 22}),
     *(
@@ -164,7 +164,8 @@ CHECKS = [
             ("classical", N1, ("--svg",)), ("simulate", N1, ("--seed", "1")), ("hopfield", HOPFIELD, ("--dt", "0.001"))
         )
     ),
-    Check("overflow", "a state that overflows exits 3 with no numpy warning and no CSV", "simulate",
+    Check("overflow", "a norm bound near the float range exits 3 before the first step, with no numpy warning"
+          " and no CSV", "simulate",
           N2 | {"kappa": 1e200, "gamma": 1.0, "t_max": 1.0}, exit=3, stderr=OVERFLOW),
     Check("hopfield-random", "a seeded random order with the as-printed sense is reproducible", "hopfield",
           {"n": 4, "stored": ["1010"], "inputs": ["1010", "1011", "0010", "1110"], "order": "random",

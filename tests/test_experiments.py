@@ -485,9 +485,10 @@ class TestSweepRunner:
         assert first.rows == second.rows
 
     def test_batched_points_equal_lone_runs(self, tmp_path):
-        # One stack holds a gamma = 0 point, healthy points, points RK4 takes
-        # out of the physical states and points that overflow; every row and
-        # trajectory must be the one a lone evolve of that point gives.
+        # One batch holds a gamma = 0 point, healthy points, and points whose
+        # norm bound is beyond dt's budget, one of them near the float range;
+        # every row and trajectory must be the one a lone evolve of that
+        # point gives.
         data = scenario_mapping(
             n=2, sinks=["11"], initial="00", t_max=2.0, dt=0.01,
             edge_weights=[["00", "01", 900.0]],
@@ -517,7 +518,7 @@ class TestSweepRunner:
                          "purity", "hermiticity"):
                 assert np.array_equal(getattr(batched, name), getattr(lone, name)), name
         assert healthy == [(0.001, 0.0), (0.001, 1.0)]
-        assert "nan" in result.rows[2][3] and "nan" not in result.rows[1][3]
+        assert "Taylor stages but dt = 0.01 allows 60" in result.rows[2][3] and "e+202" in result.rows[2][3]
 
     def test_failed_point_gets_minus_one_with_diagnostics(self, tmp_path):
         data = scenario_mapping(
@@ -534,9 +535,11 @@ class TestSweepRunner:
         assert t_mix == -1.0
         assert "dt" in diag and "," not in diag
 
-    def test_diverged_point_reports_its_largest_entry(self, tmp_path):
-        # kappa = 150 at dt = 0.005 diverges before the first sample; the
-        # trace of the state cancels to rounding noise, its size does not
+    def test_over_budget_point_names_its_stages(self, tmp_path):
+        # kappa = 150 at gamma = 0.2 needs 28 sub-steps of degree 55 per
+        # stride, 1 540 Taylor stages, against the 120 that dt = 0.005
+        # allows (3 x 40): it fails before its first step, in the sweep as
+        # alone, where RK4 steps of dt diverged before the first sample
         data = scenario_mapping(
             n=4, sinks=["0001", "0111"], initial="1110", t_max=0.1, dt=0.005,
             sample_every=0.05,
@@ -547,11 +550,13 @@ class TestSweepRunner:
         data["gamma_values"] = [0.2]
         grid = parse_sweep(data)
         ((_, _, t_mix, diag),) = run_sweep(grid, out_dir=str(tmp_path)).rows
-        assert t_mix == -1.0 and "t = 0.05 " in diag
         with pytest.raises(IntegrationDiagnosticsError) as err:
             evolve(density_from_pattern(grid.base.initial, 4), grid.base.spec, grid.points[0])
-        assert err.value.largest_entry > 1e30
-        assert f"largest entry {err.value.largest_entry:.3g}" in diag
+        assert t_mix == -1.0 and diag == str(err.value)
+        assert diag == (
+            "no exact schedule within the budget: a sample stride needs 1540 Taylor stages "
+            "but dt = 0.005 allows 120; rerun with a smaller dt"
+        )
 
     def test_overflowing_point_gets_minus_one_and_others_survive(self, tmp_path):
         data = scenario_mapping(n=2, sinks=["11"], initial="00", t_max=20.0)
@@ -562,7 +567,33 @@ class TestSweepRunner:
         result = run_sweep(parse_sweep(data), out_dir=str(tmp_path))
         (_, _, t_ok, diag_ok), (_, _, t_bad, diag_bad) = result.rows
         assert t_ok > 0.0 and diag_ok == ""
-        assert t_bad == -1.0 and "dt" in diag_bad
+        assert t_bad == -1.0 and diag_bad.startswith("no exact schedule within the budget") and "dt = 0.005" in diag_bad
+
+    def test_benchmark_sweep_fails_its_strong_column_on_the_budget(self, tmp_path):
+        # the benchmark's seed-1 sweep-n4 config, written out as in
+        # tests/walk_schedules.py: its kappa = 150 column needs 1 540, 495,
+        # 275, 220 and 165 Taylor stages per stride against the 120 that dt
+        # allows, so each of its points is -1 with the budget message, where
+        # RK4 steps of dt went unphysical. The other 25 points keep the
+        # mixing times they had then
+        data = {
+            "n": 4, "sinks": ["1000", "0010"], "initial": "0111", "t_max": 6.0, "dt": 0.005, "sample_every": 0.05,
+            "kappa_values": [0.2, 0.65, 1.1, 1.55, 2.0, 150.0], "gamma_values": [0.2, 0.65, 1.1, 1.55, 2.0],
+        }
+        run_sweep(parse_sweep(data), out_dir=str(tmp_path))
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [row[2] for row in rows if row[0] != "150"] == [
+            "0", "0", "0", "0", "0",
+            "4.7", "0", "0", "0", "0",
+            "4.8", "4.7", "0", "0", "0",
+            "4.85", "4.6", "0", "0", "0",
+            "4.9", "4.65", "4.65", "0", "0",
+        ]
+        assert [row[2:] for row in rows if row[0] == "150"] == [
+            ["-1", "no exact schedule within the budget: a sample stride needs "
+             f"{stages} Taylor stages but dt = 0.005 allows 120; rerun with a smaller dt"]
+            for stages in (1540, 495, 275, 220, 165)
+        ]
 
     def test_heatmap_svg(self, tmp_path):
         grid = self._grid(tmp_path)
@@ -666,20 +697,24 @@ class TestCli:
         assert code == 3
         assert "smaller" in capsys.readouterr().err
 
-    def test_huge_edge_weight_is_reported_by_the_health_check_alone(self, tmp_path, capsys):
+    def test_huge_edge_weight_fails_before_the_first_step(self, tmp_path, capsys):
         # a weight of 1e308 overflows M at kappa/gamma = 2 and the norm bound
-        # of every pair; the pairs take RK4 steps and go unphysical at the
-        # first sample, with no numpy warning before the diagnostics
+        # of every pair, which then has no schedule: each pair fails before
+        # its first step, with no numpy warning before the diagnostics
         data = {"n": 3, "sinks": ["101", "111"], "initial": "000", "t_max": 1,
                 "edge_weights": [["000", "001", 1e308]]}
         assert main(["simulate", write_config(tmp_path, data), "--out", str(tmp_path / "walk")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("integration diagnostics: state invariants breached at t = 0.05") and "Warning" not in err
+        assert err == (
+            "integration diagnostics: no exact schedule within the budget: a sample stride needs inf Taylor stages "
+            "but dt = 0.005 allows 120; rerun with a smaller dt\n"
+        )
         grid = data | {"kappa_values": [1.0, 2.0], "gamma_values": [1.0]}
         assert main(["sweep", write_config(tmp_path, grid), "--out", str(tmp_path / "grid")]) == 0
         assert "Warning" not in capsys.readouterr().err
         _, rows = read_csv(tmp_path / "grid" / "sweep.csv")
         assert [row[:3] for row in rows] == [["1", "1", "-1"], ["2", "1", "-1"]]
+        assert all("needs inf Taylor stages" in row[3] for row in rows)
 
     @pytest.mark.parametrize(
         "command, overrides",

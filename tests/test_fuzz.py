@@ -13,8 +13,16 @@ import json
 import random
 import warnings
 
-from patternwalks.cli import main
+import numpy as np
 
+from patternwalks.cli import main
+from patternwalks.config import parse_scenario, parse_sweep
+from patternwalks.experiments import run_simulate, run_sweep
+from patternwalks.hypercube import build_hamiltonian, build_jump_operators
+from patternwalks.lindblad import density_from_pattern
+from patternwalks.numerics import expm
+
+from oracles import dense_jump_matrices, superoperator_populations
 from test_experiments import CONFIGS
 
 # The demos at a horizon of one time unit: (command, config).
@@ -110,3 +118,34 @@ def test_mutated_demo_configs_exit_cleanly(tmp_path, capsys):
         exits.add(code)
     # the pool reaches every exit code
     assert exits == {0, 2, 3}
+
+
+def test_fallback_configs_are_exact_or_fail_on_the_budget(tmp_path):
+    # the three configs of these draws whose pairs once fell back to RK4
+    # steps of dt, 8.2e-4, 0.010 and 0.307 off the oracle with exit 0: the
+    # retrieval demo at gamma = 0.01 and the sweep demo with kappa_values
+    # [20, 0.2] and [12, 150], at t_max 1. Each point now matches the
+    # superoperator oracle at every sample, or fails before its first step
+    # on dt's budget (-1 in a sweep)
+    retrieval, sweep = (
+        json.loads((CONFIGS / f"{name}_demo.json").read_text()) | {"t_max": 1.0} for name in ("retrieval", "sweep")
+    )
+    cfg = parse_scenario(retrieval | {"gamma": 0.01})
+    points = [(cfg, cfg.params.kappa, cfg.params.gamma, run_simulate(cfg, out_dir=str(tmp_path)).trajectory, "")]
+    for kappas in ([20.0, 0.2], [12.0, 150.0]):
+        grid = parse_sweep(sweep | {"kappa_values": kappas})
+        result = run_sweep(grid, out_dir=str(tmp_path))
+        points += [(grid.base, k, g, result.trajectories.get((k, g)), diag) for k, g, t_mix, diag in result.rows]
+    exact = 0
+    for cfg, kappa, gamma, traj, diag in points:
+        if traj is None:
+            assert diag.startswith("no exact schedule within the budget: a sample stride needs"), diag
+            assert diag.endswith("Taylor stages but dt = 0.005 allows 120; rerun with a smaller dt"), diag
+            continue
+        spec = cfg.spec
+        rho0 = density_from_pattern(cfg.initial, spec.n)
+        mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
+        oracle = superoperator_populations(build_hamiltonian(spec), mats, kappa / gamma, 1.0, rho0, traj.times, expm)
+        assert np.max(np.abs(traj.populations - oracle)) < 1e-12, (kappa, gamma)
+        exact += 1
+    assert (exact, len(points) - exact) == (15, 6)

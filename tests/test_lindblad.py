@@ -58,7 +58,7 @@ from oracles import (
     rk4_staged_step,
     superoperator_populations,
 )
-from walk_schedules import DROPS, SCHEDULE, WALKS, assert_same, lone
+from walk_schedules import SCHEDULE, WALKS, assert_same, lone
 
 
 def unframed(r):
@@ -534,15 +534,11 @@ class TestEvolve:
         # exact blocks: the gap was 1.7e-15
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 6: a pair on the RK4 fallback keeps RK4's phase error, "
-        "0.307 here (0.029 at gamma = 0.02), and nothing flags it",
-    )
     def test_rk4_fallback_pair_matches_the_oracle(self):
         # the retrieval demo at gamma = 0.01 is kappa/gamma = 100, beyond
-        # every exact block within RK4's stages, so it takes RK4 steps of
-        # dt = 0.005; its health checks stay clean
+        # every block of whole strides within dt's budget, so it takes two
+        # sub-steps of degree 45 per stride (row "substeps-14.238"), where
+        # RK4 steps of dt = 0.005 were off by 0.307
         cfg = load_scenario(str(CONFIGS / "retrieval_demo.json"), {"gamma": 0.01, "t_max": 1.0})
         rho0 = density_from_pattern(cfg.initial, cfg.spec.n)
         traj = evolve(rho0, cfg.spec, cfg.params)
@@ -705,8 +701,10 @@ class TestEvolveBatch:
         ids=["rk4", "taylor", "block"],
     )
     def test_slices_failing_at_different_samples(self, monkeypatch, h, degrees, k, steps, chunked):
-        # RK4 steps of dt = 0.01, one Taylor expansion per sample of degrees
-        # 10, 8 and 6, or blocks of four samples: slice 0 alone has the
+        # five degree-4 sub-steps of 0.01 per sample, one Taylor expansion
+        # per sample of degrees 10, 8 and 6, or blocks of four samples; no
+        # pair of evolve_batch can fail, so each stack calls _integrate with
+        # a perturbed operand. Slice 0 overflows and alone has the
         # leading terms, which empty out when it drops; slice 2 fails at
         # the third sample (the third of the first block); slice 1 runs as
         # if alone. With ``chunked`` the health pass takes a period's 2x2
@@ -717,6 +715,7 @@ class TestEvolveBatch:
         assert max(checked) <= (2 if chunked else 3 * k)
         early, kept, late = outcomes
         assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
+        assert early.largest_entry == np.inf and "largest entry inf" in str(early)
         assert isinstance(late, IntegrationDiagnosticsError) and late.t == times[3]
         assert late.trace_drift > 1e-6 and late.dt == 0.01
         monkeypatch.undo()
@@ -726,7 +725,7 @@ class TestEvolveBatch:
             assert np.array_equal(kept[name], lone[name]), name
 
     def test_blocks_allocate_no_state_stack(self, monkeypatch):
-        # 200 RK4 blocks of an n = 4 stack of 8 states: the terms and
+        # 200 degree-4 rounds of an n = 4 stack of 8 states: the terms and
         # samples, whose last row is the stages' scratch, are _integrate's
         # own, made once per run, and each call gets one round bound once
         # on them (its R and samples at the same address, shape and
@@ -776,7 +775,7 @@ class TestEvolveBatch:
     def test_blocks_allocate_no_real_state_stack(self, monkeypatch, h, degrees, k, steps, samples):
         # the blocks run on the real R, half the size of the complex input
         # stack that bounds the test above; no block allocates one R
-        # either, whether it is one RK4 step or four samples at degrees 50
+        # either, whether it is one degree-4 step or four samples at degrees 50
         # down to 25
         spec = make_spec(4, ["0110", "1111"])
         hamiltonian = build_hamiltonian(spec)
@@ -803,24 +802,30 @@ class TestEvolveBatch:
         assert all(isinstance(o, dict) for o in outcomes)
         assert max(peaks) < rho.real.nbytes
 
-    def test_fallback_pair_runs_to_the_end_with_rk4_accuracy(self):
-        # at kappa/gamma = 20 no tabled degree covers the bound times one,
-        # two, four or eight strides within RK4's stages, so each sample is
-        # 10 RK4 steps of dt = 0.005 (row "fallback" of the schedule table);
-        # the run completes, within RK4's error of the oracle
+    def test_sub_step_pairs_match_the_oracle(self):
+        # at kappa/gamma = 20 no block of one, two, four or eight strides
+        # fits below dt's budget of 40 stages a stride, so the pair takes
+        # one-stride blocks at degree 40 on the sub-step budget (row
+        # "fallback"), where RK4 steps of dt = 0.005 were off by 1.1e-3; 40
+        # takes two sub-steps of degree 40 per stride, on a stack of its
+        # own. At dt = 0.0025 (a budget of 80, 240 on sub-steps) 80 takes
+        # three sub-steps of degree 45
         spec = make_spec(4, ["1011", "1111"])
         rho0 = basis_density(vertex_index("0000"), spec.dim)
-        traj = evolve(rho0, spec, WalkParams(kappa=20.0, gamma=1.0, t_max=2.0))
         mats = dense_jump_matrices(build_jump_operators(spec), spec.dim)
-        oracle = superoperator_populations(build_hamiltonian(spec), mats, 20.0, 1.0, rho0, traj.times, expm)
-        assert np.max(np.abs(traj.populations - oracle)) < 2e-3
+        for dt, kappas in ((0.005, (20.0, 40.0)), (0.0025, (80.0,))):
+            params = [WalkParams(kappa=kappa, gamma=1.0, t_max=2.0, dt=dt) for kappa in kappas]
+            for kappa, traj in zip(kappas, evolve_batch(rho0, spec, params)):
+                oracle = superoperator_populations(build_hamiltonian(spec), mats, kappa, 1.0, rho0, traj.times, expm)
+                assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
     @pytest.mark.parametrize("sinks, kappa", [(["0110", "1111"], 12.0), (["1011", "1111"], 17.0)])
     def test_pair_below_the_2_norm_edge_takes_exact_blocks(self, sinks, kappa):
-        # on their 1-norm bounds alone these pairs would take RK4 steps of
-        # dt = 0.005 (gaps 1.4e-4 and 5.2e-4 to the oracle), but their
-        # 2-norm bounds (88.6 and 92.0) fit two strides at degree 55 (row
-        # "fallback" pins the second): the gaps were 6.3e-15 and 4.3e-14
+        # on their 1-norm bounds alone no block of whole strides would fit
+        # dt = 0.005's budget (RK4 steps of dt were 1.4e-4 and 5.2e-4 off
+        # the oracle), but their 2-norm bounds (88.6 and 92.0) fit two
+        # strides at degree 55 (row "fallback" pins the second): the gaps
+        # were 6.3e-15 and 4.3e-14
         spec = make_spec(4, sinks)
         rho0 = basis_density(vertex_index("0000"), spec.dim)
         traj = evolve(rho0, spec, WalkParams(kappa=kappa, gamma=1.0, t_max=2.0))
@@ -828,19 +833,43 @@ class TestEvolveBatch:
         oracle = superoperator_populations(build_hamiltonian(spec), mats, kappa, 1.0, rho0, traj.times, expm)
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
-    def test_dropped_point_leaves_the_survivors_bits(self):
-        # row "drops": from the maximally mixed state at one RK4 step of dt
-        # per sample, kappa/gamma = 1 000, 150 and 100 go unphysical at the
-        # first, third and sixth samples. Each keeps the samples before its
-        # failure and reports that sample's time; kappa/gamma = 80 runs on
-        # RK4 and 1 on exact blocks to the horizon. Each outcome has the
-        # bits of its lone run
-        outcomes = evolve_batch(DROPS.rho0(), DROPS.spec(), DROPS.params(DROPS.t_max))
-        failed = [o.t for o in outcomes if isinstance(o, IntegrationDiagnosticsError)]
-        assert failed == [0.005, 0.015, 0.03]
-        assert [o.times[-1] for o in outcomes if isinstance(o, Trajectory)] == [pytest.approx(0.1)] * 2
-        for outcome, params in zip(outcomes, DROPS.params(DROPS.t_max)):
-            assert_same(outcome, lone(DROPS.rho0(), DROPS.spec(), params))
+    def test_dropped_point_leaves_the_survivors_bits(self, monkeypatch):
+        # exact blocks keep every pair of evolve_batch physical, so drops go
+        # through _integrate with a perturbed operand: a gain g on M's entry
+        # at |0000> makes a pair's trace grow from the maximally mixed
+        # state. Of five pairs in blocks of eight strides at degrees 55 down
+        # to 29, g = 1e-3, 8e-5 and 1e-5 fail at the first, third and 26th
+        # samples, the first two in front of the survivors and the last
+        # inside a block. The health check takes two states at a time, so a
+        # drop gathers the kept samples across chunks. Each survivor has
+        # the bits of its lone run
+        spec = make_spec(4, ["0110", "1111"])
+        gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
+        r, gen = framed_stack(
+            np.eye(spec.dim) / spec.dim, build_hamiltonian(spec), gain, out_degree,
+            [(kappa, 1.0) for kappa in (3.0, 2.0, 1.5, 1.0, 0.5)], spec.sinks,
+        )
+        degrees = [m for _, _, m in (lindblad._block(x * 0.05, 10) for x in gen.bound().tolist())]
+        m, g = gen.operands(slice(None), 0.05, r.dtype)
+        m[:, 0, 0] += 0.05 * np.array([1e-3, 8e-5, 0.0, 1e-5, 0.0])
+        times = np.arange(41) * 0.05
+
+        def run(pairs):
+            stack = np.broadcast_to(r, (len(pairs), *r.shape))
+            ops, strides = (m[pairs], g[pairs]), [MAX_BLOCK_STRIDES] * len(pairs)
+            return _integrate(stack, ops, [degrees[b] for b in pairs], strides, 1, gen, times, 0.005)
+
+        checked = checked_chunks(monkeypatch, 2 * r.nbytes)
+        outcomes = run([0, 1, 2, 3, 4])
+        assert max(checked) == 2
+        monkeypatch.undo()
+        assert degrees == [55, 45, 40, 35, 29]
+        assert [o.t for o in outcomes if isinstance(o, IntegrationDiagnosticsError)] == list(times[[1, 3, 26]])
+        for b in (2, 4):
+            (alone,) = run([b])
+            assert outcomes[b].keys() == alone.keys()
+            for name in alone:
+                assert np.array_equal(outcomes[b][name], alone[name]), name
 
     def test_empty_batch(self):
         assert evolve_batch(basis_density(0, 4), make_spec(2, ["11"]), []) == []
@@ -934,7 +963,7 @@ class TestSinkBlock:
 
     def test_steps_keep_sink_coherences_zero(self):
         # one degree-50 block of a stride of 1 (kappa/gamma = 0.5) and 200
-        # RK4 steps of 0.005 (kappa/gamma = 2) from a superposition of
+        # degree-4 steps of 0.005 (kappa/gamma = 2) from a superposition of
         # non-sink patterns: the sinks fill up, and their rows and columns
         # stay exactly zero off the diagonal
         spec = make_spec(4, ["0110", "1111"])
