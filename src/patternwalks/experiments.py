@@ -105,8 +105,9 @@ def run_sweep(
 ) -> SweepResult:
     """Mixing time per (kappa, gamma) grid point, rows sorted by (gamma, kappa).
 
-    All points are integrated together as one stack; a point whose
-    integration fails is dropped from it and reported as -1.
+    The points are integrated together (see ``lindblad.evolve_batch``);
+    a point whose integration fails is reported as -1, and the others
+    keep the outcomes of their lone runs.
     """
     cfg = grid.base
     target = _resolve_out_dir(cfg.out, out_dir)

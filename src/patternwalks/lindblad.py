@@ -58,12 +58,14 @@ stack as a block of one stride). A pair whose cheapest sub-steps need
 more fails before its first step. So dt is the work budget and no step,
 and every sample is exact to double precision. A stack of B states
 holds (m+1) x B terms, m its highest degree, and K x B samples, in
-buffers made once per run, and its operands h M and h gamma G, h its
-stride or sub-step, one slice per pair, made once too and compacted
-when a pair drops. The rounds of one period, with every view of those
-buffers they read, are bound once per stack size (``_round``), so that
-a call of ``rk4_step`` or ``_stage`` runs only numpy kernels; every
-period runs them all.
+buffers made once per pass, and its operands h M and h gamma G, h its
+stride or sub-step, one slice per pair, made once per run. The rounds of
+one period, with every view of those buffers they read, are bound once
+per pass (``_round``), so that a call of ``rk4_step`` or ``_stage``
+runs only numpy kernels; every period runs them all. A stack is one pass
+unless a sample fails the health check: the pairs that fail it report
+it, and the others rerun from the start as a pass of their own (see
+``_integrate``).
 
 All times are expressed in 1/gamma units: for gamma > 0 the equation is
 integrated in the rescaled time tau = gamma t, where the dissipator has
@@ -544,9 +546,9 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     ``strides[b]`` = k_b outputs at stride h and degree ``degrees[b]``;
     the slices are ordered by k ascending, then by degree descending. A
     period is K sample strides, K the largest k_b, and its samples come
-    from ``steps`` passes of its rounds of ``rk4_step``: round r runs the
+    from its rounds of ``rk4_step``, run ``steps`` times: round r runs the
     r-th expansion of every slice with one, a leading run of the stack, so
-    slice b runs K / k_b rounds per pass. A stack of whole strides (h the
+    slice b runs K / k_b rounds each time. A stack of whole strides (h the
     stride) has ``steps`` = 1; one of p sub-steps per stride (h the
     stride / p) has K = 1 and ``steps`` = p. Every period runs all of its
     rounds: one cut short by the horizon computes samples past it, which
@@ -555,111 +557,83 @@ def _integrate(r, ops, degrees, strides, steps: int, gen: _Generator, times, dt:
     coherence of the Hermitian ``r`` with a sink are zero at the sinks;
     the health check then reads eigenvalues of the non-sink block. It
     takes a period's samples in sample order, in chunks of at most
-    HEALTH_CHUNK_BYTES. A slice that fails it at the q-th sample of a
-    period keeps its earlier samples, reports the q-th's time and is
-    dropped, and the others go on unchanged; exact expansions keep a
-    physical state, so only a perturbed operand reaches this. Returns per
-    slice its ``Trajectory`` fields or its ``IntegrationDiagnosticsError``,
-    which reports ``dt``.
+    HEALTH_CHUNK_BYTES. Returns per slice its ``Trajectory`` fields or its
+    ``IntegrationDiagnosticsError``, which reports ``dt``.
 
-    The rounds allocate no state-sized array. The buffers are made once:
-    ``(d + 1) x B`` terms, d the highest degree, and ``K x B`` samples.
-    They are left uninitialized: a stage's run is never longer than the
-    one before it, so each stage reads only terms written earlier in its
-    round. The rounds of a period are bound (``_round``) at the start and
-    again when a slice drops: the survivors' states and operands are then
-    compacted, and the buffers are viewed at the new size.
+    A pass steps a stack from ``r`` and writes each period that passes
+    the check as whole columns of its fields. A period that any slice
+    fails ends the pass: each failing slice reports the time of its first
+    failing sample, and the others rerun from ``r`` as a pass of their
+    own. A slice's bits do not depend on its stack (see ``_round``), so a
+    survivor keeps them. Exact expansions keep a physical state, so only
+    a perturbed operand reaches a second pass, which steps the survivors
+    again up to the failure.
+
+    The rounds allocate no state-sized array. A pass makes its buffers,
+    ``(d + 1) x B`` terms, d the highest degree, and ``K x B`` samples,
+    and binds its rounds on them (``_round``), once. The buffers are left
+    uninitialized: a stage's run is never longer than the one before it,
+    so each stage reads only terms written earlier in its round.
     """
-    batch, dim = r.shape[0], r.shape[-1]
-    pops = np.empty((batch, times.size, dim))
-    trace_drift = np.empty((batch, times.size))
-    min_eig = np.empty((batch, times.size))
-    pur = np.empty((batch, times.size))
-    herm = np.empty((batch, times.size))
-    errors = {}
-    live = np.arange(batch)
-    m, gain = ops
-    degrees, strides = list(degrees), list(strides)
-    period, depth = max(strides), max(degrees) + 1
-    coefficients = _coefficients(period, depth - 1)
-    terms_buffer = np.empty(depth * batch * dim * dim, dtype=r.dtype)
-    samples_buffer = np.empty(period * batch * dim * dim, dtype=r.dtype)
-
-    def bind(count):
-        """The buffers' leading parts as (depth or K, count, dim, dim) stacks, and a period's rounds on them."""
-        terms = terms_buffer[: depth * count * dim * dim].reshape(depth, count, dim, dim)
-        samples = samples_buffer[: period * count * dim * dim].reshape(period, count, dim, dim)
-        rounds = []
-        # Round r takes the leading slices whose blocks it reaches, r k < K.
-        for round_ in range(period // strides[0]):
-            active = sum(round_ * k < period for k in strides)
+    batch, dim, (m, gain) = r.shape[0], r.shape[-1], ops
+    outcomes, rows = {}, np.arange(batch)
+    while rows.size:
+        count, period, depth = rows.size, max(strides), max(degrees) + 1
+        terms = np.empty((depth, count, dim, dim), dtype=r.dtype)
+        samples = np.empty((period, count, dim, dim), dtype=r.dtype)
+        coefficients, rounds = _coefficients(period, depth - 1), []
+        # Round i takes the leading slices whose blocks it reaches, i k < K.
+        for i in range(period // strides[0]):
+            active = sum(i * k < period for k in strides)
             rounds.append(_round(
                 terms[:, :active], samples[:, :active], m[:active], gain[:active],
-                degrees[:active], strides[:active], round_, coefficients,
+                degrees[:active], strides[:active], i, coefficients,
             ))
-        return terms, samples, rounds
-
-    terms, samples, rounds = bind(batch)
-    np.copyto(terms[0], r)
-    start, block = 0, terms[:1]
-    while True:
-        count = block.shape[1]
-        flat = block.reshape(-1, dim, dim)
-        drift, smallest = np.empty(len(flat)), np.empty(len(flat))
-        for chunk in _chunks(len(flat), flat[0].nbytes):
-            drift[chunk], smallest[chunk] = _health(flat[chunk], gen.block, gen.sinks)
-        drift, smallest = drift.reshape(-1, count), smallest.reshape(-1, count)
-        # A slice keeps the samples before its first failing one.
-        kept = np.logical_and.accumulate((drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT), axis=0)
-        q, b = np.nonzero(kept)
-        rows, cols = live[b], start + q
-        trace_drift[rows, cols] = drift[kept]
-        min_eig[rows, cols] = smallest[kept]
-        # The kept samples in sample order, read in chunks of the flat stack.
-        index = None if kept.all() else np.flatnonzero(kept)
-        for chunk in _chunks(len(q), flat[0].nbytes):
-            checked = flat[chunk] if index is None else flat[index[chunk]]
-            pur[rows[chunk], cols[chunk]] = purity(checked)
-            herm[rows[chunk], cols[chunk]] = hermiticity_residual(checked)
-            pops[rows[chunk], cols[chunk]] = populations(checked)
-        ok = kept[-1]
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                first = np.count_nonzero(kept[:, i])
-                bad = block[first, i]
-                errors[live[i]] = IntegrationDiagnosticsError(
-                    times[start + first], dt, drift[first, i], smallest[first, i],
-                    np.where(np.isfinite(bad), np.abs(bad), np.inf).max(),
-                )
-            live, states = live[ok], terms[0][ok]
-            if live.size == 0:
+        pops = np.empty((count, times.size, dim))
+        trace_drift, min_eig, pur, herm = np.empty((4, count, times.size))
+        np.copyto(terms[0], r)
+        for start in (0, *range(1, times.size, period)):
+            if start:
+                # An overflowing state is reported by the health check below
+                # as a diagnostics error; numpy's warnings about it would only
+                # precede that message.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(steps):
+                        for round_ in rounds:
+                            rk4_step(round_)
+            block = samples[: times.size - start] if start else terms[:1]
+            flat = block.reshape(-1, dim, dim)
+            chunks = _chunks(len(flat), flat[0].nbytes)
+            health = [_health(flat[chunk], gen.block, gen.sinks) for chunk in chunks]
+            drift, smallest = (np.concatenate(parts).reshape(-1, count) for parts in zip(*health))
+            ok = (drift <= TRACE_ABORT) & (smallest >= EIGENVALUE_ABORT)
+            if not ok.all():
                 break
-            # Each pair's old operands are freed once its new ones exist.
-            m, gain = m[ok], gain[ok]
-            degrees = [d for d, keep in zip(degrees, ok) if keep]
-            strides = [k for k, keep in zip(strides, ok) if keep]
-            terms, samples, rounds = bind(live.size)
-            np.copyto(terms[0], states)
-        start += len(block)
-        if start == times.size:
+            checked = [
+                np.concatenate([f(flat[chunk]) for chunk in chunks]) for f in (purity, hermiticity_residual, populations)
+            ]
+            columns = slice(start, start + len(block))
+            for field, values in zip((trace_drift, min_eig, pur, herm, pops), (drift, smallest, *checked)):
+                field[:, columns] = values.reshape(len(block), count, *field.shape[2:]).swapaxes(0, 1)
+        if ok.all():
+            for b, row in enumerate(rows):
+                outcomes[row] = dict(
+                    populations=pops[b], trace_drift=trace_drift[b], min_eigenvalue=min_eig[b],
+                    purity=pur[b], hermiticity=herm[b],
+                )
             break
-        # An overflowing state is reported by the health check above as a
-        # diagnostics error; numpy's warnings about it would only precede
-        # that message.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(steps):
-                for round_ in rounds:
-                    rk4_step(round_)
-        block = samples[: times.size - start]
-
-    return [
-        errors[b] if b in errors
-        else dict(
-            populations=pops[b], trace_drift=trace_drift[b], min_eigenvalue=min_eig[b],
-            purity=pur[b], hermiticity=herm[b],
-        )
-        for b in range(batch)
-    ]
+        passed = ok.all(axis=0)
+        for b in np.flatnonzero(~passed):
+            first = ok[:, b].argmin()
+            bad = block[first, b]
+            outcomes[rows[b]] = IntegrationDiagnosticsError(
+                times[start + first], dt, drift[first, b], smallest[first, b],
+                np.where(np.isfinite(bad), np.abs(bad), np.inf).max(),
+            )
+        survivors = np.flatnonzero(passed)
+        rows, r, m, gain = rows[survivors], r[survivors], m[survivors], gain[survivors]
+        degrees, strides = [degrees[b] for b in survivors], [strides[b] for b in survivors]
+    return [outcomes[b] for b in range(batch)]
 
 
 def sample_grid(dt: float, sample_every: float, t_max: float) -> tuple[int, np.ndarray]:

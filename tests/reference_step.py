@@ -1,7 +1,7 @@
 """The walk's round in its per-call form, a bit-for-bit reference for ``lindblad.rk4_step``.
 
-``lindblad._integrate`` binds each round's operand views once per stack
-(``lindblad._round``) and ``rk4_step`` then runs only numpy kernels on
+``lindblad._integrate`` binds each round's operand views once per pass
+over a stack (``lindblad._round``) and ``rk4_step`` then runs only numpy kernels on
 them. The functions here take every view on every call instead, and
 form a slice's samples in column chunks of the terms' float64 view, as
 the walk's step did before its views were bound. Both must write the

@@ -694,32 +694,33 @@ class TestEvolveBatch:
         ops, strides = gen.operands(slice(None), h, r.dtype), [k] * len(slices)
         return times, _integrate(r, ops, [degrees[b] for b in slices], strides, steps, gen, times, 0.01)
 
-    @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunks"])
     @pytest.mark.parametrize(
         "h, degrees, k, steps",
         [(0.01, (4, 4, 4), 1, 5), (0.05, (10, 8, 6), 1, 1), (0.05, (24, 20, 16), 4, 1)],
-        ids=["rk4", "taylor", "block"],
+        ids=["sub-steps", "taylor", "block"],
     )
-    def test_slices_failing_at_different_samples(self, monkeypatch, h, degrees, k, steps, chunked):
+    def test_slices_failing_at_different_samples(self, monkeypatch, h, degrees, k, steps):
         # five degree-4 sub-steps of 0.01 per sample, one Taylor expansion
         # per sample of degrees 10, 8 and 6, or blocks of four samples; no
         # pair of evolve_batch can fail, so each stack calls _integrate with
-        # a perturbed operand. Slice 0 overflows and alone has the
-        # leading terms, which empty out when it drops; slice 2 fails at
-        # the third sample (the third of the first block); slice 1 runs as
-        # if alone. With ``chunked`` the health pass takes a period's 2x2
-        # states at most two at a time, so a period's kept samples are
-        # gathered across chunks; slice 1 still equals its one-chunk lone run
-        checked = checked_chunks(monkeypatch, 2 * 32 if chunked else None)
+        # a perturbed operand. Slice 0 overflows at the first sample and
+        # alone has the leading terms; slice 2 fails at the third, in the
+        # same period as slice 0 on blocks of four and in a later pass on
+        # periods of one sample; slice 1 reruns without them and has the
+        # bits of its lone run. Without slice 1, the last pass leaves no
+        # survivor. The health check takes a period at a time
+        checked = checked_chunks(monkeypatch)
         times, outcomes = self.failing_slices([0, 1, 2], h, degrees, k, steps)
-        assert max(checked) <= (2 if chunked else 3 * k)
-        early, kept, late = outcomes
-        assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
-        assert early.largest_entry == np.inf and "largest entry inf" in str(early)
-        assert isinstance(late, IntegrationDiagnosticsError) and late.t == times[3]
-        assert late.trace_drift > 1e-6 and late.dt == 0.01
+        assert max(checked) <= 3 * k
         monkeypatch.undo()
+        _, failed = self.failing_slices([0, 2], h, degrees, k, steps)
+        for early, late in (outcomes[::2], failed):
+            assert isinstance(early, IntegrationDiagnosticsError) and early.t == times[1]
+            assert early.largest_entry == np.inf and "largest entry inf" in str(early)
+            assert isinstance(late, IntegrationDiagnosticsError) and late.t == times[3]
+            assert late.trace_drift > 1e-6 and late.dt == 0.01
         _, (lone,) = self.failing_slices([1], h, degrees, k, steps)
+        kept = outcomes[1]
         assert kept.keys() == lone.keys()
         for name in kept:
             assert np.array_equal(kept[name], lone[name]), name
@@ -770,12 +771,12 @@ class TestEvolveBatch:
     @pytest.mark.parametrize(
         "h, degrees, k, steps, samples",
         [(0.005, [4] * 8, 1, 200, 1), (0.05, [50, 45, 40, 35, 35, 29, 25, 25], 4, 1, 200)],
-        ids=["rk4", "block"],
+        ids=["sub-steps", "block"],
     )
     def test_blocks_allocate_no_real_state_stack(self, monkeypatch, h, degrees, k, steps, samples):
         # the blocks run on the real R, half the size of the complex input
         # stack that bounds the test above; no block allocates one R
-        # either, whether it is one degree-4 step or four samples at degrees 50
+        # either, whether it is one degree-4 sub-step or four samples at degrees 50
         # down to 25
         spec = make_spec(4, ["0110", "1111"])
         hamiltonian = build_hamiltonian(spec)
@@ -834,15 +835,16 @@ class TestEvolveBatch:
         assert np.max(np.abs(traj.populations - oracle)) < 1e-12
 
     def test_dropped_point_leaves_the_survivors_bits(self, monkeypatch):
-        # exact blocks keep every pair of evolve_batch physical, so drops go
+        # exact blocks keep every pair of evolve_batch physical, so failures go
         # through _integrate with a perturbed operand: a gain g on M's entry
         # at |0000> makes a pair's trace grow from the maximally mixed
         # state. Of five pairs in blocks of eight strides at degrees 55 down
         # to 29, g = 1e-3, 8e-5 and 1e-5 fail at the first, third and 26th
-        # samples, the first two in front of the survivors and the last
-        # inside a block. The health check takes two states at a time, so a
-        # drop gathers the kept samples across chunks. Each survivor has
-        # the bits of its lone run
+        # samples: the first two end the first pass in its first period,
+        # and the last ends the second inside a block, so the survivors run
+        # a third. The health check takes two states at a time, so a
+        # period's verdicts and fields are read across chunks. Each
+        # survivor has the bits of its lone run
         spec = make_spec(4, ["0110", "1111"])
         gain, out_degree = jump_gain(build_jump_operators(spec), spec.dim)
         r, gen = framed_stack(

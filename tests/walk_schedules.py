@@ -176,7 +176,8 @@ class Walk(NamedTuple):
         largest stack (one per p) once, and no health check may take more
         than ``chunk_bytes`` of states. The run must have the bits of one on the per-call
         reference round, with the default chunks, as far as two periods
-        past its last drop: by then it has bound every round it binds.
+        past its last failure: by then every failure has ended its pass,
+        and each pass binds all of its rounds before its first period.
         """
         spec, rho0, params = self.spec(), self.rho0(), self.params(self.t_max)
         steps, _ = sample_grid(self.dt, self.sample_every, self.t_max)
@@ -195,8 +196,8 @@ class Walk(NamedTuple):
         monkeypatch.undo()
         monkeypatch.setattr(lindblad, "_round", lambda *operands: operands)
         monkeypatch.setattr(lindblad, "rk4_step", lambda operands: reference_step.rk4_step(*operands))
-        last_drop = max((o.t for o in outcomes if isinstance(o, IntegrationDiagnosticsError)), default=0.0)
-        horizon = min(self.t_max, last_drop + 2 * MAX_BLOCK_STRIDES * steps * self.dt)
+        last_failure = max((o.t for o in outcomes if isinstance(o, IntegrationDiagnosticsError)), default=0.0)
+        horizon = min(self.t_max, last_failure + 2 * MAX_BLOCK_STRIDES * steps * self.dt)
         for outcome, expected in zip(outcomes, evolve_batch(rho0, spec, self.params(horizon)), strict=True):
             assert_same(outcome, expected)
         return blocks, len(rounds), sum(stages for stages, _, _ in rounds)
